@@ -25,12 +25,13 @@ reproducible:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graph_core import Graph, GraphError
+from .graph_core import MAX_VERTICES, Graph, GraphError, require_size
 
 __all__ = [
     "FamilySpec",
@@ -95,6 +96,16 @@ def construct(spec: FamilySpec) -> Graph:
     return fn(*spec.params)
 
 
+def _capped_power(q: int, d: int) -> int:
+    """q**d for q >= 2, stopping early once it exceeds MAX_VERTICES."""
+    size = 1
+    for _ in range(d):
+        size *= q
+        if size > MAX_VERTICES:
+            break
+    return size
+
+
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     subs = [tuple(sorted(s)) for s in itertools.combinations(range(n), k)]
     subs.sort(key=lambda s: tuple(reversed(s)))
@@ -110,6 +121,8 @@ def johnson_vertex_index(n: int, k: int, subset: Sequence[int]) -> int:
 def johnson(n: int, k: int) -> Graph:
     if not (0 < k < n):
         raise GraphError("params", f"johnson needs 0 < k < n, got ({n}, {k})")
+    # C(n, k) >= n: testing n first keeps math.comb off huge arguments
+    require_size(f"J({n},{k})", n if n > MAX_VERTICES else math.comb(n, k))
     verts = _colex_subsets(n, k)
     m = len(verts)
     sets = [frozenset(v) for v in verts]
@@ -124,6 +137,7 @@ def johnson(n: int, k: int) -> Graph:
 def halved_cube(n: int) -> Graph:
     if n < 2:
         raise GraphError("params", "halved_cube needs n >= 2")
+    require_size(f"1/2 H({n},2)", _capped_power(2, n - 1))
     words = [w for w in range(2**n) if bin(w).count("1") % 2 == 0]
     m = len(words)
     adj = np.zeros((m, m), dtype=np.int8)
@@ -137,9 +151,8 @@ def halved_cube(n: int) -> Graph:
 def hamming(d: int, q: int) -> Graph:
     if d < 1 or q < 2:
         raise GraphError("params", "hamming needs d >= 1 and q >= 2")
-    n = q**d
-    if n > 4096:
-        raise GraphError("params", f"hamming({d},{q}) too large")
+    n = _capped_power(q, d)
+    require_size(f"H({d},{q})", n)
     adj = np.zeros((n, n), dtype=np.int8)
 
     def digits(w):
@@ -171,6 +184,7 @@ def rook_grid(m: int) -> Graph:
     if m < 2:
         raise GraphError("params", "rook_grid needs m >= 2")
     n = m * m
+    require_size(f"{m}x{m} grid", n)
     adj = np.zeros((n, n), dtype=np.int8)
     for i in range(n):
         for j in range(i + 1, n):
@@ -190,6 +204,7 @@ def triangular_complement(m: int) -> Graph:
 def complete_bipartite(t: int) -> Graph:
     if t < 1:
         raise GraphError("params", "complete_bipartite needs t >= 1")
+    require_size(f"K({t},{t})", 2 * t)
     adj = np.zeros((2 * t, 2 * t), dtype=np.int8)
     adj[:t, t:] = 1
     adj[t:, :t] = 1

@@ -1,13 +1,15 @@
 """Graph representation, validation, distances, and file I/O.
 
 Graphs are simple, undirected, 0/1, with 0-based integer vertex labels and a
-dense adjacency matrix (everything in scope has n <= 256).  Instances are
-immutable after construction and safe to share across workers.
+dense adjacency matrix (everything in scope has n <= 256).  Loading and family
+construction reject graphs above MAX_VERTICES before allocating the matrix.
+Instances are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,11 +20,16 @@ __all__ = [
     "Graph",
     "DistanceData",
     "GraphError",
+    "MAX_VERTICES",
+    "require_size",
     "load_graph",
     "save_graph",
     "distances",
     "induced_subgraph",
 ]
+
+
+MAX_VERTICES = 4096
 
 
 class GraphError(ValueError):
@@ -31,6 +38,12 @@ class GraphError(ValueError):
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         super().__init__(f"{reason}: {detail}" if detail else reason)
+
+
+def require_size(what: str, n: int) -> None:
+    """Reject a graph of n vertices above MAX_VERTICES, before allocating it."""
+    if n > MAX_VERTICES:
+        raise GraphError("size", f"{what} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
 @dataclass(frozen=True)
@@ -163,13 +176,21 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass; a float or a string must not be truncated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError("parse", f"{what} {value!r} is not an integer")
+    return value
+
+
 def _graph_from_edges(n: int, edges, label: str) -> Graph:
+    require_size("graph", n)
     adj = np.zeros((n, n), dtype=np.int8)
     seen = set()
     for e in edges:
-        if len(e) != 2:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphError("parse", f"edge {e!r} is not a pair")
-        u, v = int(e[0]), int(e[1])
+        u, v = _json_int(e[0], "vertex id"), _json_int(e[1], "vertex id")
         if u == v:
             raise GraphError("loop", f"edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -193,7 +214,10 @@ def load_graph(path) -> Graph:
             raise GraphError("parse", str(e)) from None
         if not isinstance(data, dict) or "n" not in data or "edges" not in data:
             raise GraphError("parse", 'JSON graph needs "n" and "edges"')
-        g = _graph_from_edges(int(data["n"]), data["edges"], str(data.get("label", "")))
+        if not isinstance(data["edges"], list):
+            raise GraphError("parse", '"edges" must be a list of pairs')
+        n = _json_int(data["n"], '"n"')
+        g = _graph_from_edges(n, data["edges"], str(data.get("label", "")))
     else:
         edges = []
         hi = -1
@@ -204,6 +228,9 @@ def load_graph(path) -> Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise GraphError("parse", f"line {lineno}: expected 'u v'")
+            # int() alone would also take "1_0" or non-ASCII digits
+            if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+                raise GraphError("parse", f"line {lineno}: vertex ids must be integers")
             u, v = int(parts[0]), int(parts[1])
             edges.append((u, v))
             hi = max(hi, u, v)

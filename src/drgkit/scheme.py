@@ -23,7 +23,7 @@ from .exactla import (
     eigenprojection,
     eigenvalues_from_charpoly,
 )
-from .graph_core import DistanceData, Graph, distances
+from .graph_core import DistanceData, Graph, GraphError, distances
 
 __all__ = [
     "DrgParameters",
@@ -87,6 +87,9 @@ def verify_drg(g: Graph, dd: Optional[DistanceData] = None) -> DrgParameters:
     g.require_connected()
     dd = dd or distances(g)
     D, n = dd.D, g.n
+    if D == 0:
+        raise GraphError("diameter", "a single vertex has diameter 0; "
+                         "distance-regular analysis needs diameter >= 1")
     masks = [dd.A[h] == 1 for h in range(D + 1)]
     p = [[[0] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
     for i in range(D + 1):

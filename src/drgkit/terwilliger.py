@@ -4,12 +4,15 @@ The algebra is generated from {A, E*_0, ..., E*_D} rather than {A, A*}: the
 two generating sets give the same algebra, but integer generators keep the
 whole closure over Q, so no surd ever enters the span arithmetic.
 
-Closure strategy: maintain the reduced integer echelon form of the current
-span (exactla.ExactSpan) together with its rows reshaped back into matrices.
-Only pairs involving a newly inserted element are multiplied in later passes;
-pairs between old elements were already reduced against a smaller span and a
-span only grows, so re-multiplying them cannot add anything.  Reduced rows
-have stripped content, which keeps products comfortably inside int64.
+Closure strategy: "spinning", the MeatAxe step (Parker 1984; Holt-Rees 1994).
+Start from span{I} and close it under left multiplication by the generators
+only.  The closed span contains every word G_1 G_2 ... G_r in the generators
+(G_1 times the shorter word G_2 ... G_r, which is already inside), and it lies
+inside the algebra, so it is the algebra.  That takes dim * (#generators)
+products instead of the dim^2 of a pairwise closure.  Basis elements are the
+reduced echelon residues of exactla.ExactSpan; their stripped content keeps
+products comfortably inside int64.  A diagonal generator (every E*_i) acts by
+scaling rows instead of a matrix product.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactla import ExactMatrix, ExactSpan
+from .exactla import ExactMatrix, ExactSpan, _imatmul, _scale_rows
 from .graph_core import DistanceData, Graph, distances
 from .scheme import DrgParameters, EigenData, intersection_matrix
 
@@ -113,55 +116,24 @@ class AlgebraBasis:
     dim: int
 
 
-def _closure_int(gen_arrays: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """Span-closure of integer generators under matrix product.
-
-    The multiplication set is append-only (stable indices for the pending-pair
-    queue): each successful insert contributes its reduced echelon residue,
-    which spans the same space as the raw candidate but with stripped content,
-    keeping later products small.  Returns the representatives in insertion
-    order; index 0 is the identity.
-    """
-    from .exactla import _imatmul
-
-    span = ExactSpan(n * n)
-    mats: list[np.ndarray] = []
-    seen: set[bytes] = set()
-
-    def try_insert(M: np.ndarray) -> bool:
-        if M.dtype != object:
-            key = M.tobytes()
-            if key in seen:
-                return False
-            seen.add(key)
-        if span.insert(M):
-            mats.append(span.last_row.va.reshape(n, n))
-            return True
-        return False
-
-    for M in [np.eye(n, dtype=np.int64)] + gen_arrays:
-        try_insert(np.ascontiguousarray(M))
-    pending = [(i, j) for i in range(len(mats)) for j in range(len(mats))]
-    pos = 0
-    while pos < len(pending):
-        i, j = pending[pos]
-        pos += 1
-        prod = _imatmul(mats[i], mats[j])
-        if try_insert(np.ascontiguousarray(prod)):
-            new = len(mats) - 1
-            for t in range(len(mats)):
-                pending.append((t, new))
-                if t != new:
-                    pending.append((new, t))
-    return mats
+def _left_multiplier(G: np.ndarray):
+    """M -> G @ M for an integer matrix G; a diagonal G scales rows instead."""
+    diag = G.diagonal()
+    if np.count_nonzero(G) == np.count_nonzero(diag):
+        return lambda M: _scale_rows(diag, M)
+    return lambda M: _imatmul(G, M)
 
 
 def algebra_closure(generators: Sequence[ExactMatrix]) -> AlgebraBasis:
     """Unital algebra generated by the given exact matrices.
 
-    Seeds the span with {I} and the generators, then multiplies basis pairs
-    (new ones only, which is equivalent to full passes) until nothing new
-    appears.  Terminates because the dimension is bounded by n^2.
+    Spins span{I} under left multiplication: every stored basis element M is
+    visited once, and G @ M is inserted for each generator G.  When all
+    elements are visited the span is closed under left multiplication by the
+    generators and contains I, hence every word in them, so it is the whole
+    algebra.  Terminates because the dimension is bounded by n^2.  Integer
+    generators run on int64 arrays (Python ints when a bound check fails);
+    surd or fractional generators run the same loop on ExactMatrix products.
     """
     gens = list(generators)
     if not gens:
@@ -170,40 +142,38 @@ def algebra_closure(generators: Sequence[ExactMatrix]) -> AlgebraBasis:
     for m in gens:
         if m.shape != (n, n):
             raise ValueError("generators must be square and equally sized")
-    if all(m.is_integer_matrix() for m in gens):
-        reps = _closure_int([np.asarray(m.int_array(), dtype=np.int64) for m in gens], n)
-        basis = tuple(ExactMatrix.from_int(r) for r in reps)
-        return AlgebraBasis(generators=tuple(gens), basis=basis, dim=len(basis))
-    # general exact path (surd generators); same algorithm on ExactMatrix
     d = 0
     for m in gens:
         if m.d:
             if d and m.d != d:
                 raise ValueError("generators do not share one quadratic field")
             d = m.d
+    integral = all(m.is_integer_matrix() for m in gens)
+    if integral:
+        left = [_left_multiplier(m.int_array()) for m in gens]
+    else:
+        left = [m.__matmul__ for m in gens]
     span = ExactSpan(n * n, d)
-    mats: list[ExactMatrix] = []
 
-    def insert(M: ExactMatrix) -> bool:
-        if span.insert(M):
-            mats.append(M)
-            return True
-        return False
+    def residue():
+        row = span.last_row
+        if integral:
+            return row.va.reshape(n, n)
+        return ExactMatrix(row.va.reshape(n, n),
+                           None if row.vb is None else row.vb.reshape(n, n), d=d)
 
-    for M in [ExactMatrix.identity(n)] + gens:
-        insert(M)
-    pending = [(i, j) for i in range(len(mats)) for j in range(len(mats))]
+    span.insert(ExactMatrix.identity(n))
+    basis = [residue()]
     pos = 0
-    while pos < len(pending):
-        i, j = pending[pos]
+    while pos < len(basis):
+        M = basis[pos]
         pos += 1
-        if insert(mats[i] @ mats[j]):
-            new = len(mats) - 1
-            for t in range(len(mats)):
-                pending.append((t, new))
-                if t != new:
-                    pending.append((new, t))
-    return AlgebraBasis(generators=tuple(gens), basis=tuple(mats), dim=span.dim)
+        for mul in left:
+            if span.insert(mul(M)):
+                basis.append(residue())
+    if integral:
+        basis = [ExactMatrix.from_int(b) for b in basis]
+    return AlgebraBasis(generators=tuple(gens), basis=tuple(basis), dim=span.dim)
 
 
 def terwilliger_dimension(g: Graph, x: int, dd: Optional[DistanceData] = None) -> int:

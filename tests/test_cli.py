@@ -36,6 +36,17 @@ def test_construct_bad_params(tmp_path):
                 "--out", str(out)]) == 1
 
 
+def test_construct_oversized_family_exits_quickly(tmp_path):
+    import time
+
+    t0 = time.perf_counter()
+    code = run(["construct", "--family", "halved_cube", "--params", "40",
+                "--out", str(tmp_path / "x.json")])
+    assert code in (1, 2)
+    assert time.perf_counter() - t0 < 5
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_usage_error_exit_code():
     assert run(["analyze"]) == 1
     assert run(["nonsense"]) == 1
@@ -93,6 +104,15 @@ def test_analyze_non_drg_fails(tmp_path):
     g_path = tmp_path / "p3.json"
     g_path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
     assert run(["analyze", str(g_path)]) == 2
+
+
+def test_one_vertex_graph_is_an_analysis_error(tmp_path, capsys):
+    g_path = tmp_path / "k1.json"
+    g_path.write_text(json.dumps({"n": 1, "edges": []}))
+    for argv in (["analyze", str(g_path)], ["pvt", str(g_path)]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error:") and err.count("\n") == 1
 
 
 def test_analyze_float_fallback_flag(tmp_path):

@@ -41,6 +41,20 @@ def test_arity_errors():
         FamilySpec("nosuch", ())
 
 
+@pytest.mark.parametrize("family, params", [
+    ("halved_cube", (40,)),
+    ("hamming", (10**9, 2)),
+    ("johnson", (10**6, 5 * 10**5)),
+    ("rook_grid", (65,)),
+    ("triangular_complement", (100,)),
+    ("complete_bipartite", (3000,)),
+])
+def test_family_size_cap(family, params):
+    with pytest.raises(GraphError) as e:
+        construct(FamilySpec(family, params))
+    assert e.value.reason == "size"
+
+
 def test_johnson82():
     g = construct(FamilySpec("johnson", (8, 2)))
     assert g.n == 28 and g.is_regular() == 12

@@ -56,6 +56,30 @@ def test_duplicate_edge_rejected(tmp_path):
     assert e.value.reason == "duplicate"
 
 
+@pytest.mark.parametrize("name, text", [
+    ("float.json", json.dumps({"n": 2, "edges": [[0, 1.5]]})),
+    ("bool.json", json.dumps({"n": 2, "edges": [[0, True]]})),
+    ("string.json", json.dumps({"n": 2, "edges": [["0", 1]]})),
+    ("float_n.json", json.dumps({"n": 2.0, "edges": [[0, 1]]})),
+    ("float.txt", "0 1.5\n"),
+    ("underscore.txt", "0 1_0\n"),
+])
+def test_non_integer_vertex_id_rejected(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(GraphError) as e:
+        load_graph(path)
+    assert e.value.reason == "parse"
+
+
+def test_oversized_file_rejected_before_allocation(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("0 1000000000\n")
+    with pytest.raises(GraphError) as e:
+        load_graph(path)
+    assert e.value.reason == "size"
+
+
 def test_disconnected_warns(tmp_path):
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))

@@ -194,3 +194,58 @@ def test_closure_dim_matches_naive_fixed_point():
         gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
         ours = algebra_closure([ExactMatrix.from_int(g) for g in gens]).dim
         assert ours == naive_closure_dim(gens)
+
+
+def _naive_closure_dim(gens):
+    """Test oracle: grow span{I, gens} by all pairwise products until stable."""
+    import sympy
+
+    n = gens[0].shape[0]
+    mats = [sympy.eye(n)] + [sympy.Matrix(g.tolist()) for g in gens]
+    while True:
+        rows = sympy.Matrix([list(m) for m in mats]).rowspace()
+        basis = [sympy.Matrix(n, n, list(r)) for r in rows]
+        grown = basis + [a * b for a in basis for b in basis]
+        if sympy.Matrix([list(m) for m in grown]).rank() == len(basis):
+            return len(basis)
+        mats = grown
+
+
+def _dense_and_diagonal_generators(seed):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
+        gens += [np.diag(rng.integers(-3, 4, size=n)) for _ in range(int(rng.integers(1, 3)))]
+        cases.append(gens)
+    return cases
+
+
+def test_closure_dense_and_diagonal_generators_match_naive_fixed_point():
+    for gens in _dense_and_diagonal_generators(7):
+        ours = algebra_closure([ExactMatrix.from_int(g) for g in gens]).dim
+        assert ours == _naive_closure_dim(gens)
+
+
+def test_closure_dim_survives_int64_overflow(monkeypatch):
+    import sys
+
+    from drgkit import exactla
+
+    fallbacks = set()
+    to_object = exactla._to_object
+
+    def spy(a):
+        fallbacks.add(sys._getframe(1).f_code.co_name)
+        return to_object(a)
+
+    scale = 2**40
+    for gens in _dense_and_diagonal_generators(7):
+        plain = algebra_closure([ExactMatrix.from_int(g) for g in gens]).dim
+        monkeypatch.setattr(exactla, "_to_object", spy)
+        big = [ExactMatrix(to_object(np.asarray(g, dtype=np.int64)) * scale) for g in gens]
+        assert algebra_closure(big).dim == plain
+        monkeypatch.setattr(exactla, "_to_object", to_object)
+    # the scaled run really took the Python-int paths it is meant to cover
+    assert {"_imatmul", "_scale_rows", "_combine"} <= fallbacks

@@ -180,7 +180,6 @@ def test_wedderburn_examples():
     assert wedderburn_dim(decompose_srg(g, 0, SrgParams(28, 12, 6, 4))) == 16
 
 
-@pytest.mark.slow
 def test_decompose_at4_halved_cube():
     g = halved_cube(8)
     md = decompose_at4(g, 0, 4, 2)
