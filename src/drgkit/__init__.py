@@ -2,15 +2,15 @@
 
 Construct the classical strongly regular graphs, Taylor graphs, and tight
 antipodal diameter-4 covers; verify distance-regularity; compute exact
-spectra, Bose-Mesner idempotents, Krein parameters and Q-polynomial
-orderings; generate the Terwilliger algebra T(x) exactly and decompose the
-standard module into irreducible T(x)-modules; decide pseudo-vertex
-transitivity and T-isomorphism.
+spectra, multiplicities, Krein parameters and Q-polynomial orderings from the
+intersection array; generate the Terwilliger algebra T(x) exactly and
+decompose the standard module into irreducible T(x)-modules; decide
+pseudo-vertex transitivity and T-isomorphism.
 """
 
 __version__ = "0.1.0"
 
-from .exactla import AlgebraicScalar, ExactMatrix, rank, span_insert, eigenprojection
+from .exactla import AlgebraicScalar
 from .graph_core import Graph, DistanceData, load_graph, save_graph, distances, induced_subgraph
 from .families import FamilySpec, construct, seidel_switch
 from .scheme import (
@@ -34,13 +34,10 @@ from .spectra import (
 )
 from .terwilliger import (
     DualIdempotents,
-    DualAdjacency,
     AlgebraBasis,
     dual_idempotents,
-    dual_adjacency,
     algebra_closure,
     terwilliger_dimension,
-    tridiagonal_primary,
 )
 from .tmodules import (
     ModuleDescriptor,

@@ -1,22 +1,24 @@
-"""Exact linear algebra over Q and real quadratic fields Q(sqrt(d)).
+"""Exact arithmetic over Q and real quadratic fields Q(sqrt(d)).
 
-Everything downstream (spectra, idempotents, algebra closures) rests on this
+Everything downstream (spectra, scheme data, algebra closures) rests on this
 module.  The guiding constraints:
 
 * Scalars are numbers a + b*sqrt(d) with rational a, b and square-free d >= 0.
-  All graphs in scope have quadratic eigenvalues, so one quadratic field per
-  matrix suffices.  A float mode exists only as a fallback for eigenvalues
-  whose minimal polynomial does not split over such a field.
-* Matrices keep integer numerator arrays plus a single denominator, so the
-  hot paths (0/1 generators, algebra closure products) run on plain integer
-  numpy arrays.  int64 is used whenever a bound check proves it safe, with
-  Python-int object arrays as the overflow fallback.
+  Surds appear only as scalars: eigenvalues, multiplicity and Krein
+  computations on the (D+1)-sized intersection array, and local spectra.  A
+  float mode exists only as a fallback for eigenvalues whose minimal
+  polynomial does not split over a quadratic field.
+* Matrices are plain integer numpy arrays (0/1 generators, algebra closure
+  products, characteristic polynomials).  int64 is used whenever a bound
+  check proves it safe, with Python-int object arrays as the overflow
+  fallback.
 * Linear independence is decided by fraction-free row reduction with gcd
   stripping; no floating point is consulted for any exact decision.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -27,13 +29,9 @@ import sympy
 
 __all__ = [
     "AlgebraicScalar",
-    "ExactMatrix",
     "ExactSpan",
     "sqrt_of_fraction",
     "square_free_split",
-    "rank",
-    "span_insert",
-    "eigenprojection",
     "charpoly_int",
     "eigenvalues_from_charpoly",
 ]
@@ -354,8 +352,8 @@ def _as_int_array(arr) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _max_abs(a: Optional[np.ndarray]) -> int:
-    if a is None or a.size == 0:
+def _max_abs(a: np.ndarray) -> int:
+    if a.size == 0:
         return 0
     if a.dtype == object:
         return max((abs(int(v)) for v in a.flat), default=0)
@@ -371,18 +369,9 @@ def _to_object(a: np.ndarray) -> np.ndarray:
 
 
 def _shrink(a: np.ndarray) -> np.ndarray:
-    if a is not None and a.dtype == object and _max_abs(a) < _INT64_SAFE:
+    if a.dtype == object and _max_abs(a) < _INT64_SAFE:
         return a.astype(np.int64)
     return a
-
-
-def _scale(arr: np.ndarray, c: int) -> np.ndarray:
-    """Exact arr * c, widening to objects when int64 could overflow."""
-    if c == 0:
-        return np.zeros(arr.shape, dtype=np.int64)
-    if arr.dtype != object and abs(c) * _max_abs(arr) < _INT64_SAFE:
-        return arr * c
-    return _to_object(arr) * c
 
 
 def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -402,9 +391,7 @@ def _scale_rows(d: np.ndarray, M: np.ndarray) -> np.ndarray:
     return _to_object(col) * _to_object(M)
 
 
-def _gcd_all(a: Optional[np.ndarray]) -> int:
-    if a is None:
-        return 0
+def _gcd_all(a: np.ndarray) -> int:
     if a.dtype != object:
         return int(np.gcd.reduce(np.abs(a), axis=None))
     g = 0
@@ -416,255 +403,37 @@ def _gcd_all(a: Optional[np.ndarray]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ExactMatrix
-# ---------------------------------------------------------------------------
-
-
-class ExactMatrix:
-    """Dense exact matrix over Q(sqrt(d)).
-
-    Stored as (ra + rb*sqrt(d)) / den with integer numerator arrays and one
-    positive integer denominator; rb is None when the matrix is rational.
-    """
-
-    __slots__ = ("rows", "cols", "d", "den", "ra", "rb")
-
-    def __init__(self, ra, rb=None, den: int = 1, d: int = 0):
-        ra = _as_int_array(ra)
-        if ra.ndim != 2:
-            raise ValueError("ExactMatrix expects a 2-D array")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if rb is not None:
-            rb = _as_int_array(rb)
-            if rb.shape != ra.shape:
-                raise ValueError("surd part shape mismatch")
-            if not rb.any():
-                rb = None
-        if rb is None:
-            d = 0
-        elif d in (0, 1):
-            raise ValueError("nonzero surd part needs square-free d > 1")
-        if den < 0:
-            ra, rb, den = -ra, (None if rb is None else -rb), -den
-        g = math.gcd(math.gcd(_gcd_all(ra), _gcd_all(rb)), den)
-        if g > 1:
-            ra = ra // g
-            rb = None if rb is None else rb // g
-            den //= g
-        self.ra = _shrink(ra)
-        self.rb = None if rb is None else _shrink(rb)
-        self.den, self.d = int(den), int(d)
-        self.rows, self.cols = ra.shape
-
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, arr) -> "ExactMatrix":
-        return cls(arr)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def from_scalars(cls, grid: Sequence[Sequence]) -> "ExactMatrix":
-        scalars = [[s if isinstance(s, AlgebraicScalar) else AlgebraicScalar(s) for s in row]
-                   for row in grid]
-        d = 0
-        for row in scalars:
-            for s in row:
-                if not s.is_exact:
-                    raise ValueError("float-mode scalar in exact matrix")
-                if s.d:
-                    if d and s.d != d:
-                        raise ValueError("entries do not share one quadratic field")
-                    d = s.d
-        den = 1
-        for row in scalars:
-            for s in row:
-                den = math.lcm(den, s.a.denominator, s.b.denominator)
-        ra = np.array([[int(s.a * den) for s in row] for row in scalars], dtype=object)
-        rb = None
-        if d:
-            rb = np.array([[int(s.b * den) for s in row] for row in scalars], dtype=object)
-        return cls(ra, rb, den, d)
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "ExactMatrix":
-        values = list(values)
-        n = len(values)
-        zero = AlgebraicScalar(0)
-        return cls.from_scalars(
-            [[values[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
-    # -- accessors -------------------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def entry(self, i: int, j: int) -> AlgebraicScalar:
-        a = Fraction(int(self.ra[i, j]), self.den)
-        b = Fraction(int(self.rb[i, j]), self.den) if self.rb is not None else 0
-        return AlgebraicScalar(a, b, self.d)
-
-    def is_zero(self) -> bool:
-        return not self.ra.any() and self.rb is None
-
-    def is_integer_matrix(self) -> bool:
-        return self.den == 1 and self.rb is None
-
-    def int_array(self) -> np.ndarray:
-        if not self.is_integer_matrix():
-            raise ValueError("matrix is not integral")
-        return self.ra
-
-    def to_float_array(self) -> np.ndarray:
-        out = self.ra.astype(float)
-        if self.rb is not None:
-            out = out + self.rb.astype(float) * math.sqrt(self.d)
-        return out / self.den
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ra.T.copy(),
-                           None if self.rb is None else self.rb.T.copy(),
-                           self.den, self.d)
-
-    def trace(self) -> AlgebraicScalar:
-        a = Fraction(int(sum(int(self.ra[i, i]) for i in range(min(self.shape)))), self.den)
-        b = Fraction(0)
-        if self.rb is not None:
-            b = Fraction(int(sum(int(self.rb[i, i]) for i in range(min(self.shape)))), self.den)
-        return AlgebraicScalar(a, b, self.d)
-
-    # -- algebra -----------------------------------------------------------------
-
-    @staticmethod
-    def _join_d(x: "ExactMatrix", y: "ExactMatrix") -> int:
-        if x.d == y.d or y.d == 0:
-            return x.d
-        if x.d == 0:
-            return y.d
-        raise ValueError(f"cannot combine sqrt({x.d}) and sqrt({y.d}) matrices")
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        d = self._join_d(self, other)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        ra = _scale(self.ra, fa) + _scale(other.ra, fb)
-        rb = None
-        if self.rb is not None and other.rb is not None:
-            rb = _scale(self.rb, fa) + _scale(other.rb, fb)
-        elif self.rb is not None:
-            rb = _scale(self.rb, fa)
-        elif other.rb is not None:
-            rb = _scale(other.rb, fb)
-        return ExactMatrix(ra, rb, den, d)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "ExactMatrix":
-        s = scalar if isinstance(scalar, AlgebraicScalar) else AlgebraicScalar(scalar)
-        if not s.is_exact:
-            raise ValueError("float-mode scalar in exact matrix arithmetic")
-        d = self.d
-        if s.d:
-            if d and s.d != d:
-                raise ValueError("scalar lives in a different quadratic field")
-            d = s.d
-        q = math.lcm(s.a.denominator, s.b.denominator)
-        an, bn = int(s.a * q), int(s.b * q)
-        ra = _scale(self.ra, an)
-        rb = _scale(self.rb, an) if self.rb is not None else None
-        if bn:
-            if self.rb is not None:
-                ra = ra + _scale(self.rb, bn * d)
-            sb = _scale(self.ra, bn)
-            rb = sb if rb is None else rb + sb
-        return ExactMatrix(ra, rb, self.den * q, d)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        d = self._join_d(self, other)
-        ra = _imatmul(self.ra, other.ra)
-        rb = None
-        if self.rb is not None and other.rb is not None:
-            ra = ra + _scale(_imatmul(self.rb, other.rb), d)
-            rb = _imatmul(self.ra, other.rb) + _imatmul(self.rb, other.ra)
-        elif self.rb is not None:
-            rb = _imatmul(self.rb, other.ra)
-        elif other.rb is not None:
-            rb = _imatmul(self.ra, other.rb)
-        return ExactMatrix(ra, rb, self.den * other.den, d)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            return False
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("ExactMatrix is unhashable")
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, d={self.d}, den={self.den})"
-
-
-# ---------------------------------------------------------------------------
-# spans and rank
+# spans
 # ---------------------------------------------------------------------------
 
 
 class _Row:
-    """One row of a reduced integer echelon form over Z[sqrt(d)]."""
+    """One row of a reduced integer echelon form: pivot column and vector."""
 
-    __slots__ = ("piv", "va", "vb")
+    __slots__ = ("piv", "v")
 
-    def __init__(self, piv: int, va: np.ndarray, vb: Optional[np.ndarray]):
-        self.piv, self.va, self.vb = piv, va, vb
+    def __init__(self, piv: int, v: np.ndarray):
+        self.piv, self.v = piv, v
 
 
-def _strip_row(va: np.ndarray, vb: Optional[np.ndarray]):
-    g = _gcd_all(va)
-    if vb is not None:
-        g = math.gcd(g, _gcd_all(vb))
+def _strip_row(v: np.ndarray) -> np.ndarray:
+    g = _gcd_all(v)
     if g > 1:
-        va = va // g
-        vb = None if vb is None else vb // g
-    return _shrink(va), (None if vb is None else _shrink(vb))
+        v = v // g
+    return _shrink(v)
 
 
 class ExactSpan:
-    """Incrementally maintained row space over Q(sqrt(d)).
+    """Incrementally maintained row space over Q of flat integer vectors.
 
     Rows are kept in fully reduced echelon form with integer entries (content
     stripped, leading coefficient positive), so a membership test is a single
-    elimination sweep.  The rational case (d == 0) runs on flat integer
-    vectors, which is the algebra-closure hot path.
+    elimination sweep.  Matrices are inserted as their flattened entries, which
+    is the algebra-closure hot path.
     """
 
-    def __init__(self, ncols: int, d: int = 0):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.d = d
         self.rows: list[_Row] = []
         self.last_row: Optional[_Row] = None  # reduced residue of the last insert
 
@@ -672,175 +441,56 @@ class ExactSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _nonzero_at(self, va, vb, i) -> bool:
-        return va[i] != 0 or (vb is not None and vb[i] != 0)
+    @staticmethod
+    def _combine(p: int, v: np.ndarray, c: int, r: np.ndarray) -> np.ndarray:
+        """p*v - c*r exactly; int64 when provably overflow-free."""
+        if (v.dtype != object and r.dtype != object
+                and abs(p) * _max_abs(v) + abs(c) * _max_abs(r) < _INT64_SAFE):
+            return v * p - c * r
+        return _to_object(v) * p - c * _to_object(r)
 
-    def _combine(self, pa: int, pb: int, va, vb, ca: int, cb: int, ra, rb):
-        """(pa + pb*sqrt(d))*v - (ca + cb*sqrt(d))*r over Z[sqrt(d)]."""
-        if pb == 0 and cb == 0 and vb is None and rb is None:
-            if (va.dtype != object and ra.dtype != object
-                    and abs(pa) * _max_abs(va) + abs(ca) * _max_abs(ra) < _INT64_SAFE):
-                return va * pa - ca * ra, None
-            return _to_object(va) * pa - ca * _to_object(ra), None
-        d = self.d
-        va = _to_object(va)
-        ra = _to_object(ra)
-        vb = np.zeros(self.ncols, dtype=object) if vb is None else _to_object(vb)
-        rb = np.zeros(self.ncols, dtype=object) if rb is None else _to_object(rb)
-        na = pa * va + (pb * d) * vb - (ca * ra + (cb * d) * rb)
-        nb = pa * vb + pb * va - (ca * rb + cb * ra)
-        if not nb.any():
-            nb = None
-        return na, nb
-
-    def _entry(self, va, vb, i) -> tuple[int, int]:
-        return int(va[i]), (0 if vb is None else int(vb[i]))
-
-    def _reduce(self, va, vb) -> Optional[_Row]:
+    def _reduce(self, v: np.ndarray) -> Optional[_Row]:
         for row in self.rows:
-            if self._nonzero_at(va, vb, row.piv):
-                pa, pb = self._entry(row.va, row.vb, row.piv)
-                ca, cb = self._entry(va, vb, row.piv)
-                va, vb = self._combine(pa, pb, va, vb, ca, cb, row.va, row.vb)
-                if va.dtype == object or _max_abs(va) > _STRIP_THRESHOLD or \
-                        (vb is not None and _max_abs(vb) > _STRIP_THRESHOLD):
-                    va, vb = _strip_row(va, vb)
-        va, vb = _strip_row(va, vb)
-        idx = np.nonzero(va)[0]
-        first = int(idx[0]) if len(idx) else self.ncols
-        if vb is not None:
-            idxb = np.nonzero(vb)[0]
-            if len(idxb):
-                first = min(first, int(idxb[0]))
-        if first == self.ncols:
+            if v[row.piv] != 0:
+                v = self._combine(int(row.v[row.piv]), v, int(v[row.piv]), row.v)
+                if v.dtype == object or _max_abs(v) > _STRIP_THRESHOLD:
+                    v = _strip_row(v)
+        v = _strip_row(v)
+        idx = np.flatnonzero(v)
+        if len(idx) == 0:
             return None
-        lead = int(va[first]) if va[first] != 0 else int(vb[first])
-        if lead < 0:
-            va = -va
-            vb = None if vb is None else -vb
-        return _Row(first, va, vb)
+        first = int(idx[0])
+        return _Row(first, -v if v[first] < 0 else v)
 
-    def _flatten(self, mat):
-        if isinstance(mat, ExactMatrix):
-            if mat.d != 0:
-                if self.d == 0 and self.rows:
-                    raise ValueError("cannot extend a started rational span to a surd field")
-                if self.d == 0:
-                    self.d = mat.d
-                elif mat.d != self.d:
-                    raise ValueError("matrix field differs from span field")
-            va = mat.ra.reshape(-1).copy()
-            vb = None if mat.rb is None else mat.rb.reshape(-1).copy()
-            return va, vb
-        va = _as_int_array(mat).reshape(-1).copy()
-        return va, None
+    def _flatten(self, mat) -> np.ndarray:
+        v = _as_int_array(mat).reshape(-1).copy()
+        if v.shape[0] != self.ncols:
+            raise ValueError("dimension mismatch")
+        return v
 
     def contains(self, mat) -> bool:
-        va, vb = self._flatten(mat)
-        if va.shape[0] != self.ncols:
-            raise ValueError("dimension mismatch")
-        return self._reduce(va, vb) is None
+        return self._reduce(self._flatten(mat)) is None
 
     def insert(self, mat) -> bool:
         """Insert when independent of the current span; True means it grew."""
-        va, vb = self._flatten(mat)
-        if va.shape[0] != self.ncols:
-            raise ValueError("dimension mismatch")
-        new = self._reduce(va, vb)
+        new = self._reduce(self._flatten(mat))
         if new is None:
             return False
         self.last_row = new
-        pa, pb = self._entry(new.va, new.vb, new.piv)
+        p = int(new.v[new.piv])
         updated = []
         for row in self.rows:
-            if self._nonzero_at(row.va, row.vb, new.piv):
-                ca, cb = self._entry(row.va, row.vb, new.piv)
-                va2, vb2 = self._combine(pa, pb, row.va, row.vb, ca, cb, new.va, new.vb)
-                va2, vb2 = _strip_row(va2, vb2)
-                lead = int(va2[row.piv]) if va2[row.piv] != 0 else int(vb2[row.piv])
-                if lead < 0:
-                    va2 = -va2
-                    vb2 = None if vb2 is None else -vb2
-                updated.append(_Row(row.piv, va2, vb2))
+            if row.v[new.piv] != 0:
+                # new.v is zero on row.piv and both leads are positive, so the
+                # combination keeps a positive lead
+                v = self._combine(p, row.v, int(row.v[new.piv]), new.v)
+                updated.append(_Row(row.piv, _strip_row(v)))
             else:
                 updated.append(row)
         updated.append(new)
         updated.sort(key=lambda r: r.piv)
         self.rows = updated
         return True
-
-
-def rank(m) -> int:
-    """Rank over Q(sqrt(d)) by fraction-free row reduction."""
-    if not isinstance(m, ExactMatrix):
-        m = ExactMatrix(m)
-    span = ExactSpan(m.cols, m.d)
-    for i in range(m.rows):
-        va = m.ra[i].copy()
-        vb = None if m.rb is None else m.rb[i].copy()
-        row = span._reduce(va, vb)
-        if row is not None:
-            span.rows.append(row)
-            span.rows.sort(key=lambda r: r.piv)
-    return span.dim
-
-
-def span_insert(basis: list[ExactMatrix], m: ExactMatrix) -> tuple[list[ExactMatrix], bool]:
-    """Append m to basis when independent of it; returns (basis, inserted)."""
-    if basis and m.shape != basis[0].shape:
-        raise ValueError("dimension mismatch")
-    d = m.d
-    for mat in basis:
-        if mat.d:
-            d = mat.d
-    span = ExactSpan(m.rows * m.cols, d)
-    for mat in basis:
-        if not span.insert(mat):
-            raise ValueError("basis is linearly dependent")
-    if span.insert(m):
-        return basis + [m], True
-    return basis, False
-
-
-def eigenprojection(A: ExactMatrix, eigs: Sequence[AlgebraicScalar]) -> list[ExactMatrix]:
-    """Primitive idempotents of symmetric A with the given distinct eigenvalues.
-
-    Lagrange interpolation E_i = prod_{j != i} (A - theta_j I)/(theta_i - theta_j);
-    idempotency, orthogonality, completeness and the reconstruction
-    A = sum theta_i E_i are all verified exactly, so an incorrect eigenvalue
-    list cannot pass silently.
-    """
-    n = A.rows
-    if A.cols != n:
-        raise ValueError("square matrix required")
-    eigs = [e if isinstance(e, AlgebraicScalar) else AlgebraicScalar(e) for e in eigs]
-    if any(not e.is_exact for e in eigs):
-        raise ValueError("float-mode eigenvalue")
-    I = ExactMatrix.identity(n)
-    projs = []
-    for i, ti in enumerate(eigs):
-        P = ExactMatrix.identity(n)
-        denom = AlgebraicScalar(1)
-        for j, tj in enumerate(eigs):
-            if j != i:
-                P = P @ (A - I * tj)
-                denom = denom * (ti - tj)
-        projs.append(P * denom.inverse())
-    total, recon = ExactMatrix.zeros(n, n), ExactMatrix.zeros(n, n)
-    for E, t in zip(projs, eigs):
-        total = total + E
-        recon = recon + E * t
-    if total != I or recon != A:
-        raise ValueError("eigenvalue list incomplete or incorrect")
-    for i, Ei in enumerate(projs):
-        for j in range(i, len(projs)):
-            prod = Ei @ projs[j]
-            if i == j:
-                if prod != Ei:
-                    raise ValueError("projector not idempotent")
-            elif not prod.is_zero():
-                raise ValueError("projectors not orthogonal")
-    return projs
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +577,5 @@ def eigenvalues_from_charpoly(coeffs: Sequence[int]):
             pairs.append((AlgebraicScalar(base) - rt * AlgebraicScalar(Fraction(1, 2 * a2)), mult))
         else:
             return None
-    import functools
     pairs.sort(key=functools.cmp_to_key(lambda p, q: p[0].compare(q[0])), reverse=True)
     return pairs

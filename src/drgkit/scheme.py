@@ -1,10 +1,12 @@
-"""Distance-regularity, intersection numbers, Bose-Mesner idempotents, Krein
-parameters, Q-polynomial orderings, antipodality, and the tightness bound.
+"""Distance-regularity, intersection numbers, eigenvalues and multiplicities,
+Krein parameters, Q-polynomial orderings, antipodality, and the tightness bound.
 
-Eigenvalues are taken from the (D+1) x (D+1) tridiagonal intersection matrix,
-so exactness is a root-finding problem on a quintic at worst; roots must lie
-in Q or a single quadratic field, otherwise the whole eigen-structure is
-flagged as float fallback.
+Only verify_drg (and antipodality) looks at the n x n graph.  Everything else
+is computed from the intersection array: the eigenvalues are the roots of the
+(D+1) x (D+1) tridiagonal intersection matrix, so exactness is a root-finding
+problem on a quintic at worst; the multiplicities, the idempotent profiles and
+the Krein parameters follow from the cosine sequences.  Roots must lie in Q or
+a single quadratic field, otherwise the spectrum is flagged as float fallback.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactla import (
-    AlgebraicScalar,
-    ExactMatrix,
-    charpoly_int,
-    eigenprojection,
-    eigenvalues_from_charpoly,
-)
+from .exactla import AlgebraicScalar, charpoly_int, eigenvalues_from_charpoly
 from .graph_core import DistanceData, Graph, GraphError, distances
 
 __all__ = [
@@ -131,48 +127,75 @@ def intersection_matrix(params: DrgParameters) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Eigenvalues theta_0 > ... > theta_D, multiplicities, and idempotents."""
+    """Eigenvalues theta_0 > ... > theta_D and their multiplicities."""
 
     theta: tuple  # AlgebraicScalar, descending (floats in fallback mode)
     mult: tuple[int, ...]
-    E: tuple  # ExactMatrix idempotents (float ndarray projectors in fallback)
     exact: bool = True
+
+
+def cosine_sequence(theta, params: DrgParameters) -> list:
+    """u_0(theta) .. u_D(theta) from the three-term recurrence u_0 = 1,
+    b_h u_{h+1} = (theta - a_h) u_h - c_h u_{h-1}; theta is an AlgebraicScalar,
+    or a float in fallback mode."""
+    u = [1, theta / params.k]
+    for h in range(1, params.D):
+        u.append(((theta - params.a[h]) * u[h] - params.c_at(h) * u[h - 1]) / params.b[h])
+    return u
+
+
+def multiplicity(theta, params: DrgParameters) -> int:
+    """Multiplicity of the eigenvalue theta by Biggs' formula
+    m = n / sum_h k_h u_h(theta)^2 (BCN Thm 4.1.4).
+
+    An exact theta must give a positive integer; a float theta must land within
+    1e-6 of one.  Anything else means theta is not an eigenvalue: ValueError.
+    """
+    u = cosine_sequence(theta, params)
+    m = params.n / sum(k * v * v for k, v in zip(params.k_i, u))
+    if isinstance(m, AlgebraicScalar):
+        if not m.is_integer or m.as_int() < 1:
+            raise ValueError(f"multiplicity of {theta} is {m}, not a positive integer")
+        return m.as_int()
+    r = round(m)
+    if abs(m - r) > 1e-6 or r < 1:
+        raise ValueError(f"multiplicity of {theta} is {m!r}, not near a positive integer")
+    return r
 
 
 def eigen_data(g: Graph, params: DrgParameters,
                dd: Optional[DistanceData] = None) -> EigenData:
-    """Exact spectrum and primitive idempotents of a distance-regular graph.
+    """Spectrum of a distance-regular graph from its intersection array.
 
-    Falls back to floats (flagged) when the intersection-matrix charpoly has
-    an irreducible factor of degree >= 3.
+    The eigenvalues are the roots of the (D+1) x (D+1) intersection matrix and
+    the multiplicities come from Biggs' formula, so no n x n matrix is built.
+    The exact result must satisfy m_0 = 1, sum m_i = n, sum m_i theta_i = tr A
+    = 0 and sum m_i theta_i^2 = tr A^2 = n k.  Falls back to floats (flagged)
+    when the intersection-matrix charpoly has an irreducible factor of degree
+    >= 3; the rounded float multiplicities must still sum to n.  Only params
+    is read; g and dd keep the signature of the other per-graph layers.
     """
     B = intersection_matrix(params)
+    n, k = params.n, params.k
     pairs = eigenvalues_from_charpoly(charpoly_int(B))
-    A = ExactMatrix.from_int(np.asarray(g.adjacency, dtype=np.int64))
     if pairs is None:
         evals = np.linalg.eigvals(B.astype(float))
         theta = tuple(sorted((float(v.real) for v in evals), reverse=True))
-        fev, fvec = np.linalg.eigh(g.adjacency.astype(float))
-        E, mult = [], []
-        for t in theta:
-            idx = [i for i, v in enumerate(fev) if abs(v - t) < 1e-8]
-            P = fvec[:, idx] @ fvec[:, idx].T
-            E.append(P)
-            mult.append(len(idx))
-        return EigenData(theta=theta, mult=tuple(mult), E=tuple(E), exact=False)
-    theta = [v for v, m in pairs]  # intersection matrix has simple spectrum
+        mult = tuple(multiplicity(t, params) for t in theta)
+        if sum(mult) != n:
+            raise ValueError(f"float multiplicities {mult} do not sum to n = {n}")
+        return EigenData(theta=theta, mult=mult, exact=False)
+    theta = tuple(v for v, _ in pairs)
     if any(m != 1 for _, m in pairs) or len(theta) != params.D + 1:
         raise ValueError("intersection matrix spectrum is not simple")
-    E = eigenprojection(A, theta)
-    mult = []
-    for Ei in E:
-        tr = Ei.trace()
-        if not tr.is_integer:
-            raise ValueError("idempotent trace is not an integer")
-        mult.append(tr.as_int())
-    if sum(mult) != g.n or mult[0] != 1:
+    mult = tuple(multiplicity(t, params) for t in theta)
+    if mult[0] != 1 or sum(mult) != n:
         raise ValueError("multiplicities do not sum to n with m_0 = 1")
-    return EigenData(theta=tuple(theta), mult=tuple(mult), E=tuple(E), exact=True)
+    if sum(m * t for m, t in zip(mult, theta)) != 0:
+        raise ValueError("multiplicities contradict tr A = 0")
+    if sum(m * t * t for m, t in zip(mult, theta)) != n * k:
+        raise ValueError("multiplicities contradict tr A^2 = n k")
+    return EigenData(theta=theta, mult=mult, exact=True)
 
 
 @dataclass(frozen=True)
@@ -204,22 +227,27 @@ def _solve_linear(mat, rhs):
 def idempotent_profiles(ed: EigenData, params: DrgParameters) -> list[list[AlgebraicScalar]]:
     """prof[h][i] = the constant value of E_i on the distance-h class.
 
-    Computed from the standard three-term recurrence for the cosine sequence
-    u_h(theta): u_0 = 1, b_h u_{h+1} = (theta - a_h) u_h - c_h u_{h-1}, with
-    E_i = (m_i / n) * sum_h u_h(theta_i) A_h.
+    E_i = (m_i / n) * sum_h u_h(theta_i) A_h with the cosine sequence u of
+    cosine_sequence.
     """
     D, n = params.D, params.n
     prof = [[None] * (D + 1) for _ in range(D + 1)]
     for i in range(D + 1):
-        u = [AlgebraicScalar(1)]
-        for h in range(D):
-            prev = u[h - 1] if h >= 1 else AlgebraicScalar(0)
-            u.append(((ed.theta[i] - params.a[h]) * u[h] - params.c_at(h) * prev)
-                     / params.b[h])
+        u = cosine_sequence(ed.theta[i], params)
         scale = AlgebraicScalar(Fraction(ed.mult[i], n))
         for h in range(D + 1):
-            prof[h][i] = u[h] * scale
+            prof[h][i] = scale * u[h]
     return prof
+
+
+def _qpoly_pattern_holds(val: AlgebraicScalar, h: int, i: int, j: int) -> bool:
+    """Q-polynomial shape of q^h_ij: zero when the largest of h, i, j exceeds
+    the sum of the other two, nonzero when it equals that sum."""
+    hi = max(h, i, j)
+    rest = h + i + j - hi
+    if hi > rest:
+        return val.sign() == 0
+    return hi < rest or val.sign() != 0
 
 
 def krein(ed: EigenData, params: DrgParameters) -> KreinData:
@@ -248,23 +276,8 @@ def krein(ed: EigenData, params: DrgParameters) -> KreinData:
     orderings = []
     for perm in itertools.permutations(range(1, D + 1)):
         order = (0,) + perm
-        ok = True
-        for h in range(D + 1):
-            for i in range(D + 1):
-                for j in range(D + 1):
-                    val = q[order[h]][order[i]][order[j]]
-                    hi, lo = max(h, i, j), h + i + j - max(h, i, j)
-                    if hi > lo and val.sign() != 0:
-                        ok = False
-                    elif hi == lo and val.sign() == 0:
-                        ok = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(_qpoly_pattern_holds(q[order[h]][order[i]][order[j]], h, i, j)
+               for h, i, j in itertools.product(range(D + 1), repeat=3)):
             orderings.append(order)
     return KreinData(
         q=tuple(tuple(tuple(r) for r in m) for m in q),

@@ -1,6 +1,13 @@
 """CLI commands, exit codes, report determinism."""
 
+import itertools
 import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drgkit.cli import main
 
@@ -154,3 +161,80 @@ def test_all_vertices_gate(tmp_path):
     g_path = tmp_path / "hc.json"
     run(["construct", "--family", "halved_cube", "--params", "8", "--out", str(g_path)])
     assert run(["analyze", str(g_path), "--all-vertices"]) == 1  # needs --slow
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on generated and malformed graph files
+# ---------------------------------------------------------------------------
+
+
+def _named_graphs():
+    """Small distance-regular graphs, so that generated files reach the analysis."""
+    out = []
+    for n in range(2, 9):
+        out.append((n, list(itertools.combinations(range(n), 2))))  # K_n
+    for n in range(3, 9):
+        out.append((n, [(i, (i + 1) % n) for i in range(n)]))  # C_n (C7: cubic field)
+    for m in (3, 4):
+        out.append((2 * m, [(i, m + j) for i in range(m) for j in range(m)]))  # K_{m,m}
+    out.append((8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]))
+    for n in (6, 8):  # cocktail party graphs
+        out.append((n, [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u + n // 2]))
+    return out
+
+
+_ids = st.integers(min_value=-2, max_value=9)
+_random_graph = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16)))
+_graph = st.one_of(st.sampled_from(_named_graphs()), _random_graph)
+
+
+def _json_text(g):
+    n, edges = g
+    return json.dumps({"n": n, "edges": [list(e) for e in edges]})
+
+
+def _edge_list_text(g):
+    return "".join(f"{u} {v}\n" for u, v in g[1])
+
+
+_bad_scalar = st.sampled_from([1.5, "3", True, None, [], -1])
+_malformed_json = st.fixed_dictionaries({}, optional={
+    "n": st.one_of(_ids, _bad_scalar),
+    "edges": st.one_of(
+        st.lists(st.lists(st.one_of(_ids, _bad_scalar), max_size=3), max_size=10),
+        _bad_scalar),
+    "label": st.one_of(st.text(max_size=4), _bad_scalar),
+}).map(json.dumps)
+_token = st.one_of(_ids.map(str), st.sampled_from(["1.5", "x", "1_0", "٣", "#", "-", "0x1"]))
+_malformed_edge_list = st.lists(
+    st.lists(_token, max_size=3).map(" ".join), max_size=10).map("\n".join)
+_graph_file = st.one_of(
+    _graph.map(_json_text),
+    _graph.map(_edge_list_text),
+    _malformed_json,
+    _malformed_edge_list,
+    st.sampled_from(["", "{", "[0, 1]", '{"n": 3}', '{"edges": []}', "0 1\n1 1\n"]),
+)
+
+
+@given(_graph_file, _graph_file)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_cli_exit_contract_on_generated_files(text1, text2):
+    with tempfile.TemporaryDirectory() as tmp:
+        f1, f2 = Path(tmp) / "g1.txt", Path(tmp) / "g2.txt"
+        f1.write_text(text1)
+        f2.write_text(text2)
+        argvs = [
+            ["analyze", str(f1)],
+            ["analyze", str(f1), "--float-fallback"],
+            ["analyze", str(f1), "--base-vertex", "99"],
+            ["pvt", str(f1)],
+            ["tiso", str(f1), str(f2)],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # disconnected graphs only warn on load
+            for argv in argvs:
+                assert run(argv) in (0, 1, 2, 3), argv

@@ -1,4 +1,4 @@
-"""Exact scalar/matrix arithmetic, spans, projections, charpolys."""
+"""Exact scalar arithmetic, integer spans, charpolys."""
 
 import math
 from fractions import Fraction
@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 
 from drgkit.exactla import (
     AlgebraicScalar,
-    ExactMatrix,
     ExactSpan,
     charpoly_int,
-    eigenprojection,
     eigenvalues_from_charpoly,
-    rank,
-    span_insert,
     sqrt_of_fraction,
     square_free_split,
 )
@@ -118,16 +114,25 @@ def test_field_axioms_sample(a1, b1, a2, b2, d):
 
 
 # ---------------------------------------------------------------------------
-# matrices and spans
+# spans
 # ---------------------------------------------------------------------------
 
 
+def span_rank(m) -> int:
+    """Rank of an integer matrix as the dimension of the span of its rows."""
+    m = np.asarray(m)
+    span = ExactSpan(m.shape[1])
+    for row in m:
+        span.insert(row)
+    return span.dim
+
+
 def test_rank_examples():
-    assert rank(ExactMatrix.identity(5)) == 5
-    assert rank(ExactMatrix.from_int(np.ones((4, 4), dtype=int))) == 1
+    assert span_rank(np.eye(5, dtype=int)) == 5
+    assert span_rank(np.ones((4, 4), dtype=int)) == 1
     c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
     # eigenvalues of the 4-cycle are {2, 0, 0, -2}: two nonzero
-    assert rank(ExactMatrix.from_int(c4)) == 2
+    assert span_rank(c4) == 2
 
 
 def test_rank_matches_float_rank():
@@ -135,88 +140,36 @@ def test_rank_matches_float_rank():
     for _ in range(10):
         m = rng.integers(-3, 4, size=(6, 6))
         m = m @ rng.integers(-2, 3, size=(6, 6))  # encourage rank deficiency
-        exact = rank(ExactMatrix.from_int(m))
-        approx = np.linalg.matrix_rank(m.astype(float), tol=1e-9)
-        assert exact == approx
-
-
-def test_rank_over_quadratic_field():
-    # [[1, sqrt2], [sqrt2, 2]] has rank 1 over Q(sqrt2)
-    m = ExactMatrix.from_scalars([[S(1), S(0, 1, 2)], [S(0, 1, 2), S(2)]])
-    assert rank(m) == 1
-    m2 = ExactMatrix.from_scalars([[S(1), S(0, 1, 2)], [S(0, 1, 2), S(3)]])
-    assert rank(m2) == 2
+        assert span_rank(m) == np.linalg.matrix_rank(m.astype(float), tol=1e-9)
 
 
 def test_span_insert_examples():
-    I = ExactMatrix.identity(4)
-    basis, inserted = span_insert([I], I)
-    assert not inserted and len(basis) == 1
-    c4 = ExactMatrix.from_int(np.array([[0, 1, 0, 1], [1, 0, 1, 0],
-                                        [0, 1, 0, 1], [1, 0, 1, 0]]))
-    basis, inserted = span_insert([I], c4)
-    assert inserted and len(basis) == 2
+    I = np.eye(4, dtype=int)
+    span = ExactSpan(16)
+    assert span.insert(I)
+    assert not span.insert(I) and span.dim == 1
+    c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+    assert span.insert(c4) and span.dim == 2
     # saturated space rejects everything
-    full = []
+    full = ExactSpan(4)
     for i in range(2):
         for j in range(2):
             e = np.zeros((2, 2), dtype=int)
             e[i, j] = 1
-            full, ins = span_insert(full, ExactMatrix.from_int(e))
-            assert ins
-    _, ins = span_insert(full, ExactMatrix.from_int(np.array([[3, -1], [2, 5]])))
-    assert not ins
+            assert full.insert(e)
+    assert not full.insert(np.array([[3, -1], [2, 5]]))
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
 @settings(max_examples=25)
 def test_span_rejects_linear_combinations(c1, c2):
     rng = np.random.default_rng(abs(c1) * 17 + abs(c2) * 5 + 1)
-    A = ExactMatrix.from_int(rng.integers(-3, 4, size=(3, 3)))
-    B = ExactMatrix.from_int(rng.integers(-3, 4, size=(3, 3)))
+    A = rng.integers(-3, 4, size=(3, 3))
+    B = rng.integers(-3, 4, size=(3, 3))
     span = ExactSpan(9)
     span.insert(A)
     span.insert(B)
-    combo = A * c1 + B * c2
-    assert span.contains(combo)
-
-
-def test_exact_matrix_surd_product():
-    rt2 = S(0, 1, 2)
-    m = ExactMatrix.from_scalars([[rt2, S(1)], [S(1), rt2]])
-    sq = m @ m
-    assert sq == ExactMatrix.from_scalars([[S(3), S(0, 2, 2)], [S(0, 2, 2), S(3)]])
-
-
-def test_eigenprojection_identity():
-    I = ExactMatrix.identity(3)
-    projs = eigenprojection(I, [S(1)])
-    assert projs == [I]
-
-
-def test_eigenprojection_k4():
-    A = ExactMatrix.from_int(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    e0, e1 = eigenprojection(A, [S(3), S(-1)])
-    J4 = ExactMatrix.from_int(np.ones((4, 4), dtype=int))
-    quarter = S(Fraction(1, 4))
-    assert e0 == J4 * quarter
-    assert e1 == ExactMatrix.identity(4) - J4 * quarter
-
-
-def test_eigenprojection_icosahedron_ranks():
-    g = icosahedron()
-    A = ExactMatrix.from_int(np.asarray(g.adjacency, dtype=np.int64))
-    eigs = [S(5), S(0, 1, 5), S(-1), S(0, -1, 5)]
-    projs = eigenprojection(A, eigs)
-    assert [rank(E) for E in projs] == [1, 3, 5, 3]
-    for E in projs:
-        assert E.trace() == S(rank(E))
-
-
-def test_eigenprojection_rejects_bad_list():
-    A = ExactMatrix.from_int(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    with pytest.raises(ValueError):
-        eigenprojection(A, [S(3), S(1)])
+    assert span.contains(A * c1 + B * c2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +209,29 @@ def test_eigenvalues_from_charpoly_cubic_gives_none():
     assert eigenvalues_from_charpoly([1, 0, -1, -1]) is None
 
 
+def test_eigenprojection_icosahedron_ranks():
+    # exact spectrum {5, √5, -1, -√5} with multiplicities (1, 3, 5, 3); the
+    # Lagrange projections onto the eigenspaces (sympy) have rank = trace = m_i
+    g = icosahedron()
+    A = np.asarray(g.adjacency, dtype=np.int64)
+    pairs = eigenvalues_from_charpoly(charpoly_int(A))
+    assert pairs is not None
+    assert [(str(t), m) for t, m in pairs] == [("5", 1), ("√5", 3), ("-1", 5), ("-√5", 3)]
+    As = sympy.Matrix(A.tolist())
+    theta = [sympy.Rational(t.a.numerator, t.a.denominator)
+             + sympy.Rational(t.b.numerator, t.b.denominator) * sympy.sqrt(t.d)
+             for t, _ in pairs]
+    for i, (ti, (_, m)) in enumerate(zip(theta, pairs)):
+        E, denom = sympy.eye(g.n), 1
+        for j, tj in enumerate(theta):
+            if j != i:
+                E = E * (As - tj * sympy.eye(g.n))
+                denom *= ti - tj
+        E = (E * sympy.radsimp(1 / sympy.expand(denom))).applyfunc(sympy.expand)
+        assert E.rank(simplify=True) == m
+        assert sympy.expand(E.trace()) == m
+
+
 def test_icosahedron_distance_matrices_partition(ico=None):
     g = icosahedron()
     dd = distances(g)
@@ -269,5 +245,4 @@ def test_rank_matches_float_rank_on_acceptance_graphs():
 
     for g in (shrikhande(), johnson(8, 2)):
         m = np.asarray(g.adjacency, dtype=np.int64)
-        assert rank(ExactMatrix.from_int(m)) == np.linalg.matrix_rank(
-            m.astype(float), tol=1e-9)
+        assert span_rank(m) == np.linalg.matrix_rank(m.astype(float), tol=1e-9)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
-from drgkit.exactla import AlgebraicScalar, ExactMatrix, rank
+from drgkit.exactla import AlgebraicScalar
 from drgkit.families import (
     hamming,
     icosahedron,
@@ -20,6 +21,7 @@ from drgkit.scheme import (
     idempotent_profiles,
     intersection_matrix,
     krein,
+    multiplicity,
     tightness,
     verify_drg,
 )
@@ -66,7 +68,6 @@ def test_eigen_data_j84():
     ed = eigen_data(g, verify_drg(g))
     assert [str(t) for t in ed.theta] == ["16", "8", "2", "-2", "-4"]
     assert ed.mult == (1, 7, 20, 28, 14)
-    assert rank(ed.E[1]) == 7  # projector rank cross-check
 
 
 def test_eigen_data_icosahedron():
@@ -76,35 +77,78 @@ def test_eigen_data_icosahedron():
     assert ed.mult == (1, 3, 5, 3)
 
 
+def test_eigen_data_float_fallback_cycles():
+    # C7 and C9 need a cubic field: float eigenvalues, multiplicities still exact
+    for n in (7, 9):
+        adj = np.zeros((n, n), dtype=int)
+        for i in range(n):
+            adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1
+        g = Graph(adj)
+        ed = eigen_data(g, verify_drg(g))
+        assert not ed.exact
+        assert ed.mult == (1,) + (2,) * (n // 2)
+        expect = sorted((2 * np.cos(2 * np.pi * j / n) for j in range(n // 2 + 1)), reverse=True)
+        assert np.allclose(ed.theta, expect)
+
+
+def _sym(x: AlgebraicScalar):
+    return sympy.Rational(x.a.numerator, x.a.denominator) + \
+        sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d)
+
+
+def _is_zero(M) -> bool:
+    return M.applyfunc(sympy.expand).is_zero_matrix
+
+
 def test_idempotent_identities():
-    g = shrikhande()
-    params = verify_drg(g)
-    ed = eigen_data(g, params)
-    n = g.n
-    I = ExactMatrix.identity(n)
-    A = ExactMatrix.from_int(np.asarray(g.adjacency, dtype=np.int64))
-    total = ExactMatrix.zeros(n, n)
-    recon = ExactMatrix.zeros(n, n)
-    for t, E in zip(ed.theta, ed.E):
-        total = total + E
-        recon = recon + E * t
-    assert total == I and recon == A
-    for i, Ei in enumerate(ed.E):
-        for j, Ej in enumerate(ed.E):
-            prod = Ei @ Ej
-            assert prod == Ei if i == j else prod.is_zero()
+    # sympy oracle: E_i = sum_h prof[h][i] A_h must be the primitive idempotents
+    # of A, with rank E_i = m_i (rational on Shrikhande, sqrt5 on the icosahedron)
+    for g in (shrikhande(), icosahedron()):
+        params = verify_drg(g)
+        ed = eigen_data(g, params)
+        prof = idempotent_profiles(ed, params)
+        n, D = g.n, params.D
+        A = [sympy.Matrix(a.tolist()) for a in distances(g).A]
+        E = [sum((_sym(prof[h][i]) * A[h] for h in range(D + 1)), sympy.zeros(n))
+             for i in range(D + 1)]
+        for i in range(D + 1):
+            for j in range(D + 1):
+                assert _is_zero(E[i] * E[j] - (E[i] if i == j else sympy.zeros(n)))
+        assert _is_zero(sum(E, sympy.zeros(n)) - sympy.eye(n))
+        assert _is_zero(sum((_sym(t) * Ei for t, Ei in zip(ed.theta, E)), sympy.zeros(n)) - A[1])
+        assert [Ei.rank(simplify=True) for Ei in E] == list(ed.mult)
 
 
 def test_idempotent_profiles_match_entries():
+    # Lagrange oracle: E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j)
     g = icosahedron()
     params = verify_drg(g)
     ed = eigen_data(g, params)
     dd = distances(g)
     prof = idempotent_profiles(ed, params)
-    for h in range(params.D + 1):
-        xs, ys = np.nonzero(dd.A[h])
-        for i in range(params.D + 1):
-            assert ed.E[i].entry(int(xs[0]), int(ys[0])) == prof[h][i]
+    A = sympy.Matrix(g.adjacency.tolist())
+    theta = [_sym(t) for t in ed.theta]
+    for i, ti in enumerate(theta):
+        E, denom = sympy.eye(g.n), 1
+        for j, tj in enumerate(theta):
+            if j != i:
+                E = E * (A - tj * sympy.eye(g.n))
+                denom *= ti - tj
+        E = E * sympy.radsimp(1 / sympy.expand(denom))
+        for h in range(params.D + 1):
+            xs, ys = np.nonzero(dd.A[h])
+            assert sympy.expand(E[int(xs[0]), int(ys[0])] - _sym(prof[h][i])) == 0
+
+
+def test_multiplicities_reject_wrong_theta():
+    for g in (shrikhande(), icosahedron(), johnson(8, 4)):
+        params = verify_drg(g)
+        ed = eigen_data(g, params)
+        assert [multiplicity(t, params) for t in ed.theta] == list(ed.mult)
+        with pytest.raises(ValueError):
+            multiplicity(ed.theta[1] + 1, params)
+        with pytest.raises(ValueError):
+            multiplicity(ed.theta[1].to_float() + 0.5, params)
 
 
 def test_krein_srg_natural_ordering():

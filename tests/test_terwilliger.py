@@ -1,44 +1,33 @@
-"""Dual idempotents, dual adjacency, algebra closure, tridiagonal action."""
+"""Dual idempotents, dual eigenvalues, algebra closure, the primary-module action."""
 
-from fractions import Fraction
+import itertools
 
 import numpy as np
-import pytest
+import sympy
 
-from drgkit.exactla import (
-    AlgebraicScalar,
-    ExactMatrix,
-    ExactSpan,
-    charpoly_int,
-    eigenvalues_from_charpoly,
-)
+from drgkit.exactla import ExactSpan, charpoly_int, eigenvalues_from_charpoly
 from drgkit.families import icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import distances
-from drgkit.scheme import antipodality, eigen_data, krein, verify_drg
-from drgkit.terwilliger import (
-    algebra_closure,
-    dual_adjacency,
-    dual_idempotents,
-    terwilliger_dimension,
-    tridiagonal_primary,
+from drgkit.scheme import (
+    antipodality,
+    eigen_data,
+    idempotent_profiles,
+    intersection_matrix,
+    krein,
+    verify_drg,
 )
-
-
-def S(a, b=0, d=0):
-    return AlgebraicScalar(Fraction(a), Fraction(b), d)
+from drgkit.terwilliger import algebra_closure, dual_idempotents, terwilliger_dimension
 
 
 def test_dual_idempotents_partition():
     g = johnson(8, 2)
     dd = distances(g)
     di = dual_idempotents(g, 0, dd)
-    total = ExactMatrix.zeros(g.n, g.n)
-    for E in di.E_star:
-        total = total + E
-        assert E @ E == E
-    assert total == ExactMatrix.identity(g.n)
+    # each E*_i is a 0/1 diagonal (so idempotent) and they sum to I
+    assert all(set(np.unique(e)) <= {0, 1} for e in di.indicators)
+    assert (sum(di.indicators) == 1).all()
     # rank E*_1 = valency
-    assert int(di.indicator(1).sum()) == 12
+    assert int(di.indicators[1].sum()) == 12
 
 
 def test_dual_idempotents_antipode_reversal():
@@ -49,7 +38,32 @@ def test_dual_idempotents_antipode_reversal():
     di_x = dual_idempotents(g, x, dd)
     di_hat = dual_idempotents(g, amap[x], dd)
     for j in range(4):
-        assert di_x.E_star[j] == di_hat.E_star[3 - j]
+        assert (di_x.indicators[j] == di_hat.indicators[3 - j]).all()
+
+
+def _dual_eigenvalues(g, params, ed, order):
+    # theta*_h = n * (E_{order[1]})_{xy} for y at distance h from x
+    prof = idempotent_profiles(ed, params)
+    return [prof[h][order[1]] * g.n for h in range(params.D + 1)]
+
+
+def _sym(x):
+    return sympy.Rational(x.a.numerator, x.a.denominator) + \
+        sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d)
+
+
+def test_dual_eigenvalues_distinct():
+    # A* = A*_1(x) is diagonal with entry n * (E_1)_{xy} = n * prof[h][ordering[1]]
+    # on distance class h; for a Q-polynomial ordering these dual eigenvalues
+    # are mutually distinct
+    for g in (johnson(8, 2), icosahedron()):
+        params = verify_drg(g)
+        ed = eigen_data(g, params)
+        orderings = krein(ed, params).qpoly_orderings
+        assert orderings
+        for order in orderings:
+            theta_star = _dual_eigenvalues(g, params, ed, order)
+            assert all(a != b for a, b in itertools.combinations(theta_star, 2))
 
 
 def test_dual_adjacency_j82():
@@ -57,20 +71,27 @@ def test_dual_adjacency_j82():
     dd = distances(g)
     params = verify_drg(g, dd)
     ed = eigen_data(g, params, dd)
-    kd = krein(ed, params)
-    da = dual_adjacency(g, 0, ed, kd.qpoly_orderings[0], dd)
-    di = dual_idempotents(g, 0, dd)
-    # eigen-relation A* E*_i = theta*_i E*_i
-    for i, ts in enumerate(da.theta_star):
-        assert da.A_star @ di.E_star[i] == di.E_star[i] * ts
+    order = krein(ed, params).qpoly_orderings[0]
+    theta_star = _dual_eigenvalues(g, params, ed, order)
     # distinctness
-    assert len(set(da.theta_star)) == 3
-    # E_i A* E_j = 0 for |i - j| > 1
+    assert len(set(theta_star)) == 3
+    # A* = A*_1(0) = sum_i theta*_i E*_i
+    di = dual_idempotents(g, 0, dd)
+    A_star = sympy.diag(*[sum(_sym(t) * int(e[y]) for t, e in zip(theta_star, di.indicators))
+                          for y in range(g.n)])
+    # E_i = sum_h prof[h][i] A_h, taken in the Q-polynomial ordering
+    prof = idempotent_profiles(ed, params)
+    A = [sympy.Matrix(a.tolist()) for a in dd.A]
+    E = [sum((_sym(prof[h][i]) * A[h] for h in range(params.D + 1)), sympy.zeros(g.n))
+         for i in order]
+    # E_i A* E_j = 0 for |i - j| > 1, and != 0 for |i - j| = 1
     for i in range(3):
         for j in range(3):
-            prod = ed.E[i] @ da.A_star @ ed.E[j]
+            prod = (E[i] * A_star * E[j]).applyfunc(sympy.expand)
             if abs(i - j) > 1:
-                assert prod.is_zero()
+                assert prod.is_zero_matrix
+            elif abs(i - j) == 1:
+                assert not prod.is_zero_matrix
 
 
 def test_dual_adjacency_icosahedron_distinct():
@@ -78,22 +99,14 @@ def test_dual_adjacency_icosahedron_distinct():
     dd = distances(g)
     params = verify_drg(g, dd)
     ed = eigen_data(g, params, dd)
-    kd = krein(ed, params)
-    da = dual_adjacency(g, 0, ed, kd.qpoly_orderings[0], dd)
-    assert len(set(da.theta_star)) == 4
-
-
-def test_dual_adjacency_rejects_bad_ordering():
-    g = johnson(8, 2)
-    ed = eigen_data(g, verify_drg(g))
-    with pytest.raises(ValueError):
-        dual_adjacency(g, 0, ed, (1, 0, 2))
+    order = krein(ed, params).qpoly_orderings[0]
+    assert len(set(_dual_eigenvalues(g, params, ed, order))) == 4
 
 
 def test_closure_identity_only():
-    basis = algebra_closure([ExactMatrix.identity(5)])
+    basis = algebra_closure([np.eye(5, dtype=np.int64)])
     assert basis.dim == 1
-    assert basis.basis[0] == ExactMatrix.identity(5)
+    assert (basis.basis[0] == np.eye(5, dtype=np.int64)).all()
 
 
 def test_closure_shrikhande_and_grid():
@@ -104,45 +117,40 @@ def test_closure_shrikhande_and_grid():
 def test_closure_basis_is_closed_and_transpose_stable():
     g = shrikhande()
     dd = distances(g)
-    gens = [ExactMatrix.from_int(np.asarray(g.adjacency, dtype=np.int64))]
-    gens += list(dual_idempotents(g, 0, dd).E_star)
+    gens = [np.asarray(g.adjacency, dtype=np.int64)]
+    gens += [np.diag(e) for e in dual_idempotents(g, 0, dd).indicators]
     basis = algebra_closure(gens)
     assert basis.dim == 20
     span = ExactSpan(g.n * g.n)
     for m in basis.basis:
         assert span.insert(m)
     for m in basis.basis:
-        assert span.contains(m.transpose())
+        assert span.contains(m.T)
     for a in basis.basis:
         for b in basis.basis:
-            assert span.contains(a @ b)
+            assert span.contains(a.astype(object) @ b.astype(object))
     for gmat in gens:
         assert span.contains(gmat)
 
 
-def test_closure_surd_generators():
-    # Q(sqrt2) generated by one symmetric surd matrix: dimension 2 over Q(sqrt2)
-    rt2 = S(0, 1, 2)
-    m = ExactMatrix.from_scalars([[S(0), rt2], [rt2, S(0)]])
-    basis = algebra_closure([m])
-    assert basis.dim == 2  # I and m span; m @ m = 2 I
+# The matrix of A on the standard basis of the primary module T(x)1 is the
+# intersection matrix: row i carries (c_i, a_i, b_i) in columns i-1, i, i+1.
 
 
 def test_tridiagonal_primary_srg_shape():
     params = verify_drg(johnson(8, 2))
-    M = tridiagonal_primary(params)
-    assert M.int_array().tolist() == [[0, 12, 0], [1, 6, 5], [0, 4, 8]]
+    assert intersection_matrix(params).tolist() == [[0, 12, 0], [1, 6, 5], [0, 4, 8]]
 
 
 def test_tridiagonal_primary_icosahedron():
     params = verify_drg(icosahedron())
-    M = tridiagonal_primary(params).int_array()
+    M = intersection_matrix(params)
     assert M.tolist() == [[0, 5, 0, 0], [1, 2, 2, 0], [0, 2, 2, 1], [0, 0, 5, 0]]
 
 
 def test_tridiagonal_primary_j84():
     params = verify_drg(johnson(8, 4))
-    M = tridiagonal_primary(params).int_array()
+    M = intersection_matrix(params)
     assert M.shape == (5, 5)
     assert [M[i + 1, i] for i in range(4)] == [1, 4, 9, 16]
 
@@ -151,15 +159,12 @@ def test_tridiagonal_eigenvalues_match_theta():
     for g in (johnson(8, 2), icosahedron(), johnson(8, 4)):
         params = verify_drg(g)
         ed = eigen_data(g, params)
-        M = tridiagonal_primary(params)
-        pairs = eigenvalues_from_charpoly(charpoly_int(M.int_array()))
+        pairs = eigenvalues_from_charpoly(charpoly_int(intersection_matrix(params)))
         assert tuple(v for v, m in pairs) == ed.theta
         assert all(m == 1 for _, m in pairs)
 
 
 def test_span_dims_match_sympy_rank_oracle():
-    import sympy
-
     rng = np.random.default_rng(42)
     for _ in range(10):
         n = int(rng.integers(2, 5))
@@ -171,35 +176,8 @@ def test_span_dims_match_sympy_rank_oracle():
         assert span.dim == stacked.rank()
 
 
-def test_closure_dim_matches_naive_fixed_point():
-    import sympy
-
-    def naive_closure_dim(gens):
-        n = gens[0].shape[0]
-        basis = [sympy.eye(n)] + [sympy.Matrix(g.tolist()) for g in gens]
-
-        def dim_of(mats):
-            return sympy.Matrix([list(m) for m in mats]).rank()
-
-        while True:
-            current = dim_of(basis)
-            grown = basis + [a * b for a in basis for b in basis]
-            if dim_of(grown) == current:
-                return current
-            basis = grown
-
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        n = int(rng.integers(2, 4))
-        gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
-        ours = algebra_closure([ExactMatrix.from_int(g) for g in gens]).dim
-        assert ours == naive_closure_dim(gens)
-
-
 def _naive_closure_dim(gens):
     """Test oracle: grow span{I, gens} by all pairwise products until stable."""
-    import sympy
-
     n = gens[0].shape[0]
     mats = [sympy.eye(n)] + [sympy.Matrix(g.tolist()) for g in gens]
     while True:
@@ -209,6 +187,14 @@ def _naive_closure_dim(gens):
         if sympy.Matrix([list(m) for m in grown]).rank() == len(basis):
             return len(basis)
         mats = grown
+
+
+def test_closure_dim_matches_naive_fixed_point():
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        n = int(rng.integers(2, 4))
+        gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
+        assert algebra_closure(gens).dim == _naive_closure_dim(gens)
 
 
 def _dense_and_diagonal_generators(seed):
@@ -224,8 +210,7 @@ def _dense_and_diagonal_generators(seed):
 
 def test_closure_dense_and_diagonal_generators_match_naive_fixed_point():
     for gens in _dense_and_diagonal_generators(7):
-        ours = algebra_closure([ExactMatrix.from_int(g) for g in gens]).dim
-        assert ours == _naive_closure_dim(gens)
+        assert algebra_closure(gens).dim == _naive_closure_dim(gens)
 
 
 def test_closure_dim_survives_int64_overflow(monkeypatch):
@@ -242,9 +227,9 @@ def test_closure_dim_survives_int64_overflow(monkeypatch):
 
     scale = 2**40
     for gens in _dense_and_diagonal_generators(7):
-        plain = algebra_closure([ExactMatrix.from_int(g) for g in gens]).dim
+        plain = algebra_closure(gens).dim
         monkeypatch.setattr(exactla, "_to_object", spy)
-        big = [ExactMatrix(to_object(np.asarray(g, dtype=np.int64)) * scale) for g in gens]
+        big = [to_object(np.asarray(g, dtype=np.int64)) * scale for g in gens]
         assert algebra_closure(big).dim == plain
         monkeypatch.setattr(exactla, "_to_object", to_object)
     # the scaled run really took the Python-int paths it is meant to cover
