@@ -39,6 +39,7 @@ from .terwilliger import (
     algebra_closure,
     terwilliger_dimension,
 )
+from .context import GraphContext
 from .tmodules import (
     ModuleDescriptor,
     ModuleDecomposition,

@@ -8,6 +8,11 @@ classification theorem applies, and the Wedderburn cross-check).
 
 Reports are deterministic byte-for-byte: vertex records in vertex order,
 classes in their canonical order, exact scalars rendered as canonical strings.
+
+One report builds one context.GraphContext and passes it to every layer, the
+pvt verdict included, so each distance table, local spectrum, factored
+characteristic polynomial and closure dimension is computed once per report.
+The memos live on that context only: nothing carries over to the next report.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ import json
 from typing import Optional
 
 from . import __version__
+from .context import GraphContext
 from .exactla import AlgebraicScalar
-from .graph_core import Graph, distances
+from .graph_core import Graph
 from .pvt import check_pvt
-from .scheme import antipodality, eigen_data, krein, tightness, verify_drg
-from .spectra import SrgParams, Spectrum, subconstituent_spectrum, second_subconstituent_derived
-from .terwilliger import terwilliger_dimension
+from .scheme import antipodality, eigen_data, krein, tightness
+from .spectra import SrgParams, Spectrum, second_subconstituent_derived
 from .tmodules import (
     at4_parameters,
     decompose_at4,
@@ -72,9 +77,9 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     for v in vertices:
         if not 0 <= v < g.n:
             raise AnalysisError(f"base vertex {v} out of range")
-    dd = distances(g)
-    params = verify_drg(g, dd)
-    ed = eigen_data(g, params, dd)
+    ctx = GraphContext.of(g)
+    params = ctx.params
+    ed = eigen_data(g, params, ctx.dd)
     float_flags = []
     if not ed.exact:
         if not allow_float:
@@ -96,7 +101,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     if ed.exact:
         kd = krein(ed, params)
         graph_section["qpoly_orderings"] = [list(o) for o in kd.qpoly_orderings]
-    antipode = antipodality(g, dd)
+    antipode = antipodality(g, ctx.dd)
     graph_section["antipodal_double_cover"] = antipode is not None
     if antipode is not None:
         graph_section["antipode"] = [antipode[x] for x in range(g.n)]
@@ -110,7 +115,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
             "b_plus": _scalar(t.b_plus),
             "b_minus": _scalar(t.b_minus),
         }
-    verdict = check_pvt(g)
+    verdict = check_pvt(ctx)
     graph_section["pvt"] = {
         "verdict": verdict.verdict,
         "method": verdict.method,
@@ -121,10 +126,10 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     srg_params = None
     if params.D == 2:
         route = "srg"
-        srg_params = SrgParams(params.n, params.k, params.a[1], params.c[1])
+        srg_params = SrgParams.from_drg(params)
         graph_section["classification"] = {"type": "srg",
                                            "parameters": list(srg_params.tuple())}
-    elif taylor_parameters(params) is not None and not _bipartite(g):
+    elif taylor_parameters(params) is not None and not ctx.bipartite:
         route = "taylor"
         k, b = taylor_parameters(params)
         graph_section["classification"] = {"type": "taylor", "parameters": [k, b]}
@@ -142,17 +147,17 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         specs = []
         exact_ok = True
         for i in range(1, params.D + 1):
-            s = subconstituent_spectrum(g, x, i, dd, allow_float=allow_float)
+            s = ctx.subconstituent_spectrum(x, i, allow_float=allow_float)
             if not s.exact:
                 exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
             specs.append(s)
         record["subconstituent_spectra"] = [_spectrum_json(s) for s in specs]
-        dim_t = terwilliger_dimension(g, x, dd)
+        dim_t = ctx.terwilliger_dimension(x)
         record["dim_T"] = dim_t
         md = None
         if route == "srg" and exact_ok:
-            md = decompose_srg(g, x, srg_params, dd)
+            md = decompose_srg(ctx, x, srg_params)
             derived = second_subconstituent_derived(specs[0], srg_params)
             if derived.pairs != specs[1].pairs:
                 raise AnalysisError(
@@ -163,10 +168,10 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
             record["dimension_sequence"] = list(ds.tuple())
         elif route == "taylor":
             k, b = taylor_parameters(params)
-            md = decompose_taylor(g, x, k, b, dd, params)
+            md = decompose_taylor(ctx, x, k, b)
         elif route == "at4":
             p, q = at4_parameters(params)
-            md = decompose_at4(g, x, p, q, dd, params)
+            md = decompose_at4(ctx, x, p, q)
         if md is not None:
             wd = wedderburn_dim(md)
             if wd != dim_t:
@@ -190,12 +195,6 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         "vertices": vertex_records,
         "flags": sorted(set(float_flags) | decomposition_flags),
     }
-
-
-def _bipartite(g: Graph) -> bool:
-    from .pvt import _is_bipartite
-
-    return _is_bipartite(g)
 
 
 def report_to_json(report: dict) -> str:

@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Commands: construct, analyze, pvt, tiso, reproduce.  Exit codes: 0 success,
-1 usage error, 2 analysis failure, 3 reproduction mismatch.
+1 usage error (bad arguments, or a graph file that fails to load or parse:
+"error: ..."), 2 analysis failure after the graph loaded ("analysis error:
+..."), 3 reproduction mismatch.  Any other exception is reported as one line,
+"internal error: <type>: <message>", with exit 2; no command prints a
+traceback.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ from pathlib import Path
 from . import __version__
 from .analysis import AnalysisError, analyze_graph, report_to_json
 from .families import FAMILY_ARITY, FamilySpec, construct
-from .graph_core import Graph, GraphError, load_graph, save_graph
+from .graph_core import GraphError, load_graph, save_graph
 from .pvt import check_pvt, t_isomorphic_srg
-from .scheme import NotDistanceRegularError
-from .spectra import InfeasibleSrgError
 from .tables import TABLES, reproduce_table
 
 EXIT_OK = 0
@@ -25,6 +27,10 @@ EXIT_ANALYSIS = 2
 EXIT_MISMATCH = 3
 
 _SLOW_GATE = 100  # --all-vertices above this size needs --slow
+
+_LOAD_ERRORS = (GraphError, OSError, ValueError)
+# NotDistanceRegularError, InfeasibleSrgError and GraphError are ValueErrors
+_ANALYSIS_ERRORS = (AnalysisError, ValueError)
 
 
 def _parse_params(text: str) -> tuple[int, ...]:
@@ -87,27 +93,24 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _load(path: str) -> Graph:
-    return load_graph(path)
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def cmd_analyze(args) -> int:
     try:
-        g = _load(args.graph)
-    except (GraphError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        g = load_graph(args.graph)
+    except _LOAD_ERRORS as e:
+        return _fail(EXIT_USAGE, f"error: {e}")
     if args.all_vertices and g.n > _SLOW_GATE and not args.slow:
-        print(f"error: --all-vertices on {g.n} vertices needs --slow "
-              "(per-vertex closures take minutes)", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: --all-vertices on {g.n} vertices needs --slow "
+                                 "(per-vertex closures take minutes)")
     vertices = list(range(g.n)) if args.all_vertices else [args.base_vertex]
     try:
         report = analyze_graph(g, vertices, allow_float=args.float_fallback)
-    except (AnalysisError, NotDistanceRegularError, InfeasibleSrgError,
-            GraphError, ValueError) as e:
-        print(f"analysis error: {e}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    except _ANALYSIS_ERRORS as e:
+        return _fail(EXIT_ANALYSIS, f"analysis error: {e}")
     text = report_to_json(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -119,11 +122,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_pvt(args) -> int:
     try:
-        g = _load(args.graph)
+        g = load_graph(args.graph)
+    except _LOAD_ERRORS as e:
+        return _fail(EXIT_USAGE, f"error: {e}")
+    try:
         verdict = check_pvt(g)
-    except (GraphError, OSError, ValueError) as e:
-        print(f"analysis error: {e}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    except _ANALYSIS_ERRORS as e:
+        return _fail(EXIT_ANALYSIS, f"analysis error: {e}")
     print(f"verdict: {verdict.verdict} (method: {verdict.method})")
     if verdict.detail:
         print(f"detail: {verdict.detail}")
@@ -134,11 +139,13 @@ def cmd_pvt(args) -> int:
 
 def cmd_tiso(args) -> int:
     try:
-        g1, g2 = _load(args.graph1), _load(args.graph2)
+        g1, g2 = load_graph(args.graph1), load_graph(args.graph2)
+    except _LOAD_ERRORS as e:
+        return _fail(EXIT_USAGE, f"error: {e}")
+    try:
         result = t_isomorphic_srg(g1, g2)
-    except (GraphError, OSError, ValueError) as e:
-        print(f"analysis error: {e}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    except _ANALYSIS_ERRORS as e:
+        return _fail(EXIT_ANALYSIS, f"analysis error: {e}")
     print(f"T-isomorphic: {result.isomorphic}")
     if result.note:
         print(f"note: {result.note}")
@@ -169,7 +176,11 @@ def main(argv=None) -> int:
         "tiso": cmd_tiso,
         "reproduce": cmd_reproduce,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except Exception as e:  # last resort: one line, never a traceback
+        message = " ".join(str(e).split())
+        return _fail(EXIT_ANALYSIS, f"internal error: {type(e).__name__}: {message}")
 
 
 if __name__ == "__main__":

@@ -1,0 +1,89 @@
+"""One graph's shared data and memos, for the length of one command.
+
+A GraphContext holds what every layer asks of a graph: its distance data, its
+distance-regular parameters and its bipartiteness, each computed once when the
+context is built.  It also memoizes the per-vertex results that analysis, pvt,
+tmodules and tables ask for more than once:
+
+* subconstituent spectra, keyed by (x, i);
+* dim T(x) from the algebra closure, keyed by x;
+* the exact roots of characteristic polynomials, keyed by the integer
+  coefficient tuple, so each distinct local polynomial is factored once.
+
+The memos live on the context object and nowhere else.  A command builds one
+context per input graph and drops it when it returns, so two commands run in
+one process (a test suite, a benchmark loop) never answer from each other's
+results.  Entry points take a Graph or a GraphContext; GraphContext.of turns
+either into a context.
+
+The closure memo only ever holds terwilliger_dimension results, and the module
+decompositions never read it: the Wedderburn sum and the closure stay two
+independent computations of dim T(x).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional, Union
+
+from .exactla import eigenvalues_from_charpoly
+from .graph_core import DistanceData, Graph, distances
+from .scheme import DrgParameters, verify_drg
+from .spectra import FLOAT_REFUSED, Spectrum, subconstituent_spectrum
+from .terwilliger import terwilliger_dimension
+
+__all__ = ["GraphContext"]
+
+
+@dataclass(frozen=True, eq=False)
+class GraphContext:
+    """A distance-regular graph with its distance data, parameters and memos."""
+
+    graph: Graph
+    dd: DistanceData
+    params: DrgParameters
+    # a distance-regular graph is bipartite iff every a_i is 0: with no edge
+    # inside a distance class from vertex 0, distance parity 2-colours it
+    bipartite: bool
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _dims: dict = field(default_factory=dict, init=False, repr=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, g: Union[Graph, "GraphContext"]) -> "GraphContext":
+        """The given context, or a new one for a graph (checks distance-regularity)."""
+        if isinstance(g, cls):
+            return g
+        dd = distances(g)
+        params = verify_drg(g, dd)
+        return cls(graph=g, dd=dd, params=params, bipartite=not any(params.a))
+
+    def eigenvalues(self, coeffs) -> Optional[tuple]:
+        """eigenvalues_from_charpoly, once per distinct coefficient tuple."""
+        key = tuple(coeffs)
+        if key not in self._roots:
+            pairs = eigenvalues_from_charpoly(key)
+            self._roots[key] = None if pairs is None else tuple(pairs)
+        return self._roots[key]
+
+    def subconstituent_spectrum(self, x: int, i: int, allow_float: bool = True) -> Spectrum:
+        """Spectrum of the distance-i class of x, computed once per (x, i).
+
+        One memo entry serves both settings of allow_float: an exact spectrum
+        is the answer under either, and a float one raises ValueError when
+        the caller does not allow it.
+        """
+        key = (x, i)
+        spec = self._spectra.get(key)
+        if spec is None:
+            spec = subconstituent_spectrum(self.graph, x, i, self.dd, roots=self.eigenvalues)
+            self._spectra[key] = spec
+        if not (spec.exact or allow_float):
+            raise ValueError(FLOAT_REFUSED)
+        return spec
+
+    def terwilliger_dimension(self, x: int) -> int:
+        """dim T(x) by the algebra closure, computed once per x."""
+        if x not in self._dims:
+            self._dims[x] = terwilliger_dimension(self.graph, x, self.dd)
+        return self._dims[x]

@@ -5,17 +5,21 @@ for diameter 2, the Taylor classification for diameter 3, and the AT4
 classification for diameter 4 antipodal tight covers.  Everything else gets
 at most 'necessary_conditions_pass' (equal subconstituent spectra for every
 distance class plus a constant Terwilliger dimension), never 'pvt'.
+
+Both verdicts read their distances, parameters, bipartiteness, local spectra
+and closure dimensions from a context.GraphContext, which memoizes them for
+one command.  analyze_graph hands its own context to check_pvt, so the
+per-vertex report reuses the spectra and closures the verdict computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from .graph_core import Graph, distances
-from .scheme import verify_drg
-from .spectra import SrgParams, Spectrum, subconstituent_spectrum
-from .terwilliger import terwilliger_dimension
+from .context import GraphContext
+from .graph_core import Graph
+from .spectra import SrgParams, Spectrum, cospectral
 from .tmodules import at4_parameters, taylor_parameters
 
 __all__ = ["PvtVerdict", "TIsoResult", "check_pvt", "t_isomorphic_srg", "gq_dim"]
@@ -46,23 +50,7 @@ class PvtVerdict:
             raise ValueError("pvt verdict must cite a theorem-backed method")
 
 
-def _is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            v = int(v)
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                stack.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
-
-
-def check_pvt(g: Graph) -> PvtVerdict:
+def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
     """Decide pseudo-vertex-transitivity where a theorem applies.
 
     Diameter 2: all local spectra equal <=> pvt.  Taylor arrays
@@ -70,12 +58,12 @@ def check_pvt(g: Graph) -> PvtVerdict:
     Otherwise: report whether the necessary conditions (equal subconstituent
     spectra for every i, constant dim T(x)) hold.
     """
-    dd = distances(g)
-    params = verify_drg(g, dd)
+    ctx = GraphContext.of(g)
+    params = ctx.params
     if params.D == 2:
-        base = subconstituent_spectrum(g, 0, 1, dd)
-        for x in range(1, g.n):
-            spec = subconstituent_spectrum(g, x, 1, dd)
+        base = ctx.subconstituent_spectrum(0, 1)
+        for x in range(1, params.n):
+            spec = ctx.subconstituent_spectrum(x, 1)
             if spec.pairs != base.pairs:
                 return PvtVerdict(
                     verdict=VERDICT_NOT_PVT,
@@ -88,21 +76,21 @@ def check_pvt(g: Graph) -> PvtVerdict:
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_SRG,
                           detail="all local spectra equal")
     tp = taylor_parameters(params)
-    if tp is not None and not _is_bipartite(g):
+    if tp is not None and not ctx.bipartite:
         k, b = tp
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_TAYLOR,
                           detail=f"Taylor graph with (k, b) = ({k}, {b})")
     at4 = at4_parameters(params)
-    if at4 is not None and not _is_bipartite(g):
+    if at4 is not None and not ctx.bipartite:
         p, q = at4
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_AT4,
                           detail=f"antipodal tight cover with (p, q) = ({p}, {q})")
     # generic necessary conditions
-    base_specs = [subconstituent_spectrum(g, 0, i, dd) for i in range(1, params.D + 1)]
-    for x in range(1, g.n):
+    base_specs = [ctx.subconstituent_spectrum(0, i) for i in range(1, params.D + 1)]
+    for x in range(1, params.n):
         for i in range(1, params.D + 1):
-            spec = subconstituent_spectrum(g, x, i, dd)
-            if not _same_spectrum(spec, base_specs[i - 1]):
+            spec = ctx.subconstituent_spectrum(x, i)
+            if not cospectral(spec, base_specs[i - 1]):
                 return PvtVerdict(
                     verdict=VERDICT_NOT_PVT,
                     method=METHOD_GENERIC,
@@ -111,9 +99,9 @@ def check_pvt(g: Graph) -> PvtVerdict:
                              "spectrum_y": str(spec)},
                     detail=f"subconstituent {i} spectra differ",
                 )
-    base_dim = terwilliger_dimension(g, 0, dd)
-    for x in range(1, g.n):
-        dim = terwilliger_dimension(g, x, dd)
+    base_dim = ctx.terwilliger_dimension(0)
+    for x in range(1, params.n):
+        dim = ctx.terwilliger_dimension(x)
         if dim != base_dim:
             return PvtVerdict(
                 verdict=VERDICT_NOT_PVT,
@@ -128,12 +116,6 @@ def check_pvt(g: Graph) -> PvtVerdict:
     )
 
 
-def _same_spectrum(s1: Spectrum, s2: Spectrum) -> bool:
-    from .spectra import cospectral
-
-    return cospectral(s1, s2)
-
-
 @dataclass(frozen=True)
 class TIsoResult:
     isomorphic: bool
@@ -141,7 +123,8 @@ class TIsoResult:
     note: str = ""
 
 
-def t_isomorphic_srg(g1: Graph, g2: Graph) -> TIsoResult:
+def t_isomorphic_srg(g1: Union[Graph, GraphContext],
+                     g2: Union[Graph, GraphContext]) -> TIsoResult:
     """T-isomorphism of two connected strongly regular graphs.
 
     True iff the parameters agree and the local spectra match.  The theorem's
@@ -151,14 +134,15 @@ def t_isomorphic_srg(g1: Graph, g2: Graph) -> TIsoResult:
     per-vertex local spectra decides that literal reading, and a note flags
     the non-pvt situation.
     """
-    p1 = SrgParams.from_graph(g1)
-    p2 = SrgParams.from_graph(g2)
+    c1 = GraphContext.of(g1)
+    p1 = SrgParams.from_drg(c1.params)
+    c2 = GraphContext.of(g2)
+    p2 = SrgParams.from_drg(c2.params)
     if p1.tuple() != p2.tuple():
         return TIsoResult(False, witness={"parameters": [p1.tuple(), p2.tuple()]},
                           note="parameters differ")
-    dd1, dd2 = distances(g1), distances(g2)
-    specs1 = [subconstituent_spectrum(g1, x, 1, dd1) for x in range(g1.n)]
-    specs2 = [subconstituent_spectrum(g2, x, 1, dd2) for x in range(g2.n)]
+    specs1 = [c1.subconstituent_spectrum(x, 1) for x in range(p1.n)]
+    specs2 = [c2.subconstituent_spectrum(x, 1) for x in range(p2.n)]
     distinct1 = {s.pairs for s in specs1}
     distinct2 = {s.pairs for s in specs2}
     if len(distinct1) > 1 or len(distinct2) > 1:

@@ -13,11 +13,17 @@ all-ones vector, and within the valency eigenspace the orthogonal complement
 of all-ones has dimension mult - 1.  For connected subconstituents this just
 removes the Perron eigenvalue; for disconnected ones the extra copies count
 as local.
+
+Nothing here is memoized.  The per-command memos of subconstituent spectra and
+of factored characteristic polynomials live on context.GraphContext, which
+passes its distance data and its factoring memo (``roots``) in here; a memo
+kept at module level would let one command answer from another's results.
 """
 
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +37,7 @@ from .exactla import (
     sqrt_of_fraction,
 )
 from .graph_core import Graph, DistanceData, distances, induced_subgraph
+from .scheme import DrgParameters
 
 __all__ = [
     "Spectrum",
@@ -46,6 +53,7 @@ __all__ = [
 ]
 
 _FLOAT_GROUP_TOL = 1e-8
+FLOAT_REFUSED = "spectrum requires an irreducible factor of degree >= 3"
 
 
 class InfeasibleSrgError(ValueError):
@@ -116,17 +124,21 @@ class Spectrum:
         return "{" + inner + "}"
 
 
-def spectrum_of_int_matrix(arr, allow_float: bool = True) -> Spectrum:
-    """Exact spectrum of a symmetric integer matrix, float fallback if needed."""
+def spectrum_of_int_matrix(arr, allow_float: bool = True, roots=None) -> Spectrum:
+    """Exact spectrum of a symmetric integer matrix, float fallback if needed.
+
+    ``roots`` factors the characteristic polynomial (default
+    exactla.eigenvalues_from_charpoly); GraphContext passes its memo.
+    """
     arr = np.asarray(arr)
     n = arr.shape[0]
     if n == 0:
         return Spectrum.from_pairs([])
-    pairs = eigenvalues_from_charpoly(charpoly_int(arr))
+    pairs = (roots or eigenvalues_from_charpoly)(charpoly_int(arr))
     if pairs is not None:
         return Spectrum.from_pairs(pairs)
     if not allow_float:
-        raise ValueError("spectrum requires an irreducible factor of degree >= 3")
+        raise ValueError(FLOAT_REFUSED)
     vals = np.linalg.eigvalsh(arr.astype(float))
     grouped: list[tuple[float, int]] = []
     for v in sorted(vals, reverse=True):
@@ -188,11 +200,8 @@ class SrgParams:
         return self._mults()[1]
 
     @classmethod
-    def from_graph(cls, g: Graph) -> "SrgParams":
-        """Parameters of a connected SRG, via the distance-regularity check."""
-        from .scheme import verify_drg
-
-        params = verify_drg(g)
+    def from_drg(cls, params: DrgParameters) -> "SrgParams":
+        """Parameters of a strongly regular graph from its distance-regular ones."""
         if params.D != 2:
             raise InfeasibleSrgError(f"diameter {params.D}, not a strongly regular graph")
         return cls(n=params.n, k=params.k, a=params.a[1], c=params.c[1])
@@ -206,9 +215,13 @@ def srg_spectrum(p: SrgParams) -> Spectrum:
 
 
 def subconstituent_spectrum(g: Graph, x: int, i: int,
-                            dd: Optional[DistanceData] = None,
-                            allow_float: bool = True) -> Spectrum:
-    """Exact spectrum of the subgraph induced on the distance-i class of x."""
+                            dd: Optional[DistanceData] = None, roots=None) -> Spectrum:
+    """Spectrum of the subgraph induced on the distance-i class of x: exact,
+    or flagged float when the local polynomial needs a field of degree >= 3
+    (GraphContext.subconstituent_spectrum refuses those on request).
+
+    ``roots`` is handed to spectrum_of_int_matrix.
+    """
     dd = dd or distances(g)
     if not 1 <= i <= dd.D:
         raise ValueError(f"distance class {i} out of range 1..{dd.D}")
@@ -216,8 +229,7 @@ def subconstituent_spectrum(g: Graph, x: int, i: int,
     if len(cls) == 0:
         raise ValueError(f"empty distance class {i} from vertex {x}")
     sub = induced_subgraph(g, cls)
-    return spectrum_of_int_matrix(np.asarray(sub.adjacency, dtype=np.int64),
-                                  allow_float=allow_float)
+    return spectrum_of_int_matrix(np.asarray(sub.adjacency, dtype=np.int64), roots=roots)
 
 
 def effective_multiplicities(s: Spectrum, valency) -> dict[AlgebraicScalar, int]:
@@ -293,8 +305,6 @@ def cospectral(s1: Spectrum, s2: Spectrum) -> bool:
     """Exact multiset equality; 1e-8 value matching when floats are involved."""
     if s1.exact and s2.exact:
         return s1.pairs == s2.pairs
-    import warnings
-
     if s1.exact != s2.exact:
         warnings.warn("comparing exact and float spectra at float tolerance",
                       stacklevel=2)

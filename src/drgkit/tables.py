@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .context import GraphContext
 from .exactla import AlgebraicScalar
 from .families import (
     chang,
@@ -31,16 +32,10 @@ from .families import (
     shrikhande,
     triangular_complement,
 )
-from .graph_core import Graph, distances
+from .graph_core import Graph
 from .pvt import check_pvt, gq_dim, t_isomorphic_srg
-from .scheme import eigen_data, tightness, verify_drg
-from .spectra import (
-    SrgParams,
-    Spectrum,
-    second_subconstituent_derived,
-    subconstituent_spectrum,
-)
-from .terwilliger import terwilliger_dimension
+from .scheme import eigen_data, tightness
+from .spectra import SrgParams, Spectrum, second_subconstituent_derived
 from .tmodules import (
     decompose_at4,
     decompose_srg,
@@ -66,15 +61,14 @@ def _row(lines, ok, text):
     return ok
 
 
-def _record_groups(g: Graph):
+def _record_groups(g: Graph) -> dict:
     """Group vertices by (local spectrum, dim T); returns {key: sorted verts}."""
-    dd = distances(g)
+    ctx = GraphContext.of(g)
     groups: dict = {}
     for x in range(g.n):
-        spec = subconstituent_spectrum(g, x, 1, dd, allow_float=False)
-        dim = terwilliger_dimension(g, x, dd)
-        groups.setdefault((spec.pairs, dim), []).append(x)
-    return groups, dd
+        spec = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+        groups.setdefault((spec.pairs, ctx.terwilliger_dimension(x)), []).append(x)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +84,24 @@ def reproduce_shrikhande(slow: bool = False):
         (rook_grid(4), _spec((_sc(2), 2), (_sc(-1), 4)), 15),
     ]
     p = SrgParams(16, 6, 2, 2)
+    ctxs = []
     for g, local_exp, dim_exp in expected:
-        dd = distances(g)
+        ctx = GraphContext.of(g)
+        ctxs.append(ctx)
         dims = set()
         weds = set()
         locals_ok = True
         for x in range(g.n):
-            spec = subconstituent_spectrum(g, x, 1, dd)
+            spec = ctx.subconstituent_spectrum(x, 1)
             locals_ok &= spec.pairs == local_exp.pairs
-            dims.add(terwilliger_dimension(g, x, dd))
-            weds.add(wedderburn_dim(decompose_srg(g, x, p, dd)))
+            dims.add(ctx.terwilliger_dimension(x))
+            weds.add(wedderburn_dim(decompose_srg(ctx, x, p)))
         ok &= _row(lines, locals_ok, f"{g.label}: local spectrum {local_exp} at all vertices")
         ok &= _row(lines, dims == {dim_exp},
                    f"{g.label}: closure dim {sorted(dims)} == {dim_exp} at all vertices")
         ok &= _row(lines, weds == {dim_exp},
                    f"{g.label}: Wedderburn dim {sorted(weds)} == {dim_exp}")
-    r = t_isomorphic_srg(shrikhande(), rook_grid(4))
+    r = t_isomorphic_srg(*ctxs)
     ok &= _row(lines, not r.isomorphic, "pair is not T-isomorphic")
     return ok, lines
 
@@ -148,8 +144,9 @@ def reproduce_chang(slow: bool = False):
     three switched graphs; orbits inferred by grouping identical records."""
     lines = ["table: SRG(28,12,6,4) family (J(8,2) and the three Seidel switches)"]
     ok = True
+    groups_of = {}
     for label, g, rows in _chang_expected():
-        groups, _ = _record_groups(g)
+        groups = groups_of[label] = _record_groups(g)
         got = sorted(((len(v), spec_pairs, dim) for (spec_pairs, dim), v in groups.items()),
                      key=lambda t: t[0])
         want = sorted(((size, spec.pairs, dim) for size, spec, dim, _ in rows),
@@ -165,9 +162,7 @@ def reproduce_chang(slow: bool = False):
                              f"{Spectrum(pairs=pairs)}, dim {dim}")
             ok = False
     # the merged 18-vertex group of Chang-3 is the triangle plus the cross pairs
-    g3 = chang(3)
-    groups, _ = _record_groups(g3)
-    big = next(sorted(v) for (pairs, d), v in groups.items() if len(v) == 18)
+    big = next(sorted(v) for (pairs, d), v in groups_of["Chang-3"].items() if len(v) == 18)
     triangle = sorted(chang_switching_set(3)[:3])
     within5 = [i for i in range(28) if i not in big]
     ok &= _row(lines, set(triangle) <= set(big),
@@ -190,15 +185,14 @@ def reproduce_gq(slow: bool = False):
     ]
     for s, t, g in cases:
         expect = gq_dim(s, t)
-        dd = distances(g)
-        dims = {terwilliger_dimension(g, x, dd) for x in range(g.n)}
-        params = verify_drg(g, dd)
-        srg = SrgParams(params.n, params.k, params.a[1], params.c[1])
-        weds = {wedderburn_dim(decompose_srg(g, x, srg, dd)) for x in range(g.n)}
+        ctx = GraphContext.of(g)
+        dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
+        srg = SrgParams.from_drg(ctx.params)
+        weds = {wedderburn_dim(decompose_srg(ctx, x, srg)) for x in range(g.n)}
         ok &= _row(lines, dims == {expect} and weds == {expect},
                    f"GQ({s},{t}) via {g.label}: dim T = {sorted(dims)} "
                    f"(formula {expect}, Wedderburn {sorted(weds)})")
-        verdict = check_pvt(g)
+        verdict = check_pvt(ctx)
         ok &= _row(lines, verdict.verdict == "pvt",
                    f"GQ({s},{t}): pseudo-vertex-transitive ({verdict.verdict})")
     return ok, lines
@@ -210,13 +204,13 @@ def reproduce_taylor(slow: bool = False):
     lines = ["table: Taylor graphs"]
     ok = True
     for g, (k, b), msig in ((icosahedron(), (5, 2), 2), (johnson(6, 3), (9, 4), 4)):
-        dd = distances(g)
+        ctx = GraphContext.of(g)
         dims = set()
         mults = set()
         for x in range(g.n):
-            md = decompose_taylor(g, x, k, b, dd)
+            md = decompose_taylor(ctx, x, k, b)
             dims.add(wedderburn_dim(md))
-            dims.add(terwilliger_dimension(g, x, dd))
+            dims.add(ctx.terwilliger_dimension(x))
             eps1 = tuple(sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1))
             mults.add(eps1)
         ok &= _row(lines, dims == {24},
@@ -224,7 +218,7 @@ def reproduce_taylor(slow: bool = False):
                    "(closure and Wedderburn)")
         ok &= _row(lines, mults == {(msig, msig)},
                    f"{g.label}: endpoint-1 multiplicities m_sigma = m_tau = {msig}")
-        verdict = check_pvt(g)
+        verdict = check_pvt(ctx)
         ok &= _row(lines, verdict.verdict == "pvt" and verdict.method == "taylor_theorem",
                    f"{g.label}: pvt by the Taylor route ({verdict.verdict})")
     return ok, lines
@@ -232,18 +226,18 @@ def reproduce_taylor(slow: bool = False):
 
 def _at4_suite(lines, g, p, q, expect):
     ok = True
-    dd = distances(g)
-    params = verify_drg(g, dd)
-    ed = eigen_data(g, params, dd)
+    ctx = GraphContext.of(g)
+    params = ctx.params
+    ed = eigen_data(g, params, ctx.dd)
     t = tightness(params, ed)
     ok &= _row(lines, t.is_tight, f"{g.label}: tight (fundamental bound holds with equality)")
-    local = subconstituent_spectrum(g, 0, 1, dd)
+    local = ctx.subconstituent_spectrum(0, 1)
     ok &= _row(lines, local.pairs == expect["local"].pairs,
                f"{g.label}: local spectrum {expect['local']}")
     mb = tuple(local.multiplicity(v) for v in (AlgebraicScalar(p), AlgebraicScalar(-q)))
     ok &= _row(lines, mb == expect["m_b"],
                f"{g.label}: local multiplicities (m_b+, m_b-) = {mb} == {expect['m_b']}")
-    d2 = subconstituent_spectrum(g, 0, 2, dd)
+    d2 = ctx.subconstituent_spectrum(0, 2)
     ok &= _row(lines, len(d2.pairs) <= 7,
                f"{g.label}: second subconstituent has {len(d2.pairs)} <= 7 distinct eigenvalues")
     dims = set()
@@ -253,9 +247,9 @@ def _at4_suite(lines, g, p, q, expect):
     thetas = {AlgebraicScalar(v) for v in
               (p * q + p + q, p, -q, -q * q)}
     for x in range(g.n):
-        md = decompose_at4(g, x, p, q, dd, params)
+        md = decompose_at4(ctx, x, p, q)
         dims.add(wedderburn_dim(md))
-        dims.add(terwilliger_dimension(g, x, dd))
+        dims.add(ctx.terwilliger_dimension(x))
         a1 = tuple(str(d.a_seq[1]) for d in md.descriptors if d.endpoint == 1)
         a1s.add(a1)
         ep2 = [d for d in md.descriptors if d.endpoint == 2]
@@ -271,7 +265,7 @@ def _at4_suite(lines, g, p, q, expect):
                f"{g.label}: a_1(W) on endpoint-1 classes = {expect['a1']}")
     ok &= _row(lines, eta_ok,
                f"{g.label}: endpoint-2 eigenvalues lie in the nontrivial eigenvalue set")
-    verdict = check_pvt(g)
+    verdict = check_pvt(ctx)
     ok &= _row(lines, verdict.verdict == "pvt" and verdict.method == "at4_theorem",
                f"{g.label}: pvt by the tight-cover route ({verdict.verdict})")
     return ok
@@ -306,17 +300,17 @@ def reproduce_j82(slow: bool = False):
     ok = True
     g = johnson(8, 2)
     p = SrgParams(28, 12, 6, 4)
-    dd = distances(g)
-    local = subconstituent_spectrum(g, 0, 1, dd)
+    ctx = GraphContext.of(g)
+    local = ctx.subconstituent_spectrum(0, 1)
     expect_local = _spec((_sc(6), 1), (_sc(4), 1), (_sc(0), 5), (_sc(-2), 5))
     ok &= _row(lines, local.pairs == expect_local.pairs, f"local spectrum {expect_local}")
     derived = second_subconstituent_derived(local, p)
     expect_d2 = _spec((_sc(8), 1), (_sc(2), 5), (_sc(-2), 9))
     ok &= _row(lines, derived.pairs == expect_d2.pairs,
                f"derived second-subconstituent spectrum {expect_d2}")
-    direct = subconstituent_spectrum(g, 0, 2, dd)
+    direct = ctx.subconstituent_spectrum(0, 2)
     ok &= _row(lines, direct.pairs == derived.pairs, "derived == directly computed")
-    md = decompose_srg(g, 0, p, dd)
+    md = decompose_srg(ctx, 0, p)
     census = sorted((d.endpoint, d.dim, d.multiplicity) for d in md.descriptors)
     expect_census = sorted([(0, 3, 1), (1, 2, 5), (1, 1, 1), (1, 1, 5), (2, 1, 9)])
     ok &= _row(lines, census == expect_census,
@@ -324,7 +318,7 @@ def reproduce_j82(slow: bool = False):
     ds = dimension_sequence(md, p, direct)
     ok &= _row(lines, ds.tuple() == (2, 1, 1, 1) and srg_dim_formula(ds) == 16,
                f"dimension sequence {ds.tuple()}, formula dim {srg_dim_formula(ds)}")
-    dims = {terwilliger_dimension(g, x, dd) for x in range(g.n)}
+    dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
     ok &= _row(lines, dims == {16}, f"closure dim {sorted(dims)} == 16 at every vertex")
     return ok, lines
 

@@ -20,19 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .exactla import AlgebraicScalar, sqrt_of_fraction
-from .graph_core import DistanceData, Graph, distances
-from .scheme import DrgParameters, verify_drg
-from .spectra import (
-    Spectrum,
-    SrgParams,
-    effective_multiplicities,
-    subconstituent_spectrum,
-)
+from .context import GraphContext
+from .exactla import AlgebraicScalar, _imatmul, sqrt_of_fraction
+from .graph_core import Graph
+from .scheme import DrgParameters
+from .spectra import Spectrum, SrgParams, effective_multiplicities
 
 __all__ = [
     "ModuleDescriptor",
@@ -120,8 +116,7 @@ def _check_palindrome(a_seq):
 # ---------------------------------------------------------------------------
 
 
-def decompose_srg(g: Graph, x: int, p: SrgParams,
-                  dd: Optional[DistanceData] = None) -> ModuleDecomposition:
+def decompose_srg(g: Union[Graph, GraphContext], x: int, p: SrgParams) -> ModuleDecomposition:
     """Thin irreducible T(x)-module classes of a strongly regular graph.
 
     Classes and multiplicities: the primary module (dim 3); one dim-2
@@ -131,8 +126,7 @@ def decompose_srg(g: Graph, x: int, p: SrgParams,
     (eigenvector orthogonal to all-ones); dim-1 endpoint-2 classes for
     sigma/tau multiplicity left over in the second subconstituent.
     """
-    dd = dd or distances(g)
-    local = subconstituent_spectrum(g, x, 1, dd, allow_float=False)
+    local = GraphContext.of(g).subconstituent_spectrum(x, 1, allow_float=False)
     eff1 = effective_multiplicities(local, p.a)
     sigma, tau = p.sigma, p.tau
     theta = (AlgebraicScalar(p.k), sigma, tau)
@@ -250,8 +244,7 @@ def _rational_kernel_vector(M: list[list[Fraction]]) -> Optional[list[Fraction]]
     return vec
 
 
-def endpoint1_module_data(g: Graph, x: int, lam: AlgebraicScalar,
-                          dd: Optional[DistanceData] = None,
+def endpoint1_module_data(g: Union[Graph, GraphContext], x: int, lam: AlgebraicScalar,
                           expected_diameter: Optional[int] = None):
     """(a_seq, x_seq) of the thin module generated by a lambda-eigenvector.
 
@@ -265,7 +258,8 @@ def endpoint1_module_data(g: Graph, x: int, lam: AlgebraicScalar,
     """
     if not lam.is_rational:
         raise ValueError("explicit module extraction implemented for rational lambda")
-    dd = dd or distances(g)
+    ctx = GraphContext.of(g)
+    g, dd = ctx.graph, ctx.dd
     cls1 = [int(v) for v in dd.classes_from(x, 1)]
     sub = [[Fraction(int(g.adjacency[u, v])) for v in cls1] for u in cls1]
     lamf = lam.as_fraction()
@@ -358,9 +352,8 @@ def taylor_eigenvalues(k: int, b: int):
     return (AlgebraicScalar(k), t1, AlgebraicScalar(-1), t3)
 
 
-def decompose_taylor(g: Graph, x: int, k: int, b: int,
-                     dd: Optional[DistanceData] = None,
-                     params: Optional[DrgParameters] = None) -> ModuleDecomposition:
+def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
+                     b: int) -> ModuleDecomposition:
     """T(x)-module classes of a Taylor graph: the primary module and one dim-2
     endpoint-1 class per nontrivial local eigenvalue sigma, tau.
 
@@ -368,8 +361,8 @@ def decompose_taylor(g: Graph, x: int, k: int, b: int,
     2*tau = theta_2 + theta_3 (checked exactly); the difference form
     (theta_1 - theta_2)/2 does not equal sigma, and a flag records that.
     """
-    dd = dd or distances(g)
-    params = params or verify_drg(g, dd)
+    ctx = GraphContext.of(g)
+    params = ctx.params
     if taylor_parameters(params) != (k, b):
         raise ValueError(f"not a Taylor graph with (k, b) = ({k}, {b})")
     theta = taylor_eigenvalues(k, b)
@@ -399,7 +392,7 @@ def decompose_taylor(g: Graph, x: int, k: int, b: int,
     for m in (m_sigma, m_tau):
         if not m.is_integer or m.as_int() <= 0:
             raise ValueError(f"non-integral local multiplicity {m}")
-    local = subconstituent_spectrum(g, x, 1, dd, allow_float=False)
+    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     expected_local = Spectrum.from_pairs(
         [(AlgebraicScalar(k - b - 1), 1), (sigma, m_sigma.as_int()), (tau, m_tau.as_int())]
     )
@@ -469,9 +462,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-def decompose_at4(g: Graph, x: int, p: int, q: int,
-                  dd: Optional[DistanceData] = None,
-                  params: Optional[DrgParameters] = None) -> ModuleDecomposition:
+def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
+                  q: int) -> ModuleDecomposition:
     """T(x)-module classes of an AT4(p, q, 2) graph.
 
     Primary module (dim 5); one dim-3 endpoint-1 class per local eigenvalue
@@ -483,8 +475,8 @@ def decompose_at4(g: Graph, x: int, p: int, q: int,
     checked as well).  Every endpoint-2 eigenvalue must lie in
     {theta_1..theta_4}.
     """
-    dd = dd or distances(g)
-    params = params or verify_drg(g, dd)
+    ctx = GraphContext.of(g)
+    params = ctx.params
     if at4_parameters(params) != (p, q):
         raise ValueError(f"intersection array does not match AT4({p},{q},2)")
     theta_int = at4_eigenvalues(p, q)
@@ -494,7 +486,7 @@ def decompose_at4(g: Graph, x: int, p: int, q: int,
 
     # local graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p) with spectrum
     # {p(q+1)^1, p^m_bp, (-q)^m_bm}
-    local = subconstituent_spectrum(g, x, 1, dd, allow_float=False)
+    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     expected_local = Spectrum.from_pairs(
         [(AlgebraicScalar(p * (q + 1)), 1), (AlgebraicScalar(p), m_bp),
          (AlgebraicScalar(-q), m_bm)]
@@ -516,7 +508,7 @@ def decompose_at4(g: Graph, x: int, p: int, q: int,
     for lam_int, mult, t in ((p, m_bp, 1), (-q, m_bm, 2)):
         lam = AlgebraicScalar(lam_int)
         expected_a1 = theta[t] + theta[t + 1] + theta[t + 2] - lam - lam
-        a_seq, x_seq = endpoint1_module_data(g, x, lam, dd, expected_diameter=2)
+        a_seq, x_seq = endpoint1_module_data(ctx, x, lam, expected_diameter=2)
         if a_seq != (lam, expected_a1, lam):
             raise ValueError(
                 f"endpoint-1 a-sequence {tuple(str(a) for a in a_seq)} differs from "
@@ -531,10 +523,8 @@ def decompose_at4(g: Graph, x: int, p: int, q: int,
         ))
 
     # endpoint-2 classes from the residual trace system
-    from .exactla import _imatmul
-
-    cls2 = dd.classes_from(x, 2)
-    B2 = np.asarray(g.adjacency, dtype=np.int64)[np.ix_(cls2, cls2)]
+    cls2 = ctx.dd.classes_from(x, 2)
+    B2 = np.asarray(ctx.graph.adjacency, dtype=np.int64)[np.ix_(cls2, cls2)]
     n2 = len(cls2)
     traces = [n2]
     Mpow = np.eye(n2, dtype=np.int64)

@@ -16,9 +16,8 @@ from drgkit.families import (
     shrikhande,
     triangular_complement,
 )
-from drgkit.graph_core import distances
-from drgkit.spectra import SrgParams, subconstituent_spectrum
-from drgkit.terwilliger import terwilliger_dimension
+from drgkit.context import GraphContext
+from drgkit.spectra import SrgParams
 from drgkit.tmodules import decompose_srg, dimension_sequence
 
 
@@ -57,14 +56,14 @@ class SrgGraphRecord:
 
 def _srg_record(g) -> SrgGraphRecord:
     t0 = time.time()
-    dd = distances(g)
-    p = SrgParams.from_graph(g)
+    ctx = GraphContext.of(g)
+    p = SrgParams.from_drg(ctx.params)
     verts = []
     for x in range(g.n):
-        local = subconstituent_spectrum(g, x, 1, dd, allow_float=False)
-        d2 = subconstituent_spectrum(g, x, 2, dd, allow_float=False)
-        dim_t = terwilliger_dimension(g, x, dd)
-        md = decompose_srg(g, x, p, dd)
+        local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+        d2 = ctx.subconstituent_spectrum(x, 2, allow_float=False)
+        dim_t = ctx.terwilliger_dimension(x)
+        md = decompose_srg(ctx, x, p)
         ds = dimension_sequence(md, p, d2)
         verts.append(SrgVertexRecord(local=local, d2=d2, dim_t=dim_t,
                                      decomposition=md, ds=ds))

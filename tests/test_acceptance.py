@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import pytest
 
+from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import icosahedron, johnson
-from drgkit.graph_core import distances
 from drgkit.scheme import eigen_data, tightness, verify_drg
 from drgkit.spectra import (
     SrgParams,
@@ -232,24 +232,20 @@ def test_criterion_9_cross_oracle(srg_corpus):
             ok &= wedderburn_dim(v.decomposition) == v.dim_t
             count += 1
     # Taylor and AT4 instances
-    ico = icosahedron()
-    dd = distances(ico)
-    for x in range(ico.n):
-        ok &= wedderburn_dim(decompose_taylor(ico, x, 5, 2, dd)) == \
-            terwilliger_dimension(ico, x, dd)
+    ico = GraphContext.of(icosahedron())
+    for x in range(ico.graph.n):
+        ok &= wedderburn_dim(decompose_taylor(ico, x, 5, 2)) == \
+            terwilliger_dimension(ico.graph, x, ico.dd)
         count += 1
-    j63 = johnson(6, 3)
-    dd = distances(j63)
-    for x in range(j63.n):
-        ok &= wedderburn_dim(decompose_taylor(j63, x, 9, 4, dd)) == \
-            terwilliger_dimension(j63, x, dd)
+    j63 = GraphContext.of(johnson(6, 3))
+    for x in range(j63.graph.n):
+        ok &= wedderburn_dim(decompose_taylor(j63, x, 9, 4)) == \
+            terwilliger_dimension(j63.graph, x, j63.dd)
         count += 1
-    j84 = johnson(8, 4)
-    dd = distances(j84)
-    params = verify_drg(j84, dd)
-    for x in range(0, j84.n, 7):  # the full sweep already ran in criterion 8
-        ok &= wedderburn_dim(decompose_at4(j84, x, 2, 2, dd, params)) == \
-            terwilliger_dimension(j84, x, dd)
+    j84 = GraphContext.of(johnson(8, 4))
+    for x in range(0, j84.graph.n, 7):  # the full sweep already ran in criterion 8
+        ok &= wedderburn_dim(decompose_at4(j84, x, 2, 2)) == \
+            terwilliger_dimension(j84.graph, x, j84.dd)
         count += 1
     report("9 (Wedderburn dim == closure dim on every analyzed pair)", ok,
            f"{count} (graph, vertex) pairs")

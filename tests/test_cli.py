@@ -122,6 +122,35 @@ def test_one_vertex_graph_is_an_analysis_error(tmp_path, capsys):
         assert err.startswith("analysis error:") and err.count("\n") == 1
 
 
+def test_unloadable_file_is_a_usage_error_under_every_command(tmp_path, capsys):
+    bad = tmp_path / "loop.txt"
+    bad.write_text("0 0\n")
+    good = tmp_path / "s.json"
+    run(["construct", "--family", "shrikhande", "--out", str(good)])
+    capsys.readouterr()
+    for argv in (["analyze", str(bad)], ["pvt", str(bad)],
+                 ["tiso", str(bad), str(good)], ["tiso", str(good), str(bad)]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: loop") and err.count("\n") == 1, (argv, err)
+
+
+def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monkeypatch):
+    import drgkit.cli
+
+    def boom(g):
+        raise RuntimeError("closure\nexploded")
+
+    monkeypatch.setattr(drgkit.cli, "check_pvt", boom)
+    g_path = tmp_path / "s.json"
+    run(["construct", "--family", "shrikhande", "--out", str(g_path)])
+    capsys.readouterr()
+    assert run(["pvt", str(g_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: closure exploded\n"
+    assert "Traceback" not in err
+
+
 def test_analyze_float_fallback_flag(tmp_path):
     # 7-cycle: distance-regular, but eigenvalues need a cubic field
     g_path = tmp_path / "c7.json"

@@ -1,0 +1,92 @@
+"""GraphContext: each per-graph result is computed once per command, and
+nothing is remembered between commands."""
+
+import sys
+
+import pytest
+
+import drgkit.exactla
+import drgkit.graph_core
+import drgkit.spectra
+import drgkit.terwilliger
+from drgkit.analysis import analyze_graph
+from drgkit.cli import main
+from drgkit.context import GraphContext
+from drgkit.families import chang, hamming, icosahedron, johnson, shrikhande
+from drgkit.graph_core import save_graph
+from drgkit.pvt import check_pvt
+from drgkit.spectra import FLOAT_REFUSED
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call of module.name, through whichever
+    drgkit module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "drgkit" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_analyze_computes_each_result_once(monkeypatch):
+    g = shrikhande()
+    factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
+    closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
+    dists = _spy(monkeypatch, drgkit.graph_core, "distances")
+    report = analyze_graph(g, list(range(g.n)))
+    assert [v["dim_T"] for v in report["vertices"]] == [20] * g.n
+    polys = [tuple(int(c) for c in args[0]) for args in factored]
+    assert len(polys) == len(set(polys)) >= 2  # intersection matrix + local graphs
+    keys = [(args[1], args[2]) for args in spectra]
+    assert sorted(keys) == [(x, i) for x in range(g.n) for i in (1, 2)]
+    assert sorted(args[1] for args in closures) == list(range(g.n))
+    assert len(dists) == 1
+
+
+def test_consecutive_commands_share_no_memo(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "chang1.json"
+    save_graph(chang(1), path)
+    factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
+    counts = []
+    for _ in range(2):
+        assert main(["pvt", str(path)]) == 0
+        counts.append(len(factored))
+        factored.clear()
+    assert counts[0] == counts[1] >= 2
+    assert capsys.readouterr().out.count("verdict: not_pvt") == 2
+
+
+def test_check_pvt_same_on_graph_and_context(srg_corpus):
+    for name, rec in srg_corpus.items():
+        assert check_pvt(rec.graph) == check_pvt(GraphContext.of(rec.graph)), name
+
+
+def test_check_pvt_same_on_graph_and_context_beyond_diameter_2():
+    for g in (icosahedron(), johnson(8, 4), hamming(3, 2)):
+        assert check_pvt(g) == check_pvt(GraphContext.of(g)), g.label
+
+
+def test_of_returns_the_given_context():
+    ctx = GraphContext.of(icosahedron())
+    assert GraphContext.of(ctx) is ctx
+    assert not ctx.bipartite and GraphContext.of(hamming(3, 2)).bipartite
+
+
+def test_float_spectrum_is_computed_once_and_refused_without_fallback(monkeypatch):
+    # pretend every local polynomial has a cubic factor
+    monkeypatch.setattr(drgkit.context, "eigenvalues_from_charpoly", lambda coeffs: None)
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
+    ctx = GraphContext.of(shrikhande())
+    spec = ctx.subconstituent_spectrum(0, 1)
+    assert not spec.exact and spec.size == 6
+    with pytest.raises(ValueError, match=FLOAT_REFUSED):
+        ctx.subconstituent_spectrum(0, 1, allow_float=False)
+    assert ctx.subconstituent_spectrum(0, 1) is spec
+    assert len(spectra) == 1

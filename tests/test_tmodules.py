@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import halved_cube, icosahedron, johnson, shrikhande
-from drgkit.graph_core import distances
 from drgkit.spectra import SrgParams, subconstituent_spectrum
 from drgkit.terwilliger import terwilliger_dimension
 from drgkit.tmodules import (
@@ -58,9 +58,8 @@ def test_decompose_srg_shrikhande_completeness():
 def test_dimension_sequence_j82():
     g = johnson(8, 2)
     p = SrgParams(28, 12, 6, 4)
-    dd = distances(g)
-    md = decompose_srg(g, 0, p, dd)
-    ds = dimension_sequence(md, p, subconstituent_spectrum(g, 0, 2, dd))
+    md = decompose_srg(g, 0, p)
+    ds = dimension_sequence(md, p, subconstituent_spectrum(g, 0, 2))
     assert ds.tuple() == (2, 1, 1, 1)
     assert srg_dim_formula(ds) == 16
 
@@ -197,13 +196,13 @@ def test_decompose_at4_halved_cube():
 
 def test_cross_oracle_wedderburn_vs_closure_small():
     cases = [
-        (shrikhande(), lambda g, x, dd: decompose_srg(g, x, SrgParams(16, 6, 2, 2), dd)),
-        (icosahedron(), lambda g, x, dd: decompose_taylor(g, x, 5, 2, dd)),
+        (shrikhande(), lambda ctx, x: decompose_srg(ctx, x, SrgParams(16, 6, 2, 2))),
+        (icosahedron(), lambda ctx, x: decompose_taylor(ctx, x, 5, 2)),
     ]
     for g, decomp in cases:
-        dd = distances(g)
+        ctx = GraphContext.of(g)
         for x in (0, g.n // 2):
-            assert wedderburn_dim(decomp(g, x, dd)) == terwilliger_dimension(g, x, dd)
+            assert wedderburn_dim(decomp(ctx, x)) == terwilliger_dimension(g, x, ctx.dd)
 
 
 def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
@@ -211,10 +210,10 @@ def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
 
     g = chang(2)
     p = SrgParams(28, 12, 6, 4)
-    dd = distances(g)
+    ctx = GraphContext.of(g)
     for x in (0, 5):
-        md = decompose_srg(g, x, p, dd)
-        ds = dimension_sequence(md, p, subconstituent_spectrum(g, x, 2, dd))
+        md = decompose_srg(ctx, x, p)
+        ds = dimension_sequence(md, p, ctx.subconstituent_spectrum(x, 2))
         non_primary = sum(1 for d in md.descriptors if d.endpoint > 0)
         assert non_primary == ds.l1 + ds.l2 + ds.l1p
 
@@ -223,9 +222,9 @@ def test_cross_oracle_petersen():
     from drgkit.families import triangular_complement
 
     pet = triangular_complement(5)  # the Petersen graph
-    p = SrgParams.from_graph(pet)
+    ctx = GraphContext.of(pet)
+    p = SrgParams.from_drg(ctx.params)
     assert p.tuple() == (10, 3, 0, 1)
-    dd = distances(pet)
     for x in range(pet.n):
-        md = decompose_srg(pet, x, p, dd)
-        assert wedderburn_dim(md) == terwilliger_dimension(pet, x, dd) == 15
+        md = decompose_srg(ctx, x, p)
+        assert wedderburn_dim(md) == terwilliger_dimension(pet, x, ctx.dd) == 15
