@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands: construct, analyze, pvt, tiso, reproduce.  Exit codes: 0 success,
-1 usage error (bad arguments, or a graph file that fails to load or parse:
-"error: ..."), 2 analysis failure after the graph loaded ("analysis error:
-..."), 3 reproduction mismatch.  Any other exception is reported as one line,
-"internal error: <type>: <message>", with exit 2; no command prints a
-traceback.
+1 usage error (bad arguments, a graph file that fails to load or parse, or an
+--out file that cannot be written: "error: ..."), 2 analysis failure after the
+graph loaded ("analysis error: ..."), 3 reproduction mismatch.  Any other
+exception is reported as one line, "internal error: <type>: <message>", with
+exit 2; no command prints a traceback.
 """
 
 from __future__ import annotations
@@ -80,22 +80,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def cmd_construct(args) -> int:
     try:
         g = construct(FamilySpec(args.family, args.params))
     except GraphError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    save_graph(g, args.out)
+        return _fail(EXIT_USAGE, f"error: {e}")
+    try:
+        save_graph(g, args.out)
+    except OSError as e:
+        return _fail(EXIT_USAGE, f"error: {e}")
     k = g.is_regular()
     reg = f"{k}-regular" if k is not None else "irregular"
     print(f"wrote {args.out}: {g.label or 'graph'} with n={g.n}, {reg}")
     return EXIT_OK
-
-
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
 
 
 def cmd_analyze(args) -> int:
@@ -113,7 +115,10 @@ def cmd_analyze(args) -> int:
         return _fail(EXIT_ANALYSIS, f"analysis error: {e}")
     text = report_to_json(report)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _fail(EXIT_USAGE, f"error: {e}")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

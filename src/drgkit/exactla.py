@@ -382,15 +382,6 @@ def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _to_object(A) @ _to_object(B)
 
 
-def _scale_rows(d: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Exact diag(d) @ M as a row scaling; int64 when provably overflow-free."""
-    col = d.reshape(-1, 1)
-    if col.dtype != object and M.dtype != object:
-        if _max_abs(col) * _max_abs(M) < _INT64_SAFE:
-            return col * M
-    return _to_object(col) * _to_object(M)
-
-
 def _gcd_all(a: np.ndarray) -> int:
     if a.dtype != object:
         return int(np.gcd.reduce(np.abs(a), axis=None))

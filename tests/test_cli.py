@@ -135,6 +135,20 @@ def test_unloadable_file_is_a_usage_error_under_every_command(tmp_path, capsys):
         assert err.startswith("error: loop") and err.count("\n") == 1, (argv, err)
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    g_path = tmp_path / "s.json"
+    run(["construct", "--family", "shrikhande", "--out", str(g_path)])
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (["analyze", str(g_path), "--out", missing],
+                 ["construct", "--family", "shrikhande", "--out", missing]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "internal error" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monkeypatch):
     import drgkit.cli
 

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drgkit.exactla import ExactSpan, charpoly_int, eigenvalues_from_charpoly
-from drgkit.families import icosahedron, johnson, rook_grid, shrikhande
+from drgkit.exactla import ExactSpan, _imatmul, charpoly_int, eigenvalues_from_charpoly
+from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import distances
 from drgkit.scheme import (
     antipodality,
@@ -103,10 +105,51 @@ def test_dual_adjacency_icosahedron_distinct():
     assert len(set(_dual_eigenvalues(g, params, ed, order))) == 4
 
 
+def _terwilliger_generators(g, x, dd):
+    gens = [np.asarray(g.adjacency, dtype=np.int64)]
+    return gens + [np.diag(e) for e in dual_idempotents(g, x, dd).indicators]
+
+
+def _spin_closure_dim(gens):
+    """Test oracle: spin span{I} as whole n x n matrices, every generator a multiplier."""
+    gens = [np.asarray(G) for G in gens]
+    n = gens[0].shape[0]
+    span = ExactSpan(n * n)
+    span.insert(np.eye(n, dtype=np.int64))
+    todo = [span.last_row.v.reshape(n, n)]
+    while todo:
+        M = todo.pop()
+        for G in gens:
+            if span.insert(_imatmul(G, M)):
+                todo.append(span.last_row.v.reshape(n, n))
+    return span.dim
+
+
 def test_closure_identity_only():
     basis = algebra_closure([np.eye(5, dtype=np.int64)])
     assert basis.dim == 1
     assert (basis.basis[0] == np.eye(5, dtype=np.int64)).all()
+
+
+def test_closure_diagonal_only_generators():
+    basis = algebra_closure([np.diag([1, 1, 2, 3])])
+    assert basis.dim == 3
+    # the cell projections onto {0, 1}, {2} and {3}
+    assert sorted(tuple(m.diagonal()) for m in basis.basis) == [(0, 0, 0, 1), (0, 0, 1, 0),
+                                                                (1, 1, 0, 0)]
+
+
+def test_closure_diagonal_values_act_through_their_level_sets():
+    g = icosahedron()
+    A = np.asarray(g.adjacency, dtype=np.int64)
+    dist = distances(g).dist[0]
+    for f in ((5, -2, 7, 9), (3, 3, -1, -1), (2, 4, 2, 4)):
+        values = np.array(f)[dist]
+        levels = [np.diag((values == v).astype(np.int64)) for v in sorted(set(f))]
+        dim = algebra_closure([A, np.diag(values)]).dim
+        assert dim == algebra_closure([A] + levels).dim == _spin_closure_dim([A, np.diag(values)])
+        if len(set(f)) == 4:
+            assert dim == terwilliger_dimension(g, 0) == 24
 
 
 def test_closure_shrikhande_and_grid():
@@ -114,13 +157,39 @@ def test_closure_shrikhande_and_grid():
     assert terwilliger_dimension(rook_grid(4), 0) == 15
 
 
+def test_closure_matches_whole_matrix_spin():
+    cases = [(g, range(g.n)) for g in (shrikhande(), chang(1), chang(2), chang(3), icosahedron())]
+    cases += [(hamming(3, 3), [0]), (johnson(8, 4), [0])]
+    for g, vertices in cases:
+        dd = distances(g)
+        for x in vertices:
+            assert terwilliger_dimension(g, x, dd) == \
+                _spin_closure_dim(_terwilliger_generators(g, x, dd)), (g.label, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_matches_whole_matrix_spin_on_random_generators(data):
+    # a symmetric 0/1 matrix (loops allowed) plus one diagonal with values in 0..3
+    n = data.draw(st.integers(1, 8))
+    m = n * (n + 1) // 2
+    A = np.zeros((n, n), dtype=np.int64)
+    A[np.triu_indices(n)] = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    A = A | A.T
+    D = np.diag(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    assert algebra_closure([A, D]).dim == _spin_closure_dim([A, D])
+
+
 def test_closure_basis_is_closed_and_transpose_stable():
     g = shrikhande()
     dd = distances(g)
-    gens = [np.asarray(g.adjacency, dtype=np.int64)]
-    gens += [np.diag(e) for e in dual_idempotents(g, 0, dd).indicators]
+    gens = _terwilliger_generators(g, 0, dd)
     basis = algebra_closure(gens)
     assert basis.dim == 20
+    # every basis element lies in one block E*_h T E*_j
+    for m in basis.basis:
+        rows, cols = np.nonzero(m)
+        assert len(set(dd.dist[0][rows])) == 1 and len(set(dd.dist[0][cols])) == 1
     span = ExactSpan(g.n * g.n)
     for m in basis.basis:
         assert span.insert(m)
@@ -233,4 +302,4 @@ def test_closure_dim_survives_int64_overflow(monkeypatch):
         assert algebra_closure(big).dim == plain
         monkeypatch.setattr(exactla, "_to_object", to_object)
     # the scaled run really took the Python-int paths it is meant to cover
-    assert {"_imatmul", "_scale_rows", "_combine"} <= fallbacks
+    assert {"_imatmul", "_combine"} <= fallbacks
