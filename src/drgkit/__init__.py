@@ -29,7 +29,6 @@ from .spectra import (
     srg_spectrum,
     subconstituent_spectrum,
     second_subconstituent_derived,
-    local_duality_check,
     cospectral,
 )
 from .terwilliger import (

@@ -6,9 +6,11 @@ context is built.  It also memoizes the per-vertex results that analysis, pvt,
 tmodules and tables ask for more than once:
 
 * subconstituent spectra, keyed by (x, i);
-* dim T(x) from the algebra closure, keyed by x;
-* the exact roots of characteristic polynomials, keyed by the integer
-  coefficient tuple, so each distinct local polynomial is factored once.
+* the finished Spectrum of each distinct factor key: ((r, m), ..., (s, p, m),
+  ...) for a spectrum that exactla.certified_factors proved, the charpoly_int
+  coefficient tuple for one that fell back.  Cospectral blocks share one
+  Spectrum, so each distinct spectrum is built (and sorted) once;
+* dim T(x) from the algebra closure, keyed by x.
 
 The memos live on the context object and nowhere else.  A command builds one
 context per input graph and drops it when it returns, so two commands run in
@@ -24,9 +26,8 @@ independent computations of dim T(x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
-from .exactla import eigenvalues_from_charpoly
 from .graph_core import DistanceData, Graph, distances
 from .scheme import DrgParameters, verify_drg
 from .spectra import FLOAT_REFUSED, Spectrum, subconstituent_spectrum
@@ -46,8 +47,8 @@ class GraphContext:
     # inside a distance class from vertex 0, distance parity 2-colours it
     bipartite: bool
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _by_key: dict = field(default_factory=dict, init=False, repr=False)
     _dims: dict = field(default_factory=dict, init=False, repr=False)
-    _roots: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, g: Union[Graph, "GraphContext"]) -> "GraphContext":
@@ -57,14 +58,6 @@ class GraphContext:
         dd = distances(g)
         params = verify_drg(g, dd)
         return cls(graph=g, dd=dd, params=params, bipartite=not any(params.a))
-
-    def eigenvalues(self, coeffs) -> Optional[tuple]:
-        """eigenvalues_from_charpoly, once per distinct coefficient tuple."""
-        key = tuple(coeffs)
-        if key not in self._roots:
-            pairs = eigenvalues_from_charpoly(key)
-            self._roots[key] = None if pairs is None else tuple(pairs)
-        return self._roots[key]
 
     def subconstituent_spectrum(self, x: int, i: int, allow_float: bool = True) -> Spectrum:
         """Spectrum of the distance-i class of x, computed once per (x, i).
@@ -76,7 +69,7 @@ class GraphContext:
         key = (x, i)
         spec = self._spectra.get(key)
         if spec is None:
-            spec = subconstituent_spectrum(self.graph, x, i, self.dd, roots=self.eigenvalues)
+            spec = subconstituent_spectrum(self.graph, x, i, self.dd, memo=self._by_key)
             self._spectra[key] = spec
         if not (spec.exact or allow_float):
             raise ValueError(FLOAT_REFUSED)

@@ -14,6 +14,14 @@ module.  The guiding constraints:
   fallback.
 * Linear independence is decided by fraction-free row reduction with gcd
   stripping; no floating point is consulted for any exact decision.
+* Spectra of integer matrices: floats propose, integers certify.
+  certified_factors reads integer roots and monic quadratics x^2 - s*x + p
+  off np.linalg.eigvalsh and accepts them only when their product
+  annihilates the matrix and the power traces tr(B^j), j < d, match; the
+  accepted factors, with multiplicities, are the exact spectrum.  A failed
+  check or an unpaired cluster falls back to charpoly_int (CRT
+  Faddeev-LeVerrier) and eigenvalues_from_charpoly (sympy factoring), which
+  also decide cubic fields.  A float can cause a fallback, never an answer.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ __all__ = [
     "ExactSpan",
     "sqrt_of_fraction",
     "square_free_split",
+    "certified_factors",
     "charpoly_int",
     "eigenvalues_from_charpoly",
 ]
@@ -90,11 +99,7 @@ class AlgebraicScalar:
         self.a, self.b, self.d = a, b, d
         self.fval = None
 
-    # -- constructors and views -------------------------------------------
-
-    @classmethod
-    def from_float(cls, x: float) -> "AlgebraicScalar":
-        return cls(fval=x)
+    # -- views ----------------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
@@ -360,6 +365,13 @@ def _max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max())
 
 
+def _max_row_sum(a: np.ndarray) -> int:
+    """The largest absolute row sum (infinity norm) of an integer matrix, exactly."""
+    if a.dtype != object and _max_abs(a) * a.shape[1] < _INT64_SAFE:
+        return int(np.abs(a).sum(axis=1).max(initial=0))
+    return max((sum(abs(int(v)) for v in row) for row in a.tolist()), default=0)
+
+
 def _to_object(a: np.ndarray) -> np.ndarray:
     if a.dtype == object:
         return a
@@ -518,7 +530,7 @@ def charpoly_int(A) -> list[int]:
     n = len(A)
     if n == 0:
         return [1]
-    r = max(1, max(sum(abs(int(v)) for v in row) for row in A.tolist()))
+    r = max(1, _max_row_sum(A))
     bound = max(math.comb(n, k) * r**k for k in range(n + 1))
     primes, prod = [], 1
     for p in _CRT_PRIMES:
@@ -540,6 +552,141 @@ def charpoly_int(A) -> list[int]:
             x -= mod
         coeffs.append(x)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# certified factorizations: floats propose, integers certify
+# ---------------------------------------------------------------------------
+
+_PROPOSE_TOL = 1e-6
+
+
+def _propose_factors(B: np.ndarray) -> Optional[tuple]:
+    """Integer roots and monic quadratics read off float eigenvalues.
+
+    Clusters np.linalg.eigvalsh(B) and returns ((r, m), ..., (s, p, m), ...):
+    integer roots r and quadratics x^2 - s*x + p, each with its cluster count
+    m.  None when a cluster is neither near an integer nor paired with a
+    conjugate of the same count.  Nothing here is trusted; see
+    certified_factors.  Object-dtype (large-entry) and empty matrices get none.
+    """
+    if B.dtype == object or B.size == 0:
+        return None
+    vals = np.linalg.eigvalsh(B.astype(float))
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > _PROPOSE_TOL])
+    counts = np.diff(np.r_[starts, len(vals)])
+    linear, irrational = [], []
+    for v, m in zip((np.add.reduceat(vals, starts) / counts).tolist(), counts.tolist()):
+        r = round(v)
+        if abs(v - r) < _PROPOSE_TOL:
+            linear.append((r, m))
+        else:
+            irrational.append((v, m))
+    quadratic = []
+    while irrational:
+        u, m = irrational.pop(0)
+        for idx, (w, mw) in enumerate(irrational):
+            s, p = round(u + w), round(u * w)
+            if (mw == m and abs(u + w - s) < _PROPOSE_TOL
+                    and abs(u * w - p) < _PROPOSE_TOL * max(1.0, abs(p))):
+                quadratic.append((s, p, m))
+                del irrational[idx]
+                break
+        else:
+            return None
+    return tuple(sorted(linear)) + tuple(sorted(quadratic))
+
+
+def _power_sums(factor: tuple, count: int) -> list[int]:
+    """p_0..p_(count-1), the power sums of the roots of (r,) or (s, p) (Newton)."""
+    if len(factor) == 1:
+        return [factor[0] ** j for j in range(count)]
+    s, p = factor
+    sums = [2, s]
+    while len(sums) < count:
+        sums.append(s * sums[-1] - p * sums[-2])
+    return sums[:count]
+
+
+def _power_traces(B: np.ndarray, count: int) -> list[int]:
+    """tr(B^0)..tr(B^(count-1)), each as the sum of the entries of B^a * (B^b)^T
+    with a + b = j.  With r the largest absolute row sum, nothing exceeds
+    n^2 * r^(count-1), so int64 runs when that is below 2**62."""
+    n, r = len(B), max(1, _max_row_sum(B))
+    if B.dtype != object and n * n * r ** max(count - 1, 1) >= _INT64_SAFE:
+        B = _to_object(B)
+    powers = [np.eye(n, dtype=np.int64).astype(B.dtype), B]
+    while len(powers) < count // 2 + 1:
+        powers.append(powers[-1] @ B)
+    return [int((powers[j // 2] * powers[j - j // 2].T).sum()) for j in range(count)]
+
+
+def _factor_product(B: np.ndarray, factors) -> np.ndarray:
+    """prod_i f_i(B) exactly, for factors (r,) = x - r and (s, p) = x^2 - s*x + p.
+
+    With r the largest absolute row sum, every entry and partial sum is at
+    most prod_i ||f_i(B)|| in infinity norms, so int64 runs when that bound
+    is below 2**62.
+    """
+    B = _as_int_array(B)
+    r = max(1, _max_row_sum(B))
+    bound = math.prod(r + abs(f[0]) if len(f) == 1 else r * r + abs(f[0]) * r + abs(f[1])
+                      for f in factors)
+    if B.dtype != object and bound >= _INT64_SAFE:
+        B = _to_object(B)
+    eye = np.eye(len(B), dtype=np.int64).astype(B.dtype)
+    B2 = B @ B if any(len(f) == 2 for f in factors) else None
+    product = eye
+    for f in factors:
+        product = product @ (B - f[0] * eye if len(f) == 1 else B2 - f[0] * B + f[1] * eye)
+    return product
+
+
+def certified_factors(B, proposal: Optional[tuple] = None) -> Optional[tuple]:
+    """The characteristic polynomial of an integer matrix as a proven product of
+    integer roots and monic real quadratics, or None.
+
+    ``proposal`` is ((r, m), ..., (s, p, m), ...): distinct integer roots r and
+    distinct irreducible x^2 - s*x + p (s^2 - 4p > 0 and not a square), each
+    with a positive multiplicity m; by default _propose_factors reads it off
+    float eigenvalues.  It is returned unchanged only when two integer checks
+    pass:
+
+    * prod_i f_i(B) = 0, so every eigenvalue of B is a root of some f_i;
+    * tr(B^j) = sum_i m_i * p_j(f_i) for j = 0..d-1, d = sum_i deg f_i, with
+      p_j(f_i) the power sums of the roots of f_i.  On the d distinct roots
+      this is a nonsingular Vandermonde system, so it fixes every
+      multiplicity (j = 0 gives the size of B).
+
+    Eigenvalues of an integer matrix are algebraic integers, so rational ones
+    are integers and quadratic ones have an integral monic minimal
+    polynomial: any spectrum in at most quadratic fields has such a
+    proposal.  A float can only make the proposal fail; it never decides
+    the answer.  Callers fall back to charpoly_int on None.
+    """
+    B = _as_int_array(B)
+    if proposal is None:
+        proposal = _propose_factors(B)
+        if proposal is None:
+            return None
+    factors = [tuple(f[:-1]) for f in proposal]
+    mults = [f[-1] for f in proposal]
+    if (len(set(factors)) != len(factors) or any(m <= 0 for m in mults)
+            or any(len(f) not in (1, 2) for f in factors)):
+        return None
+    for f in factors:
+        if len(f) == 2:
+            disc = f[0] * f[0] - 4 * f[1]
+            if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+                return None
+    if _factor_product(B, factors).any():
+        return None
+    d = sum(len(f) for f in factors)
+    expected = [0] * d
+    for f, m in zip(factors, mults):
+        for j, pj in enumerate(_power_sums(f, d)):
+            expected[j] += m * pj
+    return tuple(proposal) if _power_traces(B, d) == expected else None
 
 
 def eigenvalues_from_charpoly(coeffs: Sequence[int]):

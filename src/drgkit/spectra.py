@@ -1,10 +1,19 @@
 """Spectra of matrices and subconstituents; closed-form SRG spectra; the
-second-subconstituent derivation and the local-eigenvalue duality.
+second-subconstituent derivation.
 
-Exact spectra come from integer characteristic polynomials factored over Q
-with at most one quadratic extension per factor.  When an irreducible factor
-of degree >= 3 shows up the whole spectrum switches to float mode and the
-flag travels with it into reports.
+Exact spectra of integer matrices take one of two routes, and a float never
+decides an answer:
+
+* propose and certify: exactla.certified_factors clusters the float
+  eigenvalues of the matrix into integer roots and monic quadratics
+  x^2 - s*x + p, then accepts them only after two integer checks (the
+  product of the factors annihilates the matrix; the power traces fix every
+  multiplicity).  The factor key ((r, m), ..., (s, p, m), ...) is the
+  spectrum.
+* fallback: any failed check or unpaired cluster sends the matrix through
+  charpoly_int and eigenvalues_from_charpoly, whose coefficient tuple is the
+  key.  When an irreducible factor of degree >= 3 shows up the whole
+  spectrum switches to float mode and the flag travels with it into reports.
 
 Multiplicity bookkeeping for "local" eigenvalues follows the convention that
 the trivial eigenvalue (the valency of a regular subconstituent) loses one
@@ -14,10 +23,10 @@ of all-ones has dimension mult - 1.  For connected subconstituents this just
 removes the Perron eigenvalue; for disconnected ones the extra copies count
 as local.
 
-Nothing here is memoized.  The per-command memos of subconstituent spectra and
-of factored characteristic polynomials live on context.GraphContext, which
-passes its distance data and its factoring memo (``roots``) in here; a memo
-kept at module level would let one command answer from another's results.
+Nothing here is memoized.  The per-command memos of subconstituent spectra,
+by (x, i) and by factor key, live on context.GraphContext, which passes its
+distance data and its key memo (``memo``) in here; a memo kept at module
+level would let one command answer from another's results.
 """
 
 from __future__ import annotations
@@ -32,11 +41,12 @@ import numpy as np
 
 from .exactla import (
     AlgebraicScalar,
+    certified_factors,
     charpoly_int,
     eigenvalues_from_charpoly,
     sqrt_of_fraction,
 )
-from .graph_core import Graph, DistanceData, distances, induced_subgraph
+from .graph_core import Graph, DistanceData, distances
 from .scheme import DrgParameters
 
 __all__ = [
@@ -47,7 +57,6 @@ __all__ = [
     "spectrum_of_int_matrix",
     "subconstituent_spectrum",
     "second_subconstituent_derived",
-    "local_duality_check",
     "cospectral",
     "effective_multiplicities",
 ]
@@ -124,19 +133,49 @@ class Spectrum:
         return "{" + inner + "}"
 
 
-def spectrum_of_int_matrix(arr, allow_float: bool = True, roots=None) -> Spectrum:
+def _spectrum_from_key(key: tuple) -> Optional[Spectrum]:
+    """The exact Spectrum behind a factor key, or None when it needs floats.
+
+    A certified key is ((r, m), ..., (s, p, m), ...) from
+    exactla.certified_factors; a fallback key is the coefficient tuple of
+    charpoly_int, factored by eigenvalues_from_charpoly.
+    """
+    if not isinstance(key[0], tuple):
+        pairs = eigenvalues_from_charpoly(key)
+        return None if pairs is None else Spectrum.from_pairs(pairs)
+    pairs = []
+    for f in key:
+        if len(f) == 2:
+            pairs.append((AlgebraicScalar(f[0]), f[1]))
+        else:
+            s, p, m = f
+            half = Fraction(1, 2)
+            pairs += [(AlgebraicScalar(Fraction(s, 2), half, s * s - 4 * p), m),
+                      (AlgebraicScalar(Fraction(s, 2), -half, s * s - 4 * p), m)]
+    return Spectrum.from_pairs(pairs)
+
+
+def spectrum_of_int_matrix(arr, allow_float: bool = True,
+                           memo: Optional[dict] = None) -> Spectrum:
     """Exact spectrum of a symmetric integer matrix, float fallback if needed.
 
-    ``roots`` factors the characteristic polynomial (default
-    exactla.eigenvalues_from_charpoly); GraphContext passes its memo.
+    The factor key comes from exactla.certified_factors, or from charpoly_int
+    when certification fails.  ``memo`` maps factor keys to finished spectra
+    (None for the ones that need floats); GraphContext passes its own, so each
+    distinct spectrum is built once per command.
     """
     arr = np.asarray(arr)
     n = arr.shape[0]
     if n == 0:
         return Spectrum.from_pairs([])
-    pairs = (roots or eigenvalues_from_charpoly)(charpoly_int(arr))
-    if pairs is not None:
-        return Spectrum.from_pairs(pairs)
+    key = certified_factors(arr)
+    if key is None:
+        key = tuple(charpoly_int(arr))
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _spectrum_from_key(key)
+    if memo[key] is not None:
+        return memo[key]
     if not allow_float:
         raise ValueError(FLOAT_REFUSED)
     vals = np.linalg.eigvalsh(arr.astype(float))
@@ -215,12 +254,13 @@ def srg_spectrum(p: SrgParams) -> Spectrum:
 
 
 def subconstituent_spectrum(g: Graph, x: int, i: int,
-                            dd: Optional[DistanceData] = None, roots=None) -> Spectrum:
+                            dd: Optional[DistanceData] = None,
+                            memo: Optional[dict] = None) -> Spectrum:
     """Spectrum of the subgraph induced on the distance-i class of x: exact,
     or flagged float when the local polynomial needs a field of degree >= 3
     (GraphContext.subconstituent_spectrum refuses those on request).
 
-    ``roots`` is handed to spectrum_of_int_matrix.
+    ``memo`` is handed to spectrum_of_int_matrix.
     """
     dd = dd or distances(g)
     if not 1 <= i <= dd.D:
@@ -228,8 +268,8 @@ def subconstituent_spectrum(g: Graph, x: int, i: int,
     cls = dd.classes_from(x, i)
     if len(cls) == 0:
         raise ValueError(f"empty distance class {i} from vertex {x}")
-    sub = induced_subgraph(g, cls)
-    return spectrum_of_int_matrix(np.asarray(sub.adjacency, dtype=np.int64), roots=roots)
+    block = g.adjacency[np.ix_(cls, cls)].astype(np.int64)
+    return spectrum_of_int_matrix(block, memo=memo)
 
 
 def effective_multiplicities(s: Spectrum, valency) -> dict[AlgebraicScalar, int]:
@@ -280,25 +320,6 @@ def second_subconstituent_derived(local: Spectrum, p: SrgParams) -> Spectrum:
             f"derived spectrum size {out.size} != n-k-1 = {p.n - p.k - 1}"
         )
     return out
-
-
-def local_duality_check(s1: Spectrum, s2: Spectrum, p: SrgParams) -> bool:
-    """lambda local in Delta_1 with mult m  <=>  a-c-lambda local in Delta_2 with mult m.
-
-    'Local' means: not an eigenvalue of the ambient graph and carried by an
-    eigenvector orthogonal to all-ones.
-    """
-    gamma_eigs = {AlgebraicScalar(p.k), p.sigma, p.tau}
-
-    def locals_of(s: Spectrum, valency: int) -> dict[AlgebraicScalar, int]:
-        eff = effective_multiplicities(s, valency)
-        return {v: m for v, m in eff.items() if v not in gamma_eigs}
-
-    loc1 = locals_of(s1, p.a)
-    loc2 = locals_of(s2, p.k - p.c)
-    shift = AlgebraicScalar(p.a - p.c)
-    mapped = {shift - v: m for v, m in loc1.items()}
-    return mapped == loc2
 
 
 def cospectral(s1: Spectrum, s2: Spectrum) -> bool:

@@ -7,7 +7,8 @@ Every decomposition built here is self-certifying:
   palindromic identity a_i(W) = a_{d-i}(W) for antipodal covers;
 * multiplicities times dimensions must sum to n;
 * the diameter-4 endpoint-1 classes are computed from an explicit local
-  eigenvector (exact rational kernel of B_1 - lambda I), with the three-term
+  eigenvector (an integer column of the product of the other factors of the
+  exact local spectrum), walked on integer vectors, with the three-term
   action coefficients read off by exact inner products, so thinness is
   witnessed rather than assumed.
 
@@ -18,6 +19,7 @@ classification to an independent computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -25,7 +27,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .context import GraphContext
-from .exactla import AlgebraicScalar, _imatmul, sqrt_of_fraction
+from .exactla import (
+    AlgebraicScalar,
+    _factor_product,
+    _gcd_all,
+    _imatmul,
+    _to_object,
+    sqrt_of_fraction,
+)
 from .graph_core import Graph
 from .scheme import DrgParameters
 from .spectra import Spectrum, SrgParams, effective_multiplicities
@@ -211,114 +220,107 @@ def srg_dim_formula(ds: DimensionSequence) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rational_kernel_vector(M: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """One nonzero kernel vector of a rational matrix, or None if nonsingular."""
-    m = len(M)
-    M = [row[:] for row in M]
-    n = len(M[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if piv is None:
+def _dot(u: np.ndarray, v: np.ndarray) -> int:
+    """Exact inner product of two integer vectors."""
+    return int(_imatmul(u.reshape(1, -1), v.reshape(-1, 1))[0, 0])
+
+
+def _annihilators(local: Spectrum, lam: AlgebraicScalar):
+    """(r,) and (s, p) factors of the local minimal polynomial other than x - lam."""
+    out = []
+    for mu, _ in local.pairs:
+        if mu == lam:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [u - f * v for u, v in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    c0 = free[0]
-    vec = [Fraction(0)] * n
-    vec[c0] = Fraction(1)
-    for row, pc in zip(M, pivots):
-        vec[pc] = -row[c0]
-    return vec
+        if mu.is_rational:
+            out.append((mu.as_int(),))
+        elif mu.b > 0:  # a + b*sqrt(d) with its conjugate: x^2 - 2a*x + (a^2 - b^2 d)
+            s, p = 2 * mu.a, mu.a * mu.a - mu.b * mu.b * mu.d
+            out.append((s.numerator, p.numerator))
+    return out
+
+
+def _local_eigenvector(ctx: GraphContext, x: int, lam: AlgebraicScalar) -> np.ndarray:
+    """A lambda-eigenvector of B_1 as an integer vector: a nonzero column of
+    prod_{mu != lambda} f_mu(B_1) over the other factors of the exact local
+    spectrum, which is a multiple of the lambda-eigenprojection."""
+    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+    if local.multiplicity(lam) == 0:
+        raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
+    cls1 = ctx.dd.classes_from(x, 1)
+    P = _factor_product(ctx.graph.adjacency[np.ix_(cls1, cls1)], _annihilators(local, lam))
+    nonzero = np.flatnonzero(P.any(axis=0))
+    if len(nonzero) == 0:
+        raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
+    v = P[:, nonzero[0]]
+    return v // _gcd_all(v)
 
 
 def endpoint1_module_data(g: Union[Graph, GraphContext], x: int, lam: AlgebraicScalar,
                           expected_diameter: Optional[int] = None):
     """(a_seq, x_seq) of the thin module generated by a lambda-eigenvector.
 
-    Takes an exact rational local eigenvector v of B_1 = adjacency of the
-    first subconstituent, embeds it as w_0, forms w_i = E*_{1+i} A w_{i-1},
-    and reads a_i(W), x_i(W) off by exact inner products.  Verifies that the
-    walk terminates (thin, endpoint 1) and that A maps each w_i into
-    span(w_{i-1}, w_i, w_{i+1}) exactly.  Only rational lambda is supported
-    here; that covers the tight diameter-4 graphs, whose local eigenvalues
-    are integers.
+    Takes an integer local eigenvector v of B_1 = adjacency of the first
+    subconstituent (a column of the product of the other local factors,
+    from the exact local spectrum), embeds it as w_0, forms
+    w_i = E*_{1+i} A w_{i-1} on integer vectors, and reads a_i(W), x_i(W) off
+    as Fractions of exact inner products.  Verifies that v is orthogonal to
+    all-ones, that the walk terminates (thin, endpoint 1) and that A maps
+    each w_i into span(w_{i-1}, w_i, w_{i+1}) exactly.  Only rational lambda
+    is supported here; that covers the tight diameter-4 graphs, whose local
+    eigenvalues are integers.
     """
     if not lam.is_rational:
         raise ValueError("explicit module extraction implemented for rational lambda")
     ctx = GraphContext.of(g)
     g, dd = ctx.graph, ctx.dd
-    cls1 = [int(v) for v in dd.classes_from(x, 1)]
-    sub = [[Fraction(int(g.adjacency[u, v])) for v in cls1] for u in cls1]
-    lamf = lam.as_fraction()
-    for i in range(len(cls1)):
-        sub[i][i] -= lamf
-    kv = _rational_kernel_vector(sub)
-    if kv is None:
-        raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
+    v = _local_eigenvector(ctx, x, lam)
     n = g.n
-    w = [Fraction(0)] * n
-    for idx, v in zip(cls1, kv):
-        w[idx] = v
-    if sum(w) != 0:
+    w = np.zeros(n, dtype=v.dtype)
+    w[dd.classes_from(x, 1)] = v
+    if sum(v.tolist()) != 0:
         raise ValueError("local eigenvector is not orthogonal to all-ones")
-    nbrs = [list(map(int, np.nonzero(g.adjacency[u])[0])) for u in range(n)]
+    A = np.asarray(g.adjacency, dtype=np.int64)
+    dist = dd.dist[x]
 
     def apply_A(vec):
-        return [sum((vec[u] for u in nbrs[v]), Fraction(0)) for v in range(n)]
+        return _imatmul(A, vec.reshape(-1, 1)).reshape(-1)
 
     def project(vec, i):
-        mask = dd.dist[x] == i
-        return [vec[v] if mask[v] else Fraction(0) for v in range(n)]
+        return np.where(dist == i, vec, 0)
 
-    def dot(u, v):
-        return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    def three_term_holds(Aw, ahead, j):
+        # den * (A w_j - ahead - a_j w_j - x_j w_{j-1}) == 0 in Python ints
+        coefs = [a_seq[j].as_fraction()] + ([x_seq[j - 1].as_fraction()] if j else [])
+        den = math.lcm(*(c.denominator for c in coefs))
+        rest = den * (_to_object(Aw) - _to_object(ahead))
+        for c, vec in zip(coefs, (ws[j], ws[j - 1])):
+            rest = rest - int(c * den) * _to_object(vec)
+        return not rest.any()
 
+    zero = np.zeros(n, dtype=np.int64)
     ws = [w]
     a_seq, x_seq = [], []
     i = 0
     while True:
         Aw = apply_A(ws[i])
-        norm = dot(ws[i], ws[i])
-        a_seq.append(AlgebraicScalar(dot(Aw, ws[i]) / norm))
+        a_seq.append(AlgebraicScalar(Fraction(_dot(Aw, ws[i]), _dot(ws[i], ws[i]))))
         if i > 0:
-            x_seq.append(AlgebraicScalar(dot(Aw, ws[i - 1]) / dot(ws[i - 1], ws[i - 1])))
-        below = project(Aw, i) if i == 0 else None
-        if i == 0 and any(v != 0 for v in below):
+            x_seq.append(AlgebraicScalar(Fraction(_dot(Aw, ws[i - 1]),
+                                                  _dot(ws[i - 1], ws[i - 1]))))
+        if i == 0 and project(Aw, i).any():
             raise ValueError("module does not have endpoint 1")
         nxt = project(Aw, i + 2)
-        if any(v != 0 for v in nxt):
+        if nxt.any():
             ws.append(nxt)
             i += 1
             continue
         # walk ended; verify A w_i lands exactly in span(w_{i-1}, w_i)
-        recon = [a_seq[i].as_fraction() * ws[i][v] for v in range(n)]
-        if i > 0:
-            xw = dot(Aw, ws[i - 1]) / dot(ws[i - 1], ws[i - 1])
-            recon = [recon[v] + xw * ws[i - 1][v] for v in range(n)]
-        if recon != Aw:
+        if not three_term_holds(Aw, zero, i):
             raise ValueError("module is not thin: A w_d leaves the walk span")
         break
     # interior steps: A w_i = w_{i+1} + a_i w_i + x_i w_{i-1} exactly
     for j in range(len(ws) - 1):
-        Aw = apply_A(ws[j])
-        recon = [ws[j + 1][v] + a_seq[j].as_fraction() * ws[j][v] for v in range(n)]
-        if j > 0:
-            xj = x_seq[j - 1].as_fraction()
-            recon = [recon[v] + xj * ws[j - 1][v] for v in range(n)]
-        if recon != Aw:
+        if not three_term_holds(apply_A(ws[j]), ws[j + 1], j):
             raise ValueError("three-term action fails: module is not thin")
     if expected_diameter is not None and len(ws) - 1 != expected_diameter:
         raise ValueError(f"module diameter {len(ws) - 1} != expected {expected_diameter}")

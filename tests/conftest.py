@@ -17,7 +17,8 @@ from drgkit.families import (
     triangular_complement,
 )
 from drgkit.context import GraphContext
-from drgkit.spectra import SrgParams
+from drgkit.exactla import AlgebraicScalar
+from drgkit.spectra import SrgParams, effective_multiplicities
 from drgkit.tmodules import decompose_srg, dimension_sequence
 
 
@@ -83,6 +84,31 @@ _SRG_BUILDERS = {
     "3x3 grid": lambda: rook_grid(3),
     "T(6) complement": lambda: triangular_complement(6),
 }
+
+
+def _local_duality_check(s1, s2, p: SrgParams) -> bool:
+    """lambda local in Delta_1 with mult m  <=>  a-c-lambda local in Delta_2 with mult m.
+
+    'Local' means: not an eigenvalue of the ambient graph and carried by an
+    eigenvector orthogonal to all-ones.
+    """
+    gamma_eigs = {AlgebraicScalar(p.k), p.sigma, p.tau}
+
+    def locals_of(s, valency: int) -> dict:
+        eff = effective_multiplicities(s, valency)
+        return {v: m for v, m in eff.items() if v not in gamma_eigs}
+
+    loc1 = locals_of(s1, p.a)
+    loc2 = locals_of(s2, p.k - p.c)
+    shift = AlgebraicScalar(p.a - p.c)
+    mapped = {shift - v: m for v, m in loc1.items()}
+    return mapped == loc2
+
+
+@pytest.fixture(scope="session")
+def local_duality_check():
+    """The local-eigenvalue duality of a strongly regular graph, as a test oracle."""
+    return _local_duality_check
 
 
 @pytest.fixture(scope="session")

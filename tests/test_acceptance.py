@@ -23,7 +23,6 @@ from drgkit.scheme import eigen_data, tightness, verify_drg
 from drgkit.spectra import (
     SrgParams,
     Spectrum,
-    local_duality_check,
     second_subconstituent_derived,
     subconstituent_spectrum,
 )
@@ -164,7 +163,7 @@ def test_criterion_4_dimension_formula_everywhere(srg_corpus):
     report("4 (closure dim == l1+l2+4l1'+9 == l1+l2+4l2'+9 at every vertex)", ok)
 
 
-def test_criterion_5_derived_vs_direct_and_duality(srg_corpus):
+def test_criterion_5_derived_vs_direct_and_duality(srg_corpus, local_duality_check):
     ok = True
     for name, rec in srg_corpus.items():
         p = rec.params
@@ -213,7 +212,6 @@ def test_criterion_8_at4_j84():
            ok and elapsed < 300, f"{elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_8_at4_halved_cube_slow():
     t0 = time.time()
     ok, lines = reproduce_table("at4", slow=True)

@@ -37,13 +37,16 @@ def _spy(monkeypatch, module, name):
 def test_analyze_computes_each_result_once(monkeypatch):
     g = shrikhande()
     factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
+    built = _spy(monkeypatch, drgkit.spectra, "_spectrum_from_key")
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
     closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
     dists = _spy(monkeypatch, drgkit.graph_core, "distances")
     report = analyze_graph(g, list(range(g.n)))
     assert [v["dim_T"] for v in report["vertices"]] == [20] * g.n
     polys = [tuple(int(c) for c in args[0]) for args in factored]
-    assert len(polys) == len(set(polys)) >= 2  # intersection matrix + local graphs
+    assert len(polys) == len(set(polys)) == 1  # the intersection matrix
+    factor_keys = [args[0] for args in built]
+    assert len(factor_keys) == len(set(factor_keys)) >= 2  # the local graphs
     keys = [(args[1], args[2]) for args in spectra]
     assert sorted(keys) == [(x, i) for x in range(g.n) for i in (1, 2)]
     assert sorted(args[1] for args in closures) == list(range(g.n))
@@ -53,12 +56,12 @@ def test_analyze_computes_each_result_once(monkeypatch):
 def test_consecutive_commands_share_no_memo(monkeypatch, tmp_path, capsys):
     path = tmp_path / "chang1.json"
     save_graph(chang(1), path)
-    factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
+    built = _spy(monkeypatch, drgkit.spectra, "_spectrum_from_key")
     counts = []
     for _ in range(2):
         assert main(["pvt", str(path)]) == 0
-        counts.append(len(factored))
-        factored.clear()
+        counts.append(len(built))
+        built.clear()
     assert counts[0] == counts[1] >= 2
     assert capsys.readouterr().out.count("verdict: not_pvt") == 2
 
@@ -80,8 +83,9 @@ def test_of_returns_the_given_context():
 
 
 def test_float_spectrum_is_computed_once_and_refused_without_fallback(monkeypatch):
-    # pretend every local polynomial has a cubic factor
-    monkeypatch.setattr(drgkit.context, "eigenvalues_from_charpoly", lambda coeffs: None)
+    # pretend every local polynomial fails certification and has a cubic factor
+    monkeypatch.setattr(drgkit.spectra, "certified_factors", lambda arr: None)
+    monkeypatch.setattr(drgkit.spectra, "eigenvalues_from_charpoly", lambda coeffs: None)
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
     ctx = GraphContext.of(shrikhande())
     spec = ctx.subconstituent_spectrum(0, 1)

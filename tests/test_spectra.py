@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drgkit.exactla import AlgebraicScalar
+from drgkit.exactla import (
+    AlgebraicScalar,
+    certified_factors,
+    charpoly_int,
+    eigenvalues_from_charpoly,
+)
 from drgkit.families import chang, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import distances
 from drgkit.spectra import (
@@ -14,7 +21,6 @@ from drgkit.spectra import (
     Spectrum,
     SrgParams,
     cospectral,
-    local_duality_check,
     second_subconstituent_derived,
     spectrum_of_int_matrix,
     srg_spectrum,
@@ -102,7 +108,7 @@ def test_derived_matches_direct_on_shrikhande():
                 == subconstituent_spectrum(g, x, 2, dd).pairs)
 
 
-def test_duality_j82():
+def test_duality_j82(local_duality_check):
     g = johnson(8, 2)
     dd = distances(g)
     p = SrgParams(28, 12, 6, 4)
@@ -114,7 +120,7 @@ def test_duality_j82():
     assert not local_duality_check(s1, broken, p)
 
 
-def test_duality_vacuous():
+def test_duality_vacuous(local_duality_check):
     # 3x3 grid local graphs have only sigma/tau eigenvalues: no local values
     g = rook_grid(3)
     dd = distances(g)
@@ -182,3 +188,50 @@ def test_srg_multiplicity_identities():
         assert 1 + p.m_sigma + p.m_tau == p.n
         total = AlgebraicScalar(p.k) + p.sigma * p.m_sigma + p.tau * p.m_tau
         assert total == S(0)
+
+
+def _oracle(block):
+    """The spectrum by charpoly_int and factoring, or None for a cubic field."""
+    pairs = eigenvalues_from_charpoly(charpoly_int(block))
+    return None if pairs is None else Spectrum.from_pairs(pairs)
+
+
+def test_certified_spectra_match_charpoly_oracle_on_fixtures(srg_corpus, ico, j84):
+    graphs = [rec.graph for rec in srg_corpus.values()] + [ico, j84]
+    blocks = 0
+    for g in graphs:
+        dd = distances(g)
+        for x in range(g.n):
+            for i in range(1, dd.D + 1):
+                cls = dd.classes_from(x, i)
+                block = g.adjacency[np.ix_(cls, cls)].astype(np.int64)
+                assert certified_factors(block) is not None, (g.label, x, i)
+                assert spectrum_of_int_matrix(block) == _oracle(block), (g.label, x, i)
+                blocks += 1
+    assert blocks == 2 * sum(rec.graph.n for rec in srg_corpus.values()) + 3 * 12 + 4 * 70
+
+
+@st.composite
+def _symmetric_01(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2,
+                         max_size=n * (n + 1) // 2))
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.triu_indices(n)] = bits
+    return m | np.triu(m, 1).T
+
+
+@given(_symmetric_01())
+@settings(max_examples=150, deadline=None)
+def test_certified_spectrum_matches_charpoly_oracle_on_random_matrices(m):
+    # loops allowed; most of these need a cubic field, so the fallback and
+    # float mode run as often as certification
+    spec = spectrum_of_int_matrix(m)
+    oracle = _oracle(m)
+    if oracle is None:
+        assert certified_factors(m) is None
+        assert not spec.exact and spec.size == len(m)
+        floats = sorted((v.to_float() for v, k in spec.pairs for _ in range(k)), reverse=True)
+        assert np.allclose(floats, sorted(np.linalg.eigvalsh(m.astype(float)), reverse=True))
+    else:
+        assert spec == oracle

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
 
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
@@ -22,6 +24,7 @@ from drgkit.tmodules import (
     taylor_parameters,
     wedderburn_dim,
 )
+from drgkit.graph_core import distances
 from drgkit.scheme import verify_drg
 
 
@@ -170,6 +173,50 @@ def test_at4_endpoint1_explicit_data_consistency():
             theta = [S(16), S(8), S(2), S(-2), S(-4)]
             t = d.dual_endpoint
             assert total == theta[t] + theta[t + 1] + theta[t + 2]
+
+
+def _endpoint1_oracle(g, x, lam: int):
+    """(a_seq, x_seq) from the first sympy nullspace vector of B_1 - lam*I,
+    walked w_{i+1} = E*_{i+2} A w_i in Fractions until it vanishes."""
+    dd = distances(g)
+    cls1 = dd.classes_from(x, 1)
+    B1 = sympy.Matrix(g.adjacency[np.ix_(cls1, cls1)].astype(int).tolist())
+    v = (B1 - lam * sympy.eye(len(cls1))).nullspace()[0]
+    w = np.array([Fraction(0)] * g.n, dtype=object)
+    w[cls1] = [Fraction(int(c.p), int(c.q)) for c in v]
+    A = g.adjacency.astype(int).astype(object)
+    ws, a_seq, x_seq = [w], [], []
+    while True:
+        Aw = A.dot(ws[-1])
+        a_seq.append(Fraction(Aw.dot(ws[-1])) / ws[-1].dot(ws[-1]))
+        if len(ws) > 1:
+            x_seq.append(Fraction(Aw.dot(ws[-2])) / ws[-2].dot(ws[-2]))
+        nxt = np.where(dd.dist[x] == len(ws) + 1, Aw, Fraction(0))
+        if not any(nxt):
+            return tuple(a_seq), tuple(x_seq)
+        ws.append(nxt)
+
+
+@pytest.mark.parametrize("graph, lams, vertices", [
+    (johnson(8, 4), (2, -2), (0, 9, 33, 69)),
+    (halved_cube(8), (4, -2), (0, 101)),
+], ids=["J(8,4)", "halved 8-cube"])
+def test_endpoint1_module_data_matches_nullspace_oracle(graph, lams, vertices):
+    ctx = GraphContext.of(graph)
+    for x in vertices:
+        for lam in lams:
+            a_seq, x_seq = endpoint1_module_data(ctx, x, S(lam), expected_diameter=2)
+            oa, ox = _endpoint1_oracle(graph, x, lam)
+            assert a_seq == tuple(S(a) for a in oa) and x_seq == tuple(S(v) for v in ox)
+
+
+def test_endpoint1_module_data_rejects_non_eigenvalues():
+    g = johnson(8, 4)  # local spectrum {6^1, 2^6, -2^9}
+    for lam in (3, 0, 6):  # not local eigenvalues; 6 has only all-ones
+        with pytest.raises(ValueError):
+            endpoint1_module_data(g, 0, S(lam))
+    with pytest.raises(ValueError):
+        endpoint1_module_data(g, 0, S(Fraction(1, 2)))
 
 
 def test_wedderburn_examples():
