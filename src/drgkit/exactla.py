@@ -642,15 +642,15 @@ def _factor_product(B: np.ndarray, factors) -> np.ndarray:
     return product
 
 
-def certified_factors(B, proposal: Optional[tuple] = None) -> Optional[tuple]:
+def certified_factors(B) -> Optional[tuple]:
     """The characteristic polynomial of an integer matrix as a proven product of
     integer roots and monic real quadratics, or None.
 
-    ``proposal`` is ((r, m), ..., (s, p, m), ...): distinct integer roots r and
-    distinct irreducible x^2 - s*x + p (s^2 - 4p > 0 and not a square), each
-    with a positive multiplicity m; by default _propose_factors reads it off
-    float eigenvalues.  It is returned unchanged only when two integer checks
-    pass:
+    _propose_factors reads ((r, m), ..., (s, p, m), ...) off float
+    eigenvalues: integer roots r and quadratics x^2 - s*x + p, each with a
+    multiplicity m.  The proposal is returned only when its factors are
+    distinct, every quadratic has two real irrational roots (s^2 - 4p > 0
+    and not a square), and two integer checks pass:
 
     * prod_i f_i(B) = 0, so every eigenvalue of B is a root of some f_i;
     * tr(B^j) = sum_i m_i * p_j(f_i) for j = 0..d-1, d = sum_i deg f_i, with
@@ -665,14 +665,12 @@ def certified_factors(B, proposal: Optional[tuple] = None) -> Optional[tuple]:
     the answer.  Callers fall back to charpoly_int on None.
     """
     B = _as_int_array(B)
+    proposal = _propose_factors(B)
     if proposal is None:
-        proposal = _propose_factors(B)
-        if proposal is None:
-            return None
+        return None
     factors = [tuple(f[:-1]) for f in proposal]
     mults = [f[-1] for f in proposal]
-    if (len(set(factors)) != len(factors) or any(m <= 0 for m in mults)
-            or any(len(f) not in (1, 2) for f in factors)):
+    if len(set(factors)) != len(factors):
         return None
     for f in factors:
         if len(f) == 2:

@@ -32,6 +32,7 @@ from .exactla import (
     _factor_product,
     _gcd_all,
     _imatmul,
+    _power_traces,
     _to_object,
     sqrt_of_fraction,
 )
@@ -527,12 +528,7 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     # endpoint-2 classes from the residual trace system
     cls2 = ctx.dd.classes_from(x, 2)
     B2 = np.asarray(ctx.graph.adjacency, dtype=np.int64)[np.ix_(cls2, cls2)]
-    n2 = len(cls2)
-    traces = [n2]
-    Mpow = np.eye(n2, dtype=np.int64)
-    for _ in range(4):
-        Mpow = _imatmul(Mpow, B2)
-        traces.append(int(np.trace(Mpow)))
+    traces = _power_traces(B2, 5)
     a2 = params.a[2]
     resid = [
         Fraction(traces[l]

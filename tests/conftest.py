@@ -22,22 +22,6 @@ from drgkit.spectra import SrgParams, effective_multiplicities
 from drgkit.tmodules import decompose_srg, dimension_sequence
 
 
-def pytest_addoption(parser):
-    parser.addoption("--run-slow", action="store_true", default=False,
-                     help="run the long half-cube sweep")
-
-
-def pytest_collection_modifyitems(config, items):
-    import os
-
-    if config.getoption("--run-slow") or os.environ.get("DRGKIT_SLOW"):
-        return
-    skip = pytest.mark.skip(reason="slow sweep; use --run-slow or DRGKIT_SLOW=1")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @dataclass
 class SrgVertexRecord:
     local: object

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drgkit import exactla
 from drgkit.exactla import (
     AlgebraicScalar,
     ExactSpan,
@@ -249,34 +250,43 @@ def _cycle(n: int) -> np.ndarray:
 _C6_KEY = ((-2, 1), (-1, 2), (1, 2), (2, 1))
 
 
-def test_certified_factors_accepts_exact_spectra():
+def _certify_proposal(monkeypatch, B, proposal):
+    """certified_factors(B) when the float step proposes ``proposal``."""
+    monkeypatch.setattr(exactla, "_propose_factors", lambda _: proposal)
+    return certified_factors(B)
+
+
+def test_certified_factors_accepts_exact_spectra(monkeypatch):
     assert certified_factors(_cycle(6)) == _C6_KEY
-    assert certified_factors(_cycle(6), proposal=tuple(reversed(_C6_KEY))) is not None
     # C5: {2, ((-1 +- sqrt5)/2)^2}, i.e. x - 2 and x^2 + x - 1 twice
     assert certified_factors(_cycle(5)) == ((2, 1), (-1, -1, 2))
     # icosahedron: {5, -1^5, (+-sqrt5)^3}
     A = np.asarray(icosahedron().adjacency, dtype=np.int64)
     assert certified_factors(A) == ((-1, 5), (5, 1), (0, -5, 3))
+    # the factor order of a proposal does not matter
+    assert _certify_proposal(monkeypatch, _cycle(6), tuple(reversed(_C6_KEY))) is not None
 
 
-def test_certified_factors_rejects_wrong_proposals():
+def test_certified_factors_rejects_wrong_proposals(monkeypatch):
     C6 = _cycle(6)
+
+    def certify(proposal):
+        return _certify_proposal(monkeypatch, C6, proposal)
+
     # a shifted root: 2 -> 3
-    assert certified_factors(C6, ((-2, 1), (-1, 2), (1, 2), (3, 1))) is None
+    assert certify(((-2, 1), (-1, 2), (1, 2), (3, 1))) is None
     # a wrong multiplicity with the right size: only the power traces see it
-    assert certified_factors(C6, ((-2, 1), (-1, 3), (1, 1), (2, 1))) is None
+    assert certify(((-2, 1), (-1, 3), (1, 1), (2, 1))) is None
     # dropped factors x - 1, x + 1, their multiplicity moved to +-2: the traces
     # for j < d = 2 still match, only prod f_i(C6) = C6^2 - 4I != 0 sees it
-    assert certified_factors(C6, ((-2, 3), (2, 3))) is None
-    # malformed proposals: repeated, reducible or complex quadratic factors,
-    # non-positive multiplicities
-    assert certified_factors(C6, _C6_KEY + ((2, 1),)) is None
-    assert certified_factors(C6, ((-2, 1), (0, -1, 2), (2, 1))) is None
-    assert certified_factors(C6, ((-2, 1), (0, 1, 2), (2, 1))) is None
-    assert certified_factors(C6, ((-2, 1), (-1, 2), (1, 2), (2, 1), (0, 0))) is None
+    assert certify(((-2, 3), (2, 3))) is None
+    # a repeated factor, a reducible and a complex quadratic
+    assert certify(_C6_KEY + ((2, 1),)) is None
+    assert certify(((-2, 1), (0, -1, 2), (2, 1))) is None
+    assert certify(((-2, 1), (0, 1, 2), (2, 1))) is None
 
 
-def test_certified_multiplicities_need_d_trace_equations():
+def test_certified_multiplicities_need_d_trace_equations(monkeypatch):
     # P3 + P3: {0^2, (+-sqrt2)^2}.  With one equation per factor (j = 0, 1)
     # the j = 1 row of x and x^2 - 2 is (0, 0), so {0^4, (+-sqrt2)^1} would
     # pass; tr(B^2) = 8 (j = 2 < d = 3) rules it out.
@@ -284,15 +294,18 @@ def test_certified_multiplicities_need_d_trace_equations():
     B = np.block([[P3, np.zeros((3, 3), dtype=np.int64)],
                   [np.zeros((3, 3), dtype=np.int64), P3]])
     assert certified_factors(B) == ((0, 2), (0, -2, 2))
-    assert certified_factors(B, ((0, 4), (0, -2, 1))) is None
+    assert _certify_proposal(monkeypatch, B, ((0, 4), (0, -2, 1))) is None
 
 
-def test_certified_factors_decline_cubic_and_large_entries():
+def test_certified_factors_decline_cubic_and_large_entries(monkeypatch):
     # C7 has the cubic x^3 + x^2 - 2x - 1: no proposal pairs its clusters
     assert certified_factors(_cycle(7)) is None
+    # object-dtype (large-entry) matrices get no float proposal, but the
+    # integer checks still certify a right one exactly
     big = np.diag([10**6, -(10**6), 3]).astype(object)
     assert certified_factors(big) is None
-    assert certified_factors(big, ((-(10**6), 1), (3, 1), (10**6, 1))) is not None
+    assert _certify_proposal(monkeypatch, big,
+                             ((-(10**6), 1), (3, 1), (10**6, 1))) is not None
 
 
 def test_icosahedron_distance_matrices_partition(ico=None):
