@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -80,6 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path):
+    """load_graph without its disconnection warning: every command that loads a
+    graph file needs a connected graph and reports one as an analysis error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return load_graph(path)
+
+
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
@@ -102,7 +111,7 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        g = load_graph(args.graph)
+        g = _load(args.graph)
     except _LOAD_ERRORS as e:
         return _fail(EXIT_USAGE, f"error: {e}")
     if args.all_vertices and g.n > _SLOW_GATE and not args.slow:
@@ -128,7 +137,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_pvt(args) -> int:
     try:
-        g = load_graph(args.graph)
+        g = _load(args.graph)
     except _LOAD_ERRORS as e:
         return _fail(EXIT_USAGE, f"error: {e}")
     try:
@@ -145,7 +154,7 @@ def cmd_pvt(args) -> int:
 
 def cmd_tiso(args) -> int:
     try:
-        g1, g2 = load_graph(args.graph1), load_graph(args.graph2)
+        g1, g2 = _load(args.graph1), _load(args.graph2)
     except _LOAD_ERRORS as e:
         return _fail(EXIT_USAGE, f"error: {e}")
     try:

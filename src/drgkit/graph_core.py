@@ -1,9 +1,14 @@
 """Graph representation, validation, distances, and file I/O.
 
 Graphs are simple, undirected, 0/1, with 0-based integer vertex labels and a
-dense adjacency matrix (everything in scope has n <= 256).  Loading and family
-construction reject graphs above MAX_VERTICES before allocating the matrix.
-Instances are immutable after construction and safe to share across workers.
+dense adjacency matrix.  Loading and family construction reject graphs above
+MAX_VERTICES = 4096 before allocating the matrix.  Instances are immutable after
+construction and safe to share across workers.
+
+Connectivity and distances expand level by level from all sources at once; a
+level is one product of 0/1 matrices in float32.  Each entry of such a product
+counts vertices, so it is at most n <= MAX_VERTICES < 2**24 and float32 holds
+it exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ __all__ = [
 
 
 MAX_VERTICES = 4096
+# the float32 products of 0/1 matrices are exact only while n < 2**24
+assert MAX_VERTICES < 2 ** 24
 
 
 class GraphError(ValueError):
@@ -72,20 +79,15 @@ class Graph:
         object.__setattr__(self, "connected", self._check_connected())
 
     def _check_connected(self) -> bool:
-        n = self.n
-        if n == 0:
+        """Expand from vertex 0, one boolean vector per level."""
+        if self.n == 0:
             return False
-        seen = np.zeros(n, dtype=bool)
+        seen = np.zeros(self.n, dtype=bool)
         seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(self.adjacency[u])[0]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(int(v))
-            frontier = nxt
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = self.adjacency[frontier].any(axis=0) & ~seen
+            seen |= frontier
         return bool(seen.all())
 
     @property
@@ -119,11 +121,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """BFS-exact distance structure: diameter, distance matrix, distance matrices A_i."""
+    """Exact distance structure: the diameter D and the n x n distance matrix."""
 
     D: int
     dist: np.ndarray
-    A: list[np.ndarray]
+
+    @property
+    def A(self) -> list[np.ndarray]:
+        """The distance matrices A_0..A_D as int64 0/1 arrays, built on each access."""
+        return [(self.dist == i).astype(np.int64) for i in range(self.D + 1)]
 
     def classes_from(self, x: int, i: int) -> np.ndarray:
         """Vertices at distance i from x, in increasing label order."""
@@ -131,30 +137,29 @@ class DistanceData:
 
 
 def distances(g: Graph) -> DistanceData:
-    """All-pairs BFS distances plus the distance matrices A_0..A_D."""
+    """All-pairs distances by one level-synchronous expansion from every source.
+
+    Row s of frontier is the indicator of the vertices at distance d from s;
+    the vertices at distance d + 1 are (frontier @ A > 0) & (dist < 0).  So the
+    whole matrix takes D + 1 float32 products, each exact (see the module
+    docstring), and the loop stops at the first empty level.
+    """
     g.require_connected()
-    n = g.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    nbrs = [g.neighbors(u) for u in range(n)]
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if dist[s, v] < 0:
-                        dist[s, v] = d
-                        nxt.append(int(v))
-            frontier = nxt
-    D = int(dist.max())
-    A = [(dist == i).astype(np.int64) for i in range(D + 1)]
+    require_size("graph", g.n)
+    adj = g.adjacency.astype(np.float32)
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(g.n, dtype=np.float32)
+    D = 0
+    while True:
+        reach = (frontier @ adj > 0) & (dist < 0)
+        if not reach.any():
+            break
+        D += 1
+        dist[reach] = D
+        frontier = reach.astype(np.float32)
     dist.setflags(write=False)
-    for m in A:
-        m.setflags(write=False)
-    return DistanceData(D=D, dist=dist, A=A)
+    return DistanceData(D=D, dist=dist)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

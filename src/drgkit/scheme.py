@@ -1,25 +1,27 @@
 """Distance-regularity, intersection numbers, eigenvalues and multiplicities,
 Krein parameters, Q-polynomial orderings, antipodality, and the tightness bound.
 
-Only verify_drg (and antipodality) looks at the n x n graph.  Everything else
-is computed from the intersection array: the eigenvalues are the roots of the
-(D+1) x (D+1) tridiagonal intersection matrix, so exactness is a root-finding
-problem on a quintic at worst; the multiplicities, the idempotent profiles and
-the Krein parameters follow from the cosine sequences.  Roots must lie in Q or
-a single quadratic field, otherwise the spectrum is flagged as float fallback.
+Only verify_drg (and antipodality) looks at the n x n graph.  verify_drg
+multiplies 0/1 class indicators in float32, which is exact because every entry
+counts at most n <= MAX_VERTICES < 2**24 vertices.  Everything else is computed
+from the intersection array: the eigenvalues are the roots of the (D+1) x (D+1)
+tridiagonal intersection matrix, so exactness is a root-finding problem on a
+quintic at worst; the multiplicities (Biggs' formula) and the Krein parameters
+(a closed form, BCN Sect. 2.3) follow from the cosine sequences.  Roots must
+lie in Q or a single quadratic field, otherwise the spectrum is flagged as
+float fallback.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .exactla import AlgebraicScalar, charpoly_int, eigenvalues_from_charpoly
-from .graph_core import DistanceData, Graph, GraphError, distances
+from .graph_core import DistanceData, Graph, GraphError, distances, require_size
 
 __all__ = [
     "DrgParameters",
@@ -78,27 +80,32 @@ def verify_drg(g: Graph, dd: Optional[DistanceData] = None) -> DrgParameters:
 
     Uses the algebraic identity A_i A_j = sum_h p^h_ij A_h: the (x, y) entry of
     A_i A_j counts |G_i(x) n G_j(y)|, so constancy on each distance class is
-    exactly distance-regularity.
+    exactly distance-regularity.  The class indicators are built from dist as
+    they are needed and multiplied in float32, exactly (see the module
+    docstring).  Every pair is compared with the first pair of its class in
+    row-major order; the first pair that differs is the witness.
     """
     g.require_connected()
+    require_size("graph", g.n)
     dd = dd or distances(g)
-    D, n = dd.D, g.n
+    D, n, dist = dd.D, g.n, dd.dist
     if D == 0:
         raise GraphError("diameter", "a single vertex has diameter 0; "
                          "distance-regular analysis needs diameter >= 1")
-    masks = [dd.A[h] == 1 for h in range(D + 1)]
+    first = [int(np.argmax(dist.ravel() == h)) for h in range(D + 1)]
     p = [[[0] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
     for i in range(D + 1):
+        Ai = (dist == i).astype(np.float32)
         for j in range(i, D + 1):
-            prod = dd.A[i] @ dd.A[j]
+            prod = Ai @ (dist == j).astype(np.float32)
+            v = prod.ravel()[first]
+            bad = prod != v[dist]
+            if bad.any():
+                h = int(dist[bad].min())
+                x, y = (int(t) for t in np.argwhere(bad & (dist == h))[0])
+                raise NotDistanceRegularError(h, i, j, x, y)
             for h in range(D + 1):
-                vals = prod[masks[h]]
-                v0 = int(vals[0])
-                if (vals != v0).any():
-                    flat = np.nonzero(masks[h] & (prod != v0))
-                    x, y = int(flat[0][0]), int(flat[1][0])
-                    raise NotDistanceRegularError(h, i, j, x, y)
-                p[h][i][j] = p[h][j][i] = v0
+                p[h][i][j] = p[h][j][i] = int(v[h])
     k = p[0][1][1]
     b = tuple(p[i][1][i + 1] for i in range(D))
     c = tuple(p[i][1][i - 1] for i in range(1, D + 1))
@@ -206,77 +213,47 @@ class KreinData:
     qpoly_orderings: tuple[tuple[int, ...], ...]
 
 
-def _solve_linear(mat, rhs):
-    """Solve a small dense system over AlgebraicScalar by Gaussian elimination."""
-    n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c].sign() != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        M[c], M[piv] = M[piv], M[c]
-        inv = M[c][c].inverse()
-        M[c] = [v * inv for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c].sign() != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [M[i][n] for i in range(n)]
-
-
-def idempotent_profiles(ed: EigenData, params: DrgParameters) -> list[list[AlgebraicScalar]]:
-    """prof[h][i] = the constant value of E_i on the distance-h class.
-
-    E_i = (m_i / n) * sum_h u_h(theta_i) A_h with the cosine sequence u of
-    cosine_sequence.
-    """
-    D, n = params.D, params.n
-    prof = [[None] * (D + 1) for _ in range(D + 1)]
-    for i in range(D + 1):
-        u = cosine_sequence(ed.theta[i], params)
-        scale = AlgebraicScalar(Fraction(ed.mult[i], n))
-        for h in range(D + 1):
-            prof[h][i] = scale * u[h]
-    return prof
-
-
-def _qpoly_pattern_holds(val: AlgebraicScalar, h: int, i: int, j: int) -> bool:
+def _qpoly_pattern_holds(nonzero: bool, h: int, i: int, j: int) -> bool:
     """Q-polynomial shape of q^h_ij: zero when the largest of h, i, j exceeds
     the sum of the other two, nonzero when it equals that sum."""
     hi = max(h, i, j)
     rest = h + i + j - hi
     if hi > rest:
-        return val.sign() == 0
-    return hi < rest or val.sign() != 0
+        return not nonzero
+    return hi < rest or nonzero
 
 
 def krein(ed: EigenData, params: DrgParameters) -> KreinData:
-    """Krein parameters from the entrywise products of the idempotents.
+    """Krein parameters in closed form on the cosine sequences.
 
-    Each E_i is constant on the distance classes, so it is determined by its
-    profile vector over h = 0..D; the q^h_ij are read off by solving one
-    (D+1)-dimensional linear system per pair (i, j), exactly.
+    E_i o E_j = (1/n) sum_h q^h_ij E_h with q^h_ij = (m_i m_j / n) sum_l k_l
+    u_l(theta_i) u_l(theta_j) u_l(theta_h) (Brouwer-Cohen-Neumaier,
+    Distance-Regular Graphs, Sect. 2.3), with u the cosine sequences that
+    multiplicity uses too.  The sum is symmetric in i, j, h, so it is
+    computed once per multiset {i, j, h}.  A Q-polynomial ordering needs only
+    which q^h_ij vanish, so the orderings are read off that pattern.
     """
     if not ed.exact:
         raise ValueError("Krein parameters need exact eigen data")
     D, n = params.D, params.n
-    prof = idempotent_profiles(ed, params)
-    zero = AlgebraicScalar(0)
-    q = [[[zero] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
-    nn = AlgebraicScalar(n)
+    u = [cosine_sequence(t, params) for t in ed.theta]
+    q = [[[None] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
+    for i, j in itertools.combinations_with_replacement(range(D + 1), 2):
+        w = [k * x * y for k, x, y in zip(params.k_i, u[i], u[j])]
+        for h in range(j, D + 1):
+            total = sum(x * y for x, y in zip(w, u[h])) / n
+            for a, b, c in set(itertools.permutations((i, j, h))):
+                q[c][a][b] = total * (ed.mult[a] * ed.mult[b])
     for i in range(D + 1):
         for j in range(i, D + 1):
-            rhs = [prof[h][i] * prof[h][j] for h in range(D + 1)]
-            coef = _solve_linear([row[:] for row in prof], rhs)
             for h in range(D + 1):
-                val = coef[h] * nn
-                if val.sign() < 0:
-                    raise ValueError(f"negative Krein parameter q^{h}_{{{i}{j}}} = {val}")
-                q[h][i][j] = q[h][j][i] = val
+                if q[h][i][j].sign() < 0:
+                    raise ValueError(f"negative Krein parameter q^{h}_{{{i}{j}}} = {q[h][i][j]}")
+    nonzero = [[[v.sign() != 0 for v in r] for r in m] for m in q]
     orderings = []
     for perm in itertools.permutations(range(1, D + 1)):
         order = (0,) + perm
-        if all(_qpoly_pattern_holds(q[order[h]][order[i]][order[j]], h, i, j)
+        if all(_qpoly_pattern_holds(nonzero[order[h]][order[i]][order[j]], h, i, j)
                for h, i, j in itertools.product(range(D + 1), repeat=3)):
             orderings.append(order)
     return KreinData(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from drgkit.families import (
 )
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
+from drgkit.scheme import cosine_sequence
 from drgkit.spectra import SrgParams, effective_multiplicities
 from drgkit.tmodules import decompose_srg, dimension_sequence
 
@@ -87,6 +89,22 @@ def _local_duality_check(s1, s2, p: SrgParams) -> bool:
     shift = AlgebraicScalar(p.a - p.c)
     mapped = {shift - v: m for v, m in loc1.items()}
     return mapped == loc2
+
+
+def idempotent_profiles(ed, params) -> list[list[AlgebraicScalar]]:
+    """prof[h][i] = the constant value of E_i on the distance-h class.
+
+    E_i = (m_i / n) * sum_h u_h(theta_i) A_h with the cosine sequence u of
+    cosine_sequence.  A test oracle: the idempotents written out entrywise.
+    """
+    D, n = params.D, params.n
+    prof = [[None] * (D + 1) for _ in range(D + 1)]
+    for i in range(D + 1):
+        u = cosine_sequence(ed.theta[i], params)
+        scale = AlgebraicScalar(Fraction(ed.mult[i], n))
+        for h in range(D + 1):
+            prof[h][i] = scale * u[h]
+    return prof
 
 
 @pytest.fixture(scope="session")

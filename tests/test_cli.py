@@ -2,13 +2,16 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import drgkit
 from drgkit.cli import main
 
 
@@ -52,6 +55,20 @@ def test_construct_oversized_family_exits_quickly(tmp_path):
     assert code in (1, 2)
     assert time.perf_counter() - t0 < 5
     assert not (tmp_path / "x.json").exists()
+
+
+def test_disconnected_file_is_one_analysis_error_line(tmp_path):
+    # a fresh interpreter, so that Python's default warning filter applies
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(drgkit.__file__).resolve().parents[1])
+    for argv in (["analyze", str(path)], ["pvt", str(path)], ["tiso", str(path), str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "drgkit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr == "analysis error: disconnected: graph on 4 vertices\n", argv
 
 
 def test_usage_error_exit_code():
@@ -277,7 +294,5 @@ def test_cli_exit_contract_on_generated_files(text1, text2):
             ["pvt", str(f1)],
             ["tiso", str(f1), str(f2)],
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # disconnected graphs only warn on load
-            for argv in argvs:
-                assert run(argv) in (0, 1, 2, 3), argv
+        for argv in argvs:
+            assert run(argv) in (0, 1, 2, 3), argv

@@ -4,8 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drgkit.families import icosahedron, johnson, shrikhande
+from drgkit.families import (
+    chang,
+    complete_bipartite,
+    halved_cube,
+    hamming,
+    icosahedron,
+    johnson,
+    rook_grid,
+    shrikhande,
+    triangular_complement,
+)
 from drgkit.graph_core import (
     Graph,
     GraphError,
@@ -98,6 +110,96 @@ def test_shrikhande_round_trip(tmp_path):
     g2 = load_graph(path)
     assert g2.n == 16 and g2.is_regular() == 6
     assert (g2.adjacency == g.adjacency).all()
+
+
+def _bfs_distances(g):
+    """Test oracle: one breadth-first search per source vertex; dist is -1
+    between components."""
+    n = g.n
+    dist = np.full((n, n), -1, dtype=np.int64)
+    nbrs = [g.neighbors(u) for u in range(n)]
+    for s in range(n):
+        dist[s, s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if dist[s, v] < 0:
+                        dist[s, v] = d
+                        nxt.append(int(v))
+            frontier = nxt
+    return int(dist.max()), dist
+
+
+def _assert_distances_match_bfs(g):
+    D, dist = _bfs_distances(g)
+    dd = distances(g)
+    assert dd.D == D, g
+    assert dd.dist.dtype == np.int64 and (dd.dist == dist).all(), g
+
+
+def _path(n):
+    adj = np.zeros((n, n), dtype=int)
+    for i in range(n - 1):
+        adj[i, i + 1] = adj[i + 1, i] = 1
+    return Graph(adj)
+
+
+def _cycle(n):
+    adj = _path(n).adjacency.astype(int)
+    adj[0, n - 1] = adj[n - 1, 0] = 1
+    return Graph(adj)
+
+
+def test_distances_match_bfs_on_family_corpus():
+    corpus = [shrikhande(), icosahedron(), johnson(8, 2), johnson(6, 3), johnson(8, 4),
+              johnson(7, 3), halved_cube(8), hamming(3, 3), hamming(4, 2), rook_grid(4),
+              triangular_complement(6), complete_bipartite(3), chang(1), chang(2), chang(3)]
+    for g in corpus:
+        _assert_distances_match_bfs(g)
+
+
+def test_distances_long_diameter():
+    # the level loop must run far past the diameters of the corpus (D <= 4)
+    for g, D in ((_path(40), 39), (_cycle(41), 20), (_cycle(40), 20), (_path(1), 0)):
+        _assert_distances_match_bfs(g)
+        assert distances(g).D == D
+
+
+def _random_graph(n, edges, tree):
+    adj = np.zeros((n, n), dtype=int)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = int(u != v)
+    for v, parent in enumerate(tree, 1):  # a spanning tree: v joins an earlier vertex
+        adj[parent % v, v] = adj[v, parent % v] = 1
+    return Graph(adj)
+
+
+# a vertex count with up to 3n random edges: sparse enough for long diameters
+_random_graphs = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+))
+
+
+@given(_random_graphs, st.lists(st.integers(0, 10 ** 6), min_size=29, max_size=29))
+@settings(max_examples=60, deadline=None)
+def test_distances_match_bfs_on_random_connected_graphs(graph, parents):
+    n, edges = graph
+    g = _random_graph(n, edges, parents[: n - 1])
+    assert g.connected
+    _assert_distances_match_bfs(g)
+
+
+@given(_random_graphs)
+@settings(max_examples=60, deadline=None)
+def test_connected_matches_bfs(graph):
+    n, edges = graph
+    g = _random_graph(n, edges, ())
+    assert g.connected == bool((_bfs_distances(g)[1][0] >= 0).all())
 
 
 def test_distances_complete_graph():

@@ -1,13 +1,18 @@
 """Distance-regularity, eigen data, Krein parameters, antipodality, tightness."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
+from conftest import idempotent_profiles
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import (
+    chang,
+    halved_cube,
     hamming,
     icosahedron,
     johnson,
@@ -18,7 +23,6 @@ from drgkit.scheme import (
     NotDistanceRegularError,
     antipodality,
     eigen_data,
-    idempotent_profiles,
     intersection_matrix,
     krein,
     multiplicity,
@@ -46,6 +50,31 @@ def test_path_not_distance_regular():
     with pytest.raises(NotDistanceRegularError) as e:
         verify_drg(p3)
     assert len(e.value.witness) == 5
+
+
+def test_verify_drg_witness_on_triangular_prism():
+    # C3 x K2 is 3-regular but not distance-regular: the two ends of a
+    # triangle edge have a common neighbour, the two ends of a rung have none
+    adj = np.zeros((6, 6), dtype=int)
+    for u, v in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]:
+        adj[u, v] = adj[v, u] = 1
+    g = Graph(adj)
+    assert g.is_regular() == 3
+    with pytest.raises(NotDistanceRegularError) as e:
+        verify_drg(g)
+    h, i, j, x, y = e.value.witness
+    # brute force: Floyd-Warshall distances and the counts |G_i(x) n G_j(y)|
+    dist = np.where(adj == 1, 1, 99)
+    np.fill_diagonal(dist, 0)
+    for w in range(6):
+        dist = np.minimum(dist, dist[:, [w]] + dist[[w], :])
+
+    def count(u, v):
+        return sum(1 for w in range(6) if dist[u, w] == i and dist[v, w] == j)
+
+    x0, y0 = next((u, v) for u in range(6) for v in range(6) if dist[u, v] == h)
+    assert dist[x, y] == h
+    assert count(x, y) != count(x0, y0)
 
 
 def test_class_size_identity():
@@ -149,6 +178,51 @@ def test_multiplicities_reject_wrong_theta():
             multiplicity(ed.theta[1] + 1, params)
         with pytest.raises(ValueError):
             multiplicity(ed.theta[1].to_float() + 0.5, params)
+
+
+def _krein_oracle(ed, params):
+    """Test oracle, the elimination route: E_i o E_j = sum_h c_h E_h solved
+    exactly over Q or Q(sqrt d) on the idempotent profiles; q^h_ij = n c_h.
+    Returns q[h, i, j] and the Q-polynomial orderings of its zero pattern."""
+    D, n = params.D, params.n
+    prof = idempotent_profiles(ed, params)
+    P = sympy.Matrix(D + 1, D + 1, lambda h, i: _sym(prof[h][i]))
+    pairs = list(itertools.product(range(D + 1), repeat=2))
+    R = sympy.Matrix(D + 1, len(pairs), lambda h, c: P[h, pairs[c][0]] * P[h, pairs[c][1]])
+    M = DomainMatrix.from_Matrix(P.row_join(R), extension=True)
+    rows = list(range(D + 1))
+    C = M.extract(rows, rows).lu_solve(M.extract(rows, range(D + 1, M.shape[1])))
+    C = C.to_Matrix()
+    q = {(h, i, j): sympy.expand(n * C[h, c])
+         for c, (i, j) in enumerate(pairs) for h in range(D + 1)}
+    orderings = []
+    for perm in itertools.permutations(range(1, D + 1)):
+        order = (0,) + perm
+        good = True
+        for h, i, j in itertools.product(range(D + 1), repeat=3):
+            top = max(h, i, j)
+            zero = q[order[h], order[i], order[j]] == 0
+            if (top > h + i + j - top and not zero) or (top == h + i + j - top and zero):
+                good = False
+        if good:
+            orderings.append(order)
+    return q, tuple(orderings)
+
+
+@pytest.mark.parametrize("build", [shrikhande, icosahedron, lambda: johnson(8, 4),
+                                   lambda: johnson(7, 3), lambda: halved_cube(8),
+                                   lambda: hamming(3, 3), lambda: chang(3)],
+                         ids=["Shrikhande", "icosahedron", "J(8,4)", "J(7,3)", "halved-8-cube",
+                              "H(3,3)", "Chang-3"])
+def test_krein_matches_elimination_oracle(build):
+    g = build()
+    params = verify_drg(g)
+    ed = eigen_data(g, params)
+    kd = krein(ed, params)
+    q, orderings = _krein_oracle(ed, params)
+    for (h, i, j), value in q.items():
+        assert sympy.expand(value - _sym(kd.q[h][i][j])) == 0, (g.label, h, i, j)
+    assert kd.qpoly_orderings == orderings
 
 
 def test_krein_srg_natural_ordering():

@@ -7,13 +7,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import idempotent_profiles
 from drgkit.exactla import ExactSpan, _imatmul, charpoly_int, eigenvalues_from_charpoly
 from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import distances
 from drgkit.scheme import (
     antipodality,
     eigen_data,
-    idempotent_profiles,
     intersection_matrix,
     krein,
     verify_drg,
