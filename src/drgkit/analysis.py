@@ -12,7 +12,10 @@ classes in their canonical order, exact scalars rendered as canonical strings.
 One report builds one context.GraphContext and passes it to every layer, the
 pvt verdict included, so each distance table, local spectrum, factored
 characteristic polynomial and closure dimension is computed once per report.
-The memos live on that context only: nothing carries over to the next report.
+The eigen data and the classification route are read from the context's
+memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
+decided once per report, and the decompositions take its parameters.  The
+memos live on that context only: nothing carries over to the next report.
 """
 
 from __future__ import annotations
@@ -25,15 +28,13 @@ from .context import GraphContext
 from .exactla import AlgebraicScalar
 from .graph_core import Graph
 from .pvt import check_pvt
-from .scheme import antipodality, eigen_data, krein, tightness
-from .spectra import SrgParams, Spectrum, second_subconstituent_derived
+from .scheme import antipodality, krein, tightness
+from .spectra import Spectrum, second_subconstituent_derived
 from .tmodules import (
-    at4_parameters,
     decompose_at4,
     decompose_srg,
     decompose_taylor,
     dimension_sequence,
-    taylor_parameters,
     wedderburn_dim,
 )
 
@@ -79,7 +80,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
             raise AnalysisError(f"base vertex {v} out of range")
     ctx = GraphContext.of(g)
     params = ctx.params
-    ed = eigen_data(g, params, ctx.dd)
+    ed = ctx.eigen
     float_flags = []
     if not ed.exact:
         if not allow_float:
@@ -122,23 +123,13 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         "witness": verdict.witness,
         "detail": verdict.detail,
     }
-    route = None
-    srg_params = None
-    if params.D == 2:
-        route = "srg"
-        srg_params = SrgParams.from_drg(params)
-        graph_section["classification"] = {"type": "srg",
-                                           "parameters": list(srg_params.tuple())}
-    elif taylor_parameters(params) is not None and not ctx.bipartite:
-        route = "taylor"
-        k, b = taylor_parameters(params)
-        graph_section["classification"] = {"type": "taylor", "parameters": [k, b]}
-    elif at4_parameters(params) is not None:
-        route = "at4"
-        p, q = at4_parameters(params)
-        graph_section["classification"] = {"type": "at4", "parameters": [p, q, 2]}
-    else:
-        graph_section["classification"] = None
+    route, route_params = ctx.route or (None, None)
+    graph_section["classification"] = None
+    if route is not None:
+        parameters = list(route_params.tuple() if route == "srg" else route_params)
+        if route == "at4":
+            parameters.append(2)  # AT4(p, q, 2)
+        graph_section["classification"] = {"type": route, "parameters": parameters}
 
     vertex_records = []
     decomposition_flags: set[str] = set()
@@ -157,21 +148,19 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         record["dim_T"] = dim_t
         md = None
         if route == "srg" and exact_ok:
-            md = decompose_srg(ctx, x, srg_params)
-            derived = second_subconstituent_derived(specs[0], srg_params)
+            md = decompose_srg(ctx, x, route_params)
+            derived = second_subconstituent_derived(specs[0], route_params)
             if derived.pairs != specs[1].pairs:
                 raise AnalysisError(
                     f"derived second-subconstituent spectrum {derived} differs "
                     f"from the computed one {specs[1]} at vertex {x}"
                 )
-            ds = dimension_sequence(md, srg_params, specs[1])
+            ds = dimension_sequence(md, route_params, specs[1])
             record["dimension_sequence"] = list(ds.tuple())
         elif route == "taylor":
-            k, b = taylor_parameters(params)
-            md = decompose_taylor(ctx, x, k, b)
+            md = decompose_taylor(ctx, x, *route_params)
         elif route == "at4":
-            p, q = at4_parameters(params)
-            md = decompose_at4(ctx, x, p, q)
+            md = decompose_at4(ctx, x, *route_params)
         if md is not None:
             wd = wedderburn_dim(md)
             if wd != dim_t:

@@ -1,9 +1,18 @@
 """One graph's shared data and memos, for the length of one command.
 
-A GraphContext holds what every layer asks of a graph: its distance data, its
-distance-regular parameters and its bipartiteness, each computed once when the
-context is built.  It also memoizes the per-vertex results that analysis, pvt,
-tmodules and tables ask for more than once:
+A GraphContext holds what every layer asks of a graph.  Its distance data and
+distance-regular parameters are computed when the context is built.  Two more
+graph-level values are computed on first access and kept:
+
+* eigen: the scheme.EigenData of the intersection array.  Only analysis and
+  the tables read it; pvt and tiso never do, so a verdict never computes it;
+* route: which classification theorem applies, decided here and nowhere else:
+  ("srg", SrgParams) for diameter 2, ("taylor", (k, b)) for a Taylor array,
+  ("at4", (p, q)) for an AT4(p, q, 2) array, or None.  analysis, pvt and
+  tables read it instead of deciding again.
+
+It also memoizes the per-vertex results that analysis, pvt, tmodules and
+tables ask for more than once:
 
 * subconstituent spectra, keyed by (x, i);
 * the finished Spectrum of each distinct factor key: ((r, m), ..., (s, p, m),
@@ -26,11 +35,19 @@ independent computations of dim T(x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cached_property
+from typing import Optional, Union
 
 from .graph_core import DistanceData, Graph, distances
-from .scheme import DrgParameters, verify_drg
-from .spectra import FLOAT_REFUSED, Spectrum, subconstituent_spectrum
+from .scheme import (
+    DrgParameters,
+    EigenData,
+    at4_parameters,
+    eigen_data,
+    taylor_parameters,
+    verify_drg,
+)
+from .spectra import FLOAT_REFUSED, Spectrum, SrgParams, subconstituent_spectrum
 from .terwilliger import terwilliger_dimension
 
 __all__ = ["GraphContext"]
@@ -43,9 +60,6 @@ class GraphContext:
     graph: Graph
     dd: DistanceData
     params: DrgParameters
-    # a distance-regular graph is bipartite iff every a_i is 0: with no edge
-    # inside a distance class from vertex 0, distance parity 2-colours it
-    bipartite: bool
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
     _by_key: dict = field(default_factory=dict, init=False, repr=False)
     _dims: dict = field(default_factory=dict, init=False, repr=False)
@@ -56,8 +70,29 @@ class GraphContext:
         if isinstance(g, cls):
             return g
         dd = distances(g)
-        params = verify_drg(g, dd)
-        return cls(graph=g, dd=dd, params=params, bipartite=not any(params.a))
+        return cls(graph=g, dd=dd, params=verify_drg(g, dd))
+
+    @cached_property
+    def eigen(self) -> EigenData:
+        """Eigenvalues and multiplicities from the intersection array."""
+        return eigen_data(self.graph, self.params, self.dd)
+
+    @cached_property
+    def route(self) -> Optional[tuple]:
+        """The classification route: ("srg", SrgParams), ("taylor", (k, b)),
+        ("at4", (p, q)) or None.
+
+        Neither Taylor nor AT4 arrays are bipartite (a_1 = k - b - 1 >= 1 and
+        a_1 = p(q + 1) >= 2), so bipartiteness never enters the decision.
+        """
+        params = self.params
+        if params.D == 2:
+            return "srg", SrgParams.from_drg(params)
+        if (kb := taylor_parameters(params)) is not None:
+            return "taylor", kb
+        if (pq := at4_parameters(params)) is not None:
+            return "at4", pq
+        return None
 
     def subconstituent_spectrum(self, x: int, i: int, allow_float: bool = True) -> Spectrum:
         """Spectrum of the distance-i class of x, computed once per (x, i).

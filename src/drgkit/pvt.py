@@ -6,10 +6,12 @@ classification for diameter 4 antipodal tight covers.  Everything else gets
 at most 'necessary_conditions_pass' (equal subconstituent spectra for every
 distance class plus a constant Terwilliger dimension), never 'pvt'.
 
-Both verdicts read their distances, parameters, bipartiteness, local spectra
-and closure dimensions from a context.GraphContext, which memoizes them for
-one command.  analyze_graph hands its own context to check_pvt, so the
-per-vertex report reuses the spectra and closures the verdict computed.
+Both verdicts read their distances, parameters, local spectra and closure
+dimensions from a context.GraphContext, which memoizes them for one command.
+check_pvt takes its route from the memoized GraphContext.route; it never
+reads the eigen data, nor bipartiteness (no Taylor or AT4 array is
+bipartite).  analyze_graph hands its own context to check_pvt, so the
+per-vertex report reuses the route, spectra and closures the verdict computed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Optional, Union
 from .context import GraphContext
 from .graph_core import Graph
 from .spectra import SrgParams, Spectrum, cospectral
-from .tmodules import at4_parameters, taylor_parameters
 
 __all__ = ["PvtVerdict", "TIsoResult", "check_pvt", "t_isomorphic_srg", "gq_dim"]
 
@@ -54,13 +55,14 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
     """Decide pseudo-vertex-transitivity where a theorem applies.
 
     Diameter 2: all local spectra equal <=> pvt.  Taylor arrays
-    {k,b,1;1,b,k} with b < k-1, non-bipartite: pvt.  AT4(p,q,2) arrays: pvt.
+    {k,b,1;1,b,k} with 0 < b < k-1: pvt.  AT4(p,q,2) arrays: pvt.
     Otherwise: report whether the necessary conditions (equal subconstituent
     spectra for every i, constant dim T(x)) hold.
     """
     ctx = GraphContext.of(g)
     params = ctx.params
-    if params.D == 2:
+    route, route_params = ctx.route or (None, None)
+    if route == "srg":
         base = ctx.subconstituent_spectrum(0, 1)
         for x in range(1, params.n):
             spec = ctx.subconstituent_spectrum(x, 1)
@@ -75,16 +77,12 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
                 )
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_SRG,
                           detail="all local spectra equal")
-    tp = taylor_parameters(params)
-    if tp is not None and not ctx.bipartite:
-        k, b = tp
+    if route == "taylor":
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_TAYLOR,
-                          detail=f"Taylor graph with (k, b) = ({k}, {b})")
-    at4 = at4_parameters(params)
-    if at4 is not None and not ctx.bipartite:
-        p, q = at4
+                          detail=f"Taylor graph with (k, b) = {route_params}")
+    if route == "at4":
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_AT4,
-                          detail=f"antipodal tight cover with (p, q) = ({p}, {q})")
+                          detail=f"antipodal tight cover with (p, q) = {route_params}")
     # generic necessary conditions
     base_specs = [ctx.subconstituent_spectrum(0, i) for i in range(1, params.D + 1)]
     for x in range(1, params.n):

@@ -1,5 +1,6 @@
 """Distance-regularity, intersection numbers, eigenvalues and multiplicities,
-Krein parameters, Q-polynomial orderings, antipodality, and the tightness bound.
+Krein parameters, Q-polynomial orderings, antipodality, the tightness bound, and
+recognition of the Taylor and AT4(p, q, 2) intersection arrays.
 
 Only verify_drg (and antipodality) looks at the n x n graph.  verify_drg
 multiplies 0/1 class indicators in float32, which is exact because every entry
@@ -35,6 +36,9 @@ __all__ = [
     "krein",
     "antipodality",
     "tightness",
+    "taylor_parameters",
+    "at4_intersection_array",
+    "at4_parameters",
 ]
 
 
@@ -323,3 +327,43 @@ def tightness(params: DrgParameters, ed: EigenData) -> TightnessResult:
         b_plus=b_plus,
         b_minus=b_minus,
     )
+
+
+def taylor_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
+    """(k, b) when the intersection array has the shape {k,b,1; 1,b,k} with
+    b < k - 1, else None."""
+    if params.D != 3:
+        return None
+    k = params.k
+    b = params.b[1]
+    if params.b != (k, b, 1) or params.c != (1, b, k) or not 0 < b < k - 1:
+        return None
+    return k, b
+
+
+def at4_intersection_array(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(b_0..b_3, c_1..c_4) of AT4(p, q, 2); entries must come out integral."""
+    if p < 1 or q < 2:
+        raise ValueError("AT4 parameters need p >= 1, q >= 2")
+    if (q * (p + q)) % 2:
+        raise ValueError(f"AT4({p},{q},2) has non-integral c_2")
+    k = q * (p * q + p + q)
+    b1 = (q * q - 1) * (p + 1)
+    c2 = q * (p + q) // 2
+    return (k, b1, c2, 1), (1, c2, b1, k)
+
+
+def at4_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
+    """(p, q) when the array matches the AT4(p, q, 2) family, else None."""
+    if params.D != 4 or params.k_i[4] != 1:
+        return None
+    for q in range(2, params.k + 1):
+        for p in range(1, params.k + 1):
+            if (q * (p + q)) % 2:
+                continue
+            if q * (p * q + p + q) > params.k:
+                break
+            b, c = at4_intersection_array(p, q)
+            if params.b == b and params.c == c:
+                return p, q
+    return None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -56,6 +56,7 @@ __all__ = [
     "srg_spectrum",
     "spectrum_of_int_matrix",
     "subconstituent_spectrum",
+    "srg_local_split",
     "second_subconstituent_derived",
     "cospectral",
     "effective_multiplicities",
@@ -191,36 +192,31 @@ def spectrum_of_int_matrix(arr, allow_float: bool = True,
 
 @dataclass(frozen=True)
 class SrgParams:
-    """Strongly regular graph parameters with the derived eigenvalue data."""
+    """Strongly regular graph parameters with the derived eigenvalue data.
+
+    disc_root, sigma, tau, m_sigma and m_tau are computed once, on
+    construction, which also rejects parameters whose discriminant is not
+    positive or whose multiplicities are not non-negative integers.
+    """
 
     n: int
     k: int
     a: int
     c: int
+    disc_root: AlgebraicScalar = field(init=False, repr=False, compare=False)
+    sigma: AlgebraicScalar = field(init=False, repr=False, compare=False)
+    tau: AlgebraicScalar = field(init=False, repr=False, compare=False)
+    m_sigma: int = field(init=False, repr=False, compare=False)
+    m_tau: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         disc = (self.a - self.c) ** 2 + 4 * (self.k - self.c)
         if disc <= 0:
             raise InfeasibleSrgError(f"non-positive discriminant for {self.tuple()}")
-        ms, mt = self.m_sigma, self.m_tau  # triggers integrality checks
-
-    def tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.k, self.a, self.c)
-
-    @property
-    def disc_root(self) -> AlgebraicScalar:
-        return sqrt_of_fraction((self.a - self.c) ** 2 + 4 * (self.k - self.c))
-
-    @property
-    def sigma(self) -> AlgebraicScalar:
-        return (AlgebraicScalar(self.a - self.c) + self.disc_root) * AlgebraicScalar(Fraction(1, 2))
-
-    @property
-    def tau(self) -> AlgebraicScalar:
-        return (AlgebraicScalar(self.a - self.c) - self.disc_root) * AlgebraicScalar(Fraction(1, 2))
-
-    def _mults(self) -> tuple[int, int]:
-        sigma, tau = self.sigma, self.tau
+        root = sqrt_of_fraction(disc)
+        half = AlgebraicScalar(Fraction(1, 2))
+        sigma = (AlgebraicScalar(self.a - self.c) + root) * half
+        tau = (AlgebraicScalar(self.a - self.c) - root) * half
         ms = (AlgebraicScalar(self.n - 1) * tau + self.k) / (tau - sigma)
         mt = (AlgebraicScalar(self.n - 1) * sigma + self.k) / (sigma - tau)
         for m in (ms, mt):
@@ -228,15 +224,12 @@ class SrgParams:
                 raise InfeasibleSrgError(
                     f"infeasible SRG parameters {self.tuple()}: multiplicity {m}"
                 )
-        return ms.as_int(), mt.as_int()
+        for name, value in (("disc_root", root), ("sigma", sigma), ("tau", tau),
+                            ("m_sigma", ms.as_int()), ("m_tau", mt.as_int())):
+            object.__setattr__(self, name, value)
 
-    @property
-    def m_sigma(self) -> int:
-        return self._mults()[0]
-
-    @property
-    def m_tau(self) -> int:
-        return self._mults()[1]
+    def tuple(self) -> tuple[int, int, int, int]:
+        return (self.n, self.k, self.a, self.c)
 
     @classmethod
     def from_drg(cls, params: DrgParameters) -> "SrgParams":
@@ -288,22 +281,22 @@ def effective_multiplicities(s: Spectrum, valency) -> dict[AlgebraicScalar, int]
     return out
 
 
-def second_subconstituent_derived(local: Spectrum, p: SrgParams) -> Spectrum:
-    """Delta_2 spectrum derived from the local spectrum and (n, k, a, c).
+def srg_local_split(local: Spectrum, p: SrgParams) -> tuple[dict, int, int, int, int]:
+    """(eff, f_sigma, f_tau, g_sigma, g_tau) for a strongly regular graph.
 
-    Non-(sigma, tau) local eigenvalues map via lambda -> a - c - lambda with
-    equal multiplicities; the sigma and tau multiplicities follow from
-    g_sigma = -k + m_sigma + f_tau and g_tau = -k + m_tau + f_sigma; the
-    trivial eigenvalue of Delta_2 is k - c.
+    f_sigma and f_tau are the multiplicities of sigma and tau in the local
+    graph on the complement of all-ones, and eff maps every other local
+    eigenvalue to its multiplicity there.  g_sigma = -k + m_sigma + f_tau and
+    g_tau = -k + m_tau + f_sigma are the multiplicities of sigma and tau in
+    the second subconstituent, beside its trivial eigenvalue k - c.
     """
     if not local.exact:
         raise ValueError("derived second subconstituent needs an exact local spectrum")
     if local.size != p.k:
         raise ValueError(f"local spectrum has {local.size} eigenvalues, expected k={p.k}")
     eff = effective_multiplicities(local, p.a)
-    sigma, tau = p.sigma, p.tau
-    f_sigma = eff.pop(sigma, 0)
-    f_tau = eff.pop(tau, 0)
+    f_sigma = eff.pop(p.sigma, 0)
+    f_tau = eff.pop(p.tau, 0)
     g_sigma = -p.k + p.m_sigma + f_tau
     g_tau = -p.k + p.m_tau + f_sigma
     if g_sigma < 0 or g_tau < 0:
@@ -311,8 +304,19 @@ def second_subconstituent_derived(local: Spectrum, p: SrgParams) -> Spectrum:
             f"inconsistent local spectrum: derived multiplicities "
             f"g_sigma={g_sigma}, g_tau={g_tau}"
         )
+    return eff, f_sigma, f_tau, g_sigma, g_tau
+
+
+def second_subconstituent_derived(local: Spectrum, p: SrgParams) -> Spectrum:
+    """Delta_2 spectrum derived from the local spectrum and (n, k, a, c).
+
+    Non-(sigma, tau) local eigenvalues map via lambda -> a - c - lambda with
+    equal multiplicities; sigma and tau get g_sigma and g_tau from
+    srg_local_split; the trivial eigenvalue of Delta_2 is k - c.
+    """
+    eff, _, _, g_sigma, g_tau = srg_local_split(local, p)
     shift = AlgebraicScalar(p.a - p.c)
-    pairs = [(AlgebraicScalar(p.k - p.c), 1), (sigma, g_sigma), (tau, g_tau)]
+    pairs = [(AlgebraicScalar(p.k - p.c), 1), (p.sigma, g_sigma), (p.tau, g_tau)]
     pairs += [(shift - v, m) for v, m in eff.items()]
     out = Spectrum.from_pairs(pairs)
     if out.size != p.n - p.k - 1:

@@ -34,7 +34,7 @@ from .families import (
 )
 from .graph_core import Graph
 from .pvt import check_pvt, gq_dim, t_isomorphic_srg
-from .scheme import eigen_data, tightness
+from .scheme import tightness
 from .spectra import SrgParams, Spectrum, second_subconstituent_derived
 from .tmodules import (
     decompose_at4,
@@ -187,7 +187,7 @@ def reproduce_gq(slow: bool = False):
         expect = gq_dim(s, t)
         ctx = GraphContext.of(g)
         dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
-        srg = SrgParams.from_drg(ctx.params)
+        _, srg = ctx.route
         weds = {wedderburn_dim(decompose_srg(ctx, x, srg)) for x in range(g.n)}
         ok &= _row(lines, dims == {expect} and weds == {expect},
                    f"GQ({s},{t}) via {g.label}: dim T = {sorted(dims)} "
@@ -227,9 +227,7 @@ def reproduce_taylor(slow: bool = False):
 def _at4_suite(lines, g, p, q, expect):
     ok = True
     ctx = GraphContext.of(g)
-    params = ctx.params
-    ed = eigen_data(g, params, ctx.dd)
-    t = tightness(params, ed)
+    t = tightness(ctx.params, ctx.eigen)
     ok &= _row(lines, t.is_tight, f"{g.label}: tight (fundamental bound holds with equality)")
     local = ctx.subconstituent_spectrum(0, 1)
     ok &= _row(lines, local.pairs == expect["local"].pairs,

@@ -32,13 +32,11 @@ from .exactla import (
     _factor_product,
     _gcd_all,
     _imatmul,
-    _power_traces,
     _to_object,
     sqrt_of_fraction,
 )
 from .graph_core import Graph
-from .scheme import DrgParameters
-from .spectra import Spectrum, SrgParams, effective_multiplicities
+from .spectra import Spectrum, SrgParams, effective_multiplicities, srg_local_split
 
 __all__ = [
     "ModuleDescriptor",
@@ -50,7 +48,6 @@ __all__ = [
     "decompose_taylor",
     "decompose_at4",
     "wedderburn_dim",
-    "at4_intersection_array",
     "at4_eigenvalues",
 ]
 
@@ -137,15 +134,9 @@ def decompose_srg(g: Union[Graph, GraphContext], x: int, p: SrgParams) -> Module
     sigma/tau multiplicity left over in the second subconstituent.
     """
     local = GraphContext.of(g).subconstituent_spectrum(x, 1, allow_float=False)
-    eff1 = effective_multiplicities(local, p.a)
+    eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
     sigma, tau = p.sigma, p.tau
     theta = (AlgebraicScalar(p.k), sigma, tau)
-    f_sigma = eff1.pop(sigma, 0)
-    f_tau = eff1.pop(tau, 0)
-    g_sigma = -p.k + p.m_sigma + f_tau
-    g_tau = -p.k + p.m_tau + f_sigma
-    if g_sigma < 0 or g_tau < 0:
-        raise ValueError("negative derived second-subconstituent multiplicity")
 
     ka = AlgebraicScalar(p.k)
     descs = [ModuleDescriptor(
@@ -333,18 +324,6 @@ def endpoint1_module_data(g: Union[Graph, GraphContext], x: int, lam: AlgebraicS
 # ---------------------------------------------------------------------------
 
 
-def taylor_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
-    """(k, b) when the intersection array has the shape {k,b,1; 1,b,k} with
-    b < k - 1, else None."""
-    if params.D != 3:
-        return None
-    k = params.k
-    b = params.b[1]
-    if params.b != (k, b, 1) or params.c != (1, b, k) or not 0 < b < k - 1:
-        return None
-    return k, b
-
-
 def taylor_eigenvalues(k: int, b: int):
     """theta_0 > theta_1 > theta_2 > theta_3 of the Taylor graph {k,b,1;1,b,k}."""
     disc = (k - 2 * b - 1) ** 2 + 4 * k
@@ -366,11 +345,9 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
     """
     ctx = GraphContext.of(g)
     params = ctx.params
-    if taylor_parameters(params) != (k, b):
+    if ctx.route != ("taylor", (k, b)):
         raise ValueError(f"not a Taylor graph with (k, b) = ({k}, {b})")
     theta = taylor_eigenvalues(k, b)
-    if theta[3] == AlgebraicScalar(-k):
-        raise ValueError("bipartite cover: not in scope for the Taylor classification")
     disc = (k - 2 * b - 1) ** 2 + 4 * k
     rt = sqrt_of_fraction(disc)
     quarter = AlgebraicScalar(Fraction(1, 4))
@@ -427,34 +404,6 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-def at4_intersection_array(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(b_0..b_3, c_1..c_4) of AT4(p, q, 2); entries must come out integral."""
-    if p < 1 or q < 2:
-        raise ValueError("AT4 parameters need p >= 1, q >= 2")
-    if (q * (p + q)) % 2:
-        raise ValueError(f"AT4({p},{q},2) has non-integral c_2")
-    k = q * (p * q + p + q)
-    b1 = (q * q - 1) * (p + 1)
-    c2 = q * (p + q) // 2
-    return (k, b1, c2, 1), (1, c2, b1, k)
-
-
-def at4_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
-    """(p, q) when the array matches the AT4(p, q, 2) family, else None."""
-    if params.D != 4 or params.k_i[4] != 1:
-        return None
-    for q in range(2, params.k + 1):
-        for p in range(1, params.k + 1):
-            if (q * (p + q)) % 2:
-                continue
-            if q * (p * q + p + q) > params.k:
-                break
-            b, c = at4_intersection_array(p, q)
-            if params.b == b and params.c == c:
-                return p, q
-    return None
-
-
 def at4_eigenvalues(p: int, q: int) -> tuple[int, int, int, int, int]:
     return (q * (p * q + p + q), p * q + p + q, p, -q, -q * q)
 
@@ -473,14 +422,13 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     lambda in {p, -q}, with a_1(W) = theta_t + theta_{t+1} + theta_{t+2} -
     2*lambda and explicit a/x data extracted from a local eigenvector; dim-1
     endpoint-2 classes, one per eigenvalue of the second subconstituent on
-    the orthogonal complement of the endpoint <= 1 images, with multiplicities
-    from the exact trace system trace(B^l) = sum eta^l m_eta (l = 0..3, l = 4
-    checked as well).  Every endpoint-2 eigenvalue must lie in
-    {theta_1..theta_4}.
+    the orthogonal complement of the endpoint <= 1 images: the exact Delta_2
+    spectrum less a_2 once and a_1(W) m_b+ and m_b- times.  No count may go
+    negative, and every eigenvalue left over must lie in {theta_1..theta_4}.
     """
     ctx = GraphContext.of(g)
     params = ctx.params
-    if at4_parameters(params) != (p, q):
+    if ctx.route != ("at4", (p, q)):
         raise ValueError(f"intersection array does not match AT4({p},{q},2)")
     theta_int = at4_eigenvalues(p, q)
     theta = tuple(AlgebraicScalar(t) for t in theta_int)
@@ -525,47 +473,20 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
 
-    # endpoint-2 classes from the residual trace system
-    cls2 = ctx.dd.classes_from(x, 2)
-    B2 = np.asarray(ctx.graph.adjacency, dtype=np.int64)[np.ix_(cls2, cls2)]
-    traces = _power_traces(B2, 5)
-    a2 = params.a[2]
-    resid = [
-        Fraction(traces[l]
-                 - a2**l
-                 - m_bp * a1w[p].as_fraction() ** l
-                 - m_bm * a1w[-q].as_fraction() ** l)
-        for l in range(5)
-    ]
-    etas = theta_int[1:]
-    vand = [[Fraction(e) ** l for e in etas] for l in range(4)]
-    mults = _solve_fraction_system(vand, resid[:4])
-    if sum(Fraction(e) ** 4 * m for e, m in zip(etas, mults)) != resid[4]:
-        raise ValueError("trace system inconsistent at l = 4: not an AT4 input")
-    for e, m in zip(etas, mults):
-        if m.denominator != 1 or m < 0:
-            raise ValueError(f"endpoint-2 multiplicity for eta={e} is {m}, "
-                             "not a non-negative integer")
-    for e, m, t in zip(etas, mults, range(1, 5)):
-        if m:
+    # endpoint-2 classes: the Delta_2 spectrum less the endpoint <= 1 images,
+    # a_2 once and a_1(W) once per endpoint-1 module of each class
+    left = dict(ctx.subconstituent_spectrum(x, 2, allow_float=False).pairs)
+    for eta, m in ((AlgebraicScalar(params.a[2]), 1), (a1w[p], m_bp), (a1w[-q], m_bm)):
+        left[eta] = left.get(eta, 0) - m
+    for eta, m in left.items():
+        if m < 0 or (m and eta not in theta[1:]):
+            raise ValueError(f"second-subconstituent eigenvalue {eta} left with "
+                             f"multiplicity {m}: not an AT4 input")
+    for t in range(1, 5):
+        if left.get(theta[t], 0):
             descs.append(ModuleDescriptor(
-                endpoint=2, dual_endpoint=t, diameter=0, dim=1, multiplicity=int(m),
-                local_eigenvalue=AlgebraicScalar(e), a_seq=(AlgebraicScalar(e),),
-                x_seq=(),
+                endpoint=2, dual_endpoint=t, diameter=0, dim=1,
+                multiplicity=left[theta[t]], local_eigenvalue=theta[t],
+                a_seq=(theta[t],), x_seq=(),
             ))
     return ModuleDecomposition(n=params.n, descriptors=tuple(descs))
-
-
-def _solve_fraction_system(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if M[r][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [v * inv for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [u - f * v for u, v in zip(M[r], M[c])]
-    return [M[i][n] for i in range(n)]

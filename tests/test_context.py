@@ -7,15 +7,16 @@ import pytest
 
 import drgkit.exactla
 import drgkit.graph_core
+import drgkit.scheme
 import drgkit.spectra
 import drgkit.terwilliger
 from drgkit.analysis import analyze_graph
 from drgkit.cli import main
 from drgkit.context import GraphContext
-from drgkit.families import chang, hamming, icosahedron, johnson, shrikhande
+from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import save_graph
-from drgkit.pvt import check_pvt
-from drgkit.spectra import FLOAT_REFUSED
+from drgkit.pvt import check_pvt, t_isomorphic_srg
+from drgkit.spectra import FLOAT_REFUSED, SrgParams
 
 
 def _spy(monkeypatch, module, name):
@@ -79,7 +80,6 @@ def test_check_pvt_same_on_graph_and_context_beyond_diameter_2():
 def test_of_returns_the_given_context():
     ctx = GraphContext.of(icosahedron())
     assert GraphContext.of(ctx) is ctx
-    assert not ctx.bipartite and GraphContext.of(hamming(3, 2)).bipartite
 
 
 def test_float_spectrum_is_computed_once_and_refused_without_fallback(monkeypatch):
@@ -94,3 +94,37 @@ def test_float_spectrum_is_computed_once_and_refused_without_fallback(monkeypatc
         ctx.subconstituent_spectrum(0, 1, allow_float=False)
     assert ctx.subconstituent_spectrum(0, 1) is spec
     assert len(spectra) == 1
+
+
+def test_route_is_decided_once_and_verdicts_never_compute_eigen(monkeypatch):
+    eigen = _spy(monkeypatch, drgkit.scheme, "eigen_data")
+    routes = []
+    for g in (shrikhande(), icosahedron(), johnson(8, 4), hamming(3, 2)):
+        ctx = GraphContext.of(g)
+        check_pvt(ctx)
+        assert ctx.route is ctx.route
+        routes.append(ctx.route)
+    t_isomorphic_srg(shrikhande(), rook_grid(4))
+    assert eigen == []
+    srg, *others = routes
+    assert srg[0] == "srg" and srg[1].tuple() == (16, 6, 2, 2)
+    assert others == [("taylor", (5, 2)), ("at4", (2, 2)), None]
+    analyze_graph(icosahedron(), [0, 1])
+    assert len(eigen) == 1
+    ctx = GraphContext.of(icosahedron())
+    assert ctx.eigen is ctx.eigen and len(eigen) == 2
+
+
+def test_srg_surds_are_evaluated_once_per_report(monkeypatch):
+    surds = _spy(monkeypatch, drgkit.exactla, "sqrt_of_fraction")
+    p = SrgParams(28, 12, 6, 4)
+    assert len(surds) == 1
+    for _ in range(3):
+        assert (p.disc_root, p.sigma, p.tau, p.m_sigma, p.m_tau) == (6, 4, -2, 7, 20)
+    assert len(surds) == 1
+    counts = []
+    for vertices in ([0], list(range(28))):
+        surds.clear()
+        analyze_graph(chang(2), vertices)
+        counts.append(len(surds))
+    assert counts[0] == counts[1]

@@ -9,23 +9,25 @@ import sympy
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import halved_cube, icosahedron, johnson, shrikhande
-from drgkit.spectra import SrgParams, subconstituent_spectrum
+from drgkit.spectra import Spectrum, SrgParams, subconstituent_spectrum
 from drgkit.terwilliger import terwilliger_dimension
 from drgkit.tmodules import (
     DimensionSequence,
-    at4_intersection_array,
-    at4_parameters,
     decompose_at4,
     decompose_srg,
     decompose_taylor,
     dimension_sequence,
     endpoint1_module_data,
     srg_dim_formula,
-    taylor_parameters,
     wedderburn_dim,
 )
 from drgkit.graph_core import distances
-from drgkit.scheme import verify_drg
+from drgkit.scheme import (
+    at4_intersection_array,
+    at4_parameters,
+    taylor_parameters,
+    verify_drg,
+)
 
 
 def S(a, b=0, d=0):
@@ -160,6 +162,22 @@ def test_decompose_at4_j84():
 def test_decompose_at4_wrong_params():
     with pytest.raises(ValueError):
         decompose_at4(johnson(8, 4), 0, 4, 2)
+
+
+@pytest.mark.parametrize("pairs", [
+    # no copy of a_2 = 8 (which is also theta_1) left for the primary module
+    ((4, 6), (2, 5), (0, 9), (-2, 12), (-4, 4)),
+    # one 4 too few for the m_b+ = 6 endpoint-1 images with a_1(W) = 4
+    ((8, 1), (4, 5), (2, 5), (0, 9), (-2, 12), (-4, 4)),
+    # an eigenvalue 3 left over, outside {theta_1..theta_4} = {8, 2, -2, -4}
+    ((8, 1), (4, 6), (3, 1), (2, 3), (0, 9), (-2, 12), (-4, 4)),
+])
+def test_decompose_at4_rejects_inconsistent_second_subconstituent(pairs):
+    ctx = GraphContext.of(johnson(8, 4))
+    assert str(ctx.subconstituent_spectrum(0, 2)) == "{8^1, 4^6, 2^4, 0^9, -2^12, -4^4}"
+    ctx._spectra[0, 2] = Spectrum.from_pairs(pairs)
+    with pytest.raises(ValueError, match="not an AT4 input"):
+        decompose_at4(ctx, 0, 2, 2)
 
 
 def test_at4_endpoint1_explicit_data_consistency():
