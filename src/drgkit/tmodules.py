@@ -430,8 +430,7 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     params = ctx.params
     if ctx.route != ("at4", (p, q)):
         raise ValueError(f"intersection array does not match AT4({p},{q},2)")
-    theta_int = at4_eigenvalues(p, q)
-    theta = tuple(AlgebraicScalar(t) for t in theta_int)
+    theta = tuple(AlgebraicScalar(t) for t in at4_eigenvalues(p, q))
     m_bp = _exact_div((q * q - 1) * (p * q + p + q), p + q, "m_(b+)")
     m_bm = _exact_div(p * q * (q + 1) * (p + 1), p + q, "m_(b-)")
 
