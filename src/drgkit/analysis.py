@@ -29,7 +29,7 @@ from .exactla import AlgebraicScalar
 from .graph_core import Graph
 from .pvt import check_pvt
 from .scheme import antipodality, krein, tightness
-from .spectra import Spectrum, second_subconstituent_derived
+from .spectra import format_eigenvalue, second_subconstituent_derived
 from .tmodules import (
     decompose_at4,
     decompose_srg,
@@ -47,8 +47,8 @@ class AnalysisError(RuntimeError):
     pass
 
 
-def _spectrum_json(s: Spectrum) -> list:
-    return [[str(v), m] for v, m in s.pairs]
+def _spectrum_json(pairs) -> list:
+    return [[format_eigenvalue(v), m] for v, m in pairs]
 
 
 def _scalar(s: Optional[AlgebraicScalar]) -> Optional[str]:
@@ -95,8 +95,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         "n": g.n,
         "diameter": params.D,
         "intersection_array": params.intersection_array,
-        "spectrum": ([[str(t), m] for t, m in zip(ed.theta, ed.mult)] if ed.exact
-                     else [[format(t, ".17g"), m] for t, m in zip(ed.theta, ed.mult)]),
+        "spectrum": _spectrum_json(zip(ed.theta, ed.mult)),
         "exact_spectrum": ed.exact,
     }
     if ed.exact:
@@ -143,7 +142,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                 exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
             specs.append(s)
-        record["subconstituent_spectra"] = [_spectrum_json(s) for s in specs]
+        record["subconstituent_spectra"] = [_spectrum_json(s.pairs) for s in specs]
         dim_t = ctx.terwilliger_dimension(x)
         record["dim_T"] = dim_t
         md = None

@@ -17,8 +17,9 @@ tables ask for more than once:
 * subconstituent spectra, keyed by (x, i);
 * the finished Spectrum of each distinct factor key: ((r, m), ..., (s, p, m),
   ...) for a spectrum that exactla.certified_factors proved, the charpoly_int
-  coefficient tuple for one that fell back.  Cospectral blocks share one
-  Spectrum, so each distinct spectrum is built (and sorted) once;
+  coefficient tuple for one that fell back, float spectra included.
+  Cospectral blocks share one Spectrum, so each distinct spectrum is built
+  (and sorted) once;
 * dim T(x) from the algebra closure, keyed by x.
 
 The memos live on the context object and nowhere else.  A command builds one

@@ -5,9 +5,9 @@ module.  The guiding constraints:
 
 * Scalars are numbers a + b*sqrt(d) with rational a, b and square-free d >= 0.
   Surds appear only as scalars: eigenvalues, multiplicity and Krein
-  computations on the (D+1)-sized intersection array, and local spectra.  A
-  float mode exists only as a fallback for eigenvalues whose minimal
-  polynomial does not split over a quadratic field.
+  computations on the (D+1)-sized intersection array, and local spectra.
+  Scalars are exact only; eigenvalues whose minimal polynomial does not
+  split over a quadratic field are plain Python floats, outside this type.
 * Matrices are plain integer numpy arrays (0/1 generators, algebra closure
   products, characteristic polynomials).  int64 is used whenever a bound
   check proves it safe, with Python-int object arrays as the overflow
@@ -71,21 +71,20 @@ def _sqrt_bounds(d: int, digits: int) -> tuple[Fraction, Fraction]:
 
 
 class AlgebraicScalar:
-    """A real number a + b*sqrt(d), or a float fallback value.
+    """An exact real number a + b*sqrt(d) with rational a and b.
 
-    Exact instances are canonical: d is square-free, b == 0 forces d == 0,
-    and d == 1 is folded into the rational part.  Exact equality and ordering
-    are decided symbolically, including across two different surds.
+    Instances are canonical: d is square-free, b == 0 forces d == 0, and
+    d == 1 is folded into the rational part.  Equality and ordering are
+    decided symbolically, including across two different surds.  A float is
+    never converted: passing one to the constructor, to arithmetic or to a
+    comparison raises TypeError.  float(x) gives an approximation.
     """
 
-    __slots__ = ("a", "b", "d", "fval")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0, d=0, fval: Optional[float] = None):
-        if fval is not None:
-            self.a = self.b = None
-            self.d = None
-            self.fval = float(fval)
-            return
+    def __init__(self, a=0, b=0, d=0):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError(f"AlgebraicScalar is exact; got a float in ({a!r}, {b!r})")
         a, b = Fraction(a), Fraction(b)
         if d < 0:
             raise ValueError("surd index must be non-negative")
@@ -97,17 +96,12 @@ class AlgebraicScalar:
         if b == 0 or d == 0:
             a, b, d = a, Fraction(0), 0
         self.a, self.b, self.d = a, b, d
-        self.fval = None
 
     # -- views ----------------------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return self.fval is None
-
-    @property
     def is_rational(self) -> bool:
-        return self.is_exact and self.b == 0
+        return self.b == 0
 
     @property
     def is_integer(self) -> bool:
@@ -123,9 +117,7 @@ class AlgebraicScalar:
             raise ValueError(f"{self} is not an integer")
         return int(self.a)
 
-    def to_float(self) -> float:
-        if not self.is_exact:
-            return self.fval
+    def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     # -- arithmetic ---------------------------------------------------------
@@ -136,7 +128,7 @@ class AlgebraicScalar:
         if isinstance(other, (int, Fraction)):
             return AlgebraicScalar(other)
         if isinstance(other, float):
-            return AlgebraicScalar(fval=other)
+            raise TypeError(f"cannot mix an exact AlgebraicScalar with the float {other!r}")
         return NotImplemented
 
     @staticmethod
@@ -151,15 +143,11 @@ class AlgebraicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if not (self.is_exact and o.is_exact):
-            return AlgebraicScalar(fval=self.to_float() + o.to_float())
         return AlgebraicScalar(self.a + o.a, self.b + o.b, self._join(self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.is_exact:
-            return AlgebraicScalar(fval=-self.fval)
         return AlgebraicScalar(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
@@ -174,8 +162,6 @@ class AlgebraicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if not (self.is_exact and o.is_exact):
-            return AlgebraicScalar(fval=self.to_float() * o.to_float())
         d = self._join(self, o)
         return AlgebraicScalar(
             self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d
@@ -184,8 +170,6 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        if not self.is_exact:
-            return AlgebraicScalar(fval=1.0 / self.fval)
         if self.a == 0 and self.b == 0:
             raise ZeroDivisionError("inverse of zero")
         norm = self.a * self.a - self.b * self.b * self.d
@@ -193,11 +177,7 @@ class AlgebraicScalar:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not (self.is_exact and o.is_exact):
-            return AlgebraicScalar(fval=self.to_float() / o.to_float())
-        return self * o.inverse()
+        return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -209,21 +189,15 @@ class AlgebraicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.is_exact and o.is_exact:
-            return (self.a, self.b, self.d) == (o.a, o.b, o.d)
-        return self.to_float() == o.to_float()
+        return (self.a, self.b, self.d) == (o.a, o.b, o.d)
 
     def __hash__(self):
-        if self.is_exact:
-            if self.b == 0:
-                return hash(self.a)
-            return hash((self.a, self.b, self.d))
-        return hash(self.fval)
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, 1); float mode signs the float value."""
-        if not self.is_exact:
-            return (self.fval > 0) - (self.fval < 0)
+        """Exact sign: -1, 0 or 1."""
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
         if self.a == 0:
@@ -240,9 +214,6 @@ class AlgebraicScalar:
     def compare(self, other) -> int:
         """Exact three-way comparison, valid across two different surds."""
         o = self._coerce(other)
-        if not (self.is_exact and o.is_exact):
-            x, y = self.to_float(), o.to_float()
-            return (x > y) - (x < y)
         if self.d == o.d or self.d == 0 or o.d == 0:
             return (self - o).sign()
         return _sign_two_surds(self.a - o.a, self.b, self.d, -o.b, o.d)
@@ -266,8 +237,6 @@ class AlgebraicScalar:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def __str__(self):
-        if not self.is_exact:
-            return format(self.fval, ".17g")
         if self.b == 0:
             return self._frac_str(self.a)
         coef = "" if abs(self.b) == 1 else self._frac_str(abs(self.b))
@@ -279,34 +248,6 @@ class AlgebraicScalar:
 
     def __repr__(self):
         return f"AlgebraicScalar({self})"
-
-    @classmethod
-    def parse(cls, text: str) -> "AlgebraicScalar":
-        """Inverse of str(); also accepts 'sqrt' spelled out and bare floats."""
-        s = text.strip().replace("sqrt", "√")
-        if "√" not in s:
-            try:
-                return cls(Fraction(s))
-            except ValueError:
-                return cls(fval=float(s))
-        head, _, tail = s.partition("√")
-        d = int(tail.strip())
-        sign = 1
-        if " + " in head:
-            a_str, b_str = head.split(" + ", 1)
-        elif " - " in head:
-            a_str, b_str = head.rsplit(" - ", 1)
-            sign = -1
-        else:
-            a_str, b_str = "0", head
-        b_str = b_str.strip()
-        if b_str in ("", "+"):
-            b = Fraction(1)
-        elif b_str == "-":
-            b = Fraction(-1)
-        else:
-            b = Fraction(b_str)
-        return cls(Fraction(a_str.strip() or "0"), sign * b, d)
 
 
 def _sign_two_surds(r0: Fraction, r1: Fraction, d1: int, r2: Fraction, d2: int) -> int:
@@ -691,7 +632,7 @@ def eigenvalues_from_charpoly(coeffs: Sequence[int]):
     """Exact (eigenvalue, multiplicity) pairs from integer charpoly coefficients.
 
     Returns None when an irreducible factor of degree >= 3 (or with non-real
-    roots) appears; callers then switch that spectrum to float mode.  Pairs
+    roots) appears; callers then fall back to plain float eigenvalues.  Pairs
     come back sorted strictly descending.
     """
     x = sympy.Symbol("x")

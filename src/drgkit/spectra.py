@@ -12,8 +12,11 @@ decides an answer:
   spectrum.
 * fallback: any failed check or unpaired cluster sends the matrix through
   charpoly_int and eigenvalues_from_charpoly, whose coefficient tuple is the
-  key.  When an irreducible factor of degree >= 3 shows up the whole
-  spectrum switches to float mode and the flag travels with it into reports.
+  key.  When an irreducible factor of degree >= 3 shows up the spectrum is
+  one of plain float eigenvalues (exact=False), and the flag travels with it
+  into reports.  It is memoized under its exact coefficient key like any
+  other, so two blocks compare equal exactly when their characteristic
+  polynomials do, never by two separate float runs.
 
 Multiplicity bookkeeping for "local" eigenvalues follows the convention that
 the trivial eigenvalue (the valency of a regular subconstituent) loses one
@@ -60,6 +63,7 @@ __all__ = [
     "second_subconstituent_derived",
     "cospectral",
     "effective_multiplicities",
+    "format_eigenvalue",
 ]
 
 _FLOAT_GROUP_TOL = 1e-8
@@ -75,11 +79,16 @@ def _sort_pairs(pairs):
                         reverse=True))
 
 
+def format_eigenvalue(v) -> str:
+    """An exact eigenvalue as str(); a float one with 17 significant digits."""
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Multiset of (eigenvalue, multiplicity), strictly decreasing values."""
 
-    pairs: tuple  # ((AlgebraicScalar, int), ...)
+    pairs: tuple  # ((AlgebraicScalar, int), ...); plain floats when not exact
     exact: bool = True
 
     @classmethod
@@ -110,28 +119,10 @@ class Spectrum:
                 return m
         return 0
 
-    def trace(self) -> AlgebraicScalar:
-        """Sum of value * multiplicity; surd parts are tracked per field."""
-        if not self.exact:
-            return AlgebraicScalar(fval=sum(v.to_float() * m for v, m in self.pairs))
-        rat = Fraction(0)
-        surds: dict[int, Fraction] = {}
-        for v, m in self.pairs:
-            rat += v.a * m
-            if v.d:
-                surds[v.d] = surds.get(v.d, Fraction(0)) + v.b * m
-        surds = {d: b for d, b in surds.items() if b}
-        if not surds:
-            return AlgebraicScalar(rat)
-        if len(surds) == 1:
-            (d, b), = surds.items()
-            return AlgebraicScalar(rat, b, d)
-        raise ValueError("trace spans more than one quadratic field")
-
     def __str__(self):
-        inner = ", ".join(f"{{{v}}}^{m}" if (" " in str(v)) else f"{v}^{m}"
-                          for v, m in self.pairs)
-        return "{" + inner + "}"
+        values = [(format_eigenvalue(v), m) for v, m in self.pairs]
+        return "{" + ", ".join(f"{{{v}}}^{m}" if " " in v else f"{v}^{m}"
+                               for v, m in values) + "}"
 
 
 def _spectrum_from_key(key: tuple) -> Optional[Spectrum]:
@@ -161,9 +152,10 @@ def spectrum_of_int_matrix(arr, allow_float: bool = True,
     """Exact spectrum of a symmetric integer matrix, float fallback if needed.
 
     The factor key comes from exactla.certified_factors, or from charpoly_int
-    when certification fails.  ``memo`` maps factor keys to finished spectra
-    (None for the ones that need floats); GraphContext passes its own, so each
-    distinct spectrum is built once per command.
+    when certification fails.  ``memo`` maps factor keys to finished spectra,
+    float ones included; GraphContext passes its own, so each distinct
+    spectrum is built once per command and matrices with one characteristic
+    polynomial share one Spectrum.
     """
     arr = np.asarray(arr)
     n = arr.shape[0]
@@ -174,27 +166,28 @@ def spectrum_of_int_matrix(arr, allow_float: bool = True,
         key = tuple(charpoly_int(arr))
     memo = {} if memo is None else memo
     if key not in memo:
-        memo[key] = _spectrum_from_key(key)
-    if memo[key] is not None:
-        return memo[key]
-    if not allow_float:
+        memo[key] = _spectrum_from_key(key) or _float_spectrum(arr)
+    if not (memo[key].exact or allow_float):
         raise ValueError(FLOAT_REFUSED)
-    vals = np.linalg.eigvalsh(arr.astype(float))
+    return memo[key]
+
+
+def _float_spectrum(arr: np.ndarray) -> Spectrum:
+    """np.linalg.eigvalsh eigenvalues as plain floats, grouped within 1e-8."""
     grouped: list[tuple[float, int]] = []
-    for v in sorted(vals, reverse=True):
+    for v in sorted(np.linalg.eigvalsh(arr.astype(float)).tolist(), reverse=True):
         if grouped and abs(grouped[-1][0] - v) < _FLOAT_GROUP_TOL:
             grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
         else:
-            grouped.append((float(v), 1))
-    return Spectrum(pairs=tuple((AlgebraicScalar(fval=v), m) for v, m in grouped),
-                    exact=False)
+            grouped.append((v, 1))
+    return Spectrum(pairs=tuple(grouped), exact=False)
 
 
 @dataclass(frozen=True)
 class SrgParams:
     """Strongly regular graph parameters with the derived eigenvalue data.
 
-    disc_root, sigma, tau, m_sigma and m_tau are computed once, on
+    sigma, tau, m_sigma and m_tau are computed once, on
     construction, which also rejects parameters whose discriminant is not
     positive or whose multiplicities are not non-negative integers.
     """
@@ -203,7 +196,6 @@ class SrgParams:
     k: int
     a: int
     c: int
-    disc_root: AlgebraicScalar = field(init=False, repr=False, compare=False)
     sigma: AlgebraicScalar = field(init=False, repr=False, compare=False)
     tau: AlgebraicScalar = field(init=False, repr=False, compare=False)
     m_sigma: int = field(init=False, repr=False, compare=False)
@@ -224,7 +216,7 @@ class SrgParams:
                 raise InfeasibleSrgError(
                     f"infeasible SRG parameters {self.tuple()}: multiplicity {m}"
                 )
-        for name, value in (("disc_root", root), ("sigma", sigma), ("tau", tau),
+        for name, value in (("sigma", sigma), ("tau", tau),
                             ("m_sigma", ms.as_int()), ("m_tau", mt.as_int())):
             object.__setattr__(self, name, value)
 
@@ -337,6 +329,6 @@ def cospectral(s1: Spectrum, s2: Spectrum) -> bool:
     if len(p1) != len(p2):
         return False
     for (v1, m1), (v2, m2) in zip(p1, p2):
-        if m1 != m2 or abs(v1.to_float() - v2.to_float()) > _FLOAT_GROUP_TOL:
+        if m1 != m2 or abs(float(v1) - float(v2)) > _FLOAT_GROUP_TOL:
             return False
     return True

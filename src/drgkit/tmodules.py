@@ -36,7 +36,13 @@ from .exactla import (
     sqrt_of_fraction,
 )
 from .graph_core import Graph
-from .spectra import Spectrum, SrgParams, effective_multiplicities, srg_local_split
+from .spectra import (
+    Spectrum,
+    SrgParams,
+    effective_multiplicities,
+    srg_local_split,
+    srg_spectrum,
+)
 
 __all__ = [
     "ModuleDescriptor",
@@ -70,7 +76,7 @@ class ModuleDescriptor:
     def sort_key(self):
         lam = self.local_eigenvalue
         return (self.endpoint, -self.dim,
-                -(lam.to_float() if lam is not None else float("inf")),
+                -(float(lam) if lam is not None else float("inf")),
                 self.dual_endpoint)
 
 
@@ -339,20 +345,23 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
     """T(x)-module classes of a Taylor graph: the primary module and one dim-2
     endpoint-1 class per nontrivial local eigenvalue sigma, tau.
 
-    The local eigenvalues satisfy 2*sigma = theta_1 + theta_2 and
-    2*tau = theta_2 + theta_3 (checked exactly); the difference form
-    (theta_1 - theta_2)/2 does not equal sigma, and a flag records that.
+    The local graph is strongly regular with parameters
+    (k, a_1, (3 a_1 - k - 1)/2, a_1/2), a_1 = k - b - 1, and its spectrum is
+    checked against theirs.  The local eigenvalues satisfy
+    2*sigma = theta_1 + theta_2 and 2*tau = theta_2 + theta_3 (checked
+    exactly); the difference form (theta_1 - theta_2)/2 does not equal
+    sigma, and a flag records that.
     """
     ctx = GraphContext.of(g)
     params = ctx.params
     if ctx.route != ("taylor", (k, b)):
         raise ValueError(f"not a Taylor graph with (k, b) = ({k}, {b})")
     theta = taylor_eigenvalues(k, b)
-    disc = (k - 2 * b - 1) ** 2 + 4 * k
-    rt = sqrt_of_fraction(disc)
-    quarter = AlgebraicScalar(Fraction(1, 4))
-    sigma = (AlgebraicScalar(k - 2 * b - 3) + rt) * quarter
-    tau = (AlgebraicScalar(k - 2 * b - 3) - rt) * quarter
+    a1 = k - b - 1
+    if a1 % 2 or (3 * a1 - k - 1) % 2:
+        raise ValueError(f"Taylor graph ({k}, {b}) has no strongly regular local graph")
+    local_params = SrgParams(k, a1, (3 * a1 - k - 1) // 2, a1 // 2)
+    sigma, tau = local_params.sigma, local_params.tau
     half = AlgebraicScalar(Fraction(1, 2))
     if sigma != (theta[1] + theta[2]) * half or tau != (theta[2] + theta[3]) * half:
         raise ValueError("2*lambda = theta_t + theta_(t+1) identity failed")
@@ -362,20 +371,8 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
             "taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
             "not (theta1-theta2)/2"
         )
-    # multiplicities of sigma, tau in the local graph
-    m_sigma = (AlgebraicScalar(Fraction(k - 1, 2))
-               - AlgebraicScalar(Fraction(k + 1, 2)) * AlgebraicScalar(k - 2 * b - 1)
-               * rt.inverse())
-    m_tau = (AlgebraicScalar(Fraction(k - 1, 2))
-             + AlgebraicScalar(Fraction(k + 1, 2)) * AlgebraicScalar(k - 2 * b - 1)
-             * rt.inverse())
-    for m in (m_sigma, m_tau):
-        if not m.is_integer or m.as_int() <= 0:
-            raise ValueError(f"non-integral local multiplicity {m}")
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    expected_local = Spectrum.from_pairs(
-        [(AlgebraicScalar(k - b - 1), 1), (sigma, m_sigma.as_int()), (tau, m_tau.as_int())]
-    )
+    expected_local = srg_spectrum(local_params)
     if local.pairs != expected_local.pairs:
         raise ValueError(f"local spectrum {local} differs from {expected_local}")
 
@@ -387,7 +384,7 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
     )]
     _check_a_sum(descs[0].a_seq, theta, 0)
     _check_palindrome(descs[0].a_seq)
-    for lam, mult, t in ((sigma, m_sigma.as_int(), 1), (tau, m_tau.as_int(), 2)):
+    for lam, mult, t in ((sigma, local_params.m_sigma, 1), (tau, local_params.m_tau, 2)):
         a_seq = (lam, lam)
         x_seq = ((lam - theta[t]) * (lam - theta[t]),)
         _check_a_sum(a_seq, theta, t)
@@ -408,12 +405,6 @@ def at4_eigenvalues(p: int, q: int) -> tuple[int, int, int, int, int]:
     return (q * (p * q + p + q), p * q + p + q, p, -q, -q * q)
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
-    if num % den:
-        raise ValueError(f"non-integral {what}: {num}/{den}")
-    return num // den
-
-
 def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
                   q: int) -> ModuleDecomposition:
     """T(x)-module classes of an AT4(p, q, 2) graph.
@@ -431,16 +422,13 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     if ctx.route != ("at4", (p, q)):
         raise ValueError(f"intersection array does not match AT4({p},{q},2)")
     theta = tuple(AlgebraicScalar(t) for t in at4_eigenvalues(p, q))
-    m_bp = _exact_div((q * q - 1) * (p * q + p + q), p + q, "m_(b+)")
-    m_bm = _exact_div(p * q * (q + 1) * (p + 1), p + q, "m_(b-)")
 
-    # local graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p) with spectrum
-    # {p(q+1)^1, p^m_bp, (-q)^m_bm}
+    # the local graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose
+    # eigenvalues are sigma = p and tau = -q
+    local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
+    m_bp, m_bm = local_params.m_sigma, local_params.m_tau
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    expected_local = Spectrum.from_pairs(
-        [(AlgebraicScalar(p * (q + 1)), 1), (AlgebraicScalar(p), m_bp),
-         (AlgebraicScalar(-q), m_bm)]
-    )
+    expected_local = srg_spectrum(local_params)
     if local.pairs != expected_local.pairs:
         raise ValueError(f"local spectrum {local} differs from AT4 prediction "
                          f"{expected_local}")

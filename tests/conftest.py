@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import drgkit.spectra
 from drgkit.families import (
     chang,
     complete_bipartite,
@@ -123,6 +124,15 @@ def srg_corpus():
 def chang_corpus(srg_corpus):
     return {name: srg_corpus[name]
             for name in ("J(8,2)", "Chang-1", "Chang-2", "Chang-3")}
+
+
+@pytest.fixture
+def float_local_spectra(monkeypatch):
+    """Pretend every subconstituent fails certification and has a cubic
+    factor, so each one takes the float fallback; the graph spectrum, from
+    scheme, stays exact."""
+    monkeypatch.setattr(drgkit.spectra, "certified_factors", lambda arr: None)
+    monkeypatch.setattr(drgkit.spectra, "eigenvalues_from_charpoly", lambda coeffs: None)
 
 
 @pytest.fixture(scope="session")

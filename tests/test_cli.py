@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 import drgkit
 from drgkit.cli import main
+from drgkit.families import shrikhande
+from drgkit.graph_core import save_graph
+from drgkit.spectra import subconstituent_spectrum
 
 
 def run(argv):
@@ -193,6 +196,21 @@ def test_analyze_float_fallback_flag(tmp_path):
     report = json.loads(out.read_text())
     assert not report["graph"]["exact_spectrum"]
     assert any("float" in f for f in report["flags"])
+
+
+def test_analyze_renders_float_subconstituent_spectra(tmp_path, float_local_spectra):
+    g = shrikhande()
+    g_path = tmp_path / "s.json"
+    save_graph(g, g_path)
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(g_path), "--float-fallback", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["graph"]["exact_spectrum"]
+    specs = [subconstituent_spectrum(g, 0, i) for i in (1, 2)]
+    assert all(isinstance(v, float) for s in specs for v, _ in s.pairs)
+    assert report["vertices"][0]["subconstituent_spectra"] == [
+        [[format(v, ".17g"), m] for v, m in s.pairs] for s in specs]
+    assert "subconstituent-spectrum-float:vertex0:class1" in report["flags"]
 
 
 def test_pvt_command(tmp_path, capsys):

@@ -82,10 +82,8 @@ def test_of_returns_the_given_context():
     assert GraphContext.of(ctx) is ctx
 
 
-def test_float_spectrum_is_computed_once_and_refused_without_fallback(monkeypatch):
-    # pretend every local polynomial fails certification and has a cubic factor
-    monkeypatch.setattr(drgkit.spectra, "certified_factors", lambda arr: None)
-    monkeypatch.setattr(drgkit.spectra, "eigenvalues_from_charpoly", lambda coeffs: None)
+def test_float_spectrum_is_computed_once_and_refused_without_fallback(
+        monkeypatch, float_local_spectra):
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
     ctx = GraphContext.of(shrikhande())
     spec = ctx.subconstituent_spectrum(0, 1)
@@ -120,7 +118,7 @@ def test_srg_surds_are_evaluated_once_per_report(monkeypatch):
     p = SrgParams(28, 12, 6, 4)
     assert len(surds) == 1
     for _ in range(3):
-        assert (p.disc_root, p.sigma, p.tau, p.m_sigma, p.m_tau) == (6, 4, -2, 7, 20)
+        assert (p.sigma, p.tau, p.m_sigma, p.m_tau) == (4, -2, 7, 20)
     assert len(surds) == 1
     counts = []
     for vertices in ([0], list(range(28))):

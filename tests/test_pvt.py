@@ -27,6 +27,17 @@ def test_chang_not_pvt_with_witness():
         assert "local_spectrum_x" in v.witness
 
 
+def test_float_local_spectra_compare_by_characteristic_polynomial(float_local_spectra):
+    # blocks with one characteristic polynomial share one float spectrum, so
+    # no verdict rests on two eigvalsh runs agreeing to the last bit
+    for g in (shrikhande(), rook_grid(4), johnson(8, 2)):
+        v = check_pvt(g)
+        assert (v.verdict, v.method) == ("pvt", "srg_theorem"), g.label
+    v = check_pvt(chang(1))
+    assert (v.verdict, v.method) == ("not_pvt", "srg_theorem")
+    assert t_isomorphic_srg(shrikhande(), rook_grid(4)).note == "local spectra differ"
+
+
 def test_icosahedron_pvt_taylor():
     v = check_pvt(icosahedron())
     assert v.verdict == "pvt" and v.method == "taylor_theorem"

@@ -177,7 +177,7 @@ def test_multiplicities_reject_wrong_theta():
         with pytest.raises(ValueError):
             multiplicity(ed.theta[1] + 1, params)
         with pytest.raises(ValueError):
-            multiplicity(ed.theta[1].to_float() + 0.5, params)
+            multiplicity(float(ed.theta[1]) + 0.5, params)
 
 
 def _krein_oracle(ed, params):
