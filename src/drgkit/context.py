@@ -20,7 +20,10 @@ tables ask for more than once:
   coefficient tuple for one that fell back, float spectra included.
   Cospectral blocks share one Spectrum, so each distinct spectrum is built
   (and sorted) once;
-* dim T(x) from the algebra closure, keyed by x.
+* dim T(x) from the algebra closure, keyed by x;
+* the graph-level data of a Taylor or AT4 route (taylor_local, at4_local):
+  the eigenvalues, local SrgParams and local spectrum that tmodules checks
+  every vertex against.
 
 The memos live on the context object and nowhere else.  A command builds one
 context per input graph and drops it when it returns, so two commands run in
@@ -116,3 +119,17 @@ class GraphContext:
         if x not in self._dims:
             self._dims[x] = terwilliger_dimension(self.graph, x, self.dd)
         return self._dims[x]
+
+    @cached_property
+    def taylor_local(self) -> tuple:
+        """tmodules' Taylor data for the ("taylor", (k, b)) route, built once."""
+        from .tmodules import _taylor_local  # tmodules imports this module
+
+        return _taylor_local(*self.route[1])
+
+    @cached_property
+    def at4_local(self) -> tuple:
+        """tmodules' AT4 data for the ("at4", (p, q)) route, built once."""
+        from .tmodules import _at4_local
+
+        return _at4_local(*self.route[1])

@@ -20,20 +20,24 @@ module.  The guiding constraints:
   annihilates the matrix and the power traces tr(B^j), j < d, match; the
   accepted factors, with multiplicities, are the exact spectrum.  A failed
   check or an unpaired cluster falls back to charpoly_int (CRT
-  Faddeev-LeVerrier) and eigenvalues_from_charpoly (sympy factoring), which
-  also decide cubic fields.  A float can cause a fallback, never an answer.
+  Faddeev-LeVerrier) and eigenvalues_from_charpoly.  That one proposes the
+  factors of the polynomial from np.roots, with the same clustering, and
+  accepts them only when their product is the polynomial exactly.  A float
+  can cause a fallback, never an answer.
+* sympy is imported only inside eigenvalues_from_charpoly, for a
+  characteristic polynomial that floats cannot certify (one with a cubic or
+  higher factor, say); that path decides cubic fields.  Everything else
+  (square-free parts, the CRT primes) is plain integer code.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
 __all__ = [
     "AlgebraicScalar",
@@ -50,17 +54,31 @@ _STRIP_THRESHOLD = 2**40
 
 
 def square_free_split(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*d with d square-free; return (s, d)."""
+    """Write n >= 0 as s*s*d with d square-free; return (s, d).
+
+    Trial division by every d with d**3 at most the cofactor left, so the
+    cost grows like n**(1/3).  The cofactor m left over has no prime factor
+    up to its cube root, so it is 1, p, p*q or p**2, and math.isqrt tells
+    p**2 from the square-free rest.
+    """
     if n < 0:
         raise ValueError("square_free_split needs a non-negative integer")
     if n == 0:
         return 0, 0
-    s, d = 1, 1
-    for p, e in sympy.factorint(n).items():
+    s, d, p = 1, 1, 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-    return s, d
+        p += 1 if p == 2 else 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n
 
 
 def _sqrt_bounds(d: int, digits: int) -> tuple[Fraction, Fraction]:
@@ -441,7 +459,25 @@ class ExactSpan:
 # exact characteristic polynomials (CRT Faddeev-LeVerrier)
 # ---------------------------------------------------------------------------
 
-_CRT_PRIMES = list(itertools.islice(sympy.primerange(2**24, 2**26), 64))
+@functools.cache
+def _crt_primes() -> tuple[int, ...]:
+    """The 64 smallest primes above 2**24, sieved once on first use.
+
+    They lie below 2**24 + 1200, so one window [2**24, 2**24 + 4096) holds
+    them; it is crossed off by the primes up to its square root, themselves
+    from a plain sieve.
+    """
+    lo, width = 2**24, 4096
+    root = math.isqrt(lo + width)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q::q] = False
+    window = np.ones(width, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        window[-lo % q::q] = False
+    return tuple((lo + np.flatnonzero(window)[:64]).tolist())
 
 
 def _charpoly_mod(A: np.ndarray, p: int) -> list[int]:
@@ -474,7 +510,7 @@ def charpoly_int(A) -> list[int]:
     r = max(1, _max_row_sum(A))
     bound = max(math.comb(n, k) * r**k for k in range(n + 1))
     primes, prod = [], 1
-    for p in _CRT_PRIMES:
+    for p in _crt_primes():
         primes.append(p)
         prod *= p
         if prod > 2 * bound:
@@ -500,26 +536,27 @@ def charpoly_int(A) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _PROPOSE_TOL = 1e-6
+_ROOTS_TOL = 1e-3  # np.roots loses digits on repeated roots; eigvalsh does not
 
 
-def _propose_factors(B: np.ndarray) -> Optional[tuple]:
-    """Integer roots and monic quadratics read off float eigenvalues.
+def _cluster_factors(vals, tol: float) -> Optional[tuple]:
+    """Integer roots and monic quadratics read off sorted float roots.
 
-    Clusters np.linalg.eigvalsh(B) and returns ((r, m), ..., (s, p, m), ...):
-    integer roots r and quadratics x^2 - s*x + p, each with its cluster count
-    m.  None when a cluster is neither near an integer nor paired with a
-    conjugate of the same count.  Nothing here is trusted; see
-    certified_factors.  Object-dtype (large-entry) and empty matrices get none.
+    Groups runs of vals closer than tol and returns ((r, m), ..., (s, p, m),
+    ...): integer roots r and quadratics x^2 - s*x + p, each with its cluster
+    count m.  None when a cluster is neither near an integer nor paired with
+    a conjugate of the same count.  Nothing here is trusted; callers certify
+    the proposal with integers.
     """
-    if B.dtype == object or B.size == 0:
-        return None
-    vals = np.linalg.eigvalsh(B.astype(float))
-    starts = np.flatnonzero(np.r_[True, np.diff(vals) > _PROPOSE_TOL])
+    vals = np.asarray(vals, dtype=float)
+    if vals.size == 0:
+        return ()
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > tol])
     counts = np.diff(np.r_[starts, len(vals)])
     linear, irrational = [], []
     for v, m in zip((np.add.reduceat(vals, starts) / counts).tolist(), counts.tolist()):
         r = round(v)
-        if abs(v - r) < _PROPOSE_TOL:
+        if abs(v - r) < tol:
             linear.append((r, m))
         else:
             irrational.append((v, m))
@@ -528,14 +565,37 @@ def _propose_factors(B: np.ndarray) -> Optional[tuple]:
         u, m = irrational.pop(0)
         for idx, (w, mw) in enumerate(irrational):
             s, p = round(u + w), round(u * w)
-            if (mw == m and abs(u + w - s) < _PROPOSE_TOL
-                    and abs(u * w - p) < _PROPOSE_TOL * max(1.0, abs(p))):
+            if (mw == m and abs(u + w - s) < tol
+                    and abs(u * w - p) < tol * max(1.0, abs(p))):
                 quadratic.append((s, p, m))
                 del irrational[idx]
                 break
         else:
             return None
     return tuple(sorted(linear)) + tuple(sorted(quadratic))
+
+
+def _propose_factors(B: np.ndarray) -> Optional[tuple]:
+    """_cluster_factors on np.linalg.eigvalsh(B); see certified_factors.
+    Object-dtype (large-entry) and empty matrices get no proposal."""
+    if B.dtype == object or B.size == 0:
+        return None
+    return _cluster_factors(np.linalg.eigvalsh(B.astype(float)), _PROPOSE_TOL)
+
+
+def _split_proposal(proposal: tuple) -> Optional[tuple[list, list]]:
+    """(factors, multiplicities) of a proposal whose factors are distinct and
+    whose quadratics have two real irrational roots (s^2 - 4p > 0 and not a
+    square), else None."""
+    factors = [tuple(f[:-1]) for f in proposal]
+    if len(set(factors)) != len(factors):
+        return None
+    for f in factors:
+        if len(f) == 2:
+            disc = f[0] * f[0] - 4 * f[1]
+            if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+                return None
+    return factors, [f[-1] for f in proposal]
 
 
 def _power_sums(factor: tuple, count: int) -> list[int]:
@@ -607,17 +667,10 @@ def certified_factors(B) -> Optional[tuple]:
     """
     B = _as_int_array(B)
     proposal = _propose_factors(B)
-    if proposal is None:
+    split = None if proposal is None else _split_proposal(proposal)
+    if split is None:
         return None
-    factors = [tuple(f[:-1]) for f in proposal]
-    mults = [f[-1] for f in proposal]
-    if len(set(factors)) != len(factors):
-        return None
-    for f in factors:
-        if len(f) == 2:
-            disc = f[0] * f[0] - 4 * f[1]
-            if disc <= 0 or math.isqrt(disc) ** 2 == disc:
-                return None
+    factors, mults = split
     if _factor_product(B, factors).any():
         return None
     d = sum(len(f) for f in factors)
@@ -628,18 +681,65 @@ def certified_factors(B) -> Optional[tuple]:
     return tuple(proposal) if _power_traces(B, d) == expected else None
 
 
+def _poly_mul(f: list[int], g: Sequence[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _certified_poly_factors(coeffs: list[int]) -> Optional[list[tuple[list[int], int]]]:
+    """The monic integer polynomial coeffs as a proven product of linear
+    factors and irreducible real quadratics, as (coefficients, multiplicity)
+    pairs like _sympy_factors gives, or None.
+
+    _cluster_factors proposes the factors from np.roots(coeffs); they are
+    accepted only when they pass _split_proposal and prod_i f_i^m_i equals
+    coeffs exactly, in Python ints.  Unique factorization over Z[x] then
+    makes them the irreducible factors.
+    """
+    try:
+        roots = np.roots(np.array(coeffs, dtype=float))
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    if not np.isfinite(roots).all() or np.abs(roots.imag).max(initial=0.0) > _ROOTS_TOL:
+        return None
+    proposal = _cluster_factors(np.sort(roots.real), _ROOTS_TOL)
+    if proposal is None or _split_proposal(proposal) is None:
+        return None
+    factors = [([1, -f[0]] if len(f) == 2 else [1, -f[0], f[1]], f[-1]) for f in proposal]
+    product = [1]
+    for cs, m in factors:
+        for _ in range(m):
+            product = _poly_mul(product, cs)
+    return factors if product == coeffs else None
+
+
+def _sympy_factors(coeffs: list[int]) -> list[tuple[list[int], int]]:
+    """(integer coefficients, multiplicity) of each irreducible factor over Q,
+    by sympy, which is imported here and nowhere else in the package."""
+    import sympy
+
+    poly = sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.ZZ)
+    return [([int(c) for c in f.all_coeffs()], m) for f, m in poly.factor_list()[1]]
+
+
 def eigenvalues_from_charpoly(coeffs: Sequence[int]):
     """Exact (eigenvalue, multiplicity) pairs from integer charpoly coefficients.
 
-    Returns None when an irreducible factor of degree >= 3 (or with non-real
-    roots) appears; callers then fall back to plain float eigenvalues.  Pairs
-    come back sorted strictly descending.
+    Floats propose and integers certify (_certified_poly_factors); only a
+    polynomial that check rejects, such as one with a cubic factor, is
+    factored by sympy.  Returns None when an irreducible factor of degree
+    >= 3 (or with non-real roots) appears; callers then fall back to plain
+    float eigenvalues.  Pairs come back sorted strictly descending.
     """
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in coeffs], x, domain=sympy.ZZ)
+    coeffs = [int(c) for c in coeffs]
+    factors = _certified_poly_factors(coeffs)
+    if factors is None:
+        factors = _sympy_factors(coeffs)
     pairs: list[tuple[AlgebraicScalar, int]] = []
-    for factor, mult in poly.factor_list()[1]:
-        cs = [int(c) for c in factor.all_coeffs()]
+    for cs, mult in factors:
         if len(cs) == 2:
             a1, a0 = cs
             pairs.append((AlgebraicScalar(Fraction(-a0, a1)), mult))

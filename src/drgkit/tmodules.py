@@ -340,22 +340,9 @@ def taylor_eigenvalues(k: int, b: int):
     return (AlgebraicScalar(k), t1, AlgebraicScalar(-1), t3)
 
 
-def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
-                     b: int) -> ModuleDecomposition:
-    """T(x)-module classes of a Taylor graph: the primary module and one dim-2
-    endpoint-1 class per nontrivial local eigenvalue sigma, tau.
-
-    The local graph is strongly regular with parameters
-    (k, a_1, (3 a_1 - k - 1)/2, a_1/2), a_1 = k - b - 1, and its spectrum is
-    checked against theirs.  The local eigenvalues satisfy
-    2*sigma = theta_1 + theta_2 and 2*tau = theta_2 + theta_3 (checked
-    exactly); the difference form (theta_1 - theta_2)/2 does not equal
-    sigma, and a flag records that.
-    """
-    ctx = GraphContext.of(g)
-    params = ctx.params
-    if ctx.route != ("taylor", (k, b)):
-        raise ValueError(f"not a Taylor graph with (k, b) = ({k}, {b})")
+def _taylor_local(k: int, b: int) -> tuple:
+    """(theta, local SrgParams, local Spectrum, flags) of the Taylor graph
+    {k,b,1;1,b,k}, after the exact checks decompose_taylor documents."""
     theta = taylor_eigenvalues(k, b)
     a1 = k - b - 1
     if a1 % 2 or (3 * a1 - k - 1) % 2:
@@ -371,8 +358,29 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
             "taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
             "not (theta1-theta2)/2"
         )
+    return theta, local_params, srg_spectrum(local_params), tuple(flags)
+
+
+def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
+                     b: int) -> ModuleDecomposition:
+    """T(x)-module classes of a Taylor graph: the primary module and one dim-2
+    endpoint-1 class per nontrivial local eigenvalue sigma, tau.
+
+    The local graph is strongly regular with parameters
+    (k, a_1, (3 a_1 - k - 1)/2, a_1/2), a_1 = k - b - 1, and its spectrum is
+    checked against theirs.  The local eigenvalues satisfy
+    2*sigma = theta_1 + theta_2 and 2*tau = theta_2 + theta_3 (checked
+    exactly); the difference form (theta_1 - theta_2)/2 does not equal
+    sigma, and a flag records that.  These graph-level data are built once
+    per context (GraphContext.taylor_local) and read by every vertex.
+    """
+    ctx = GraphContext.of(g)
+    params = ctx.params
+    if ctx.route != ("taylor", (k, b)):
+        raise ValueError(f"not a Taylor graph with (k, b) = ({k}, {b})")
+    theta, local_params, expected_local, flags = ctx.taylor_local
+    sigma, tau = local_params.sigma, local_params.tau
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    expected_local = srg_spectrum(local_params)
     if local.pairs != expected_local.pairs:
         raise ValueError(f"local spectrum {local} differs from {expected_local}")
 
@@ -393,7 +401,7 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
             endpoint=1, dual_endpoint=t, diameter=1, dim=2, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
-    return ModuleDecomposition(n=params.n, descriptors=tuple(descs), flags=tuple(flags))
+    return ModuleDecomposition(n=params.n, descriptors=tuple(descs), flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +411,15 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
 
 def at4_eigenvalues(p: int, q: int) -> tuple[int, int, int, int, int]:
     return (q * (p * q + p + q), p * q + p + q, p, -q, -q * q)
+
+
+def _at4_local(p: int, q: int) -> tuple:
+    """(theta, local SrgParams, local Spectrum) of AT4(p, q, 2): the local
+    graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues are
+    sigma = p and tau = -q."""
+    local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
+    return (tuple(AlgebraicScalar(t) for t in at4_eigenvalues(p, q)), local_params,
+            srg_spectrum(local_params))
 
 
 def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
@@ -421,14 +438,9 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     params = ctx.params
     if ctx.route != ("at4", (p, q)):
         raise ValueError(f"intersection array does not match AT4({p},{q},2)")
-    theta = tuple(AlgebraicScalar(t) for t in at4_eigenvalues(p, q))
-
-    # the local graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose
-    # eigenvalues are sigma = p and tau = -q
-    local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
+    theta, local_params, expected_local = ctx.at4_local
     m_bp, m_bm = local_params.m_sigma, local_params.m_tau
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    expected_local = srg_spectrum(local_params)
     if local.pairs != expected_local.pairs:
         raise ValueError(f"local spectrum {local} differs from AT4 prediction "
                          f"{expected_local}")

@@ -126,3 +126,22 @@ def test_srg_surds_are_evaluated_once_per_report(monkeypatch):
         analyze_graph(chang(2), vertices)
         counts.append(len(surds))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("g, vertices, count", [
+    (icosahedron(), list(range(12)), 3),
+    (johnson(6, 3), list(range(20)), 2),
+    (johnson(8, 4), [0, 1, 2], None),
+])
+def test_taylor_and_at4_local_data_are_built_once_per_report(monkeypatch, g, vertices, count):
+    """The Taylor eigenvalues, the local SrgParams and the 2*lambda check are
+    graph-level: the whole sweep takes as many square roots as vertex 0."""
+    surds = _spy(monkeypatch, drgkit.exactla, "sqrt_of_fraction")
+    counts = []
+    for vs in ([0], vertices):
+        surds.clear()
+        analyze_graph(g, vs)
+        counts.append(len(surds))
+    assert counts[0] == counts[1]
+    if count is not None:
+        assert counts[0] == count

@@ -1,7 +1,14 @@
 """Exact scalar arithmetic, integer spans, charpolys."""
 
+import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drgkit
 from drgkit import exactla
 from drgkit.exactla import (
     AlgebraicScalar,
@@ -19,8 +27,10 @@ from drgkit.exactla import (
     sqrt_of_fraction,
     square_free_split,
 )
-from drgkit.families import icosahedron
-from drgkit.graph_core import distances
+from drgkit.context import GraphContext
+from drgkit.families import FamilySpec, construct, icosahedron
+from drgkit.graph_core import Graph, distances
+from drgkit.scheme import intersection_matrix
 
 
 def S(a, b=0, d=0):
@@ -62,6 +72,39 @@ def test_square_free_split():
     assert square_free_split(1) == (1, 1)
     assert square_free_split(20) == (2, 5)
     assert square_free_split(49) == (7, 1)
+
+
+def _factorint_split(n: int) -> tuple[int, int]:
+    """square_free_split by the sympy.factorint oracle."""
+    if n == 0:
+        return 0, 0
+    s, d = 1, 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return s, d
+
+
+def test_square_free_split_matches_factorint_up_to_1e5():
+    assert all(square_free_split(n) == _factorint_split(n) for n in range(10**5 + 1))
+
+
+def test_square_free_split_cofactors_above_the_cube_root():
+    # after trial division up to the cube root the cofactor is 1, p, pq or p^2
+    big = [sympy.prevprime(10**6), sympy.nextprime(10**6), sympy.nextprime(3 * 10**6)]
+    near = [sympy.prevprime(10**4), sympy.nextprime(10**4)]  # p^2 q ~ 1e12: p, q ~ cbrt
+    cases = [p * p for p in big] + [p * q for p, q in itertools.combinations(big, 2)]
+    cases += [p * p * q for p in big for q in (2, 3, 101)]
+    cases += [p * p * q for p, q in itertools.permutations(near, 2)]
+    cases += [2**61 - 1, 4 * (2**61 - 1), (2**31 - 1) ** 2]
+    for n in cases:
+        assert square_free_split(n) == _factorint_split(n), n
+    assert square_free_split(2**61 - 1) == (1, 2**61 - 1)
+
+
+def test_crt_primes_are_the_first_64_above_2_24():
+    assert list(exactla._crt_primes()) == list(
+        itertools.islice(sympy.primerange(2**24, 2**26), 64))
 
 
 def test_canonicalization():
@@ -244,6 +287,167 @@ def test_eigenvalues_from_charpoly_quadratic():
 def test_eigenvalues_from_charpoly_cubic_gives_none():
     # x^3 - x - 1 is irreducible over Q
     assert eigenvalues_from_charpoly([1, 0, -1, -1]) is None
+
+
+def _sympy_route(coeffs):
+    """Oracle: eigenvalues_from_charpoly as sympy's factor_list decides it."""
+    poly = sympy.Poly([int(c) for c in coeffs], sympy.Symbol("x"), domain=sympy.ZZ)
+    pairs = []
+    for factor, mult in poly.factor_list()[1]:
+        cs = [int(c) for c in factor.all_coeffs()]
+        if len(cs) == 2:
+            pairs.append((AlgebraicScalar(Fraction(-cs[1], cs[0])), mult))
+        elif len(cs) == 3 and cs[1] ** 2 - 4 * cs[0] * cs[2] > 0:
+            a2, a1, a0 = cs
+            root = sqrt_of_fraction(a1 * a1 - 4 * a2 * a0) / (2 * a2)
+            base = AlgebraicScalar(Fraction(-a1, 2 * a2))
+            pairs += [(base + root, mult), (base - root, mult)]
+        else:
+            return None
+    return sorted(pairs, key=lambda p: float(p[0]), reverse=True)
+
+
+def _poly(factors):
+    """Coefficients of prod (x - r)^m * (x^2 - s x + p)^m over ((r, m), (s, p, m), ...)."""
+    x = sympy.Symbol("x")
+    expr = sympy.Integer(1)
+    for *f, m in factors:
+        expr *= (x - f[0] if len(f) == 1 else x * x - f[0] * x + f[1]) ** m
+    return [int(c) for c in sympy.Poly(expr, x).all_coeffs()]
+
+
+def _spy_sympy(monkeypatch):
+    calls = []
+    original = exactla._sympy_factors
+
+    def spy(coeffs):
+        calls.append(tuple(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(exactla, "_sympy_factors", spy)
+    return calls
+
+
+def _cycle_graph(n: int) -> Graph:
+    return Graph(np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+                 + np.roll(np.eye(n, dtype=np.int64), -1, axis=1))
+
+
+_CORPUS = [("shrikhande", ()), ("rook_grid", (4,)), ("johnson", (8, 2)), ("chang", (1,)),
+           ("chang", (2,)), ("chang", (3,)), ("triangular_complement", (6,)),
+           ("icosahedron", ()), ("johnson", (6, 3)), ("johnson", (8, 4)),
+           ("halved_cube", (8,)), ("hamming", (3, 3)), ("hamming", (4, 2)),
+           ("johnson", (7, 3))]
+
+
+def test_corpus_intersection_charpolys_match_sympy_without_it(monkeypatch):
+    calls = _spy_sympy(monkeypatch)
+    polys = set()
+    for family, params in _CORPUS:
+        ctx = GraphContext.of(construct(FamilySpec(family, params)))
+        polys.add(tuple(charpoly_int(intersection_matrix(ctx.params))))
+    for coeffs in sorted(polys):
+        assert eigenvalues_from_charpoly(coeffs) == _sympy_route(coeffs), coeffs
+    assert calls == []
+    c7 = tuple(charpoly_int(intersection_matrix(GraphContext.of(_cycle_graph(7)).params)))
+    assert eigenvalues_from_charpoly(c7) is None is _sympy_route(c7)
+    assert calls == [c7]
+
+
+def _random_factors(rng: random.Random, max_mult: int) -> tuple:
+    """Distinct integer roots and irreducible real quadratics, with multiplicities."""
+    factors = {}
+    while len(factors) < rng.randint(1, 4):
+        if rng.random() < 0.5:
+            f = (rng.randint(-12, 12),)
+        else:
+            s, p = rng.randint(-9, 9), rng.randint(-25, 25)
+            disc = s * s - 4 * p
+            if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+                continue
+            f = (s, p)
+        factors.setdefault(f, rng.randint(1, max_mult))
+    return tuple(f + (m,) for f, m in factors.items())
+
+
+@pytest.mark.parametrize("max_mult", [1, 3])
+def test_random_products_match_sympy(monkeypatch, max_mult):
+    calls = _spy_sympy(monkeypatch)
+    rng = random.Random(max_mult)
+    for _ in range(150):
+        coeffs = _poly(_random_factors(rng, max_mult))
+        assert eigenvalues_from_charpoly(coeffs) == _sympy_route(coeffs), coeffs
+    if max_mult == 1:  # simple roots: np.roots proposes every product right
+        assert calls == []
+
+
+def test_cubic_fields_go_to_sympy_and_give_none(monkeypatch):
+    calls = _spy_sympy(monkeypatch)
+    c7 = charpoly_int(np.asarray(_cycle_graph(7).adjacency, dtype=np.int64))
+    for coeffs in (c7, [1, 0, -3, 1]):
+        assert eigenvalues_from_charpoly(coeffs) is None is _sympy_route(coeffs)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("wrong", [
+    ((5, 1), (-1, 1), (0, -6, 1)),    # sqrt(6) for sqrt(5)
+    ((5, 1), (-1, 2), (0, -5, 1)),    # a multiplicity off
+    ((5, 1), (-1, 1), (0, -4, 1)),    # the reducible x^2 - 4
+    ((5, 1), (-1, 1), (-1, 1)),       # a repeated factor
+    ((5, 1), (-1, 1)),                # a dropped factor
+])
+def test_wrong_clusters_fall_back_to_sympy(monkeypatch, wrong):
+    # icosahedron: (x - 5)(x + 1)(x^2 - 5)
+    coeffs = charpoly_int(intersection_matrix(GraphContext.of(icosahedron()).params))
+    expected = _sympy_route(coeffs)
+    calls = _spy_sympy(monkeypatch)
+    monkeypatch.setattr(exactla, "_cluster_factors", lambda vals, tol: wrong)
+    assert eigenvalues_from_charpoly(coeffs) == expected
+    assert calls == [tuple(coeffs)]
+
+
+_SYMPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+import drgkit.cli
+from drgkit.families import FamilySpec, construct
+from drgkit.graph_core import save_graph
+out, seen = Path(sys.argv[1]), {"import drgkit.cli": "sympy" in sys.modules}
+for name, family, params in json.loads(sys.argv[2]):
+    save_graph(construct(FamilySpec(family, params)), out / f"{name}.json")
+(out / "c7.json").write_text(json.dumps(
+    {"n": 7, "edges": [sorted((v, (v + 1) % 7)) for v in range(7)]}))
+for argv in json.loads(sys.argv[3]):
+    with redirect_stdout(io.StringIO()):
+        rc = drgkit.cli.main([str(out / a) if a.endswith(".json") else a for a in argv])
+    seen[" ".join(argv)] = "sympy" in sys.modules if rc == 0 else f"exit {rc}"
+print(json.dumps(seen))
+"""
+
+
+def test_sympy_is_imported_only_for_cubic_fields(tmp_path):
+    """pytest has sympy loaded already, so a fresh interpreter runs the commands."""
+    graphs = [("shrikhande", "shrikhande", ()), ("rook4", "rook_grid", (4,)),
+              ("j82", "johnson", (8, 2)), ("chang1", "chang", (1,)),
+              ("chang2", "chang", (2,)), ("chang3", "chang", (3,)),
+              ("gq22", "triangular_complement", (6,)), ("icosahedron", "icosahedron", ()),
+              ("j63", "johnson", (6, 3)), ("j84", "johnson", (8, 4)),
+              ("halved8", "halved_cube", (8,))]
+    ops = [["pvt", f"{name}.json"] for name, _, _ in graphs]
+    ops += [["tiso", f"{a}.json", f"{b}.json"]
+            for a, b in (("shrikhande", "rook4"), ("j82", "chang1"), ("chang2", "chang3"))]
+    ops += [["analyze", "j84.json"], ["analyze", "halved8.json"],
+            ["analyze", "c7.json", "--float-fallback"]]
+    src = str(Path(drgkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, str(tmp_path),
+                           json.dumps(graphs), json.dumps(ops)],
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    expected = {"import drgkit.cli": False, **{" ".join(op): False for op in ops}}
+    expected["analyze c7.json --float-fallback"] = True
+    assert json.loads(proc.stdout) == expected
 
 
 def test_eigenprojection_icosahedron_ranks():

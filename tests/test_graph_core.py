@@ -84,6 +84,60 @@ def test_non_integer_vertex_id_rejected(tmp_path, name, text):
     assert e.value.reason == "parse"
 
 
+_GOOD = [[0, 1], [1, 2], [2, 3]]
+
+
+@pytest.mark.parametrize("bad, reason, message", [
+    ([0, 1, 2], "parse", "parse: edge [0, 1, 2] is not a pair"),
+    (7, "parse", "parse: edge 7 is not a pair"),
+    ([0, 1.5], "parse", "parse: vertex id 1.5 is not an integer"),
+    ([True, 1], "parse", "parse: vertex id True is not an integer"),
+    (["0", 1], "parse", "parse: vertex id '0' is not an integer"),
+    ([2, 2], "loop", "loop: edge (2, 2)"),
+    ([0, 4], "out-of-range", "out-of-range: edge (0, 4) with n=4"),
+    ([-1, 3], "out-of-range", "out-of-range: edge (-1, 3) with n=4"),
+    ([0, 10**30], "out-of-range", f"out-of-range: edge (0, {10**30}) with n=4"),
+    ([10**30, 10**30], "loop", f"loop: edge ({10**30}, {10**30})"),
+    ([2, 1], "duplicate", "duplicate: edge (1, 2)"),
+])
+def test_each_edge_fault_kind_has_its_message(tmp_path, bad, reason, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 4, "edges": _GOOD + [bad, [3, 0]]}))
+    with pytest.raises(GraphError) as e:
+        load_graph(path)
+    assert (e.value.reason, str(e.value)) == (reason, message)
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ([1, 1], [0, 1.5], "loop: edge (1, 1)"),
+    ([0, 1.5], [1, 1], "parse: vertex id 1.5 is not an integer"),
+    ([3, 2], [0, 9], "duplicate: edge (2, 3)"),
+    ([0, 9], [3, 2], "out-of-range: edge (0, 9) with n=4"),
+    ([0, 9], [1, 1], "out-of-range: edge (0, 9) with n=4"),
+    ([1, 1], [0, 9], "loop: edge (1, 1)"),
+    ([2, 1], [3, 3], "duplicate: edge (1, 2)"),
+    (["x", 0], [1, 0], "parse: vertex id 'x' is not an integer"),
+    ([1, 0], ["x", 0], "duplicate: edge (0, 1)"),
+])
+def test_first_of_two_faulty_edges_is_reported(tmp_path, first, second, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 4, "edges": _GOOD + [first, [3, 0], second]}))
+    with pytest.raises(GraphError) as e:
+        load_graph(path)
+    assert str(e.value) == message
+
+
+def test_text_edge_list_faults_keep_their_messages(tmp_path):
+    for text, message in (("0 1\n1 1\n", "loop: edge (1, 1)"),
+                          ("0 1\n-1 1\n", "out-of-range: edge (-1, 1) with n=2"),
+                          ("0 1\n1 0\n", "duplicate: edge (0, 1)")):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError) as e:
+            load_graph(path)
+        assert str(e.value) == message
+
+
 def test_oversized_file_rejected_before_allocation(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("0 1000000000\n")
