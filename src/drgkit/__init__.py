@@ -11,7 +11,7 @@ pseudo-vertex transitivity and T-isomorphism.
 __version__ = "0.1.0"
 
 from .exactla import AlgebraicScalar
-from .graph_core import Graph, DistanceData, load_graph, save_graph, distances, induced_subgraph
+from .graph_core import Graph, DistanceData, load_graph, save_graph, distances
 from .families import FamilySpec, construct, seidel_switch
 from .scheme import (
     DrgParameters,
@@ -31,13 +31,7 @@ from .spectra import (
     second_subconstituent_derived,
     cospectral,
 )
-from .terwilliger import (
-    DualIdempotents,
-    AlgebraBasis,
-    dual_idempotents,
-    algebra_closure,
-    terwilliger_dimension,
-)
+from .terwilliger import block_spin_dim, terwilliger_dimension
 from .context import GraphContext
 from .tmodules import (
     ModuleDescriptor,

@@ -339,12 +339,6 @@ def _to_object(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shrink(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object and _max_abs(a) < _INT64_SAFE:
-        return a.astype(np.int64)
-    return a
-
-
 def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact integer matrix product; int64 when provably overflow-free."""
     if A.dtype != object and B.dtype != object:
@@ -370,19 +364,23 @@ def _gcd_all(a: np.ndarray) -> int:
 
 
 class _Row:
-    """One row of a reduced integer echelon form: pivot column and vector."""
+    """One row of a reduced integer echelon form: pivot column, vector and
+    m = max|v|."""
 
-    __slots__ = ("piv", "v")
+    __slots__ = ("piv", "v", "m")
 
-    def __init__(self, piv: int, v: np.ndarray):
-        self.piv, self.v = piv, v
+    def __init__(self, piv: int, v: np.ndarray, m: int):
+        self.piv, self.v, self.m = piv, v, m
 
 
-def _strip_row(v: np.ndarray) -> np.ndarray:
-    g = _gcd_all(v)
+def _strip_row(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v divided by its content, back on int64 when it fits, and its max|v|."""
+    g, m = _gcd_all(v), _max_abs(v)
     if g > 1:
-        v = v // g
-    return _shrink(v)
+        v, m = v // g, m // g
+    if v.dtype == object and m < _INT64_SAFE:
+        v = v.astype(np.int64)
+    return v, m
 
 
 class ExactSpan:
@@ -390,8 +388,10 @@ class ExactSpan:
 
     Rows are kept in fully reduced echelon form with integer entries (content
     stripped, leading coefficient positive), so a membership test is a single
-    elimination sweep.  Matrices are inserted as their flattened entries, which
-    is the algebra-closure hot path.
+    elimination sweep.  Each row carries its largest absolute entry, so a
+    combination p*v - c*r is bounded by |p| max|v| + |c| max|r| without a
+    pass over the entries.  Matrices are inserted as their flattened entries,
+    which is the algebra-closure hot path.
     """
 
     def __init__(self, ncols: int):
@@ -404,25 +404,27 @@ class ExactSpan:
         return len(self.rows)
 
     @staticmethod
-    def _combine(p: int, v: np.ndarray, c: int, r: np.ndarray) -> np.ndarray:
-        """p*v - c*r exactly; int64 when provably overflow-free."""
-        if (v.dtype != object and r.dtype != object
-                and abs(p) * _max_abs(v) + abs(c) * _max_abs(r) < _INT64_SAFE):
-            return v * p - c * r
-        return _to_object(v) * p - c * _to_object(r)
+    def _combine(p: int, v: np.ndarray, mv: int, c: int, r: np.ndarray, mr: int
+                 ) -> tuple[np.ndarray, int]:
+        """p*v - c*r exactly, with the bound |p| mv + |c| mr on its entries
+        (mv, mr bound those of v, r); int64 when the bound allows it."""
+        m = abs(p) * mv + abs(c) * mr
+        if v.dtype != object and r.dtype != object and m < _INT64_SAFE:
+            return v * p - c * r, m
+        return _to_object(v) * p - c * _to_object(r), m
 
     def _reduce(self, v: np.ndarray) -> Optional[_Row]:
+        m = _max_abs(v)
         for row in self.rows:
             if v[row.piv] != 0:
-                v = self._combine(int(row.v[row.piv]), v, int(v[row.piv]), row.v)
-                if v.dtype == object or _max_abs(v) > _STRIP_THRESHOLD:
-                    v = _strip_row(v)
-        v = _strip_row(v)
-        idx = np.flatnonzero(v)
-        if len(idx) == 0:
+                v, m = self._combine(int(row.v[row.piv]), v, m, int(v[row.piv]), row.v, row.m)
+                if v.dtype == object or m > _STRIP_THRESHOLD:
+                    v, m = _strip_row(v)
+        v, m = _strip_row(v)
+        if m == 0:
             return None
-        first = int(idx[0])
-        return _Row(first, -v if v[first] < 0 else v)
+        first = int(np.flatnonzero(v)[0])
+        return _Row(first, -v if v[first] < 0 else v, m)
 
     def _flatten(self, mat) -> np.ndarray:
         v = _as_int_array(mat).reshape(-1).copy()
@@ -445,8 +447,8 @@ class ExactSpan:
             if row.v[new.piv] != 0:
                 # new.v is zero on row.piv and both leads are positive, so the
                 # combination keeps a positive lead
-                v = self._combine(p, row.v, int(row.v[new.piv]), new.v)
-                updated.append(_Row(row.piv, _strip_row(v)))
+                v, _ = self._combine(p, row.v, row.m, int(row.v[new.piv]), new.v, new.m)
+                updated.append(_Row(row.piv, *_strip_row(v)))
             else:
                 updated.append(row)
         updated.append(new)

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "load_graph",
     "save_graph",
     "distances",
-    "induced_subgraph",
 ]
 
 
@@ -160,20 +159,6 @@ def distances(g: Graph) -> DistanceData:
         frontier = reach.astype(np.float32)
     dist.setflags(write=False)
     return DistanceData(D=D, dist=dist)
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph on the given vertices, relabelled 0..m-1 preserving order."""
-    verts = [int(v) for v in vertices]
-    if not verts:
-        raise GraphError("empty", "induced subgraph needs a nonempty vertex set")
-    if len(set(verts)) != len(verts):
-        raise GraphError("duplicate", "vertex set has repeats")
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise GraphError("out-of-range", f"vertex {v}")
-    sub = g.adjacency[np.ix_(verts, verts)]
-    return Graph(sub, label=f"{g.label}[{len(verts)}]" if g.label else "")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
 import drgkit.spectra
 from drgkit.families import (
@@ -20,9 +22,28 @@ from drgkit.families import (
 )
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
+from drgkit.graph_core import Graph, GraphError
 from drgkit.scheme import cosine_sequence
 from drgkit.spectra import SrgParams, effective_multiplicities
 from drgkit.tmodules import decompose_srg, dimension_sequence
+
+
+# a fixed set of draws per run: `pytest --hypothesis-profile=ci`
+settings.register_profile("ci", derandomize=True)
+
+
+def induced_subgraph(g, vertices) -> Graph:
+    """Subgraph on the given vertices, relabelled 0..m-1 preserving order."""
+    verts = [int(v) for v in vertices]
+    if not verts:
+        raise GraphError("empty", "induced subgraph needs a nonempty vertex set")
+    if len(set(verts)) != len(verts):
+        raise GraphError("duplicate", "vertex set has repeats")
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise GraphError("out-of-range", f"vertex {v}")
+    sub = g.adjacency[np.ix_(verts, verts)]
+    return Graph(sub, label=f"{g.label}[{len(verts)}]" if g.label else "")
 
 
 @dataclass

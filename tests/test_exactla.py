@@ -252,6 +252,35 @@ def test_span_rejects_linear_combinations(c1, c2):
     assert span.contains(A * c1 + B * c2)
 
 
+def test_span_rows_carry_their_max_abs(monkeypatch):
+    callers = set()
+    to_object = exactla._to_object
+
+    def spy(a):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return to_object(a)
+
+    monkeypatch.setattr(exactla, "_to_object", spy)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        base = [rng.integers(-4, 5, size=(3, 4)) for _ in range(int(rng.integers(2, 8)))]
+        # a few dependent ones, so some inserts reduce to zero
+        base += [base[0] * 3 - base[-1] * 2, base[1] - base[0]]
+        # every second matrix scaled by 2**40: its combinations overflow int64
+        mats = [m * 2**40 if i % 2 else m for i, m in enumerate(base)]
+        span = ExactSpan(12)
+        for m in mats:
+            span.insert(m)
+            for row in span.rows:
+                assert row.m == max(abs(int(v)) for v in row.v)
+        assert span.dim == sympy.Matrix([[int(v) for v in m.flat] for m in mats]).rank()
+        coeffs = rng.integers(-3, 4, size=len(mats)).tolist()
+        combo = sum((c * exactla._to_object(m) for c, m in zip(coeffs, mats)),
+                    np.zeros((3, 4), dtype=object))
+        assert span.contains(combo)
+    assert "_combine" in callers
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import induced_subgraph
 from drgkit.families import (
     chang,
     complete_bipartite,
@@ -22,7 +23,6 @@ from drgkit.graph_core import (
     Graph,
     GraphError,
     distances,
-    induced_subgraph,
     load_graph,
     save_graph,
 )

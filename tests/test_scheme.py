@@ -8,7 +8,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import idempotent_profiles
+from conftest import idempotent_profiles, induced_subgraph
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import (
     chang,
@@ -297,7 +297,6 @@ def test_intersection_matrix_srg_shape():
 
 def test_tight_local_graph_characterization():
     # tight => local graphs are connected SRGs with eigenvalues a_1, b+, b-
-    from drgkit.graph_core import induced_subgraph
     from drgkit.spectra import subconstituent_spectrum
 
     for g in (icosahedron(), johnson(8, 4)):

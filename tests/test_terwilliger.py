@@ -1,4 +1,4 @@
-"""Dual idempotents, dual eigenvalues, algebra closure, the primary-module action."""
+"""Dual idempotents, dual eigenvalues, the block-spin closure, the primary-module action."""
 
 import itertools
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import idempotent_profiles
 from drgkit.exactla import ExactSpan, _imatmul, charpoly_int, eigenvalues_from_charpoly
 from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shrikhande
-from drgkit.graph_core import distances
+from drgkit.graph_core import Graph, distances
 from drgkit.scheme import (
     antipodality,
     eigen_data,
@@ -18,18 +18,23 @@ from drgkit.scheme import (
     krein,
     verify_drg,
 )
-from drgkit.terwilliger import algebra_closure, dual_idempotents, terwilliger_dimension
+from drgkit.terwilliger import block_spin_dim, terwilliger_dimension
+
+
+def _class_indicators(dd, x):
+    """E*_0 .. E*_D at x, each as its 0/1 diagonal: the distance-class indicators."""
+    return [(dd.dist[x] == i).astype(np.int64) for i in range(dd.D + 1)]
 
 
 def test_dual_idempotents_partition():
     g = johnson(8, 2)
     dd = distances(g)
-    di = dual_idempotents(g, 0, dd)
+    indicators = _class_indicators(dd, 0)
     # each E*_i is a 0/1 diagonal (so idempotent) and they sum to I
-    assert all(set(np.unique(e)) <= {0, 1} for e in di.indicators)
-    assert (sum(di.indicators) == 1).all()
+    assert all(set(np.unique(e)) <= {0, 1} for e in indicators)
+    assert (sum(indicators) == 1).all()
     # rank E*_1 = valency
-    assert int(di.indicators[1].sum()) == 12
+    assert int(indicators[1].sum()) == 12
 
 
 def test_dual_idempotents_antipode_reversal():
@@ -37,10 +42,10 @@ def test_dual_idempotents_antipode_reversal():
     dd = distances(g)
     amap = antipodality(g, dd)
     x = 0
-    di_x = dual_idempotents(g, x, dd)
-    di_hat = dual_idempotents(g, amap[x], dd)
+    e_x = _class_indicators(dd, x)
+    e_hat = _class_indicators(dd, amap[x])
     for j in range(4):
-        assert (di_x.indicators[j] == di_hat.indicators[3 - j]).all()
+        assert (e_x[j] == e_hat[3 - j]).all()
 
 
 def _dual_eigenvalues(g, params, ed, order):
@@ -78,8 +83,8 @@ def test_dual_adjacency_j82():
     # distinctness
     assert len(set(theta_star)) == 3
     # A* = A*_1(0) = sum_i theta*_i E*_i
-    di = dual_idempotents(g, 0, dd)
-    A_star = sympy.diag(*[sum(_sym(t) * int(e[y]) for t, e in zip(theta_star, di.indicators))
+    indicators = _class_indicators(dd, 0)
+    A_star = sympy.diag(*[sum(_sym(t) * int(e[y]) for t, e in zip(theta_star, indicators))
                           for y in range(g.n)])
     # E_i = sum_h prof[h][i] A_h, taken in the Q-polynomial ordering
     prof = idempotent_profiles(ed, params)
@@ -107,10 +112,10 @@ def test_dual_adjacency_icosahedron_distinct():
 
 def _terwilliger_generators(g, x, dd):
     gens = [np.asarray(g.adjacency, dtype=np.int64)]
-    return gens + [np.diag(e) for e in dual_idempotents(g, x, dd).indicators]
+    return gens + [np.diag(e) for e in _class_indicators(dd, x)]
 
 
-def _spin_closure_dim(gens):
+def _spin_closure(gens) -> ExactSpan:
     """Test oracle: spin span{I} as whole n x n matrices, every generator a multiplier."""
     gens = [np.asarray(G) for G in gens]
     n = gens[0].shape[0]
@@ -122,21 +127,35 @@ def _spin_closure_dim(gens):
         for G in gens:
             if span.insert(_imatmul(G, M)):
                 todo.append(span.last_row.v.reshape(n, n))
-    return span.dim
+    return span
+
+
+def _spin_closure_dim(gens):
+    return _spin_closure(gens).dim
+
+
+def _closure_dim(gens):
+    """dim of the unital algebra generated by gens through block_spin_dim: the
+    diagonal generators give the cells, their common level sets (one cell when
+    there is none), and the others are the dense generators."""
+    gens = [np.asarray(G) for G in gens]
+    n = gens[0].shape[0]
+    diagonal = [np.count_nonzero(G) == np.count_nonzero(G.diagonal()) for G in gens]
+    cells = {}
+    for v in range(n):
+        key = tuple(int(G[v, v]) for G, diag in zip(gens, diagonal) if diag)
+        cells.setdefault(key, []).append(v)
+    dense = [G for G, diag in zip(gens, diagonal) if not diag]
+    return block_spin_dim(dense, [np.array(c) for c in cells.values()])
 
 
 def test_closure_identity_only():
-    basis = algebra_closure([np.eye(5, dtype=np.int64)])
-    assert basis.dim == 1
-    assert (basis.basis[0] == np.eye(5, dtype=np.int64)).all()
+    assert _closure_dim([np.eye(5, dtype=np.int64)]) == 1
 
 
 def test_closure_diagonal_only_generators():
-    basis = algebra_closure([np.diag([1, 1, 2, 3])])
-    assert basis.dim == 3
     # the cell projections onto {0, 1}, {2} and {3}
-    assert sorted(tuple(m.diagonal()) for m in basis.basis) == [(0, 0, 0, 1), (0, 0, 1, 0),
-                                                                (1, 1, 0, 0)]
+    assert _closure_dim([np.diag([1, 1, 2, 3])]) == 3
 
 
 def test_closure_diagonal_values_act_through_their_level_sets():
@@ -146,8 +165,8 @@ def test_closure_diagonal_values_act_through_their_level_sets():
     for f in ((5, -2, 7, 9), (3, 3, -1, -1), (2, 4, 2, 4)):
         values = np.array(f)[dist]
         levels = [np.diag((values == v).astype(np.int64)) for v in sorted(set(f))]
-        dim = algebra_closure([A, np.diag(values)]).dim
-        assert dim == algebra_closure([A] + levels).dim == _spin_closure_dim([A, np.diag(values)])
+        dim = _closure_dim([A, np.diag(values)])
+        assert dim == _closure_dim([A] + levels) == _spin_closure_dim([A, np.diag(values)])
         if len(set(f)) == 4:
             assert dim == terwilliger_dimension(g, 0) == 24
 
@@ -155,6 +174,18 @@ def test_closure_diagonal_values_act_through_their_level_sets():
 def test_closure_shrikhande_and_grid():
     assert terwilliger_dimension(shrikhande(), 0) == 20
     assert terwilliger_dimension(rook_grid(4), 0) == 15
+
+
+def test_closure_skips_empty_distance_classes():
+    # the centre of a path reaches every vertex in one step, so its class at
+    # distance D = 2 is empty; the closure runs on the two nonempty cells, with
+    # blocks of dimension 1, 1, 1 and 2 (I and J on the two leaves)
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    g = Graph(path)
+    dd = distances(g)
+    assert [len(np.flatnonzero(dd.dist[1] == i)) for i in range(3)] == [1, 2, 0]
+    assert terwilliger_dimension(g, 1, dd) == \
+        _spin_closure_dim(_terwilliger_generators(g, 1, dd)) == 5
 
 
 def test_closure_matches_whole_matrix_spin():
@@ -177,26 +208,27 @@ def test_closure_matches_whole_matrix_spin_on_random_generators(data):
     A[np.triu_indices(n)] = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     A = A | A.T
     D = np.diag(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    assert algebra_closure([A, D]).dim == _spin_closure_dim([A, D])
+    assert _closure_dim([A, D]) == _spin_closure_dim([A, D])
 
 
 def test_closure_basis_is_closed_and_transpose_stable():
     g = shrikhande()
     dd = distances(g)
     gens = _terwilliger_generators(g, 0, dd)
-    basis = algebra_closure(gens)
-    assert basis.dim == 20
-    # every basis element lies in one block E*_h T E*_j
-    for m in basis.basis:
+    cells = [np.flatnonzero(e) for e in _class_indicators(dd, 0)]
+    assert block_spin_dim([gens[0]], cells) == 20
+    span = _spin_closure(gens)
+    basis = [row.v.reshape(g.n, g.n) for row in span.rows]
+    assert len(basis) == 20
+    # T is the direct sum of its blocks E*_h T E*_j, so every row of the
+    # reduced echelon basis lies in one block
+    for m in basis:
         rows, cols = np.nonzero(m)
         assert len(set(dd.dist[0][rows])) == 1 and len(set(dd.dist[0][cols])) == 1
-    span = ExactSpan(g.n * g.n)
-    for m in basis.basis:
-        assert span.insert(m)
-    for m in basis.basis:
+    for m in basis:
         assert span.contains(m.T)
-    for a in basis.basis:
-        for b in basis.basis:
+    for a in basis:
+        for b in basis:
             assert span.contains(a.astype(object) @ b.astype(object))
     for gmat in gens:
         assert span.contains(gmat)
@@ -263,7 +295,7 @@ def test_closure_dim_matches_naive_fixed_point():
     for _ in range(4):
         n = int(rng.integers(2, 4))
         gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
-        assert algebra_closure(gens).dim == _naive_closure_dim(gens)
+        assert _closure_dim(gens) == _naive_closure_dim(gens)
 
 
 def _dense_and_diagonal_generators(seed):
@@ -279,7 +311,7 @@ def _dense_and_diagonal_generators(seed):
 
 def test_closure_dense_and_diagonal_generators_match_naive_fixed_point():
     for gens in _dense_and_diagonal_generators(7):
-        assert algebra_closure(gens).dim == _naive_closure_dim(gens)
+        assert _closure_dim(gens) == _naive_closure_dim(gens)
 
 
 def test_closure_dim_survives_int64_overflow(monkeypatch):
@@ -296,10 +328,10 @@ def test_closure_dim_survives_int64_overflow(monkeypatch):
 
     scale = 2**40
     for gens in _dense_and_diagonal_generators(7):
-        plain = algebra_closure(gens).dim
+        plain = _closure_dim(gens)
         monkeypatch.setattr(exactla, "_to_object", spy)
         big = [to_object(np.asarray(g, dtype=np.int64)) * scale for g in gens]
-        assert algebra_closure(big).dim == plain
+        assert _closure_dim(big) == plain
         monkeypatch.setattr(exactla, "_to_object", to_object)
     # the scaled run really took the Python-int paths it is meant to cover
     assert {"_imatmul", "_combine"} <= fallbacks
