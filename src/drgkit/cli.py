@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     if args.all_vertices and g.n > _SLOW_GATE and not args.slow:
         return _fail(EXIT_USAGE, f"error: --all-vertices on {g.n} vertices needs --slow "
                                  "(one T(x) closure per vertex, about two thirds of the "
-                                 "time: about 5 s for the 128-vertex halved 8-cube)")
+                                 "time: about 3 s for the 128-vertex halved 8-cube)")
     vertices = list(range(g.n)) if args.all_vertices else [args.base_vertex]
     try:
         report = analyze_graph(g, vertices, allow_float=args.float_fallback)

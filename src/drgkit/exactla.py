@@ -14,20 +14,19 @@ module.  The guiding constraints:
   fallback.
 * Linear independence is decided by fraction-free row reduction with gcd
   stripping; no floating point is consulted for any exact decision.
-* Spectra of integer matrices: floats propose, integers certify.
-  certified_factors reads integer roots and monic quadratics x^2 - s*x + p
-  off np.linalg.eigvalsh and accepts them only when their product
-  annihilates the matrix and the power traces tr(B^j), j < d, match; the
-  accepted factors, with multiplicities, are the exact spectrum.  A failed
-  check or an unpaired cluster falls back to charpoly_int (CRT
-  Faddeev-LeVerrier) and eigenvalues_from_charpoly.  That one proposes the
-  factors of the polynomial from np.roots, with the same clustering, and
-  accepts them only when their product is the polynomial exactly.  A float
-  can cause a fallback, never an answer.
-* sympy is imported only inside eigenvalues_from_charpoly, for a
-  characteristic polynomial that floats cannot certify (one with a cubic or
-  higher factor, say); that path decides cubic fields.  Everything else
-  (square-free parts, the CRT primes) is plain integer code.
+* Spectra of integer matrices have one certificate: floats propose, integers
+  certify.  certified_factors reads integer roots and monic quadratics
+  x^2 - s*x + p off the float eigenvalues (eigvalsh for a symmetric matrix,
+  eigvals for any other, such as the intersection matrix) and accepts them
+  only when their product annihilates the matrix and the power traces
+  tr(B^j), j < d, match; the accepted factor key, with multiplicities, is
+  the exact spectrum, and factor_roots turns it into exact eigenvalues.  A
+  float can cause a fallback, never an answer.
+* A matrix the certificate declines (a cubic factor, a non-diagonalizable
+  matrix) goes through charpoly_int (CRT Faddeev-LeVerrier) and
+  eigenvalues_from_charpoly, which factors the polynomial with sympy.  sympy
+  is imported there and nowhere else; everything else (square-free parts,
+  the CRT primes) is plain integer code.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ __all__ = [
     "certified_factors",
     "charpoly_int",
     "eigenvalues_from_charpoly",
+    "factor_roots",
 ]
 
 _INT64_SAFE = 2**62
@@ -538,27 +538,26 @@ def charpoly_int(A) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _PROPOSE_TOL = 1e-6
-_ROOTS_TOL = 1e-3  # np.roots loses digits on repeated roots; eigvalsh does not
 
 
-def _cluster_factors(vals, tol: float) -> Optional[tuple]:
+def _cluster_factors(vals) -> Optional[tuple]:
     """Integer roots and monic quadratics read off sorted float roots.
 
-    Groups runs of vals closer than tol and returns ((r, m), ..., (s, p, m),
-    ...): integer roots r and quadratics x^2 - s*x + p, each with its cluster
-    count m.  None when a cluster is neither near an integer nor paired with
-    a conjugate of the same count.  Nothing here is trusted; callers certify
-    the proposal with integers.
+    Groups runs of vals closer than _PROPOSE_TOL and returns ((r, m), ...,
+    (s, p, m), ...): integer roots r and quadratics x^2 - s*x + p, each with
+    its cluster count m.  None when a cluster is neither near an integer nor
+    paired with a conjugate of the same count.  Nothing here is trusted;
+    callers certify the proposal with integers.
     """
     vals = np.asarray(vals, dtype=float)
     if vals.size == 0:
         return ()
-    starts = np.flatnonzero(np.r_[True, np.diff(vals) > tol])
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > _PROPOSE_TOL])
     counts = np.diff(np.r_[starts, len(vals)])
     linear, irrational = [], []
     for v, m in zip((np.add.reduceat(vals, starts) / counts).tolist(), counts.tolist()):
         r = round(v)
-        if abs(v - r) < tol:
+        if abs(v - r) < _PROPOSE_TOL:
             linear.append((r, m))
         else:
             irrational.append((v, m))
@@ -567,8 +566,8 @@ def _cluster_factors(vals, tol: float) -> Optional[tuple]:
         u, m = irrational.pop(0)
         for idx, (w, mw) in enumerate(irrational):
             s, p = round(u + w), round(u * w)
-            if (mw == m and abs(u + w - s) < tol
-                    and abs(u * w - p) < tol * max(1.0, abs(p))):
+            if (mw == m and abs(u + w - s) < _PROPOSE_TOL
+                    and abs(u * w - p) < _PROPOSE_TOL * max(1.0, abs(p))):
                 quadratic.append((s, p, m))
                 del irrational[idx]
                 break
@@ -578,11 +577,21 @@ def _cluster_factors(vals, tol: float) -> Optional[tuple]:
 
 
 def _propose_factors(B: np.ndarray) -> Optional[tuple]:
-    """_cluster_factors on np.linalg.eigvalsh(B); see certified_factors.
-    Object-dtype (large-entry) and empty matrices get no proposal."""
+    """_cluster_factors on the float eigenvalues of B; see certified_factors.
+
+    A symmetric B goes to np.linalg.eigvalsh.  Any other gets the real parts of
+    np.linalg.eigvals, and no proposal when one eigenvalue is further than
+    _PROPOSE_TOL from the real line.  Object-dtype (large-entry) and empty
+    matrices get no proposal.
+    """
     if B.dtype == object or B.size == 0:
         return None
-    return _cluster_factors(np.linalg.eigvalsh(B.astype(float)), _PROPOSE_TOL)
+    if (B == B.T).all():
+        return _cluster_factors(np.linalg.eigvalsh(B.astype(float)))
+    vals = np.linalg.eigvals(B.astype(float))
+    if np.abs(vals.imag).max() > _PROPOSE_TOL:
+        return None
+    return _cluster_factors(np.sort(vals.real))
 
 
 def _split_proposal(proposal: tuple) -> Optional[tuple[list, list]]:
@@ -661,10 +670,13 @@ def certified_factors(B) -> Optional[tuple]:
       this is a nonsingular Vandermonde system, so it fixes every
       multiplicity (j = 0 gives the size of B).
 
-    Eigenvalues of an integer matrix are algebraic integers, so rational ones
-    are integers and quadratic ones have an integral monic minimal
-    polynomial: any spectrum in at most quadratic fields has such a
-    proposal.  A float can only make the proposal fail; it never decides
+    Neither check needs B symmetric.  Eigenvalues of an integer matrix are
+    algebraic integers, so rational ones are integers and quadratic ones have
+    an integral monic minimal polynomial: any diagonalizable B with its
+    spectrum in at most quadratic fields has such a proposal.  Symmetric
+    matrices are diagonalizable, and so is the intersection matrix of a
+    distance-regular graph, whose eigenvalues are real and simple (BCN
+    Sect. 4.1).  A float can only make the proposal fail; it never decides
     the answer.  Callers fall back to charpoly_int on None.
     """
     B = _as_int_array(B)
@@ -683,41 +695,6 @@ def certified_factors(B) -> Optional[tuple]:
     return tuple(proposal) if _power_traces(B, d) == expected else None
 
 
-def _poly_mul(f: list[int], g: Sequence[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-def _certified_poly_factors(coeffs: list[int]) -> Optional[list[tuple[list[int], int]]]:
-    """The monic integer polynomial coeffs as a proven product of linear
-    factors and irreducible real quadratics, as (coefficients, multiplicity)
-    pairs like _sympy_factors gives, or None.
-
-    _cluster_factors proposes the factors from np.roots(coeffs); they are
-    accepted only when they pass _split_proposal and prod_i f_i^m_i equals
-    coeffs exactly, in Python ints.  Unique factorization over Z[x] then
-    makes them the irreducible factors.
-    """
-    try:
-        roots = np.roots(np.array(coeffs, dtype=float))
-    except (OverflowError, np.linalg.LinAlgError):
-        return None
-    if not np.isfinite(roots).all() or np.abs(roots.imag).max(initial=0.0) > _ROOTS_TOL:
-        return None
-    proposal = _cluster_factors(np.sort(roots.real), _ROOTS_TOL)
-    if proposal is None or _split_proposal(proposal) is None:
-        return None
-    factors = [([1, -f[0]] if len(f) == 2 else [1, -f[0], f[1]], f[-1]) for f in proposal]
-    product = [1]
-    for cs, m in factors:
-        for _ in range(m):
-            product = _poly_mul(product, cs)
-    return factors if product == coeffs else None
-
-
 def _sympy_factors(coeffs: list[int]) -> list[tuple[list[int], int]]:
     """(integer coefficients, multiplicity) of each irreducible factor over Q,
     by sympy, which is imported here and nowhere else in the package."""
@@ -727,34 +704,38 @@ def _sympy_factors(coeffs: list[int]) -> list[tuple[list[int], int]]:
     return [([int(c) for c in f.all_coeffs()], m) for f, m in poly.factor_list()[1]]
 
 
-def eigenvalues_from_charpoly(coeffs: Sequence[int]):
-    """Exact (eigenvalue, multiplicity) pairs from integer charpoly coefficients.
-
-    Floats propose and integers certify (_certified_poly_factors); only a
-    polynomial that check rejects, such as one with a cubic factor, is
-    factored by sympy.  Returns None when an irreducible factor of degree
-    >= 3 (or with non-real roots) appears; callers then fall back to plain
-    float eigenvalues.  Pairs come back sorted strictly descending.
-    """
-    coeffs = [int(c) for c in coeffs]
-    factors = _certified_poly_factors(coeffs)
-    if factors is None:
-        factors = _sympy_factors(coeffs)
-    pairs: list[tuple[AlgebraicScalar, int]] = []
-    for cs, mult in factors:
-        if len(cs) == 2:
-            a1, a0 = cs
-            pairs.append((AlgebraicScalar(Fraction(-a0, a1)), mult))
-        elif len(cs) == 3:
-            a2, a1, a0 = cs
-            disc = a1 * a1 - 4 * a2 * a0
-            if disc <= 0:
-                return None
-            rt = sqrt_of_fraction(disc)
-            base = Fraction(-a1, 2 * a2)
-            pairs.append((AlgebraicScalar(base) + rt * AlgebraicScalar(Fraction(1, 2 * a2)), mult))
-            pairs.append((AlgebraicScalar(base) - rt * AlgebraicScalar(Fraction(1, 2 * a2)), mult))
+def factor_roots(key) -> list[tuple[AlgebraicScalar, int]]:
+    """The exact (eigenvalue, multiplicity) pairs of a factor key ((r, m), ...,
+    (s, p, m), ...), sorted strictly descending: r for x - r, and
+    (s +- sqrt(s^2 - 4p))/2 for x^2 - s*x + p."""
+    pairs = []
+    for *f, m in key:
+        if len(f) == 1:
+            pairs.append((AlgebraicScalar(f[0]), m))
         else:
-            return None
+            s, p = f
+            half = Fraction(1, 2)
+            pairs += [(AlgebraicScalar(Fraction(s, 2), half, s * s - 4 * p), m),
+                      (AlgebraicScalar(Fraction(s, 2), -half, s * s - 4 * p), m)]
     pairs.sort(key=functools.cmp_to_key(lambda p, q: p[0].compare(q[0])), reverse=True)
     return pairs
+
+
+def eigenvalues_from_charpoly(coeffs: Sequence[int]):
+    """Exact (eigenvalue, multiplicity) pairs of a monic integer polynomial,
+    factored by sympy: the route of a matrix that certified_factors declines.
+
+    The irreducible factors of a monic polynomial over Z are monic, so they
+    form a factor key for factor_roots.  Returns None when a factor has degree
+    >= 3 or is a quadratic with non-real roots; callers then fall back to
+    plain float eigenvalues.
+    """
+    key = []
+    for cs, m in _sympy_factors([int(c) for c in coeffs]):
+        if len(cs) == 2:
+            key.append((-cs[1], m))
+        elif len(cs) == 3 and cs[1] * cs[1] - 4 * cs[2] > 0:
+            key.append((-cs[1], cs[2], m))
+        else:
+            return None
+    return factor_roots(key)

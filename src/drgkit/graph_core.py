@@ -64,9 +64,10 @@ class Graph:
         adj = np.asarray(self.adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise GraphError("shape", "adjacency must be square")
-        adj = adj.astype(np.int8)
+        # checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1
         if not np.isin(adj, (0, 1)).all():
             raise GraphError("entries", "adjacency entries must be 0/1")
+        adj = adj.astype(np.int8)
         if adj.diagonal().any():
             v = int(np.nonzero(adj.diagonal())[0][0])
             raise GraphError("loop", f"vertex {v}")
@@ -93,17 +94,11 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
-
     def is_regular(self) -> Optional[int]:
         """The common valency, or None when degrees differ."""
         degs = self.adjacency.sum(axis=1)
         k = int(degs[0])
         return k if (degs == k).all() else None
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[v])[0]
 
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adjacency))
@@ -124,11 +119,6 @@ class DistanceData:
 
     D: int
     dist: np.ndarray
-
-    @property
-    def A(self) -> list[np.ndarray]:
-        """The distance matrices A_0..A_D as int64 0/1 arrays, built on each access."""
-        return [(self.dist == i).astype(np.int64) for i in range(self.D + 1)]
 
     def classes_from(self, x: int, i: int) -> np.ndarray:
         """Vertices at distance i from x, in increasing label order."""
@@ -207,6 +197,8 @@ def load_graph(path) -> Graph:
         if not isinstance(data["edges"], list):
             raise GraphError("parse", '"edges" must be a list of pairs')
         n = _json_int(data["n"], '"n"')
+        if n < 0:
+            raise GraphError("parse", f'"n" {n} is negative')
         g = _graph_from_edges(n, data["edges"], str(data.get("label", "")))
     else:
         edges = []

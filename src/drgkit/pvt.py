@@ -145,7 +145,6 @@ def t_isomorphic_srg(g1: Union[Graph, GraphContext],
     distinct2 = {s.pairs for s in specs2}
     if len(distinct1) > 1 or len(distinct2) > 1:
         # some pair of base vertices already exhibits different local spectra
-        all_eq = distinct1 == distinct2 and len(distinct1) == 1
         sample = next(iter(distinct1 ^ distinct2 or distinct1))
         return TIsoResult(
             False,

@@ -5,12 +5,13 @@ recognition of the Taylor and AT4(p, q, 2) intersection arrays.
 Only verify_drg (and antipodality) looks at the n x n graph.  verify_drg
 multiplies 0/1 class indicators in float32, which is exact because every entry
 counts at most n <= MAX_VERTICES < 2**24 vertices.  Everything else is computed
-from the intersection array: the eigenvalues are the roots of the (D+1) x (D+1)
-tridiagonal intersection matrix, so exactness is a root-finding problem on a
-quintic at worst; the multiplicities (Biggs' formula) and the Krein parameters
-(a closed form, BCN Sect. 2.3) follow from the cosine sequences.  Roots must
-lie in Q or a single quadratic field, otherwise the spectrum is flagged as
-float fallback.
+from the intersection array: the eigenvalues are those of the (D+1) x (D+1)
+tridiagonal intersection matrix, certified by exactla.certified_factors like
+any other integer matrix (the matrix is not symmetric, but its eigenvalues
+are real and simple); the multiplicities (Biggs' formula) and the Krein
+parameters (a closed form, BCN Sect. 2.3) follow from the cosine sequences.
+Roots must lie in Q or a single quadratic field, otherwise the spectrum is
+flagged as float fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .exactla import AlgebraicScalar, charpoly_int, eigenvalues_from_charpoly
+from .exactla import (
+    AlgebraicScalar,
+    certified_factors,
+    charpoly_int,
+    eigenvalues_from_charpoly,
+    factor_roots,
+)
 from .graph_core import DistanceData, Graph, GraphError, distances, require_size
 
 __all__ = [
@@ -178,17 +185,21 @@ def eigen_data(g: Graph, params: DrgParameters,
                dd: Optional[DistanceData] = None) -> EigenData:
     """Spectrum of a distance-regular graph from its intersection array.
 
-    The eigenvalues are the roots of the (D+1) x (D+1) intersection matrix and
-    the multiplicities come from Biggs' formula, so no n x n matrix is built.
-    The exact result must satisfy m_0 = 1, sum m_i = n, sum m_i theta_i = tr A
-    = 0 and sum m_i theta_i^2 = tr A^2 = n k.  Falls back to floats (flagged)
-    when the intersection-matrix charpoly has an irreducible factor of degree
-    >= 3; the rounded float multiplicities must still sum to n.  Only params
-    is read; g and dd keep the signature of the other per-graph layers.
+    The eigenvalues are those of the (D+1) x (D+1) intersection matrix,
+    certified by certified_factors (charpoly_int and eigenvalues_from_charpoly
+    when it declines), and the multiplicities come from Biggs' formula, so no
+    n x n matrix is built.  The exact result must satisfy m_0 = 1,
+    sum m_i = n, sum m_i theta_i = tr A = 0 and sum m_i theta_i^2 = tr A^2
+    = n k.  Falls back to floats (flagged) when the intersection-matrix
+    charpoly has an irreducible factor of degree >= 3; the rounded float
+    multiplicities must still sum to n.  Only params is read; g and dd keep
+    the signature of the other per-graph layers.
     """
     B = intersection_matrix(params)
     n, k = params.n, params.k
-    pairs = eigenvalues_from_charpoly(charpoly_int(B))
+    key = certified_factors(B)
+    pairs = (factor_roots(key) if key is not None
+             else eigenvalues_from_charpoly(charpoly_int(B)))
     if pairs is None:
         evals = np.linalg.eigvals(B.astype(float))
         theta = tuple(sorted((float(v.real) for v in evals), reverse=True))

@@ -1,22 +1,22 @@
 """Spectra of matrices and subconstituents; closed-form SRG spectra; the
 second-subconstituent derivation.
 
-Exact spectra of integer matrices take one of two routes, and a float never
-decides an answer:
+Exact spectra of integer matrices come from exactla's one certificate, and
+a float never decides an answer:
 
-* propose and certify: exactla.certified_factors clusters the float
-  eigenvalues of the matrix into integer roots and monic quadratics
-  x^2 - s*x + p, then accepts them only after two integer checks (the
-  product of the factors annihilates the matrix; the power traces fix every
-  multiplicity).  The factor key ((r, m), ..., (s, p, m), ...) is the
-  spectrum.
-* fallback: any failed check or unpaired cluster sends the matrix through
-  charpoly_int and eigenvalues_from_charpoly, whose coefficient tuple is the
-  key.  When an irreducible factor of degree >= 3 shows up the spectrum is
-  one of plain float eigenvalues (exact=False), and the flag travels with it
-  into reports.  It is memoized under its exact coefficient key like any
-  other, so two blocks compare equal exactly when their characteristic
-  polynomials do, never by two separate float runs.
+* exactla.certified_factors clusters the float eigenvalues of the matrix
+  into integer roots and monic quadratics x^2 - s*x + p, then accepts them
+  only after two integer checks (the product of the factors annihilates the
+  matrix; the power traces fix every multiplicity).  The factor key
+  ((r, m), ..., (s, p, m), ...) is the spectrum, decoded by
+  exactla.factor_roots.
+* A matrix the certificate declines goes through charpoly_int and
+  eigenvalues_from_charpoly (sympy), whose coefficient tuple is the key.
+  When an irreducible factor of degree >= 3 shows up the spectrum is one of
+  plain float eigenvalues (exact=False), and the flag travels with it into
+  reports.  It is memoized under its exact coefficient key like any other,
+  so two blocks compare equal exactly when their characteristic polynomials
+  do, never by two separate float runs.
 
 Multiplicity bookkeeping for "local" eigenvalues follows the convention that
 the trivial eigenvalue (the valency of a regular subconstituent) loses one
@@ -47,6 +47,7 @@ from .exactla import (
     certified_factors,
     charpoly_int,
     eigenvalues_from_charpoly,
+    factor_roots,
     sqrt_of_fraction,
 )
 from .graph_core import Graph, DistanceData, distances
@@ -128,23 +129,14 @@ class Spectrum:
 def _spectrum_from_key(key: tuple) -> Optional[Spectrum]:
     """The exact Spectrum behind a factor key, or None when it needs floats.
 
-    A certified key is ((r, m), ..., (s, p, m), ...) from
-    exactla.certified_factors; a fallback key is the coefficient tuple of
-    charpoly_int, factored by eigenvalues_from_charpoly.
+    A certified key ((r, m), ..., (s, p, m), ...) from
+    exactla.certified_factors is decoded by factor_roots; a fallback key is
+    the coefficient tuple of charpoly_int, factored by
+    eigenvalues_from_charpoly.  Both give distinct values sorted strictly
+    descending, so the pairs need no second sort in Spectrum.from_pairs.
     """
-    if not isinstance(key[0], tuple):
-        pairs = eigenvalues_from_charpoly(key)
-        return None if pairs is None else Spectrum.from_pairs(pairs)
-    pairs = []
-    for f in key:
-        if len(f) == 2:
-            pairs.append((AlgebraicScalar(f[0]), f[1]))
-        else:
-            s, p, m = f
-            half = Fraction(1, 2)
-            pairs += [(AlgebraicScalar(Fraction(s, 2), half, s * s - 4 * p), m),
-                      (AlgebraicScalar(Fraction(s, 2), -half, s * s - 4 * p), m)]
-    return Spectrum.from_pairs(pairs)
+    pairs = factor_roots(key) if isinstance(key[0], tuple) else eigenvalues_from_charpoly(key)
+    return None if pairs is None else Spectrum(pairs=tuple(pairs))
 
 
 def spectrum_of_int_matrix(arr, allow_float: bool = True,

@@ -46,6 +46,16 @@ def induced_subgraph(g, vertices) -> Graph:
     return Graph(sub, label=f"{g.label}[{len(verts)}]" if g.label else "")
 
 
+def neighbors(g, v: int) -> np.ndarray:
+    """The neighbours of v in increasing label order."""
+    return np.nonzero(g.adjacency[v])[0]
+
+
+def distance_matrices(dd) -> list[np.ndarray]:
+    """The distance matrices A_0..A_D as int64 0/1 arrays."""
+    return [(dd.dist == i).astype(np.int64) for i in range(dd.D + 1)]
+
+
 @dataclass
 class SrgVertexRecord:
     local: object

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drgkit
+from conftest import distance_matrices
 from drgkit import exactla
 from drgkit.exactla import (
     AlgebraicScalar,
@@ -24,13 +25,14 @@ from drgkit.exactla import (
     certified_factors,
     charpoly_int,
     eigenvalues_from_charpoly,
+    factor_roots,
     sqrt_of_fraction,
     square_free_split,
 )
 from drgkit.context import GraphContext
 from drgkit.families import FamilySpec, construct, icosahedron
 from drgkit.graph_core import Graph, distances
-from drgkit.scheme import intersection_matrix
+from drgkit.scheme import eigen_data, intersection_matrix
 
 
 def S(a, b=0, d=0):
@@ -370,17 +372,20 @@ _CORPUS = [("shrikhande", ()), ("rook_grid", (4,)), ("johnson", (8, 2)), ("chang
 
 
 def test_corpus_intersection_charpolys_match_sympy_without_it(monkeypatch):
+    """The intersection matrices are not symmetric; certified_factors proposes
+    from np.linalg.eigvals and decides all but C7's without sympy."""
     calls = _spy_sympy(monkeypatch)
-    polys = set()
     for family, params in _CORPUS:
-        ctx = GraphContext.of(construct(FamilySpec(family, params)))
-        polys.add(tuple(charpoly_int(intersection_matrix(ctx.params))))
-    for coeffs in sorted(polys):
-        assert eigenvalues_from_charpoly(coeffs) == _sympy_route(coeffs), coeffs
+        B = intersection_matrix(GraphContext.of(construct(FamilySpec(family, params))).params)
+        key = certified_factors(B)
+        assert key is not None, (family, params)
+        assert factor_roots(key) == _sympy_route(charpoly_int(B)), (family, params)
     assert calls == []
-    c7 = tuple(charpoly_int(intersection_matrix(GraphContext.of(_cycle_graph(7)).params)))
-    assert eigenvalues_from_charpoly(c7) is None is _sympy_route(c7)
-    assert calls == [c7]
+    c7 = intersection_matrix(GraphContext.of(_cycle_graph(7)).params)
+    assert certified_factors(c7) is None
+    coeffs = tuple(charpoly_int(c7))
+    assert eigenvalues_from_charpoly(coeffs) is None is _sympy_route(coeffs)
+    assert calls == [coeffs]
 
 
 def _random_factors(rng: random.Random, max_mult: int) -> tuple:
@@ -399,15 +404,35 @@ def _random_factors(rng: random.Random, max_mult: int) -> tuple:
     return tuple(f + (m,) for f, m in factors.items())
 
 
+def _companion(coeffs) -> np.ndarray:
+    """The companion matrix of the monic polynomial coeffs, whose charpoly it is."""
+    n = len(coeffs) - 1
+    C = np.zeros((n, n), dtype=object)
+    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, -1] = [-c for c in reversed(coeffs[1:])]
+    return C.astype(np.int64) if max(abs(c) for c in coeffs) < 2**62 else C
+
+
 @pytest.mark.parametrize("max_mult", [1, 3])
 def test_random_products_match_sympy(monkeypatch, max_mult):
+    """eigenvalues_from_charpoly against the sympy oracle, and the certificate
+    on the companion matrix of each product: it decides every product with
+    simple roots without sympy.  A repeated root makes the companion matrix
+    non-diagonalizable, so the certificate declines it; it is never wrong."""
     calls = _spy_sympy(monkeypatch)
     rng = random.Random(max_mult)
+    certified = 0
     for _ in range(150):
         coeffs = _poly(_random_factors(rng, max_mult))
-        assert eigenvalues_from_charpoly(coeffs) == _sympy_route(coeffs), coeffs
-    if max_mult == 1:  # simple roots: np.roots proposes every product right
-        assert calls == []
+        expected = _sympy_route(coeffs)
+        key = certified_factors(_companion(coeffs))
+        if key is not None:
+            certified += 1
+            assert factor_roots(key) == expected, coeffs
+        assert eigenvalues_from_charpoly(coeffs) == expected, coeffs
+    assert len(calls) == 150  # one per eigenvalues_from_charpoly, none from the certificate
+    if max_mult == 1:
+        assert certified == 150
 
 
 def test_cubic_fields_go_to_sympy_and_give_none(monkeypatch):
@@ -427,12 +452,23 @@ def test_cubic_fields_go_to_sympy_and_give_none(monkeypatch):
 ])
 def test_wrong_clusters_fall_back_to_sympy(monkeypatch, wrong):
     # icosahedron: (x - 5)(x + 1)(x^2 - 5)
-    coeffs = charpoly_int(intersection_matrix(GraphContext.of(icosahedron()).params))
-    expected = _sympy_route(coeffs)
+    ctx = GraphContext.of(icosahedron())
+    B = intersection_matrix(ctx.params)
+    expected = _sympy_route(charpoly_int(B))
+    assert _certify_proposal(monkeypatch, B, wrong) is None
     calls = _spy_sympy(monkeypatch)
-    monkeypatch.setattr(exactla, "_cluster_factors", lambda vals, tol: wrong)
-    assert eigenvalues_from_charpoly(coeffs) == expected
-    assert calls == [tuple(coeffs)]
+    ed = eigen_data(ctx.graph, ctx.params)  # the wrong proposal is still in place
+    assert ed.exact and ed.theta == tuple(v for v, _ in expected)
+    assert calls == [tuple(charpoly_int(B))]
+
+
+@pytest.mark.parametrize("B", [[[0, -1], [1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+def test_non_real_eigenvalues_get_no_proposal(B):
+    # x^2 + 1 and x^3 - 1 = (x - 1)(x^2 + x + 1): non-real roots either way
+    B = np.array(B, dtype=np.int64)
+    assert exactla._propose_factors(B) is None
+    assert certified_factors(B) is None
+    assert eigenvalues_from_charpoly(charpoly_int(B)) is None
 
 
 _SYMPY_PROBE = """
@@ -578,10 +614,9 @@ def test_certified_factors_decline_cubic_and_large_entries(monkeypatch):
 
 def test_icosahedron_distance_matrices_partition(ico=None):
     g = icosahedron()
-    dd = distances(g)
-    total = sum(dd.A)
-    assert (total == 1).all()
-    assert (dd.A[0] == np.eye(12, dtype=int)).all()
+    A = distance_matrices(distances(g))
+    assert (sum(A) == 1).all()
+    assert (A[0] == np.eye(12, dtype=int)).all()
 
 
 def test_rank_matches_float_rank_on_acceptance_graphs():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import induced_subgraph
+from conftest import distance_matrices, induced_subgraph, neighbors
 from drgkit.families import (
     chang,
     complete_bipartite,
@@ -58,6 +58,23 @@ def test_asymmetric_rejected():
     with pytest.raises(GraphError) as e:
         Graph(adj)
     assert e.value.reason == "asymmetric"
+
+
+@pytest.mark.parametrize("entry", [256, 0.5, -255, 1.7])
+def test_out_of_range_entries_rejected_not_cast(entry):
+    # an int8 cast would turn 256 and 0.5 into 0, and -255 and 1.7 into 1
+    adj = np.array([[0, entry, 1], [entry, 0, 1], [1, 1, 0]])
+    with pytest.raises(GraphError) as e:
+        Graph(adj)
+    assert e.value.reason == "entries"
+
+
+def test_negative_n_rejected(tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"n": -3, "edges": [[0, 1]]}))
+    with pytest.raises(GraphError) as e:
+        load_graph(path)
+    assert str(e.value) == 'parse: "n" -3 is negative'
 
 
 def test_duplicate_edge_rejected(tmp_path):
@@ -171,7 +188,7 @@ def _bfs_distances(g):
     between components."""
     n = g.n
     dist = np.full((n, n), -1, dtype=np.int64)
-    nbrs = [g.neighbors(u) for u in range(n)]
+    nbrs = [neighbors(g, u) for u in range(n)]
     for s in range(n):
         dist[s, s] = 0
         frontier = [s]
@@ -274,9 +291,9 @@ def test_johnson84_unique_antipode():
 
 
 def test_distance_matrices_partition():
-    dd = distances(johnson(8, 2))
-    assert (sum(dd.A) == 1).all()
-    assert (dd.A[0] == np.eye(28, dtype=int)).all()
+    A = distance_matrices(distances(johnson(8, 2)))
+    assert (sum(A) == 1).all()
+    assert (A[0] == np.eye(28, dtype=int)).all()
 
 
 def test_induced_identity():

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import idempotent_profiles, induced_subgraph
+from conftest import distance_matrices, idempotent_profiles, induced_subgraph
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import (
     chang,
@@ -137,7 +137,7 @@ def test_idempotent_identities():
         ed = eigen_data(g, params)
         prof = idempotent_profiles(ed, params)
         n, D = g.n, params.D
-        A = [sympy.Matrix(a.tolist()) for a in distances(g).A]
+        A = [sympy.Matrix(a.tolist()) for a in distance_matrices(distances(g))]
         E = [sum((_sym(prof[h][i]) * A[h] for h in range(D + 1)), sympy.zeros(n))
              for i in range(D + 1)]
         for i in range(D + 1):
@@ -165,7 +165,7 @@ def test_idempotent_profiles_match_entries():
                 denom *= ti - tj
         E = E * sympy.radsimp(1 / sympy.expand(denom))
         for h in range(params.D + 1):
-            xs, ys = np.nonzero(dd.A[h])
+            xs, ys = np.nonzero(dd.dist == h)
             assert sympy.expand(E[int(xs[0]), int(ys[0])] - _sym(prof[h][i])) == 0
 
 

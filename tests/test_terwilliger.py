@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import idempotent_profiles
+from conftest import distance_matrices, idempotent_profiles
 from drgkit.exactla import ExactSpan, _imatmul, charpoly_int, eigenvalues_from_charpoly
 from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import Graph, distances
@@ -88,7 +88,7 @@ def test_dual_adjacency_j82():
                           for y in range(g.n)])
     # E_i = sum_h prof[h][i] A_h, taken in the Q-polynomial ordering
     prof = idempotent_profiles(ed, params)
-    A = [sympy.Matrix(a.tolist()) for a in dd.A]
+    A = [sympy.Matrix(a.tolist()) for a in distance_matrices(dd)]
     E = [sum((_sym(prof[h][i]) * A[h] for h in range(params.D + 1)), sympy.zeros(g.n))
          for i in order]
     # E_i A* E_j = 0 for |i - j| > 1, and != 0 for |i - j| = 1
