@@ -29,7 +29,6 @@ from .spectra import (
     srg_spectrum,
     subconstituent_spectrum,
     second_subconstituent_derived,
-    cospectral,
 )
 from .terwilliger import block_spin_dim, terwilliger_dimension
 from .context import GraphContext

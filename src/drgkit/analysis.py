@@ -149,7 +149,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         if route == "srg" and exact_ok:
             md = decompose_srg(ctx, x, route_params)
             derived = second_subconstituent_derived(specs[0], route_params)
-            if derived.pairs != specs[1].pairs:
+            if derived != specs[1]:
                 raise AnalysisError(
                     f"derived second-subconstituent spectrum {derived} differs "
                     f"from the computed one {specs[1]} at vertex {x}"

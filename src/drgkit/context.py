@@ -15,11 +15,13 @@ It also memoizes the per-vertex results that analysis, pvt, tmodules and
 tables ask for more than once:
 
 * subconstituent spectra, keyed by (x, i);
-* the finished Spectrum of each distinct factor key: ((r, m), ..., (s, p, m),
-  ...) for a spectrum that exactla.certified_factors proved, the charpoly_int
-  coefficient tuple for one that fell back, float spectra included.
-  Cospectral blocks share one Spectrum, so each distinct spectrum is built
-  (and sorted) once;
+* the finished Spectrum of each certified factor key ((r, m), ...,
+  (s, p, m), ...) and of each charpoly_int coefficient tuple of a block that
+  exactla.certified_factors declined, float spectra included.  Blocks with
+  one key share one Spectrum, so its eigenvalues are decoded (and sorted)
+  once, and sympy factors each declined polynomial once.  Equality of
+  spectra does not rest on this sharing: Spectrum == compares keys, so it
+  holds across contexts too;
 * dim T(x) from the algebra closure, keyed by x;
 * the graph-level data of a Taylor or AT4 route (taylor_local, at4_local):
   the eigenvalues, local SrgParams and local spectrum that tmodules checks

@@ -24,9 +24,10 @@ module.  The guiding constraints:
   float can cause a fallback, never an answer.
 * A matrix the certificate declines (a cubic factor, a non-diagonalizable
   matrix) goes through charpoly_int (CRT Faddeev-LeVerrier) and
-  eigenvalues_from_charpoly, which factors the polynomial with sympy.  sympy
-  is imported there and nowhere else; everything else (square-free parts,
-  the CRT primes) is plain integer code.
+  eigenvalues_from_charpoly, which factors the polynomial with sympy into a
+  factor key of the same canonical form.  sympy is imported there and
+  nowhere else; everything else (square-free parts, the CRT primes) is plain
+  integer code.
 """
 
 from __future__ import annotations
@@ -707,35 +708,42 @@ def _sympy_factors(coeffs: list[int]) -> list[tuple[list[int], int]]:
 def factor_roots(key) -> list[tuple[AlgebraicScalar, int]]:
     """The exact (eigenvalue, multiplicity) pairs of a factor key ((r, m), ...,
     (s, p, m), ...), sorted strictly descending: r for x - r, and
-    (s +- sqrt(s^2 - 4p))/2 for x^2 - s*x + p."""
+    (s +- sqrt(s^2 - 4p))/2 for x^2 - s*x + p.  This is the one decoder from a
+    key to eigenvalues."""
     pairs = []
     for *f, m in key:
         if len(f) == 1:
             pairs.append((AlgebraicScalar(f[0]), m))
         else:
             s, p = f
-            half = Fraction(1, 2)
-            pairs += [(AlgebraicScalar(Fraction(s, 2), half, s * s - 4 * p), m),
-                      (AlgebraicScalar(Fraction(s, 2), -half, s * s - 4 * p), m)]
+            disc = Fraction(s * s - 4 * p)  # sqrt(u/v) = sqrt(u*v)/v
+            half = Fraction(1, 2 * disc.denominator)
+            d = disc.numerator * disc.denominator
+            pairs += [(AlgebraicScalar(Fraction(s, 2), half, d), m),
+                      (AlgebraicScalar(Fraction(s, 2), -half, d), m)]
     pairs.sort(key=functools.cmp_to_key(lambda p, q: p[0].compare(q[0])), reverse=True)
     return pairs
 
 
-def eigenvalues_from_charpoly(coeffs: Sequence[int]):
-    """Exact (eigenvalue, multiplicity) pairs of a monic integer polynomial,
-    factored by sympy: the route of a matrix that certified_factors declines.
+def eigenvalues_from_charpoly(coeffs: Sequence[int]) -> Optional[tuple]:
+    """The factor key ((r, m), ..., (s, p, m), ...) of a monic integer
+    polynomial, factored by sympy: the route of a matrix that
+    certified_factors declines.
 
-    The irreducible factors of a monic polynomial over Z are monic, so they
-    form a factor key for factor_roots.  Returns None when a factor has degree
-    >= 3 or is a quadratic with non-real roots; callers then fall back to
-    plain float eigenvalues.
+    The irreducible factors of a monic polynomial over Z are monic, and the
+    key is sorted as certified_factors sorts its own, so one spectrum has one
+    key whichever route found it.  Returns None when a factor has degree >= 3
+    or is a quadratic with non-real roots; callers then fall back to plain
+    float eigenvalues.  The function returns a key, not eigenvalues; its name
+    is kept because the benchmark's layer trace (perfbench/layer_trace.py)
+    records the sympy route under it.
     """
-    key = []
+    linear, quadratic = [], []
     for cs, m in _sympy_factors([int(c) for c in coeffs]):
         if len(cs) == 2:
-            key.append((-cs[1], m))
+            linear.append((-cs[1], m))
         elif len(cs) == 3 and cs[1] * cs[1] - 4 * cs[2] > 0:
-            key.append((-cs[1], cs[2], m))
+            quadratic.append((-cs[1], cs[2], m))
         else:
             return None
-    return factor_roots(key)
+    return tuple(sorted(linear)) + tuple(sorted(quadratic))

@@ -199,6 +199,8 @@ def load_graph(path) -> Graph:
         n = _json_int(data["n"], '"n"')
         if n < 0:
             raise GraphError("parse", f'"n" {n} is negative')
+        if n == 0:
+            raise GraphError("parse", '"n" is 0: a graph needs at least one vertex')
         g = _graph_from_edges(n, data["edges"], str(data.get("label", "")))
     else:
         edges = []

@@ -8,6 +8,9 @@ distance class plus a constant Terwilliger dimension), never 'pvt'.
 
 Both verdicts read their distances, parameters, local spectra and closure
 dimensions from a context.GraphContext, which memoizes them for one command.
+Spectra are compared with ==, which compares their exact keys (the factor
+key, or the characteristic polynomial of a float spectrum; see spectra), so
+no verdict rests on a float.
 check_pvt takes its route from the memoized GraphContext.route; it never
 reads the eigen data, nor bipartiteness (no Taylor or AT4 array is
 bipartite).  analyze_graph hands its own context to check_pvt, so the
@@ -21,7 +24,7 @@ from typing import Optional, Union
 
 from .context import GraphContext
 from .graph_core import Graph
-from .spectra import SrgParams, Spectrum, cospectral
+from .spectra import SrgParams
 
 __all__ = ["PvtVerdict", "TIsoResult", "check_pvt", "t_isomorphic_srg", "gq_dim"]
 
@@ -66,7 +69,7 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
         base = ctx.subconstituent_spectrum(0, 1)
         for x in range(1, params.n):
             spec = ctx.subconstituent_spectrum(x, 1)
-            if spec.pairs != base.pairs:
+            if spec != base:
                 return PvtVerdict(
                     verdict=VERDICT_NOT_PVT,
                     method=METHOD_SRG,
@@ -88,7 +91,7 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
     for x in range(1, params.n):
         for i in range(1, params.D + 1):
             spec = ctx.subconstituent_spectrum(x, i)
-            if not cospectral(spec, base_specs[i - 1]):
+            if spec != base_specs[i - 1]:
                 return PvtVerdict(
                     verdict=VERDICT_NOT_PVT,
                     method=METHOD_GENERIC,
@@ -141,14 +144,13 @@ def t_isomorphic_srg(g1: Union[Graph, GraphContext],
                           note="parameters differ")
     specs1 = [c1.subconstituent_spectrum(x, 1) for x in range(p1.n)]
     specs2 = [c2.subconstituent_spectrum(x, 1) for x in range(p2.n)]
-    distinct1 = {s.pairs for s in specs1}
-    distinct2 = {s.pairs for s in specs2}
+    distinct1, distinct2 = set(specs1), set(specs2)
     if len(distinct1) > 1 or len(distinct2) > 1:
         # some pair of base vertices already exhibits different local spectra
         sample = next(iter(distinct1 ^ distinct2 or distinct1))
         return TIsoResult(
             False,
-            witness={"local_spectrum": str(Spectrum(pairs=sample))},
+            witness={"local_spectrum": str(sample)},
             note="a graph in the pair is not pseudo-vertex-transitive, so some "
                  "pair of base vertices has differing local spectra",
         )

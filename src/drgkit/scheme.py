@@ -198,15 +198,16 @@ def eigen_data(g: Graph, params: DrgParameters,
     B = intersection_matrix(params)
     n, k = params.n, params.k
     key = certified_factors(B)
-    pairs = (factor_roots(key) if key is not None
-             else eigenvalues_from_charpoly(charpoly_int(B)))
-    if pairs is None:
+    if key is None:
+        key = eigenvalues_from_charpoly(charpoly_int(B))
+    if key is None:
         evals = np.linalg.eigvals(B.astype(float))
         theta = tuple(sorted((float(v.real) for v in evals), reverse=True))
         mult = tuple(multiplicity(t, params) for t in theta)
         if sum(mult) != n:
             raise ValueError(f"float multiplicities {mult} do not sum to n = {n}")
         return EigenData(theta=theta, mult=mult, exact=False)
+    pairs = factor_roots(key)
     theta = tuple(v for v, _ in pairs)
     if any(m != 1 for _, m in pairs) or len(theta) != params.D + 1:
         raise ValueError("intersection matrix spectrum is not simple")

@@ -1,22 +1,24 @@
 """Spectra of matrices and subconstituents; closed-form SRG spectra; the
 second-subconstituent derivation.
 
-Exact spectra of integer matrices come from exactla's one certificate, and
-a float never decides an answer:
+A Spectrum is identified by one exact key, and every comparison of two
+spectra is == on that key:
 
-* exactla.certified_factors clusters the float eigenvalues of the matrix
-  into integer roots and monic quadratics x^2 - s*x + p, then accepts them
-  only after two integer checks (the product of the factors annihilates the
-  matrix; the power traces fix every multiplicity).  The factor key
-  ((r, m), ..., (s, p, m), ...) is the spectrum, decoded by
-  exactla.factor_roots.
-* A matrix the certificate declines goes through charpoly_int and
-  eigenvalues_from_charpoly (sympy), whose coefficient tuple is the key.
-  When an irreducible factor of degree >= 3 shows up the spectrum is one of
-  plain float eigenvalues (exact=False), and the flag travels with it into
-  reports.  It is memoized under its exact coefficient key like any other,
-  so two blocks compare equal exactly when their characteristic polynomials
-  do, never by two separate float runs.
+* an exact spectrum's key is its factor key ((r, m), ..., (s, p, m), ...):
+  integer roots r and monic quadratics x^2 - s*x + p with multiplicities,
+  sorted.  exactla.certified_factors proves it for a matrix (floats propose,
+  integer checks accept); a matrix the certificate declines gets it from
+  charpoly_int and eigenvalues_from_charpoly (sympy); Spectrum.from_pairs
+  builds it from exact eigenvalues.  The three routes give the same key for
+  the same multiset, and exactla.factor_roots decodes it into eigenvalues;
+* a spectrum with an irreducible factor of degree >= 3 is keyed by the
+  charpoly_int coefficient tuple.  Its eigenvalues are plain floats from
+  eigvalsh (exact=False), shown in reports with a flag, but never compared:
+  two such spectra are equal exactly when their characteristic polynomials
+  are, whichever context or float run computed them.
+
+An exact key and a float key never compare equal, and they need not: a
+spectrum with a factor of degree >= 3 is not one without.
 
 Multiplicity bookkeeping for "local" eigenvalues follows the convention that
 the trivial eigenvalue (the valency of a regular subconstituent) loses one
@@ -27,17 +29,16 @@ removes the Perron eigenvalue; for disconnected ones the extra copies count
 as local.
 
 Nothing here is memoized.  The per-command memos of subconstituent spectra,
-by (x, i) and by factor key, live on context.GraphContext, which passes its
-distance data and its key memo (``memo``) in here; a memo kept at module
-level would let one command answer from another's results.
+by (x, i) and by key, live on context.GraphContext, which passes its distance
+data and its key memo (``memo``) in here; a memo kept at module level would
+let one command answer from another's results.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "subconstituent_spectrum",
     "srg_local_split",
     "second_subconstituent_derived",
-    "cospectral",
     "effective_multiplicities",
     "format_eigenvalue",
 ]
@@ -75,11 +75,6 @@ class InfeasibleSrgError(ValueError):
     pass
 
 
-def _sort_pairs(pairs):
-    return tuple(sorted(pairs, key=functools.cmp_to_key(lambda p, q: p[0].compare(q[0])),
-                        reverse=True))
-
-
 def format_eigenvalue(v) -> str:
     """An exact eigenvalue as str(); a float one with 17 significant digits."""
     return format(v, ".17g") if isinstance(v, float) else str(v)
@@ -87,31 +82,54 @@ def format_eigenvalue(v) -> str:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Multiset of (eigenvalue, multiplicity), strictly decreasing values."""
+    """A multiset of eigenvalues, equal to another exactly when their keys are.
 
-    pairs: tuple  # ((AlgebraicScalar, int), ...); plain floats when not exact
-    exact: bool = True
+    ``key`` is the factor key of an exact spectrum or the charpoly_int
+    coefficient tuple of a float one (see the module docstring); ==, hashing
+    and ``exact`` read nothing else.  ``float_pairs`` holds the eigvalsh
+    eigenvalues of a float spectrum, for display only.
+    """
+
+    key: tuple
+    float_pairs: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
-    def from_pairs(cls, pairs, exact: bool = True) -> "Spectrum":
-        norm = []
+    def from_pairs(cls, pairs) -> "Spectrum":
+        """The exact spectrum of (eigenvalue, multiplicity) pairs, repeated
+        values merged.  An irrational value and its conjugate must have one
+        multiplicity, as in the spectrum of any rational matrix."""
+        counts: dict[AlgebraicScalar, int] = {}
         for v, m in pairs:
             if m < 0:
                 raise ValueError("negative multiplicity")
             if m:
-                norm.append((v if isinstance(v, AlgebraicScalar) else AlgebraicScalar(v),
-                             int(m)))
-        merged: list[tuple[AlgebraicScalar, int]] = []
-        for v, m in _sort_pairs(norm):
-            if merged and merged[-1][0] == v:
-                merged[-1] = (v, merged[-1][1] + m)
-            else:
-                merged.append((v, m))
-        return cls(pairs=tuple(merged), exact=exact)
+                v = v if isinstance(v, AlgebraicScalar) else AlgebraicScalar(v)
+                counts[v] = counts.get(v, 0) + int(m)
+        linear, quadratic = [], []
+        for v, m in counts.items():
+            if v.is_rational:
+                linear.append((v.a, m))
+            elif counts.get(AlgebraicScalar(v.a, -v.b, v.d)) != m:
+                raise ValueError(f"{v} and its conjugate have different multiplicities")
+            elif v.b > 0:  # x^2 - 2a*x + (a^2 - b^2 d) for a + b*sqrt(d) and its conjugate
+                quadratic.append((2 * v.a, v.a * v.a - v.b * v.b * v.d, m))
+        return cls(tuple(sorted(linear)) + tuple(sorted(quadratic)))
+
+    @property
+    def exact(self) -> bool:
+        return not self.key or isinstance(self.key[0], tuple)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """((eigenvalue, multiplicity), ...) with strictly decreasing values:
+        AlgebraicScalars decoded from the key, or plain floats when not exact."""
+        return tuple(factor_roots(self.key)) if self.exact else self.float_pairs
 
     @property
     def size(self) -> int:
-        return sum(m for _, m in self.pairs)
+        """The number of eigenvalues, read off the key: the degree of the
+        characteristic polynomial."""
+        return sum((len(f) - 1) * f[-1] for f in self.key) if self.exact else len(self.key) - 1
 
     def multiplicity(self, value) -> int:
         v = value if isinstance(value, AlgebraicScalar) else AlgebraicScalar(value)
@@ -126,53 +144,40 @@ class Spectrum:
                                for v, m in values) + "}"
 
 
-def _spectrum_from_key(key: tuple) -> Optional[Spectrum]:
-    """The exact Spectrum behind a factor key, or None when it needs floats.
-
-    A certified key ((r, m), ..., (s, p, m), ...) from
-    exactla.certified_factors is decoded by factor_roots; a fallback key is
-    the coefficient tuple of charpoly_int, factored by
-    eigenvalues_from_charpoly.  Both give distinct values sorted strictly
-    descending, so the pairs need no second sort in Spectrum.from_pairs.
-    """
-    pairs = factor_roots(key) if isinstance(key[0], tuple) else eigenvalues_from_charpoly(key)
-    return None if pairs is None else Spectrum(pairs=tuple(pairs))
-
-
-def spectrum_of_int_matrix(arr, allow_float: bool = True,
-                           memo: Optional[dict] = None) -> Spectrum:
+def spectrum_of_int_matrix(arr, memo: Optional[dict] = None) -> Spectrum:
     """Exact spectrum of a symmetric integer matrix, float fallback if needed.
 
-    The factor key comes from exactla.certified_factors, or from charpoly_int
-    when certification fails.  ``memo`` maps factor keys to finished spectra,
-    float ones included; GraphContext passes its own, so each distinct
-    spectrum is built once per command and matrices with one characteristic
-    polynomial share one Spectrum.
+    The key comes from exactla.certified_factors; a matrix it declines goes
+    through charpoly_int and eigenvalues_from_charpoly, and keeps the
+    coefficient tuple as its key when that finds a factor of degree >= 3.
+    ``memo`` maps certified keys and coefficient tuples to finished spectra;
+    GraphContext passes its own, so each distinct spectrum is built, and each
+    distinct polynomial factored, once per command.
     """
     arr = np.asarray(arr)
-    n = arr.shape[0]
-    if n == 0:
-        return Spectrum.from_pairs([])
-    key = certified_factors(arr)
-    if key is None:
-        key = tuple(charpoly_int(arr))
+    if arr.shape[0] == 0:
+        return Spectrum(())
     memo = {} if memo is None else memo
-    if key not in memo:
-        memo[key] = _spectrum_from_key(key) or _float_spectrum(arr)
-    if not (memo[key].exact or allow_float):
-        raise ValueError(FLOAT_REFUSED)
-    return memo[key]
+    key = certified_factors(arr)
+    if key is not None:
+        return memo.setdefault(key, Spectrum(key))
+    coeffs = tuple(charpoly_int(arr))
+    if coeffs not in memo:
+        factors = eigenvalues_from_charpoly(coeffs)
+        memo[coeffs] = _float_spectrum(arr, coeffs) if factors is None else Spectrum(factors)
+    return memo[coeffs]
 
 
-def _float_spectrum(arr: np.ndarray) -> Spectrum:
-    """np.linalg.eigvalsh eigenvalues as plain floats, grouped within 1e-8."""
+def _float_spectrum(arr: np.ndarray, coeffs: tuple) -> Spectrum:
+    """The float spectrum keyed by coeffs: np.linalg.eigvalsh eigenvalues as
+    plain floats, grouped within 1e-8."""
     grouped: list[tuple[float, int]] = []
     for v in sorted(np.linalg.eigvalsh(arr.astype(float)).tolist(), reverse=True):
         if grouped and abs(grouped[-1][0] - v) < _FLOAT_GROUP_TOL:
             grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
         else:
             grouped.append((v, 1))
-    return Spectrum(pairs=tuple(grouped), exact=False)
+    return Spectrum(coeffs, float_pairs=tuple(grouped))
 
 
 @dataclass(frozen=True)
@@ -309,18 +314,3 @@ def second_subconstituent_derived(local: Spectrum, p: SrgParams) -> Spectrum:
         )
     return out
 
-
-def cospectral(s1: Spectrum, s2: Spectrum) -> bool:
-    """Exact multiset equality; 1e-8 value matching when floats are involved."""
-    if s1.exact and s2.exact:
-        return s1.pairs == s2.pairs
-    if s1.exact != s2.exact:
-        warnings.warn("comparing exact and float spectra at float tolerance",
-                      stacklevel=2)
-    p1, p2 = s1.pairs, s2.pairs
-    if len(p1) != len(p2):
-        return False
-    for (v1, m1), (v2, m2) in zip(p1, p2):
-        if m1 != m2 or abs(float(v1) - float(v2)) > _FLOAT_GROUP_TOL:
-            return False
-    return True

@@ -67,7 +67,7 @@ def _record_groups(g: Graph) -> dict:
     groups: dict = {}
     for x in range(g.n):
         spec = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-        groups.setdefault((spec.pairs, ctx.terwilliger_dimension(x)), []).append(x)
+        groups.setdefault((spec, ctx.terwilliger_dimension(x)), []).append(x)
     return groups
 
 
@@ -93,7 +93,7 @@ def reproduce_shrikhande(slow: bool = False):
         locals_ok = True
         for x in range(g.n):
             spec = ctx.subconstituent_spectrum(x, 1)
-            locals_ok &= spec.pairs == local_exp.pairs
+            locals_ok &= spec == local_exp
             dims.add(ctx.terwilliger_dimension(x))
             weds.add(wedderburn_dim(decompose_srg(ctx, x, p)))
         ok &= _row(lines, locals_ok, f"{g.label}: local spectrum {local_exp} at all vertices")
@@ -147,9 +147,9 @@ def reproduce_chang(slow: bool = False):
     groups_of = {}
     for label, g, rows in _chang_expected():
         groups = groups_of[label] = _record_groups(g)
-        got = sorted(((len(v), spec_pairs, dim) for (spec_pairs, dim), v in groups.items()),
+        got = sorted(((len(v), spec, dim) for (spec, dim), v in groups.items()),
                      key=lambda t: t[0])
-        want = sorted(((size, spec.pairs, dim) for size, spec, dim, _ in rows),
+        want = sorted(((size, spec, dim) for size, spec, dim, _ in rows),
                       key=lambda t: t[0])
         match = got == want
         for size, spec, dim, note in rows:
@@ -157,12 +157,11 @@ def reproduce_chang(slow: bool = False):
             _row(lines, match, f"{label}: {size} vertices, Spec(local) = {spec}, "
                                f"dim T = {dim}{suffix}")
         if not match:
-            for size, pairs, dim in got:
-                lines.append(f"        computed: {size} vertices, "
-                             f"{Spectrum(pairs=pairs)}, dim {dim}")
+            for size, spec, dim in got:
+                lines.append(f"        computed: {size} vertices, {spec}, dim {dim}")
             ok = False
     # the merged 18-vertex group of Chang-3 is the triangle plus the cross pairs
-    big = next(sorted(v) for (pairs, d), v in groups_of["Chang-3"].items() if len(v) == 18)
+    big = next(sorted(v) for v in groups_of["Chang-3"].values() if len(v) == 18)
     triangle = sorted(chang_switching_set(3)[:3])
     within5 = [i for i in range(28) if i not in big]
     ok &= _row(lines, set(triangle) <= set(big),
@@ -230,7 +229,7 @@ def _at4_suite(lines, g, p, q, expect):
     t = tightness(ctx.params, ctx.eigen)
     ok &= _row(lines, t.is_tight, f"{g.label}: tight (fundamental bound holds with equality)")
     local = ctx.subconstituent_spectrum(0, 1)
-    ok &= _row(lines, local.pairs == expect["local"].pairs,
+    ok &= _row(lines, local == expect["local"],
                f"{g.label}: local spectrum {expect['local']}")
     mb = tuple(local.multiplicity(v) for v in (AlgebraicScalar(p), AlgebraicScalar(-q)))
     ok &= _row(lines, mb == expect["m_b"],
@@ -301,13 +300,13 @@ def reproduce_j82(slow: bool = False):
     ctx = GraphContext.of(g)
     local = ctx.subconstituent_spectrum(0, 1)
     expect_local = _spec((_sc(6), 1), (_sc(4), 1), (_sc(0), 5), (_sc(-2), 5))
-    ok &= _row(lines, local.pairs == expect_local.pairs, f"local spectrum {expect_local}")
+    ok &= _row(lines, local == expect_local, f"local spectrum {expect_local}")
     derived = second_subconstituent_derived(local, p)
     expect_d2 = _spec((_sc(8), 1), (_sc(2), 5), (_sc(-2), 9))
-    ok &= _row(lines, derived.pairs == expect_d2.pairs,
+    ok &= _row(lines, derived == expect_d2,
                f"derived second-subconstituent spectrum {expect_d2}")
     direct = ctx.subconstituent_spectrum(0, 2)
-    ok &= _row(lines, direct.pairs == derived.pairs, "derived == directly computed")
+    ok &= _row(lines, direct == derived, "derived == directly computed")
     md = decompose_srg(ctx, 0, p)
     census = sorted((d.endpoint, d.dim, d.multiplicity) for d in md.descriptors)
     expect_census = sorted([(0, 3, 1), (1, 2, 5), (1, 1, 1), (1, 1, 5), (2, 1, 9)])

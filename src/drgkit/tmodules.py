@@ -223,29 +223,17 @@ def _dot(u: np.ndarray, v: np.ndarray) -> int:
     return int(_imatmul(u.reshape(1, -1), v.reshape(-1, 1))[0, 0])
 
 
-def _annihilators(local: Spectrum, lam: AlgebraicScalar):
-    """(r,) and (s, p) factors of the local minimal polynomial other than x - lam."""
-    out = []
-    for mu, _ in local.pairs:
-        if mu == lam:
-            continue
-        if mu.is_rational:
-            out.append((mu.as_int(),))
-        elif mu.b > 0:  # a + b*sqrt(d) with its conjugate: x^2 - 2a*x + (a^2 - b^2 d)
-            s, p = 2 * mu.a, mu.a * mu.a - mu.b * mu.b * mu.d
-            out.append((s.numerator, p.numerator))
-    return out
-
-
 def _local_eigenvector(ctx: GraphContext, x: int, lam: AlgebraicScalar) -> np.ndarray:
-    """A lambda-eigenvector of B_1 as an integer vector: a nonzero column of
-    prod_{mu != lambda} f_mu(B_1) over the other factors of the exact local
-    spectrum, which is a multiple of the lambda-eigenprojection."""
+    """A lambda-eigenvector of B_1 as an integer vector, for rational lambda: a
+    nonzero column of the product of the factors of the local key other than
+    x - lambda, which is a multiple of the lambda-eigenprojection."""
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    if local.multiplicity(lam) == 0:
+    factors = [tuple(f[:-1]) for f in local.key]
+    others = [f for f in factors if f != (lam.as_fraction(),)]
+    if len(others) == len(factors):
         raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
     cls1 = ctx.dd.classes_from(x, 1)
-    P = _factor_product(ctx.graph.adjacency[np.ix_(cls1, cls1)], _annihilators(local, lam))
+    P = _factor_product(ctx.graph.adjacency[np.ix_(cls1, cls1)], others)
     nonzero = np.flatnonzero(P.any(axis=0))
     if len(nonzero) == 0:
         raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
@@ -381,7 +369,7 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
     theta, local_params, expected_local, flags = ctx.taylor_local
     sigma, tau = local_params.sigma, local_params.tau
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    if local.pairs != expected_local.pairs:
+    if local != expected_local:
         raise ValueError(f"local spectrum {local} differs from {expected_local}")
 
     descs = [ModuleDescriptor(
@@ -441,7 +429,7 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     theta, local_params, expected_local = ctx.at4_local
     m_bp, m_bm = local_params.m_sigma, local_params.m_tau
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    if local.pairs != expected_local.pairs:
+    if local != expected_local:
         raise ValueError(f"local spectrum {local} differs from AT4 prediction "
                          f"{expected_local}")
 

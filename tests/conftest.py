@@ -46,6 +46,34 @@ def induced_subgraph(g, vertices) -> Graph:
     return Graph(sub, label=f"{g.label}[{len(verts)}]" if g.label else "")
 
 
+# an SRG(36,15,6,6) Latin square whose graph has 16 exact local spectra
+# (vertex 0's among them) and 20 that need a cubic field
+LATIN_SQUARE_6 = [[2, 0, 5, 1, 3, 4], [4, 5, 1, 3, 0, 2], [1, 4, 2, 0, 5, 3],
+                  [5, 2, 3, 4, 1, 0], [0, 3, 4, 5, 2, 1], [3, 1, 0, 2, 4, 5]]
+
+
+def latin_square_graph(square) -> Graph:
+    """The Latin-square graph of an m x m square: vertex m*r + c, adjacent iff
+    the two cells share a row, a column or a symbol."""
+    square = np.asarray(square)
+    m = len(square)
+    r, c = np.divmod(np.arange(m * m), m)
+    s = square[r, c]
+    adj = (r[:, None] == r) | (c[:, None] == c) | (s[:, None] == s)
+    np.fill_diagonal(adj, False)
+    return Graph(adj.astype(np.int64), label=f"LatinSquare({m})")
+
+
+def paley_graph(q: int, perm=None) -> Graph:
+    """The Paley graph on Z_q, q a prime = 1 mod 4 (x ~ y iff x - y is a
+    nonzero square), relabelled to A[perm][:, perm] when perm is given."""
+    diff = np.subtract.outer(np.arange(q), np.arange(q)) % q
+    adj = np.isin(diff, [x * x % q for x in range(1, q)]).astype(np.int64)
+    if perm is not None:
+        adj = adj[perm][:, perm]
+    return Graph(adj, label=f"Paley({q})")
+
+
 def neighbors(g, v: int) -> np.ndarray:
     """The neighbours of v in increasing label order."""
     return np.nonzero(g.adjacency[v])[0]

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import drgkit
+from conftest import LATIN_SQUARE_6, latin_square_graph, paley_graph
 from drgkit.cli import main
 from drgkit.families import shrikhande
 from drgkit.graph_core import save_graph
@@ -142,6 +143,15 @@ def test_one_vertex_graph_is_an_analysis_error(tmp_path, capsys):
         assert err.startswith("analysis error:") and err.count("\n") == 1
 
 
+def test_empty_vertex_set_is_a_usage_error(tmp_path, capsys):
+    g_path = tmp_path / "empty.json"
+    g_path.write_text(json.dumps({"n": 0, "edges": []}))
+    for argv in (["analyze", str(g_path)], ["pvt", str(g_path)]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+
+
 def test_unloadable_file_is_a_usage_error_under_every_command(tmp_path, capsys):
     bad = tmp_path / "loop.txt"
     bad.write_text("0 0\n")
@@ -227,6 +237,31 @@ def test_tiso_command(tmp_path, capsys):
     run(["construct", "--family", "rook_grid", "--params", "4", "--out", str(b)])
     assert run(["tiso", str(a), str(b)]) == 0
     assert "T-isomorphic: False" in capsys.readouterr().out
+
+
+def test_latin_square_graph_with_float_local_spectra(tmp_path, capsys):
+    # vertex 0's local spectrum is exact, others need a cubic field
+    g_path = tmp_path / "latin.json"
+    save_graph(latin_square_graph(LATIN_SQUARE_6), g_path)
+    assert run(["pvt", str(g_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: not_pvt (method: srg_theorem)\n") and "witness: " in out
+    assert run(["analyze", str(g_path), "--float-fallback"]) == 0
+    capsys.readouterr()
+    rc = run(["analyze", str(g_path)])
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == 2 and err.startswith("analysis error: ")), err
+    assert "internal error" not in err
+
+
+def test_tiso_relabelled_paley29(tmp_path, capsys):
+    # x -> 3x + 1 is no automorphism (x -> x + 1 is one), so the float local
+    # spectra of the copy come from other eigvalsh runs
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_graph(paley_graph(29), a)
+    save_graph(paley_graph(29, [(3 * x + 1) % 29 for x in range(29)]), b)
+    assert run(["tiso", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "T-isomorphic: True\n"
 
 
 def test_reproduce_exit_codes(capsys):

@@ -39,14 +39,14 @@ def test_analyze_computes_each_result_once(monkeypatch):
     g = shrikhande()
     charpolys = _spy(monkeypatch, drgkit.exactla, "charpoly_int")
     factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
-    built = _spy(monkeypatch, drgkit.spectra, "_spectrum_from_key")
+    decoded = _spy(monkeypatch, drgkit.exactla, "factor_roots")
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
     closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
     dists = _spy(monkeypatch, drgkit.graph_core, "distances")
     report = analyze_graph(g, list(range(g.n)))
     assert [v["dim_T"] for v in report["vertices"]] == [20] * g.n
     assert charpolys == factored == []  # every spectrum, the graph's too, is certified
-    factor_keys = [args[0] for args in built]
+    factor_keys = [args[0] for args in decoded]
     assert len(factor_keys) == len(set(factor_keys)) >= 2  # the local graphs
     keys = [(args[1], args[2]) for args in spectra]
     assert sorted(keys) == [(x, i) for x in range(g.n) for i in (1, 2)]
@@ -57,12 +57,12 @@ def test_analyze_computes_each_result_once(monkeypatch):
 def test_consecutive_commands_share_no_memo(monkeypatch, tmp_path, capsys):
     path = tmp_path / "chang1.json"
     save_graph(chang(1), path)
-    built = _spy(monkeypatch, drgkit.spectra, "_spectrum_from_key")
+    decoded = _spy(monkeypatch, drgkit.exactla, "factor_roots")
     counts = []
     for _ in range(2):
         assert main(["pvt", str(path)]) == 0
-        counts.append(len(built))
-        built.clear()
+        counts.append(len(decoded))
+        decoded.clear()
     assert counts[0] == counts[1] >= 2
     assert capsys.readouterr().out.count("verdict: not_pvt") == 2
 

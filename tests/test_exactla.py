@@ -310,8 +310,9 @@ def test_charpoly_large_entries():
 def test_eigenvalues_from_charpoly_quadratic():
     # (x^2 - x - 1)(x - 2): golden ratio pair plus 2
     coeffs = [1, -3, 1, 2]
-    pairs = eigenvalues_from_charpoly(coeffs)
-    vals = [str(v) for v, _ in pairs]
+    key = eigenvalues_from_charpoly(coeffs)
+    assert key == ((2, 1), (1, -1, 1))
+    vals = [str(v) for v, _ in factor_roots(key)]
     assert vals == ["2", "1/2 + 1/2√5", "1/2 - 1/2√5"]
 
 
@@ -426,10 +427,12 @@ def test_random_products_match_sympy(monkeypatch, max_mult):
         coeffs = _poly(_random_factors(rng, max_mult))
         expected = _sympy_route(coeffs)
         key = certified_factors(_companion(coeffs))
+        factored = eigenvalues_from_charpoly(coeffs)
         if key is not None:
             certified += 1
             assert factor_roots(key) == expected, coeffs
-        assert eigenvalues_from_charpoly(coeffs) == expected, coeffs
+            assert factored == key, coeffs  # one key whichever route found it
+        assert factor_roots(factored) == expected, coeffs
     assert len(calls) == 150  # one per eigenvalues_from_charpoly, none from the certificate
     if max_mult == 1:
         assert certified == 150
@@ -520,8 +523,7 @@ def test_eigenprojection_icosahedron_ranks():
     # Lagrange projections onto the eigenspaces (sympy) have rank = trace = m_i
     g = icosahedron()
     A = np.asarray(g.adjacency, dtype=np.int64)
-    pairs = eigenvalues_from_charpoly(charpoly_int(A))
-    assert pairs is not None
+    pairs = factor_roots(eigenvalues_from_charpoly(charpoly_int(A)))
     assert [(str(t), m) for t, m in pairs] == [("5", 1), ("√5", 3), ("-1", 5), ("-√5", 3)]
     As = sympy.Matrix(A.tolist())
     theta = [sympy.Rational(t.a.numerator, t.a.denominator)

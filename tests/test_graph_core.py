@@ -77,6 +77,15 @@ def test_negative_n_rejected(tmp_path):
     assert str(e.value) == 'parse: "n" -3 is negative'
 
 
+def test_zero_n_rejected(tmp_path):
+    # an empty vertex set is malformed input, not a disconnected graph
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    with pytest.raises(GraphError) as e:
+        load_graph(path)
+    assert str(e.value) == 'parse: "n" is 0: a graph needs at least one vertex'
+
+
 def test_duplicate_edge_rejected(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 0]]}))

@@ -1,5 +1,5 @@
 """Spectra: SRG closed forms, subconstituents, the derived second
-subconstituent, duality, cospectrality."""
+subconstituent, duality, equality by exact key."""
 
 from fractions import Fraction
 
@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LATIN_SQUARE_6, latin_square_graph, paley_graph
+from drgkit.context import GraphContext
 from drgkit.exactla import (
     AlgebraicScalar,
     certified_factors,
     charpoly_int,
     eigenvalues_from_charpoly,
+    factor_roots,
 )
 from drgkit.families import chang, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import distances
@@ -20,7 +23,6 @@ from drgkit.spectra import (
     InfeasibleSrgError,
     Spectrum,
     SrgParams,
-    cospectral,
     second_subconstituent_derived,
     spectrum_of_int_matrix,
     srg_spectrum,
@@ -133,8 +135,8 @@ def test_duality_vacuous(local_duality_check):
 def test_cospectral():
     sh = subconstituent_spectrum(shrikhande(), 0, 1)
     gr = subconstituent_spectrum(rook_grid(4), 0, 1)
-    assert not cospectral(sh, gr)
-    assert cospectral(sh, sh)
+    assert sh != gr
+    assert sh == subconstituent_spectrum(shrikhande(), 5, 1)
 
 
 def test_cospectral_chang_cross_graph():
@@ -146,20 +148,13 @@ def test_cospectral_chang_cross_graph():
     s_c2 = subconstituent_spectrum(c2, 1, 1, dd2)
     groups3 = {}
     for x in range(28):
-        groups3.setdefault(subconstituent_spectrum(c3, x, 1, dd3).pairs, []).append(x)
+        groups3.setdefault(subconstituent_spectrum(c3, x, 1, dd3), []).append(x)
     # exact computation: no Chang-3 vertex shares Chang-2's 24-orbit spectrum
-    assert s_c2.pairs not in groups3
+    assert s_c2 not in groups3
     # within Chang-3, the triangle pair and a cross pair are cospectral
     s_tri = subconstituent_spectrum(c3, 0, 1, dd3)
     s_cross = subconstituent_spectrum(c3, 6, 1, dd3)  # pair {0,4} 0-based
-    assert cospectral(s_tri, s_cross)
-
-
-def test_float_mode_comparison_warns():
-    exact = spec((S(2), 1), (S(0), 2), (S(-2), 1))
-    approx = Spectrum(pairs=((2.0, 1), (1e-12, 2), (-2.0, 1)), exact=False)
-    with pytest.warns(UserWarning):
-        assert cospectral(exact, approx)
+    assert s_tri == s_cross
 
 
 def test_spectrum_of_float_fallback():
@@ -176,8 +171,6 @@ def test_spectrum_of_float_fallback():
     s = spectrum_of_int_matrix(c7)
     assert not s.exact
     assert s.size == 7
-    with pytest.raises(ValueError):
-        spectrum_of_int_matrix(c7, allow_float=False)
 
 
 def test_srg_multiplicity_identities():
@@ -189,9 +182,10 @@ def test_srg_multiplicity_identities():
 
 
 def _oracle(block):
-    """The spectrum by charpoly_int and factoring, or None for a cubic field."""
-    pairs = eigenvalues_from_charpoly(charpoly_int(block))
-    return None if pairs is None else Spectrum.from_pairs(pairs)
+    """The spectrum by charpoly_int and factoring, or None for a cubic field,
+    rebuilt by from_pairs from its decoded eigenvalues."""
+    key = eigenvalues_from_charpoly(charpoly_int(block))
+    return None if key is None else Spectrum.from_pairs(factor_roots(key))
 
 
 def test_certified_spectra_match_charpoly_oracle_on_fixtures(srg_corpus, ico, j84):
@@ -234,3 +228,37 @@ def test_certified_spectrum_matches_charpoly_oracle_on_random_matrices(m):
         assert np.allclose(floats, sorted(np.linalg.eigvalsh(m.astype(float)), reverse=True))
     else:
         assert spec == oracle
+
+
+def test_from_pairs_merges_repeats_and_pairs_conjugates():
+    phi = S(Fraction(1, 2), Fraction(1, 2), 5)
+    psi = S(Fraction(1, 2), Fraction(-1, 2), 5)
+    s = spec((S(2), 1), (phi, 1), (S(2), 2), (psi, 1), (S(0), 0))
+    assert s.key == ((2, 3), (1, -1, 1))
+    assert s.pairs == ((S(2), 3), (phi, 1), (psi, 1))
+    assert spec((S(2), 3)) == spectrum_of_int_matrix(np.diag([2, 2, 2])) != s
+    with pytest.raises(ValueError, match="conjugate"):
+        spec((phi, 2), (psi, 1))
+
+
+def test_latin_square_local_spectra_compare_exact_against_float():
+    # 16 exact local spectra and 20 with a cubic factor; comparing the two
+    # kinds is a key comparison, not a float one
+    ctx = GraphContext.of(latin_square_graph(LATIN_SQUARE_6))
+    specs = [ctx.subconstituent_spectrum(x, 1) for x in range(36)]
+    exact = [s for s in specs if s.exact]
+    assert len(exact) == 16 and specs[0].exact
+    assert all(s != specs[0] for s in specs if not s.exact)
+    assert all(isinstance(v, float) for s in specs if not s.exact for v, _ in s.pairs)
+
+
+def test_float_spectra_are_equal_across_contexts_by_characteristic_polynomial():
+    # Paley(29) local graphs need a cubic field; x -> 3x + 1 relabels the
+    # graph without being an automorphism, so its blocks come out of another
+    # eigvalsh run
+    g = paley_graph(29)
+    s1 = subconstituent_spectrum(g, 0, 1)
+    s2 = subconstituent_spectrum(paley_graph(29, [(3 * x + 1) % 29 for x in range(29)]), 0, 1)
+    assert not s1.exact and s1 == s2 and hash(s1) == hash(s2)
+    local = np.flatnonzero(g.adjacency[0])
+    assert s1.key == tuple(charpoly_int(g.adjacency[np.ix_(local, local)].astype(np.int64)))

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distance_matrices, idempotent_profiles
-from drgkit.exactla import ExactSpan, _imatmul, charpoly_int, eigenvalues_from_charpoly
+from drgkit.exactla import (
+    ExactSpan,
+    _imatmul,
+    charpoly_int,
+    eigenvalues_from_charpoly,
+    factor_roots,
+)
 from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import Graph, distances
 from drgkit.scheme import (
@@ -260,7 +266,7 @@ def test_tridiagonal_eigenvalues_match_theta():
     for g in (johnson(8, 2), icosahedron(), johnson(8, 4)):
         params = verify_drg(g)
         ed = eigen_data(g, params)
-        pairs = eigenvalues_from_charpoly(charpoly_int(intersection_matrix(params)))
+        pairs = factor_roots(eigenvalues_from_charpoly(charpoly_int(intersection_matrix(params))))
         assert tuple(v for v, m in pairs) == ed.theta
         assert all(m == 1 for _, m in pairs)
 
