@@ -36,9 +36,7 @@ from .tmodules import (
     ModuleDescriptor,
     ModuleDecomposition,
     DimensionSequence,
-    decompose_srg,
-    decompose_taylor,
-    decompose_at4,
+    decompose,
     dimension_sequence,
     srg_dim_formula,
     wedderburn_dim,

@@ -14,8 +14,9 @@ pvt verdict included, so each distance table, local spectrum, factored
 characteristic polynomial and closure dimension is computed once per report.
 The eigen data and the classification route are read from the context's
 memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
-decided once per report, and the decompositions take its parameters.  The
-memos live on that context only: nothing carries over to the next report.
+decided once per report, and tmodules.decompose follows it, taking its
+parameters from the context.  The memos live on that context only: nothing
+carries over to the next report.
 """
 
 from __future__ import annotations
@@ -29,14 +30,8 @@ from .exactla import AlgebraicScalar
 from .graph_core import Graph
 from .pvt import check_pvt
 from .scheme import antipodality, krein, tightness
-from .spectra import format_eigenvalue, second_subconstituent_derived
-from .tmodules import (
-    decompose_at4,
-    decompose_srg,
-    decompose_taylor,
-    dimension_sequence,
-    wedderburn_dim,
-)
+from .spectra import FLOAT_REFUSED, format_eigenvalue, second_subconstituent_derived
+from .tmodules import decompose, dimension_sequence, wedderburn_dim
 
 __all__ = ["AnalysisError", "analyze_graph", "report_to_json"]
 
@@ -101,7 +96,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     if ed.exact:
         kd = krein(ed, params)
         graph_section["qpoly_orderings"] = [list(o) for o in kd.qpoly_orderings]
-    antipode = antipodality(g, ctx.dd)
+    antipode = antipodality(ctx.dd)
     graph_section["antipodal_double_cover"] = antipode is not None
     if antipode is not None:
         graph_section["antipode"] = [antipode[x] for x in range(g.n)]
@@ -137,17 +132,21 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         specs = []
         exact_ok = True
         for i in range(1, params.D + 1):
-            s = ctx.subconstituent_spectrum(x, i, allow_float=allow_float)
+            s = ctx.subconstituent_spectrum(x, i)
             if not s.exact:
+                if not allow_float:
+                    raise AnalysisError(
+                        f"{FLOAT_REFUSED} at vertex {x}, distance class {i}; rerun "
+                        "with float fallback enabled to accept approximate spectra"
+                    )
                 exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
             specs.append(s)
         record["subconstituent_spectra"] = [_spectrum_json(s.pairs) for s in specs]
         dim_t = ctx.terwilliger_dimension(x)
         record["dim_T"] = dim_t
-        md = None
-        if route == "srg" and exact_ok:
-            md = decompose_srg(ctx, x, route_params)
+        md = decompose(ctx, x) if exact_ok or route != "srg" else None
+        if md is not None and route == "srg":
             derived = second_subconstituent_derived(specs[0], route_params)
             if derived != specs[1]:
                 raise AnalysisError(
@@ -156,10 +155,6 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                 )
             ds = dimension_sequence(md, route_params, specs[1])
             record["dimension_sequence"] = list(ds.tuple())
-        elif route == "taylor":
-            md = decompose_taylor(ctx, x, *route_params)
-        elif route == "at4":
-            md = decompose_at4(ctx, x, *route_params)
         if md is not None:
             wd = wedderburn_dim(md)
             if wd != dim_t:

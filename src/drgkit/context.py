@@ -9,7 +9,8 @@ graph-level values are computed on first access and kept:
 * route: which classification theorem applies, decided here and nowhere else:
   ("srg", SrgParams) for diameter 2, ("taylor", (k, b)) for a Taylor array,
   ("at4", (p, q)) for an AT4(p, q, 2) array, or None.  analysis, pvt and
-  tables read it instead of deciding again.
+  tmodules.decompose read it instead of deciding again, and each route's
+  decomposition takes its parameters from here, never from its caller.
 
 It also memoizes the per-vertex results that analysis, pvt, tmodules and
 tables ask for more than once:
@@ -23,8 +24,8 @@ tables ask for more than once:
   spectra does not rest on this sharing: Spectrum == compares keys, so it
   holds across contexts too;
 * dim T(x) from the algebra closure, keyed by x;
-* the graph-level data of a Taylor or AT4 route (taylor_local, at4_local):
-  the eigenvalues, local SrgParams and local spectrum that tmodules checks
+* route_local, the graph-level data of a Taylor or AT4 route: the
+  eigenvalues, local SrgParams, local spectrum and flags that tmodules checks
   every vertex against.
 
 The memos live on the context object and nowhere else.  A command builds one
@@ -81,7 +82,7 @@ class GraphContext:
     @cached_property
     def eigen(self) -> EigenData:
         """Eigenvalues and multiplicities from the intersection array."""
-        return eigen_data(self.graph, self.params, self.dd)
+        return eigen_data(self.params)
 
     @cached_property
     def route(self) -> Optional[tuple]:
@@ -123,15 +124,10 @@ class GraphContext:
         return self._dims[x]
 
     @cached_property
-    def taylor_local(self) -> tuple:
-        """tmodules' Taylor data for the ("taylor", (k, b)) route, built once."""
-        from .tmodules import _taylor_local  # tmodules imports this module
+    def route_local(self) -> tuple:
+        """tmodules' (theta, local SrgParams, local Spectrum, flags) for a
+        Taylor or AT4 route, built once."""
+        from .tmodules import _at4_local, _taylor_local  # tmodules imports this module
 
-        return _taylor_local(*self.route[1])
-
-    @cached_property
-    def at4_local(self) -> tuple:
-        """tmodules' AT4 data for the ("at4", (p, q)) route, built once."""
-        from .tmodules import _at4_local
-
-        return _at4_local(*self.route[1])
+        name, args = self.route
+        return (_taylor_local if name == "taylor" else _at4_local)(*args)

@@ -11,10 +11,11 @@ dimensions from a context.GraphContext, which memoizes them for one command.
 Spectra are compared with ==, which compares their exact keys (the factor
 key, or the characteristic polynomial of a float spectrum; see spectra), so
 no verdict rests on a float.
-check_pvt takes its route from the memoized GraphContext.route; it never
-reads the eigen data, nor bipartiteness (no Taylor or AT4 array is
-bipartite).  analyze_graph hands its own context to check_pvt, so the
-per-vertex report reuses the route, spectra and closures the verdict computed.
+check_pvt and t_isomorphic_srg take the route from the memoized
+GraphContext.route; they never read the eigen data, nor bipartiteness (no
+Taylor or AT4 array is bipartite).  analyze_graph hands its own context to
+check_pvt, so the per-vertex report reuses the route, spectra and closures
+the verdict computed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Union
 
 from .context import GraphContext
 from .graph_core import Graph
-from .spectra import SrgParams
+from .spectra import InfeasibleSrgError, SrgParams
 
 __all__ = ["PvtVerdict", "TIsoResult", "check_pvt", "t_isomorphic_srg", "gq_dim"]
 
@@ -124,6 +125,13 @@ class TIsoResult:
     note: str = ""
 
 
+def _srg_route(ctx: GraphContext) -> SrgParams:
+    name, params = ctx.route or (None, None)
+    if name != "srg":
+        raise InfeasibleSrgError(f"diameter {ctx.params.D}, not a strongly regular graph")
+    return params
+
+
 def t_isomorphic_srg(g1: Union[Graph, GraphContext],
                      g2: Union[Graph, GraphContext]) -> TIsoResult:
     """T-isomorphism of two connected strongly regular graphs.
@@ -131,35 +139,29 @@ def t_isomorphic_srg(g1: Union[Graph, GraphContext],
     True iff the parameters agree and the local spectra match.  The theorem's
     quantifier runs over every pair of base vertices, so for graphs that are
     not pseudo-vertex-transitive the per-vertex local spectra of both graphs
-    must all be one and the same spectrum; comparing the two multisets of
-    per-vertex local spectra decides that literal reading, and a note flags
-    the non-pvt situation.
+    must all be one and the same spectrum.  check_pvt decides that for each
+    graph in turn, and the first not_pvt witness, with "graph": 1 or 2 added,
+    is the answer's witness; a note flags the non-pvt situation.
     """
-    c1 = GraphContext.of(g1)
-    p1 = SrgParams.from_drg(c1.params)
-    c2 = GraphContext.of(g2)
-    p2 = SrgParams.from_drg(c2.params)
+    c1, c2 = GraphContext.of(g1), GraphContext.of(g2)
+    p1, p2 = _srg_route(c1), _srg_route(c2)
     if p1.tuple() != p2.tuple():
         return TIsoResult(False, witness={"parameters": [p1.tuple(), p2.tuple()]},
                           note="parameters differ")
-    specs1 = [c1.subconstituent_spectrum(x, 1) for x in range(p1.n)]
-    specs2 = [c2.subconstituent_spectrum(x, 1) for x in range(p2.n)]
-    distinct1, distinct2 = set(specs1), set(specs2)
-    if len(distinct1) > 1 or len(distinct2) > 1:
-        # some pair of base vertices already exhibits different local spectra
-        sample = next(iter(distinct1 ^ distinct2 or distinct1))
-        return TIsoResult(
-            False,
-            witness={"local_spectrum": str(sample)},
-            note="a graph in the pair is not pseudo-vertex-transitive, so some "
-                 "pair of base vertices has differing local spectra",
-        )
-    if distinct1 == distinct2:
+    for label, ctx in ((1, c1), (2, c2)):
+        verdict = check_pvt(ctx)
+        if verdict.verdict == VERDICT_NOT_PVT:
+            return TIsoResult(
+                False,
+                witness={"graph": label, **verdict.witness},
+                note="a graph in the pair is not pseudo-vertex-transitive, so some "
+                     "pair of base vertices has differing local spectra",
+            )
+    s1, s2 = c1.subconstituent_spectrum(0, 1), c2.subconstituent_spectrum(0, 1)
+    if s1 == s2:
         return TIsoResult(True)
-    s1 = str(specs1[0])
-    s2 = str(specs2[0])
     return TIsoResult(False,
-                      witness={"local_spectrum_g1": s1, "local_spectrum_g2": s2},
+                      witness={"local_spectrum_g1": str(s1), "local_spectrum_g2": str(s2)},
                       note="local spectra differ")
 
 

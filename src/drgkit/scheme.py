@@ -181,8 +181,7 @@ def multiplicity(theta, params: DrgParameters) -> int:
     return r
 
 
-def eigen_data(g: Graph, params: DrgParameters,
-               dd: Optional[DistanceData] = None) -> EigenData:
+def eigen_data(params: DrgParameters) -> EigenData:
     """Spectrum of a distance-regular graph from its intersection array.
 
     The eigenvalues are those of the (D+1) x (D+1) intersection matrix,
@@ -192,8 +191,7 @@ def eigen_data(g: Graph, params: DrgParameters,
     sum m_i = n, sum m_i theta_i = tr A = 0 and sum m_i theta_i^2 = tr A^2
     = n k.  Falls back to floats (flagged) when the intersection-matrix
     charpoly has an irreducible factor of degree >= 3; the rounded float
-    multiplicities must still sum to n.  Only params is read; g and dd keep
-    the signature of the other per-graph layers.
+    multiplicities must still sum to n.
     """
     B = intersection_matrix(params)
     n, k = params.n, params.k
@@ -278,17 +276,17 @@ def krein(ed: EigenData, params: DrgParameters) -> KreinData:
     )
 
 
-def antipodality(g: Graph, dd: Optional[DistanceData] = None) -> Optional[dict[int, int]]:
-    """The antipode map x -> x^ when g is an antipodal double cover, else None.
+def antipodality(dd: DistanceData) -> Optional[dict[int, int]]:
+    """The antipode map x -> x^ when the graph of dd is an antipodal double
+    cover, else None.
 
     A distance-regular graph is an antipodal double cover exactly when every
     vertex has a unique vertex at maximal distance.
     """
-    dd = dd or distances(g)
     if dd.D < 2:
         return None
     antipode = {}
-    for x in range(g.n):
+    for x in range(len(dd.dist)):
         far = dd.classes_from(x, dd.D)
         if len(far) != 1:
             return None

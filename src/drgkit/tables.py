@@ -35,15 +35,8 @@ from .families import (
 from .graph_core import Graph
 from .pvt import check_pvt, gq_dim, t_isomorphic_srg
 from .scheme import tightness
-from .spectra import SrgParams, Spectrum, second_subconstituent_derived
-from .tmodules import (
-    decompose_at4,
-    decompose_srg,
-    decompose_taylor,
-    dimension_sequence,
-    srg_dim_formula,
-    wedderburn_dim,
-)
+from .spectra import Spectrum, second_subconstituent_derived
+from .tmodules import decompose, dimension_sequence, srg_dim_formula, wedderburn_dim
 
 __all__ = ["TABLES", "reproduce_table"]
 
@@ -83,7 +76,6 @@ def reproduce_shrikhande(slow: bool = False):
         (shrikhande(), _spec((_sc(2), 1), (_sc(1), 2), (_sc(-1), 2), (_sc(-2), 1)), 20),
         (rook_grid(4), _spec((_sc(2), 2), (_sc(-1), 4)), 15),
     ]
-    p = SrgParams(16, 6, 2, 2)
     ctxs = []
     for g, local_exp, dim_exp in expected:
         ctx = GraphContext.of(g)
@@ -95,7 +87,7 @@ def reproduce_shrikhande(slow: bool = False):
             spec = ctx.subconstituent_spectrum(x, 1)
             locals_ok &= spec == local_exp
             dims.add(ctx.terwilliger_dimension(x))
-            weds.add(wedderburn_dim(decompose_srg(ctx, x, p)))
+            weds.add(wedderburn_dim(decompose(ctx, x)))
         ok &= _row(lines, locals_ok, f"{g.label}: local spectrum {local_exp} at all vertices")
         ok &= _row(lines, dims == {dim_exp},
                    f"{g.label}: closure dim {sorted(dims)} == {dim_exp} at all vertices")
@@ -186,8 +178,7 @@ def reproduce_gq(slow: bool = False):
         expect = gq_dim(s, t)
         ctx = GraphContext.of(g)
         dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
-        _, srg = ctx.route
-        weds = {wedderburn_dim(decompose_srg(ctx, x, srg)) for x in range(g.n)}
+        weds = {wedderburn_dim(decompose(ctx, x)) for x in range(g.n)}
         ok &= _row(lines, dims == {expect} and weds == {expect},
                    f"GQ({s},{t}) via {g.label}: dim T = {sorted(dims)} "
                    f"(formula {expect}, Wedderburn {sorted(weds)})")
@@ -202,12 +193,12 @@ def reproduce_taylor(slow: bool = False):
     with the predicted endpoint-1 multiplicities."""
     lines = ["table: Taylor graphs"]
     ok = True
-    for g, (k, b), msig in ((icosahedron(), (5, 2), 2), (johnson(6, 3), (9, 4), 4)):
+    for g, msig in ((icosahedron(), 2), (johnson(6, 3), 4)):
         ctx = GraphContext.of(g)
         dims = set()
         mults = set()
         for x in range(g.n):
-            md = decompose_taylor(ctx, x, k, b)
+            md = decompose(ctx, x)
             dims.add(wedderburn_dim(md))
             dims.add(ctx.terwilliger_dimension(x))
             eps1 = tuple(sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1))
@@ -244,7 +235,7 @@ def _at4_suite(lines, g, p, q, expect):
     thetas = {AlgebraicScalar(v) for v in
               (p * q + p + q, p, -q, -q * q)}
     for x in range(g.n):
-        md = decompose_at4(ctx, x, p, q)
+        md = decompose(ctx, x)
         dims.add(wedderburn_dim(md))
         dims.add(ctx.terwilliger_dimension(x))
         a1 = tuple(str(d.a_seq[1]) for d in md.descriptors if d.endpoint == 1)
@@ -296,8 +287,8 @@ def reproduce_j82(slow: bool = False):
     lines = ["table: J(8,2) base case"]
     ok = True
     g = johnson(8, 2)
-    p = SrgParams(28, 12, 6, 4)
     ctx = GraphContext.of(g)
+    _, p = ctx.route
     local = ctx.subconstituent_spectrum(0, 1)
     expect_local = _spec((_sc(6), 1), (_sc(4), 1), (_sc(0), 5), (_sc(-2), 5))
     ok &= _row(lines, local == expect_local, f"local spectrum {expect_local}")
@@ -307,7 +298,7 @@ def reproduce_j82(slow: bool = False):
                f"derived second-subconstituent spectrum {expect_d2}")
     direct = ctx.subconstituent_spectrum(0, 2)
     ok &= _row(lines, direct == derived, "derived == directly computed")
-    md = decompose_srg(ctx, 0, p)
+    md = decompose(ctx, 0)
     census = sorted((d.endpoint, d.dim, d.multiplicity) for d in md.descriptors)
     expect_census = sorted([(0, 3, 1), (1, 2, 5), (1, 1, 1), (1, 1, 5), (2, 1, 9)])
     ok &= _row(lines, census == expect_census,

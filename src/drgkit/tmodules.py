@@ -1,5 +1,12 @@
 """Classification of irreducible T(x)-modules for diameters 2, 3, and 4.
 
+decompose(g, x) is the one entry point.  It follows GraphContext.route to
+decompose_srg, decompose_taylor or decompose_at4 (None on the generic
+route), and each of them reads its parameters from the context, so no caller
+passes them.  One _primary builds the primary module of every route from the
+intersection numbers, and the Taylor and AT4 routes check each local
+spectrum against GraphContext.route_local in one place (_cover_local).
+
 Every decomposition built here is self-certifying:
 
 * each class carries a_0(W)..a_d(W) whose sum is checked exactly against
@@ -36,6 +43,7 @@ from .exactla import (
     sqrt_of_fraction,
 )
 from .graph_core import Graph
+from .scheme import DrgParameters
 from .spectra import (
     Spectrum,
     SrgParams,
@@ -48,11 +56,9 @@ __all__ = [
     "ModuleDescriptor",
     "ModuleDecomposition",
     "DimensionSequence",
-    "decompose_srg",
+    "decompose",
     "dimension_sequence",
     "srg_dim_formula",
-    "decompose_taylor",
-    "decompose_at4",
     "wedderburn_dim",
     "at4_eigenvalues",
 ]
@@ -75,8 +81,7 @@ class ModuleDescriptor:
 
     def sort_key(self):
         lam = self.local_eigenvalue
-        return (self.endpoint, -self.dim,
-                -(float(lam) if lam is not None else float("inf")),
+        return (self.endpoint, -self.dim, -lam if lam is not None else _ZERO,
                 self.dual_endpoint)
 
 
@@ -117,11 +122,39 @@ def _check_a_sum(a_seq, theta, t: int):
         raise ValueError(f"sum a_i(W) = {lhs} != {rhs} = sum theta_(t+i) (t={t})")
 
 
-def _check_palindrome(a_seq):
-    d = len(a_seq) - 1
-    for i in range(len(a_seq)):
-        if a_seq[i] != a_seq[d - i]:
-            raise ValueError(f"a_i(W) != a_(d-i)(W) in {tuple(str(a) for a in a_seq)}")
+def _check_palindrome(descs):
+    """a_i(W) == a_(d-i)(W) on every class, as on an antipodal cover."""
+    for d in descs:
+        if d.a_seq != d.a_seq[::-1]:
+            raise ValueError(f"a_i(W) != a_(d-i)(W) in {tuple(str(a) for a in d.a_seq)}")
+
+
+def _primary(params: DrgParameters, theta) -> ModuleDescriptor:
+    """The primary module, dim D + 1: a_i(W) = a_i and x_i(W) = b_(i-1) c_i,
+    its a-sum checked against theta_0 + ... + theta_D."""
+    desc = ModuleDescriptor(
+        endpoint=0, dual_endpoint=0, diameter=params.D, dim=params.D + 1, multiplicity=1,
+        local_eigenvalue=None,
+        a_seq=tuple(AlgebraicScalar(a) for a in params.a),
+        x_seq=tuple(AlgebraicScalar(b * c) for b, c in zip(params.b, params.c)),
+    )
+    _check_a_sum(desc.a_seq, theta, 0)
+    return desc
+
+
+def decompose(g: Union[Graph, GraphContext], x: int) -> Optional[ModuleDecomposition]:
+    """The T(x)-module classes by the context's classification route, or None
+    on a graph no theorem covers.  Each route reads its parameters from
+    GraphContext.route and GraphContext.params itself."""
+    ctx = GraphContext.of(g)
+    if ctx.route is None:
+        return None
+    name = ctx.route[0]
+    if name == "srg":
+        return decompose_srg(ctx, x)
+    if name == "taylor":
+        return decompose_taylor(ctx, x)
+    return decompose_at4(ctx, x)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +162,7 @@ def _check_palindrome(a_seq):
 # ---------------------------------------------------------------------------
 
 
-def decompose_srg(g: Union[Graph, GraphContext], x: int, p: SrgParams) -> ModuleDecomposition:
+def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     """Thin irreducible T(x)-module classes of a strongly regular graph.
 
     Classes and multiplicities: the primary module (dim 3); one dim-2
@@ -139,19 +172,13 @@ def decompose_srg(g: Union[Graph, GraphContext], x: int, p: SrgParams) -> Module
     (eigenvector orthogonal to all-ones); dim-1 endpoint-2 classes for
     sigma/tau multiplicity left over in the second subconstituent.
     """
-    local = GraphContext.of(g).subconstituent_spectrum(x, 1, allow_float=False)
+    p = ctx.route[1]
+    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
     sigma, tau = p.sigma, p.tau
     theta = (AlgebraicScalar(p.k), sigma, tau)
 
-    ka = AlgebraicScalar(p.k)
-    descs = [ModuleDescriptor(
-        endpoint=0, dual_endpoint=0, diameter=2, dim=3, multiplicity=1,
-        local_eigenvalue=None,
-        a_seq=(_ZERO, AlgebraicScalar(p.a), AlgebraicScalar(p.k - p.c)),
-        x_seq=(ka, AlgebraicScalar((p.k - p.a - 1) * p.c)),
-    )]
-    _check_a_sum(descs[0].a_seq, theta, 0)
+    descs = [_primary(ctx.params, theta)]
     for lam, mult in eff1.items():  # local eigenvalues outside {sigma, tau}
         a_seq = (lam, sigma + tau - lam)
         x_seq = (AlgebraicScalar(-1) * (lam - sigma) * (lam - tau),)
@@ -328,6 +355,18 @@ def taylor_eigenvalues(k: int, b: int):
     return (AlgebraicScalar(k), t1, AlgebraicScalar(-1), t3)
 
 
+def _cover_local(ctx: GraphContext, x: int) -> tuple:
+    """(theta, local SrgParams, flags) of a Taylor or AT4 route, from
+    GraphContext.route_local, after checking the local spectrum at x against
+    the one the route predicts."""
+    theta, local_params, expected, flags = ctx.route_local
+    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+    if local != expected:
+        raise ValueError(f"local spectrum {local} at vertex {x} differs from the "
+                         f"{ctx.route[0]} prediction {expected}")
+    return theta, local_params, flags
+
+
 def _taylor_local(k: int, b: int) -> tuple:
     """(theta, local SrgParams, local Spectrum, flags) of the Taylor graph
     {k,b,1;1,b,k}, after the exact checks decompose_taylor documents."""
@@ -349,8 +388,7 @@ def _taylor_local(k: int, b: int) -> tuple:
     return theta, local_params, srg_spectrum(local_params), tuple(flags)
 
 
-def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
-                     b: int) -> ModuleDecomposition:
+def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
     """T(x)-module classes of a Taylor graph: the primary module and one dim-2
     endpoint-1 class per nontrivial local eigenvalue sigma, tau.
 
@@ -360,36 +398,21 @@ def decompose_taylor(g: Union[Graph, GraphContext], x: int, k: int,
     2*sigma = theta_1 + theta_2 and 2*tau = theta_2 + theta_3 (checked
     exactly); the difference form (theta_1 - theta_2)/2 does not equal
     sigma, and a flag records that.  These graph-level data are built once
-    per context (GraphContext.taylor_local) and read by every vertex.
+    per context (GraphContext.route_local) and read by every vertex.
     """
-    ctx = GraphContext.of(g)
-    params = ctx.params
-    if ctx.route != ("taylor", (k, b)):
-        raise ValueError(f"not a Taylor graph with (k, b) = ({k}, {b})")
-    theta, local_params, expected_local, flags = ctx.taylor_local
+    theta, local_params, flags = _cover_local(ctx, x)
     sigma, tau = local_params.sigma, local_params.tau
-    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    if local != expected_local:
-        raise ValueError(f"local spectrum {local} differs from {expected_local}")
-
-    descs = [ModuleDescriptor(
-        endpoint=0, dual_endpoint=0, diameter=3, dim=4, multiplicity=1,
-        local_eigenvalue=None,
-        a_seq=tuple(AlgebraicScalar(a) for a in params.a),
-        x_seq=tuple(AlgebraicScalar(params.b[i] * params.c[i]) for i in range(3)),
-    )]
-    _check_a_sum(descs[0].a_seq, theta, 0)
-    _check_palindrome(descs[0].a_seq)
+    descs = [_primary(ctx.params, theta)]
     for lam, mult, t in ((sigma, local_params.m_sigma, 1), (tau, local_params.m_tau, 2)):
         a_seq = (lam, lam)
         x_seq = ((lam - theta[t]) * (lam - theta[t]),)
         _check_a_sum(a_seq, theta, t)
-        _check_palindrome(a_seq)
         descs.append(ModuleDescriptor(
             endpoint=1, dual_endpoint=t, diameter=1, dim=2, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
-    return ModuleDecomposition(n=params.n, descriptors=tuple(descs), flags=flags)
+    _check_palindrome(descs)
+    return ModuleDecomposition(n=ctx.params.n, descriptors=tuple(descs), flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +425,15 @@ def at4_eigenvalues(p: int, q: int) -> tuple[int, int, int, int, int]:
 
 
 def _at4_local(p: int, q: int) -> tuple:
-    """(theta, local SrgParams, local Spectrum) of AT4(p, q, 2): the local
-    graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues are
-    sigma = p and tau = -q."""
+    """(theta, local SrgParams, local Spectrum, no flags) of AT4(p, q, 2): the
+    local graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues
+    are sigma = p and tau = -q."""
     local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
     return (tuple(AlgebraicScalar(t) for t in at4_eigenvalues(p, q)), local_params,
-            srg_spectrum(local_params))
+            srg_spectrum(local_params), ())
 
 
-def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
-                  q: int) -> ModuleDecomposition:
+def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
     """T(x)-module classes of an AT4(p, q, 2) graph.
 
     Primary module (dim 5); one dim-3 endpoint-1 class per local eigenvalue
@@ -422,26 +444,11 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
     spectrum less a_2 once and a_1(W) m_b+ and m_b- times.  No count may go
     negative, and every eigenvalue left over must lie in {theta_1..theta_4}.
     """
-    ctx = GraphContext.of(g)
     params = ctx.params
-    if ctx.route != ("at4", (p, q)):
-        raise ValueError(f"intersection array does not match AT4({p},{q},2)")
-    theta, local_params, expected_local = ctx.at4_local
+    p, q = ctx.route[1]
+    theta, local_params, _ = _cover_local(ctx, x)
     m_bp, m_bm = local_params.m_sigma, local_params.m_tau
-    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-    if local != expected_local:
-        raise ValueError(f"local spectrum {local} differs from AT4 prediction "
-                         f"{expected_local}")
-
-    descs = [ModuleDescriptor(
-        endpoint=0, dual_endpoint=0, diameter=4, dim=5, multiplicity=1,
-        local_eigenvalue=None,
-        a_seq=tuple(AlgebraicScalar(a) for a in params.a),
-        x_seq=tuple(AlgebraicScalar(params.b[i] * params.c[i]) for i in range(4)),
-    )]
-    _check_a_sum(descs[0].a_seq, theta, 0)
-    _check_palindrome(descs[0].a_seq)
-
+    descs = [_primary(params, theta)]
     a1w = {}
     for lam_int, mult, t in ((p, m_bp, 1), (-q, m_bm, 2)):
         lam = AlgebraicScalar(lam_int)
@@ -453,7 +460,6 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
                 f"({lam}, {expected_a1}, {lam})"
             )
         _check_a_sum(a_seq, theta, t)
-        _check_palindrome(a_seq)
         a1w[lam_int] = expected_a1
         descs.append(ModuleDescriptor(
             endpoint=1, dual_endpoint=t, diameter=2, dim=3, multiplicity=mult,
@@ -476,4 +482,5 @@ def decompose_at4(g: Union[Graph, GraphContext], x: int, p: int,
                 multiplicity=left[theta[t]], local_eigenvalue=theta[t],
                 a_seq=(theta[t],), x_seq=(),
             ))
+    _check_palindrome(descs)
     return ModuleDecomposition(n=params.n, descriptors=tuple(descs))

@@ -25,7 +25,7 @@ from drgkit.exactla import AlgebraicScalar
 from drgkit.graph_core import Graph, GraphError
 from drgkit.scheme import cosine_sequence
 from drgkit.spectra import SrgParams, effective_multiplicities
-from drgkit.tmodules import decompose_srg, dimension_sequence
+from drgkit.tmodules import decompose, dimension_sequence
 
 
 # a fixed set of draws per run: `pytest --hypothesis-profile=ci`
@@ -110,7 +110,7 @@ def _srg_record(g) -> SrgGraphRecord:
         local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
         d2 = ctx.subconstituent_spectrum(x, 2, allow_float=False)
         dim_t = ctx.terwilliger_dimension(x)
-        md = decompose_srg(ctx, x, p)
+        md = decompose(ctx, x)
         ds = dimension_sequence(md, p, d2)
         verts.append(SrgVertexRecord(local=local, d2=d2, dim_t=dim_t,
                                      decomposition=md, ds=ds))

@@ -29,8 +29,7 @@ from drgkit.spectra import (
 from drgkit.tables import reproduce_table
 from drgkit.terwilliger import terwilliger_dimension
 from drgkit.tmodules import (
-    decompose_at4,
-    decompose_taylor,
+    decompose,
     srg_dim_formula,
     taylor_eigenvalues,
     wedderburn_dim,
@@ -195,7 +194,7 @@ def test_criterion_7_taylor():
     sum_form = (theta[1] + theta[2]) * half
     diff_form = (theta[1] - theta[2]) * half
     ok &= sigma == sum_form and sigma != diff_form
-    md = decompose_taylor(icosahedron(), 0, 5, 2)
+    md = decompose(icosahedron(), 0)
     ok &= any("taylor-local-eigenvalue-identity" in f for f in md.flags)
     mults = sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1)
     ok &= mults == [2, 2]
@@ -233,17 +232,17 @@ def test_criterion_9_cross_oracle(srg_corpus):
     # Taylor and AT4 instances
     ico = GraphContext.of(icosahedron())
     for x in range(ico.graph.n):
-        ok &= wedderburn_dim(decompose_taylor(ico, x, 5, 2)) == \
+        ok &= wedderburn_dim(decompose(ico, x)) == \
             terwilliger_dimension(ico.graph, x, ico.dd)
         count += 1
     j63 = GraphContext.of(johnson(6, 3))
     for x in range(j63.graph.n):
-        ok &= wedderburn_dim(decompose_taylor(j63, x, 9, 4)) == \
+        ok &= wedderburn_dim(decompose(j63, x)) == \
             terwilliger_dimension(j63.graph, x, j63.dd)
         count += 1
     j84 = GraphContext.of(johnson(8, 4))
     for x in range(0, j84.graph.n, 7):  # the full sweep already ran in criterion 8
-        ok &= wedderburn_dim(decompose_at4(j84, x, 2, 2)) == \
+        ok &= wedderburn_dim(decompose(j84, x)) == \
             terwilliger_dimension(j84.graph, x, j84.dd)
         count += 1
     report("9 (Wedderburn dim == closure dim on every analyzed pair)", ok,
@@ -257,7 +256,7 @@ def test_criterion_10_tightness():
     ok = True
     g = icosahedron()
     params = verify_drg(g)
-    t = tightness(params, eigen_data(g, params))
+    t = tightness(params, eigen_data(params))
     ok &= t.is_tight and t.lhs == S(Fraction(-20, 9)) and t.rhs == S(Fraction(-20, 9))
     local = subconstituent_spectrum(g, 0, 1)
     sig = S(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -267,7 +266,7 @@ def test_criterion_10_tightness():
 
     g = johnson(8, 4)
     params = verify_drg(g)
-    t = tightness(params, eigen_data(g, params))
+    t = tightness(params, eigen_data(params))
     ok &= t.is_tight and t.lhs == S(Fraction(-864, 49)) and t.rhs == S(Fraction(-864, 49))
     srg_local = SrgParams(16, 6, 2, 2)
     ok &= t.b_plus == srg_local.sigma and t.b_minus == srg_local.tau

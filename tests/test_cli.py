@@ -8,13 +8,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import drgkit
 from conftest import LATIN_SQUARE_6, latin_square_graph, paley_graph
 from drgkit.cli import main
-from drgkit.families import shrikhande
+from drgkit.families import chang, shrikhande
 from drgkit.graph_core import save_graph
 from drgkit.spectra import subconstituent_spectrum
 
@@ -239,6 +240,27 @@ def test_tiso_command(tmp_path, capsys):
     assert "T-isomorphic: False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first, second, witness", [
+    (1, 3, "{'graph': 1, 'x': 0, 'y': 6, "
+           "'local_spectrum_x': '{6^1, {1 + √5}^1, 2^1, 0^3, {1 - √5}^1, -2^5}', "
+           "'local_spectrum_y': '{6^1, 2^3, 0^2, -2^6}'}"),
+    (3, 1, "{'graph': 1, 'x': 0, 'y': 9, "
+           "'local_spectrum_x': '{6^1, 3^1, {1/2 + 1/2√5}^2, {1/2 - 1/2√5}^2, -1^1, -2^5}', "
+           "'local_spectrum_y': '{6^1, {1/2 + 1/2√13}^2, 1^2, {1/2 - 1/2√13}^2, -2^5}'}"),
+])
+def test_tiso_names_the_first_non_pvt_vertex(tmp_path, capsys, first, second, witness):
+    paths = []
+    for i in (first, second):
+        paths.append(tmp_path / f"chang{i}.json")
+        save_graph(chang(i), paths[-1])
+    assert run(["tiso", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == (
+        "T-isomorphic: False\n"
+        "note: a graph in the pair is not pseudo-vertex-transitive, so some pair "
+        "of base vertices has differing local spectra\n"
+        f"witness: {witness}\n")
+
+
 def test_latin_square_graph_with_float_local_spectra(tmp_path, capsys):
     # vertex 0's local spectrum is exact, others need a cubic field
     g_path = tmp_path / "latin.json"
@@ -252,6 +274,12 @@ def test_latin_square_graph_with_float_local_spectra(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 0 or (rc == 2 and err.startswith("analysis error: ")), err
     assert "internal error" not in err
+    # vertex 1's local spectrum needs a cubic field: the refusal names it
+    assert run(["analyze", str(g_path), "--all-vertices"]) == 2
+    assert capsys.readouterr().err == (
+        "analysis error: spectrum requires an irreducible factor of degree >= 3 "
+        "at vertex 1, distance class 1; rerun with float fallback enabled to "
+        "accept approximate spectra\n")
 
 
 def test_tiso_relabelled_paley29(tmp_path, capsys):

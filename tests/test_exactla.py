@@ -460,7 +460,7 @@ def test_wrong_clusters_fall_back_to_sympy(monkeypatch, wrong):
     expected = _sympy_route(charpoly_int(B))
     assert _certify_proposal(monkeypatch, B, wrong) is None
     calls = _spy_sympy(monkeypatch)
-    ed = eigen_data(ctx.graph, ctx.params)  # the wrong proposal is still in place
+    ed = eigen_data(ctx.params)  # the wrong proposal is still in place
     assert ed.exact and ed.theta == tuple(v for v, _ in expected)
     assert calls == [tuple(charpoly_int(B))]
 

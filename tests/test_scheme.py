@@ -87,21 +87,21 @@ def test_class_size_identity():
 def test_eigen_data_j82():
     g = johnson(8, 2)
     params = verify_drg(g)
-    ed = eigen_data(g, params)
+    ed = eigen_data(params)
     assert [str(t) for t in ed.theta] == ["12", "4", "-2"]
     assert ed.mult == (1, 7, 20)
 
 
 def test_eigen_data_j84():
     g = johnson(8, 4)
-    ed = eigen_data(g, verify_drg(g))
+    ed = eigen_data(verify_drg(g))
     assert [str(t) for t in ed.theta] == ["16", "8", "2", "-2", "-4"]
     assert ed.mult == (1, 7, 20, 28, 14)
 
 
 def test_eigen_data_icosahedron():
     g = icosahedron()
-    ed = eigen_data(g, verify_drg(g))
+    ed = eigen_data(verify_drg(g))
     assert [str(t) for t in ed.theta] == ["5", "√5", "-1", "-√5"]
     assert ed.mult == (1, 3, 5, 3)
 
@@ -113,7 +113,7 @@ def test_eigen_data_float_fallback_cycles():
         for i in range(n):
             adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1
         g = Graph(adj)
-        ed = eigen_data(g, verify_drg(g))
+        ed = eigen_data(verify_drg(g))
         assert not ed.exact
         assert ed.mult == (1,) + (2,) * (n // 2)
         expect = sorted((2 * np.cos(2 * np.pi * j / n) for j in range(n // 2 + 1)), reverse=True)
@@ -134,7 +134,7 @@ def test_idempotent_identities():
     # of A, with rank E_i = m_i (rational on Shrikhande, sqrt5 on the icosahedron)
     for g in (shrikhande(), icosahedron()):
         params = verify_drg(g)
-        ed = eigen_data(g, params)
+        ed = eigen_data(params)
         prof = idempotent_profiles(ed, params)
         n, D = g.n, params.D
         A = [sympy.Matrix(a.tolist()) for a in distance_matrices(distances(g))]
@@ -152,7 +152,7 @@ def test_idempotent_profiles_match_entries():
     # Lagrange oracle: E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j)
     g = icosahedron()
     params = verify_drg(g)
-    ed = eigen_data(g, params)
+    ed = eigen_data(params)
     dd = distances(g)
     prof = idempotent_profiles(ed, params)
     A = sympy.Matrix(g.adjacency.tolist())
@@ -172,7 +172,7 @@ def test_idempotent_profiles_match_entries():
 def test_multiplicities_reject_wrong_theta():
     for g in (shrikhande(), icosahedron(), johnson(8, 4)):
         params = verify_drg(g)
-        ed = eigen_data(g, params)
+        ed = eigen_data(params)
         assert [multiplicity(t, params) for t in ed.theta] == list(ed.mult)
         with pytest.raises(ValueError):
             multiplicity(ed.theta[1] + 1, params)
@@ -217,7 +217,7 @@ def _krein_oracle(ed, params):
 def test_krein_matches_elimination_oracle(build):
     g = build()
     params = verify_drg(g)
-    ed = eigen_data(g, params)
+    ed = eigen_data(params)
     kd = krein(ed, params)
     q, orderings = _krein_oracle(ed, params)
     for (h, i, j), value in q.items():
@@ -228,14 +228,14 @@ def test_krein_matches_elimination_oracle(build):
 def test_krein_srg_natural_ordering():
     g = shrikhande()
     params = verify_drg(g)
-    kd = krein(eigen_data(g, params), params)
+    kd = krein(eigen_data(params), params)
     assert (0, 1, 2) in kd.qpoly_orderings
 
 
 def test_krein_icosahedron_dual_bipartite():
     g = icosahedron()
     params = verify_drg(g)
-    kd = krein(eigen_data(g, params), params)
+    kd = krein(eigen_data(params), params)
     assert (0, 1, 2, 3) in kd.qpoly_orderings
     # q^i_{1,i} = 0 for all i in the natural ordering
     for i in range(4):
@@ -245,7 +245,7 @@ def test_krein_icosahedron_dual_bipartite():
 def test_krein_j84_has_ordering():
     g = johnson(8, 4)
     params = verify_drg(g)
-    kd = krein(eigen_data(g, params), params)
+    kd = krein(eigen_data(params), params)
     assert len(kd.qpoly_orderings) >= 1
     assert (0, 1, 2, 3, 4) in kd.qpoly_orderings
 
@@ -253,19 +253,19 @@ def test_krein_j84_has_ordering():
 def test_antipodality():
     g = icosahedron()
     dd = distances(g)
-    amap = antipodality(g, dd)
+    amap = antipodality(dd)
     assert amap is not None
     assert all(amap[amap[x]] == x for x in range(12))
     j84 = johnson(8, 4)
-    amap = antipodality(j84, distances(j84))
+    amap = antipodality(distances(j84))
     assert amap is not None and len(amap) == 70
-    assert antipodality(johnson(8, 2)) is None
+    assert antipodality(distances(johnson(8, 2))) is None
 
 
 def test_tightness_icosahedron():
     g = icosahedron()
     params = verify_drg(g)
-    t = tightness(params, eigen_data(g, params))
+    t = tightness(params, eigen_data(params))
     assert t.is_tight and not t.bipartite
     assert t.lhs == S(Fraction(-20, 9)) and t.rhs == S(Fraction(-20, 9))
     assert t.b_plus == S(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -275,7 +275,7 @@ def test_tightness_icosahedron():
 def test_tightness_j84():
     g = johnson(8, 4)
     params = verify_drg(g)
-    t = tightness(params, eigen_data(g, params))
+    t = tightness(params, eigen_data(params))
     assert t.is_tight
     assert t.lhs == S(Fraction(-864, 49)) and t.rhs == S(Fraction(-864, 49))
     assert t.b_plus == S(2) and t.b_minus == S(-2)
@@ -284,7 +284,7 @@ def test_tightness_j84():
 def test_tightness_bipartite_undefined():
     g = hamming(3, 2)
     params = verify_drg(g)
-    t = tightness(params, eigen_data(g, params))
+    t = tightness(params, eigen_data(params))
     assert t.bipartite and not t.is_tight
     assert t.b_plus is None
 
@@ -301,7 +301,7 @@ def test_tight_local_graph_characterization():
 
     for g in (icosahedron(), johnson(8, 4)):
         params = verify_drg(g)
-        ed = eigen_data(g, params)
+        ed = eigen_data(params)
         t = tightness(params, ed)
         assert t.is_tight
         dd = distances(g)

@@ -46,7 +46,7 @@ def test_dual_idempotents_partition():
 def test_dual_idempotents_antipode_reversal():
     g = icosahedron()
     dd = distances(g)
-    amap = antipodality(g, dd)
+    amap = antipodality(dd)
     x = 0
     e_x = _class_indicators(dd, x)
     e_hat = _class_indicators(dd, amap[x])
@@ -71,7 +71,7 @@ def test_dual_eigenvalues_distinct():
     # are mutually distinct
     for g in (johnson(8, 2), icosahedron()):
         params = verify_drg(g)
-        ed = eigen_data(g, params)
+        ed = eigen_data(params)
         orderings = krein(ed, params).qpoly_orderings
         assert orderings
         for order in orderings:
@@ -83,7 +83,7 @@ def test_dual_adjacency_j82():
     g = johnson(8, 2)
     dd = distances(g)
     params = verify_drg(g, dd)
-    ed = eigen_data(g, params, dd)
+    ed = eigen_data(params)
     order = krein(ed, params).qpoly_orderings[0]
     theta_star = _dual_eigenvalues(g, params, ed, order)
     # distinctness
@@ -111,7 +111,7 @@ def test_dual_adjacency_icosahedron_distinct():
     g = icosahedron()
     dd = distances(g)
     params = verify_drg(g, dd)
-    ed = eigen_data(g, params, dd)
+    ed = eigen_data(params)
     order = krein(ed, params).qpoly_orderings[0]
     assert len(set(_dual_eigenvalues(g, params, ed, order))) == 4
 
@@ -265,7 +265,7 @@ def test_tridiagonal_primary_j84():
 def test_tridiagonal_eigenvalues_match_theta():
     for g in (johnson(8, 2), icosahedron(), johnson(8, 4)):
         params = verify_drg(g)
-        ed = eigen_data(g, params)
+        ed = eigen_data(params)
         pairs = factor_roots(eigenvalues_from_charpoly(charpoly_int(intersection_matrix(params))))
         assert tuple(v for v, m in pairs) == ed.theta
         assert all(m == 1 for _, m in pairs)

@@ -8,14 +8,12 @@ import sympy
 
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
-from drgkit.families import halved_cube, icosahedron, johnson, shrikhande
+from drgkit.families import hamming, halved_cube, icosahedron, johnson, shrikhande
 from drgkit.spectra import Spectrum, SrgParams, subconstituent_spectrum
 from drgkit.terwilliger import terwilliger_dimension
 from drgkit.tmodules import (
     DimensionSequence,
-    decompose_at4,
-    decompose_srg,
-    decompose_taylor,
+    decompose,
     dimension_sequence,
     endpoint1_module_data,
     srg_dim_formula,
@@ -41,7 +39,7 @@ def by_class(md):
 def test_decompose_srg_j82():
     g = johnson(8, 2)
     p = SrgParams(28, 12, 6, 4)
-    md = decompose_srg(g, 0, p)
+    md = decompose(g, 0)
     census = sorted((d.endpoint, d.dim, d.multiplicity) for d in md.descriptors)
     assert census == sorted([(0, 3, 1), (1, 2, 5), (1, 1, 1), (1, 1, 5), (2, 1, 9)])
     assert sum(d.multiplicity * d.dim for d in md.descriptors) == 28
@@ -55,7 +53,7 @@ def test_decompose_srg_j82():
 def test_decompose_srg_shrikhande_completeness():
     g = shrikhande()
     p = SrgParams(16, 6, 2, 2)
-    md = decompose_srg(g, 0, p)
+    md = decompose(g, 0)
     assert sum(d.multiplicity * d.dim for d in md.descriptors) == 16
     assert wedderburn_dim(md) == 20
 
@@ -63,7 +61,7 @@ def test_decompose_srg_shrikhande_completeness():
 def test_dimension_sequence_j82():
     g = johnson(8, 2)
     p = SrgParams(28, 12, 6, 4)
-    md = decompose_srg(g, 0, p)
+    md = decompose(g, 0)
     ds = dimension_sequence(md, p, subconstituent_spectrum(g, 0, 2))
     assert ds.tuple() == (2, 1, 1, 1)
     assert srg_dim_formula(ds) == 16
@@ -90,7 +88,7 @@ def test_taylor_parameters_shape():
 
 def test_decompose_taylor_icosahedron():
     g = icosahedron()
-    md = decompose_taylor(g, 0, 5, 2)
+    md = decompose(g, 0)
     sigma = S(Fraction(-1, 2), Fraction(1, 2), 5)
     tau = S(Fraction(-1, 2), Fraction(-1, 2), 5)
     c = by_class(md)
@@ -107,7 +105,7 @@ def test_decompose_taylor_icosahedron():
 
 def test_decompose_taylor_j63():
     g = johnson(6, 3)
-    md = decompose_taylor(g, 0, 9, 4)
+    md = decompose(g, 0)
     assert sum(d.multiplicity * d.dim for d in md.descriptors) == 20
     assert wedderburn_dim(md) == 24
     mults = sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1)
@@ -118,7 +116,7 @@ def test_taylor_explicit_module_matches_formula():
     # the explicit eigenvector route reproduces the published module data on
     # J(6,3), whose local eigenvalues are integers
     g = johnson(6, 3)
-    md = decompose_taylor(g, 0, 9, 4)
+    md = decompose(g, 0)
     for d in md.descriptors:
         if d.endpoint != 1:
             continue
@@ -126,11 +124,6 @@ def test_taylor_explicit_module_matches_formula():
                                              expected_diameter=1)
         assert a_seq == d.a_seq
         assert x_seq == d.x_seq
-
-
-def test_decompose_taylor_wrong_params():
-    with pytest.raises(ValueError):
-        decompose_taylor(icosahedron(), 0, 5, 1)
 
 
 def test_at4_array_and_recognition():
@@ -144,7 +137,7 @@ def test_at4_array_and_recognition():
 
 def test_decompose_at4_j84():
     g = johnson(8, 4)
-    md = decompose_at4(g, 0, 2, 2)
+    md = decompose(g, 0)
     c = by_class(md)
     w_p = c[(1, 3, "2")]
     assert w_p.multiplicity == 6  # m_(b+)
@@ -157,11 +150,6 @@ def test_decompose_at4_j84():
                  for d in md.descriptors if d.endpoint == 2)
     assert ep2 == [("-2", 12), ("-4", 4), ("2", 4)]
     assert wedderburn_dim(md) == 46
-
-
-def test_decompose_at4_wrong_params():
-    with pytest.raises(ValueError):
-        decompose_at4(johnson(8, 4), 0, 4, 2)
 
 
 @pytest.mark.parametrize("pairs", [
@@ -177,12 +165,12 @@ def test_decompose_at4_rejects_inconsistent_second_subconstituent(pairs):
     assert str(ctx.subconstituent_spectrum(0, 2)) == "{8^1, 4^6, 2^4, 0^9, -2^12, -4^4}"
     ctx._spectra[0, 2] = Spectrum.from_pairs(pairs)
     with pytest.raises(ValueError, match="not an AT4 input"):
-        decompose_at4(ctx, 0, 2, 2)
+        decompose(ctx, 0)
 
 
 def test_at4_endpoint1_explicit_data_consistency():
     g = johnson(8, 4)
-    md = decompose_at4(g, 0, 2, 2)
+    md = decompose(g, 0)
     for d in md.descriptors:
         if d.endpoint == 1:
             # palindromic and summing to theta_t + theta_(t+1) + theta_(t+2)
@@ -239,14 +227,21 @@ def test_endpoint1_module_data_rejects_non_eigenvalues():
 
 def test_wedderburn_examples():
     g = icosahedron()
-    assert wedderburn_dim(decompose_taylor(g, 0, 5, 2)) == 24
+    assert wedderburn_dim(decompose(g, 0)) == 24
     g = johnson(8, 2)
-    assert wedderburn_dim(decompose_srg(g, 0, SrgParams(28, 12, 6, 4))) == 16
+    assert wedderburn_dim(decompose(g, 0)) == 16
+
+
+def test_decompose_is_none_on_the_generic_route():
+    ctx = GraphContext.of(hamming(3, 3))
+    assert ctx.route is None
+    assert decompose(ctx, 0) is None
+    assert ctx._spectra == {} and ctx._dims == {}
 
 
 def test_decompose_at4_halved_cube():
     g = halved_cube(8)
-    md = decompose_at4(g, 0, 4, 2)
+    md = decompose(g, 0)
     c = by_class(md)
     assert c[(1, 3, "4")].multiplicity == 7
     assert c[(1, 3, "-2")].multiplicity == 20
@@ -260,14 +255,10 @@ def test_decompose_at4_halved_cube():
 
 
 def test_cross_oracle_wedderburn_vs_closure_small():
-    cases = [
-        (shrikhande(), lambda ctx, x: decompose_srg(ctx, x, SrgParams(16, 6, 2, 2))),
-        (icosahedron(), lambda ctx, x: decompose_taylor(ctx, x, 5, 2)),
-    ]
-    for g, decomp in cases:
+    for g in (shrikhande(), icosahedron()):
         ctx = GraphContext.of(g)
         for x in (0, g.n // 2):
-            assert wedderburn_dim(decomp(ctx, x)) == terwilliger_dimension(g, x, ctx.dd)
+            assert wedderburn_dim(decompose(ctx, x)) == terwilliger_dimension(g, x, ctx.dd)
 
 
 def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
@@ -277,7 +268,7 @@ def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
     p = SrgParams(28, 12, 6, 4)
     ctx = GraphContext.of(g)
     for x in (0, 5):
-        md = decompose_srg(ctx, x, p)
+        md = decompose(ctx, x)
         ds = dimension_sequence(md, p, ctx.subconstituent_spectrum(x, 2))
         non_primary = sum(1 for d in md.descriptors if d.endpoint > 0)
         assert non_primary == ds.l1 + ds.l2 + ds.l1p
@@ -291,5 +282,5 @@ def test_cross_oracle_petersen():
     p = SrgParams.from_drg(ctx.params)
     assert p.tuple() == (10, 3, 0, 1)
     for x in range(pet.n):
-        md = decompose_srg(ctx, x, p)
+        md = decompose(ctx, x)
         assert wedderburn_dim(md) == terwilliger_dimension(pet, x, ctx.dd) == 15
