@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reproduce", help="recompute a published table and compare")
     r.add_argument("--table", required=True, choices=sorted(TABLES))
-    r.add_argument("--slow", action="store_true",
-                   help="include the long-running rows (half-cube sweep)")
     return parser
 
 
@@ -170,7 +168,7 @@ def cmd_tiso(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    ok, lines = reproduce_table(args.table, slow=args.slow)
+    ok, lines = reproduce_table(args.table)
     for line in lines:
         print(line)
     print(f"table {args.table}: {'all rows match' if ok else 'MISMATCH'}")

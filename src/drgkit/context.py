@@ -4,8 +4,10 @@ A GraphContext holds what every layer asks of a graph.  Its distance data and
 distance-regular parameters are computed when the context is built.  Two more
 graph-level values are computed on first access and kept:
 
-* eigen: the scheme.EigenData of the intersection array.  Only analysis and
-  the tables read it; pvt and tiso never do, so a verdict never computes it;
+* eigen: the scheme.EigenData of the intersection array, the one source of
+  the graph's eigenvalues theta_0 > ... > theta_D.  analysis, the tables and
+  the decompositions of tmodules read it; pvt and tiso never do, so a
+  verdict never computes it;
 * route: which classification theorem applies, decided here and nowhere else:
   ("srg", SrgParams) for diameter 2, ("taylor", (k, b)) for a Taylor array,
   ("at4", (p, q)) for an AT4(p, q, 2) array, or None.  analysis, pvt and
@@ -24,9 +26,9 @@ tables ask for more than once:
   spectra does not rest on this sharing: Spectrum == compares keys, so it
   holds across contexts too;
 * dim T(x) from the algebra closure, keyed by x;
-* route_local, the graph-level data of a Taylor or AT4 route: the
-  eigenvalues, local SrgParams, local spectrum and flags that tmodules checks
-  every vertex against.
+* route_local, the graph-level data of a Taylor or AT4 route: the local
+  SrgParams, local spectrum and flags that tmodules checks every vertex
+  against.
 
 The memos live on the context object and nowhere else.  A command builds one
 context per input graph and drops it when it returns, so two commands run in
@@ -94,7 +96,7 @@ class GraphContext:
         """
         params = self.params
         if params.D == 2:
-            return "srg", SrgParams.from_drg(params)
+            return "srg", SrgParams(params.n, params.k, params.a[1], params.c[1])
         if (kb := taylor_parameters(params)) is not None:
             return "taylor", kb
         if (pq := at4_parameters(params)) is not None:
@@ -125,9 +127,8 @@ class GraphContext:
 
     @cached_property
     def route_local(self) -> tuple:
-        """tmodules' (theta, local SrgParams, local Spectrum, flags) for a
-        Taylor or AT4 route, built once."""
+        """tmodules' (local SrgParams, local Spectrum, flags) for a Taylor or
+        AT4 route, built once."""
         from .tmodules import _at4_local, _taylor_local  # tmodules imports this module
 
-        name, args = self.route
-        return (_taylor_local if name == "taylor" else _at4_local)(*args)
+        return (_taylor_local if self.route[0] == "taylor" else _at4_local)(self)

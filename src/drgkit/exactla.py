@@ -16,18 +16,22 @@ module.  The guiding constraints:
   stripping; no floating point is consulted for any exact decision.
 * Spectra of integer matrices have one certificate: floats propose, integers
   certify.  certified_factors reads integer roots and monic quadratics
-  x^2 - s*x + p off the float eigenvalues (eigvalsh for a symmetric matrix,
-  eigvals for any other, such as the intersection matrix) and accepts them
-  only when their product annihilates the matrix and the power traces
-  tr(B^j), j < d, match; the accepted factor key, with multiplicities, is
-  the exact spectrum, and factor_roots turns it into exact eigenvalues.  A
-  float can cause a fallback, never an answer.
+  x^2 - s*x + p off the float eigenvalues of _float_eigenvalues, the one
+  float eigensolver (eigvalsh for a symmetric matrix, eigvals for any other,
+  such as the intersection matrix), and accepts them only when their product
+  annihilates the matrix and the power traces tr(B^j), j < d, match; the
+  accepted factor key, with multiplicities, is the exact spectrum, and
+  factor_roots turns it into exact eigenvalues.  A float can cause a
+  fallback, never an answer.
 * A matrix the certificate declines (a cubic factor, a non-diagonalizable
   matrix) goes through charpoly_int (CRT Faddeev-LeVerrier) and
   eigenvalues_from_charpoly, which factors the polynomial with sympy into a
   factor key of the same canonical form.  sympy is imported there and
   nowhere else; everything else (square-free parts, the CRT primes) is plain
-  integer code.
+  integer code.  spectra.spectrum_of_int_matrix is the one caller that
+  chains these steps into a Spectrum.
+* Scalars compare exactly: the sign of a + b*sqrt(d) is decided by one
+  comparison of squares, and two different surds by one more (compare).
 """
 
 from __future__ import annotations
@@ -82,11 +86,19 @@ def square_free_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def _sqrt_bounds(d: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo <= 10**-digits."""
-    scale = 10**digits
-    s = math.isqrt(d * scale * scale)
-    return Fraction(s, scale), Fraction(s + 1, scale)
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), rational a, b, integer d >= 0: -1, 0 or 1.
+
+    When a and b*sqrt(d) have opposite signs, the larger magnitude wins,
+    which a^2 against b^2 d decides.
+    """
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or d == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    diff = a * a - b * b * d
+    return sa * ((diff > 0) - (diff < 0))
 
 
 class AlgebraicScalar:
@@ -94,9 +106,10 @@ class AlgebraicScalar:
 
     Instances are canonical: d is square-free, b == 0 forces d == 0, and
     d == 1 is folded into the rational part.  Equality and ordering are
-    decided symbolically, including across two different surds.  A float is
-    never converted: passing one to the constructor, to arithmetic or to a
-    comparison raises TypeError.  float(x) gives an approximation.
+    decided exactly, by comparisons of rationals, including across two
+    different surds.  A float is never converted: passing one to the
+    constructor, to arithmetic or to a comparison raises TypeError.  float(x)
+    gives an approximation.
     """
 
     __slots__ = ("a", "b", "d")
@@ -217,25 +230,24 @@ class AlgebraicScalar:
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or 1."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if self.a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return _sign(self.a, self.b, self.d)
 
     def compare(self, other) -> int:
-        """Exact three-way comparison, valid across two different surds."""
+        """Exact three-way comparison, valid across two different surds.
+
+        With two surds, x - y = X + Y for X = (a_x - a_y) + b_x sqrt(d_x) and
+        Y = -b_y sqrt(d_y).  When X and Y have opposite signs, the sign of
+        X^2 - Y^2, an element of Q(sqrt(d_x)), says which one wins.
+        """
         o = self._coerce(other)
+        r0 = self.a - o.a
         if self.d == o.d or self.d == 0 or o.d == 0:
-            return (self - o).sign()
-        return _sign_two_surds(self.a - o.a, self.b, self.d, -o.b, o.d)
+            return _sign(r0, self.b - o.b, self.d or o.d)
+        sx, sy = _sign(r0, self.b, self.d), (o.b < 0) - (o.b > 0)
+        if sx == sy:
+            return sx
+        return sx * _sign(r0 * r0 + self.b * self.b * self.d - o.b * o.b * o.d,
+                          2 * r0 * self.b, self.d)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -267,31 +279,6 @@ class AlgebraicScalar:
 
     def __repr__(self):
         return f"AlgebraicScalar({self})"
-
-
-def _sign_two_surds(r0: Fraction, r1: Fraction, d1: int, r2: Fraction, d2: int) -> int:
-    """Exact sign of r0 + r1*sqrt(d1) + r2*sqrt(d2), distinct square-free d1, d2 > 1.
-
-    1, sqrt(d1), sqrt(d2) are linearly independent over Q, so the expression
-    vanishes only when all three rationals do; otherwise interval refinement
-    of the surds terminates.
-    """
-    if r1 == 0:
-        return AlgebraicScalar(r0, r2, d2).sign()
-    if r2 == 0:
-        return AlgebraicScalar(r0, r1, d1).sign()
-    digits = 8
-    while digits <= 4096:
-        lo1, hi1 = _sqrt_bounds(d1, digits)
-        lo2, hi2 = _sqrt_bounds(d2, digits)
-        lo = r0 + (r1 * lo1 if r1 > 0 else r1 * hi1) + (r2 * lo2 if r2 > 0 else r2 * hi2)
-        hi = r0 + (r1 * hi1 if r1 > 0 else r1 * lo1) + (r2 * hi2 if r2 > 0 else r2 * lo2)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        digits *= 2
-    raise ArithmeticError("sign refinement failed to converge")  # unreachable for nonzero input
 
 
 def sqrt_of_fraction(x) -> AlgebraicScalar:
@@ -577,22 +564,29 @@ def _cluster_factors(vals) -> Optional[tuple]:
     return tuple(sorted(linear)) + tuple(sorted(quadratic))
 
 
-def _propose_factors(B: np.ndarray) -> Optional[tuple]:
-    """_cluster_factors on the float eigenvalues of B; see certified_factors.
+def _float_eigenvalues(B: np.ndarray) -> tuple[np.ndarray, float]:
+    """The float eigenvalues of an integer matrix, ascending, and the largest
+    |imaginary part| among them: np.linalg.eigvalsh for a symmetric B (0.0),
+    the real parts of np.linalg.eigvals for any other.  The one float
+    eigensolver of the package: _propose_factors and the float spectra of
+    spectra read it."""
+    F = B.astype(float)
+    if (B == B.T).all():
+        return np.linalg.eigvalsh(F), 0.0
+    vals = np.linalg.eigvals(F)
+    return np.sort(vals.real), float(np.abs(vals.imag).max())
 
-    A symmetric B goes to np.linalg.eigvalsh.  Any other gets the real parts of
-    np.linalg.eigvals, and no proposal when one eigenvalue is further than
-    _PROPOSE_TOL from the real line.  Object-dtype (large-entry) and empty
-    matrices get no proposal.
+
+def _propose_factors(B: np.ndarray) -> Optional[tuple]:
+    """_cluster_factors on the _float_eigenvalues of B; see certified_factors.
+
+    No proposal when an eigenvalue is further than _PROPOSE_TOL from the real
+    line, nor for an object-dtype (large-entry) or empty matrix.
     """
     if B.dtype == object or B.size == 0:
         return None
-    if (B == B.T).all():
-        return _cluster_factors(np.linalg.eigvalsh(B.astype(float)))
-    vals = np.linalg.eigvals(B.astype(float))
-    if np.abs(vals.imag).max() > _PROPOSE_TOL:
-        return None
-    return _cluster_factors(np.sort(vals.real))
+    vals, imag = _float_eigenvalues(B)
+    return None if imag > _PROPOSE_TOL else _cluster_factors(vals)
 
 
 def _split_proposal(proposal: tuple) -> Optional[tuple[list, list]]:

@@ -2,16 +2,18 @@
 Krein parameters, Q-polynomial orderings, antipodality, the tightness bound, and
 recognition of the Taylor and AT4(p, q, 2) intersection arrays.
 
-Only verify_drg (and antipodality) looks at the n x n graph.  verify_drg
-multiplies 0/1 class indicators in float32, which is exact because every entry
-counts at most n <= MAX_VERTICES < 2**24 vertices.  Everything else is computed
-from the intersection array: the eigenvalues are those of the (D+1) x (D+1)
-tridiagonal intersection matrix, certified by exactla.certified_factors like
+Only verify_drg and antipodality look at the n x n graph (antipodality only
+at its distance table).  verify_drg multiplies 0/1 class indicators in
+float32, which is exact because every entry counts at most
+n <= MAX_VERTICES < 2**24 vertices.  Everything else is computed from the
+intersection array: the eigenvalues are the spectrum of the (D+1) x (D+1)
+tridiagonal intersection matrix, taken by spectra.spectrum_of_int_matrix like
 any other integer matrix (the matrix is not symmetric, but its eigenvalues
 are real and simple); the multiplicities (Biggs' formula) and the Krein
 parameters (a closed form, BCN Sect. 2.3) follow from the cosine sequences.
 Roots must lie in Q or a single quadratic field, otherwise the spectrum is
-flagged as float fallback.
+flagged as float fallback.  GraphContext.eigen keeps the result, and every
+other layer reads the graph's eigenvalues theta_0 > ... > theta_D there.
 """
 
 from __future__ import annotations
@@ -22,14 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exactla import (
-    AlgebraicScalar,
-    certified_factors,
-    charpoly_int,
-    eigenvalues_from_charpoly,
-    factor_roots,
-)
+from .exactla import AlgebraicScalar
 from .graph_core import DistanceData, Graph, GraphError, distances, require_size
+from .spectra import spectrum_of_int_matrix
 
 __all__ = [
     "DrgParameters",
@@ -184,32 +181,25 @@ def multiplicity(theta, params: DrgParameters) -> int:
 def eigen_data(params: DrgParameters) -> EigenData:
     """Spectrum of a distance-regular graph from its intersection array.
 
-    The eigenvalues are those of the (D+1) x (D+1) intersection matrix,
-    certified by certified_factors (charpoly_int and eigenvalues_from_charpoly
-    when it declines), and the multiplicities come from Biggs' formula, so no
-    n x n matrix is built.  The exact result must satisfy m_0 = 1,
-    sum m_i = n, sum m_i theta_i = tr A = 0 and sum m_i theta_i^2 = tr A^2
-    = n k.  Falls back to floats (flagged) when the intersection-matrix
-    charpoly has an irreducible factor of degree >= 3; the rounded float
+    The eigenvalues are those of the (D+1) x (D+1) intersection matrix, from
+    spectra.spectrum_of_int_matrix like any other integer matrix, and must be
+    simple.  The multiplicities come from Biggs' formula, so no n x n matrix
+    is built.  The exact result must satisfy m_0 = 1, sum m_i = n,
+    sum m_i theta_i = tr A = 0 and sum m_i theta_i^2 = tr A^2 = n k.  When
+    the intersection-matrix charpoly has an irreducible factor of degree
+    >= 3 the eigenvalues are floats (flagged), and the rounded float
     multiplicities must still sum to n.
     """
-    B = intersection_matrix(params)
+    spec = spectrum_of_int_matrix(intersection_matrix(params))
     n, k = params.n, params.k
-    key = certified_factors(B)
-    if key is None:
-        key = eigenvalues_from_charpoly(charpoly_int(B))
-    if key is None:
-        evals = np.linalg.eigvals(B.astype(float))
-        theta = tuple(sorted((float(v.real) for v in evals), reverse=True))
-        mult = tuple(multiplicity(t, params) for t in theta)
+    theta = tuple(v for v, _ in spec.pairs)
+    if any(m != 1 for _, m in spec.pairs) or len(theta) != params.D + 1:
+        raise ValueError("intersection matrix spectrum is not simple")
+    mult = tuple(multiplicity(t, params) for t in theta)
+    if not spec.exact:
         if sum(mult) != n:
             raise ValueError(f"float multiplicities {mult} do not sum to n = {n}")
         return EigenData(theta=theta, mult=mult, exact=False)
-    pairs = factor_roots(key)
-    theta = tuple(v for v, _ in pairs)
-    if any(m != 1 for _, m in pairs) or len(theta) != params.D + 1:
-        raise ValueError("intersection matrix spectrum is not simple")
-    mult = tuple(multiplicity(t, params) for t in theta)
     if mult[0] != 1 or sum(mult) != n:
         raise ValueError("multiplicities do not sum to n with m_0 = 1")
     if sum(m * t for m, t in zip(mult, theta)) != 0:
@@ -281,20 +271,15 @@ def antipodality(dd: DistanceData) -> Optional[dict[int, int]]:
     cover, else None.
 
     A distance-regular graph is an antipodal double cover exactly when every
-    vertex has a unique vertex at maximal distance.
+    vertex has a unique vertex at maximal distance; distances are symmetric,
+    so the map is then an involution.
     """
     if dd.D < 2:
         return None
-    antipode = {}
-    for x in range(len(dd.dist)):
-        far = dd.classes_from(x, dd.D)
-        if len(far) != 1:
-            return None
-        antipode[x] = int(far[0])
-    for x, y in antipode.items():
-        if antipode[y] != x:
-            return None
-    return antipode
+    far = dd.dist == dd.D
+    if not (far.sum(axis=1) == 1).all():
+        return None
+    return dict(enumerate(far.argmax(axis=1).tolist()))
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,19 @@ spectra is == on that key:
 
 * an exact spectrum's key is its factor key ((r, m), ..., (s, p, m), ...):
   integer roots r and monic quadratics x^2 - s*x + p with multiplicities,
-  sorted.  exactla.certified_factors proves it for a matrix (floats propose,
-  integer checks accept); a matrix the certificate declines gets it from
+  sorted.  spectrum_of_int_matrix, the one route from an integer matrix
+  (a subconstituent block, or the intersection matrix of scheme.eigen_data)
+  to a Spectrum, gets it from exactla.certified_factors (floats propose,
+  integer checks accept) or, for a matrix the certificate declines, from
   charpoly_int and eigenvalues_from_charpoly (sympy); Spectrum.from_pairs
-  builds it from exact eigenvalues.  The three routes give the same key for
-  the same multiset, and exactla.factor_roots decodes it into eigenvalues;
+  builds it from exact eigenvalues.  The routes give the same key for the
+  same multiset, and exactla.factor_roots decodes it into eigenvalues;
 * a spectrum with an irreducible factor of degree >= 3 is keyed by the
   charpoly_int coefficient tuple.  Its eigenvalues are plain floats from
-  eigvalsh (exact=False), shown in reports with a flag, but never compared:
-  two such spectra are equal exactly when their characteristic polynomials
-  are, whichever context or float run computed them.
+  exactla._float_eigenvalues (exact=False), shown in reports with a flag,
+  but never compared: two such spectra are equal exactly when their
+  characteristic polynomials are, whichever context or float run computed
+  them.
 
 An exact key and a float key never compare equal, and they need not: a
 spectrum with a factor of degree >= 3 is not one without.
@@ -45,6 +48,7 @@ import numpy as np
 
 from .exactla import (
     AlgebraicScalar,
+    _float_eigenvalues,
     certified_factors,
     charpoly_int,
     eigenvalues_from_charpoly,
@@ -52,7 +56,6 @@ from .exactla import (
     sqrt_of_fraction,
 )
 from .graph_core import Graph, DistanceData, distances
-from .scheme import DrgParameters
 
 __all__ = [
     "Spectrum",
@@ -145,14 +148,16 @@ class Spectrum:
 
 
 def spectrum_of_int_matrix(arr, memo: Optional[dict] = None) -> Spectrum:
-    """Exact spectrum of a symmetric integer matrix, float fallback if needed.
+    """Exact spectrum of an integer matrix, float fallback if needed.
 
-    The key comes from exactla.certified_factors; a matrix it declines goes
-    through charpoly_int and eigenvalues_from_charpoly, and keeps the
-    coefficient tuple as its key when that finds a factor of degree >= 3.
-    ``memo`` maps certified keys and coefficient tuples to finished spectra;
-    GraphContext passes its own, so each distinct spectrum is built, and each
-    distinct polynomial factored, once per command.
+    The one route from an integer matrix, symmetric or not, to a Spectrum:
+    the subconstituent blocks and the intersection matrix of scheme.eigen_data
+    both take it.  The key comes from exactla.certified_factors; a matrix it
+    declines goes through charpoly_int and eigenvalues_from_charpoly, and
+    keeps the coefficient tuple as its key when that finds a factor of degree
+    >= 3.  ``memo`` maps certified keys and coefficient tuples to finished
+    spectra; GraphContext passes its own, so each distinct spectrum is built,
+    and each distinct polynomial factored, once per command.
     """
     arr = np.asarray(arr)
     if arr.shape[0] == 0:
@@ -169,10 +174,10 @@ def spectrum_of_int_matrix(arr, memo: Optional[dict] = None) -> Spectrum:
 
 
 def _float_spectrum(arr: np.ndarray, coeffs: tuple) -> Spectrum:
-    """The float spectrum keyed by coeffs: np.linalg.eigvalsh eigenvalues as
-    plain floats, grouped within 1e-8."""
+    """The float spectrum keyed by coeffs: exactla._float_eigenvalues as plain
+    floats, grouped within 1e-8."""
     grouped: list[tuple[float, int]] = []
-    for v in sorted(np.linalg.eigvalsh(arr.astype(float)).tolist(), reverse=True):
+    for v in sorted(_float_eigenvalues(arr)[0].tolist(), reverse=True):
         if grouped and abs(grouped[-1][0] - v) < _FLOAT_GROUP_TOL:
             grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
         else:
@@ -219,13 +224,6 @@ class SrgParams:
 
     def tuple(self) -> tuple[int, int, int, int]:
         return (self.n, self.k, self.a, self.c)
-
-    @classmethod
-    def from_drg(cls, params: DrgParameters) -> "SrgParams":
-        """Parameters of a strongly regular graph from its distance-regular ones."""
-        if params.D != 2:
-            raise InfeasibleSrgError(f"diameter {params.D}, not a strongly regular graph")
-        return cls(n=params.n, k=params.k, a=params.a[1], c=params.c[1])
 
 
 def srg_spectrum(p: SrgParams) -> Spectrum:

@@ -67,7 +67,7 @@ def _record_groups(g: Graph) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def reproduce_shrikhande(slow: bool = False):
+def reproduce_shrikhande():
     """dim T(x) = 20 on the Shrikhande graph and 15 on the 4x4 grid, at every
     vertex, via both the algebra closure and the Wedderburn sum."""
     lines = ["table: cospectral SRG(16,6,2,2) pair"]
@@ -131,7 +131,7 @@ def _chang_expected():
     ]
 
 
-def reproduce_chang(slow: bool = False):
+def reproduce_chang():
     """Per-orbit local spectra and Terwilliger dimensions for J(8,2) and the
     three switched graphs; orbits inferred by grouping identical records."""
     lines = ["table: SRG(28,12,6,4) family (J(8,2) and the three Seidel switches)"]
@@ -163,7 +163,7 @@ def reproduce_chang(slow: bool = False):
     return ok, lines
 
 
-def reproduce_gq(slow: bool = False):
+def reproduce_gq():
     """Closure dimensions of constructible generalized-quadrangle point graphs
     against the four-case dimension formula."""
     lines = ["table: generalized quadrangle point graphs"]
@@ -188,7 +188,7 @@ def reproduce_gq(slow: bool = False):
     return ok, lines
 
 
-def reproduce_taylor(slow: bool = False):
+def reproduce_taylor():
     """dim T(x) = 24 at every vertex of the two Taylor graphs in the corpus,
     with the predicted endpoint-1 multiplicities."""
     lines = ["table: Taylor graphs"]
@@ -232,8 +232,7 @@ def _at4_suite(lines, g, p, q, expect):
     a1s = set()
     ells = set()
     eta_ok = True
-    thetas = {AlgebraicScalar(v) for v in
-              (p * q + p + q, p, -q, -q * q)}
+    thetas = set(ctx.eigen.theta[1:])
     for x in range(g.n):
         md = decompose(ctx, x)
         dims.add(wedderburn_dim(md))
@@ -259,9 +258,9 @@ def _at4_suite(lines, g, p, q, expect):
     return ok
 
 
-def reproduce_at4(slow: bool = False):
-    """The diameter-4 tight cover suite on the 70-vertex cover; the 128-vertex
-    half-cube runs only with slow=True."""
+def reproduce_at4():
+    """The diameter-4 tight cover suite on the 70-vertex J(8,4) and the
+    128-vertex halved 8-cube."""
     lines = ["table: antipodal tight diameter-4 covers"]
     ok = _at4_suite(lines, johnson(8, 4), 2, 2, {
         "local": _spec((_sc(6), 1), (_sc(2), 6), (_sc(-2), 9)),
@@ -269,19 +268,16 @@ def reproduce_at4(slow: bool = False):
         "a1": ("4", "0"),
         "ell": 3,
     })
-    if slow:
-        ok &= _at4_suite(lines, halved_cube(8), 4, 2, {
-            "local": _spec((_sc(12), 1), (_sc(4), 7), (_sc(-2), 20)),
-            "m_b": (7, 20),
-            "a1": ("8", "2"),
-            "ell": 2,
-        })
-    else:
-        lines.append("  (half-cube sweep skipped; pass --slow to include it)")
+    ok &= _at4_suite(lines, halved_cube(8), 4, 2, {
+        "local": _spec((_sc(12), 1), (_sc(4), 7), (_sc(-2), 20)),
+        "m_b": (7, 20),
+        "a1": ("8", "2"),
+        "ell": 2,
+    })
     return ok, lines
 
 
-def reproduce_j82(slow: bool = False):
+def reproduce_j82():
     """J(8,2): local and second-subconstituent spectra, the derived spectrum,
     the module decomposition census, and dim T = 16."""
     lines = ["table: J(8,2) base case"]
@@ -321,7 +317,7 @@ TABLES = {
 }
 
 
-def reproduce_table(name: str, slow: bool = False):
+def reproduce_table(name: str):
     if name not in TABLES:
         raise KeyError(f"unknown table {name!r}; choose from {sorted(TABLES)}")
-    return TABLES[name](slow=slow)
+    return TABLES[name]()

@@ -3,9 +3,12 @@
 decompose(g, x) is the one entry point.  It follows GraphContext.route to
 decompose_srg, decompose_taylor or decompose_at4 (None on the generic
 route), and each of them reads its parameters from the context, so no caller
-passes them.  One _primary builds the primary module of every route from the
-intersection numbers, and the Taylor and AT4 routes check each local
-spectrum against GraphContext.route_local in one place (_cover_local).
+passes them.  Every route reads the graph's eigenvalues theta_0 > ... >
+theta_D from GraphContext.eigen, the certified spectrum of the intersection
+array; none is written here in closed form.  One _primary builds the primary
+module of every route from the intersection numbers, and the Taylor and AT4
+routes check each local spectrum against GraphContext.route_local in one
+place (_cover_local).
 
 Every decomposition built here is self-certifying:
 
@@ -40,7 +43,6 @@ from .exactla import (
     _gcd_all,
     _imatmul,
     _to_object,
-    sqrt_of_fraction,
 )
 from .graph_core import Graph
 from .scheme import DrgParameters
@@ -60,7 +62,6 @@ __all__ = [
     "dimension_sequence",
     "srg_dim_formula",
     "wedderburn_dim",
-    "at4_eigenvalues",
 ]
 
 _ZERO = AlgebraicScalar(0)
@@ -176,7 +177,7 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
     sigma, tau = p.sigma, p.tau
-    theta = (AlgebraicScalar(p.k), sigma, tau)
+    theta = ctx.eigen.theta
 
     descs = [_primary(ctx.params, theta)]
     for lam, mult in eff1.items():  # local eigenvalues outside {sigma, tau}
@@ -345,32 +346,23 @@ def endpoint1_module_data(g: Union[Graph, GraphContext], x: int, lam: AlgebraicS
 # ---------------------------------------------------------------------------
 
 
-def taylor_eigenvalues(k: int, b: int):
-    """theta_0 > theta_1 > theta_2 > theta_3 of the Taylor graph {k,b,1;1,b,k}."""
-    disc = (k - 2 * b - 1) ** 2 + 4 * k
-    rt = sqrt_of_fraction(disc)
-    half = AlgebraicScalar(Fraction(1, 2))
-    t1 = (AlgebraicScalar(k - 2 * b - 1) + rt) * half
-    t3 = (AlgebraicScalar(k - 2 * b - 1) - rt) * half
-    return (AlgebraicScalar(k), t1, AlgebraicScalar(-1), t3)
-
-
 def _cover_local(ctx: GraphContext, x: int) -> tuple:
-    """(theta, local SrgParams, flags) of a Taylor or AT4 route, from
-    GraphContext.route_local, after checking the local spectrum at x against
-    the one the route predicts."""
-    theta, local_params, expected, flags = ctx.route_local
+    """(theta, local SrgParams, flags) of a Taylor or AT4 route, theta from
+    GraphContext.eigen and the rest from GraphContext.route_local, after
+    checking the local spectrum at x against the one the route predicts."""
+    local_params, expected, flags = ctx.route_local
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     if local != expected:
         raise ValueError(f"local spectrum {local} at vertex {x} differs from the "
                          f"{ctx.route[0]} prediction {expected}")
-    return theta, local_params, flags
+    return ctx.eigen.theta, local_params, flags
 
 
-def _taylor_local(k: int, b: int) -> tuple:
-    """(theta, local SrgParams, local Spectrum, flags) of the Taylor graph
+def _taylor_local(ctx: GraphContext) -> tuple:
+    """(local SrgParams, local Spectrum, flags) of the Taylor graph
     {k,b,1;1,b,k}, after the exact checks decompose_taylor documents."""
-    theta = taylor_eigenvalues(k, b)
+    k, b = ctx.route[1]
+    theta = ctx.eigen.theta
     a1 = k - b - 1
     if a1 % 2 or (3 * a1 - k - 1) % 2:
         raise ValueError(f"Taylor graph ({k}, {b}) has no strongly regular local graph")
@@ -385,7 +377,7 @@ def _taylor_local(k: int, b: int) -> tuple:
             "taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
             "not (theta1-theta2)/2"
         )
-    return theta, local_params, srg_spectrum(local_params), tuple(flags)
+    return local_params, srg_spectrum(local_params), tuple(flags)
 
 
 def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
@@ -396,9 +388,10 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
     (k, a_1, (3 a_1 - k - 1)/2, a_1/2), a_1 = k - b - 1, and its spectrum is
     checked against theirs.  The local eigenvalues satisfy
     2*sigma = theta_1 + theta_2 and 2*tau = theta_2 + theta_3 (checked
-    exactly); the difference form (theta_1 - theta_2)/2 does not equal
-    sigma, and a flag records that.  These graph-level data are built once
-    per context (GraphContext.route_local) and read by every vertex.
+    exactly, against the certified spectrum in GraphContext.eigen); the
+    difference form (theta_1 - theta_2)/2 does not equal sigma, and a flag
+    records that.  These graph-level data are built once per context
+    (GraphContext.route_local) and read by every vertex.
     """
     theta, local_params, flags = _cover_local(ctx, x)
     sigma, tau = local_params.sigma, local_params.tau
@@ -420,17 +413,13 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def at4_eigenvalues(p: int, q: int) -> tuple[int, int, int, int, int]:
-    return (q * (p * q + p + q), p * q + p + q, p, -q, -q * q)
-
-
-def _at4_local(p: int, q: int) -> tuple:
-    """(theta, local SrgParams, local Spectrum, no flags) of AT4(p, q, 2): the
-    local graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues
-    are sigma = p and tau = -q."""
+def _at4_local(ctx: GraphContext) -> tuple:
+    """(local SrgParams, local Spectrum, no flags) of AT4(p, q, 2): the local
+    graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues are
+    sigma = p and tau = -q."""
+    p, q = ctx.route[1]
     local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
-    return (tuple(AlgebraicScalar(t) for t in at4_eigenvalues(p, q)), local_params,
-            srg_spectrum(local_params), ())
+    return local_params, srg_spectrum(local_params), ()
 
 
 def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:

@@ -104,7 +104,7 @@ class SrgGraphRecord:
 def _srg_record(g) -> SrgGraphRecord:
     t0 = time.time()
     ctx = GraphContext.of(g)
-    p = SrgParams.from_drg(ctx.params)
+    p = ctx.route[1]
     verts = []
     for x in range(g.n):
         local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
@@ -188,9 +188,13 @@ def chang_corpus(srg_corpus):
 @pytest.fixture
 def float_local_spectra(monkeypatch):
     """Pretend every subconstituent fails certification and has a cubic
-    factor, so each one takes the float fallback; the graph spectrum, from
-    scheme, stays exact."""
-    monkeypatch.setattr(drgkit.spectra, "certified_factors", lambda arr: None)
+    factor, so each one takes the float fallback.  Only symmetric blocks are
+    forced: the intersection matrix, which scheme.eigen_data sends through the
+    same spectra bindings, is not symmetric, so the graph spectrum stays
+    exact."""
+    certify = drgkit.spectra.certified_factors
+    monkeypatch.setattr(drgkit.spectra, "certified_factors",
+                        lambda arr: None if (arr == arr.T).all() else certify(arr))
     monkeypatch.setattr(drgkit.spectra, "eigenvalues_from_charpoly", lambda coeffs: None)
 
 

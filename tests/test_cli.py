@@ -296,6 +296,8 @@ def test_reproduce_exit_codes(capsys):
     assert run(["reproduce", "--table", "gq"]) == 0
     out = capsys.readouterr().out
     assert "all rows match" in out
+    # every table prints in full; reproduce has no --slow
+    assert run(["reproduce", "--table", "gq", "--slow"]) == 1
 
 
 def test_all_vertices_gate(tmp_path):

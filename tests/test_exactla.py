@@ -183,6 +183,48 @@ def test_comparison_matches_floats_when_separated(a1, b1, d1, a2, b2, d2):
         assert (x.compare(y) > 0) == (fx > fy)
 
 
+def _sqrt_approx(b: Fraction, d: int, scale: int) -> Fraction:
+    """b*sqrt(d) rounded toward zero to a multiple of 1/(scale * den(b))."""
+    mag = math.isqrt(b.numerator ** 2 * d * scale * scale)
+    return Fraction(mag if b > 0 else -mag, b.denominator * scale)
+
+
+def test_comparison_of_near_ties_matches_a_50_digit_oracle():
+    """Pairs x, y that differ by less than 1e-9, within one surd, across two
+    surds, and against a rational, ordered exactly as mpmath orders them at
+    50 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    surds = [0, 2, 3, 5, 6, 7, 10, 13]
+    checked = 0
+    with mpmath.workdps(50):
+        def value(z):
+            return (mpmath.mpf(z.a.numerator) / z.a.denominator
+                    + mpmath.mpf(z.b.numerator) / z.b.denominator * mpmath.sqrt(z.d))
+
+        for _ in range(400):
+            d1, d2 = rng.choice(surds[1:]), rng.choice(surds)
+            b1 = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            b2 = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            a2 = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            scale = 10 ** rng.randint(10, 20)
+            # a1 + b1 sqrt(d1) lands within about 1/scale of a2 + b2 sqrt(d2)
+            a1 = (a2 + _sqrt_approx(b2, d2, scale) - _sqrt_approx(b1, d1, scale)
+                  + Fraction(rng.randint(-1, 1), scale))
+            x, y = S(a1, b1, d1), S(a2, b2, d2)
+            gap = value(x) - value(y)
+            if x == y:
+                assert x.compare(y) == 0 and gap == 0
+                continue
+            assert 0 < abs(gap) < 1e-9
+            expected = 1 if gap > 0 else -1
+            assert x.compare(y) == expected and y.compare(x) == -expected
+            if x.d == y.d or y.d == 0:
+                assert (x - y).sign() == expected
+            checked += 1
+    assert checked > 300
+
+
 @given(st.fractions(max_denominator=8), st.fractions(max_denominator=8),
        st.fractions(max_denominator=8), st.fractions(max_denominator=8),
        st.sampled_from([2, 3, 5, 7]))

@@ -255,7 +255,7 @@ def test_antipodality():
     dd = distances(g)
     amap = antipodality(dd)
     assert amap is not None
-    assert all(amap[amap[x]] == x for x in range(12))
+    assert all(amap[amap[x]] == x and dd.dist[x, amap[x]] == dd.D for x in range(12))
     j84 = johnson(8, 4)
     amap = antipodality(distances(j84))
     assert amap is not None and len(amap) == 70

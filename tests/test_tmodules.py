@@ -279,7 +279,7 @@ def test_cross_oracle_petersen():
 
     pet = triangular_complement(5)  # the Petersen graph
     ctx = GraphContext.of(pet)
-    p = SrgParams.from_drg(ctx.params)
+    p = ctx.route[1]
     assert p.tuple() == (10, 3, 0, 1)
     for x in range(pet.n):
         md = decompose(ctx, x)
