@@ -51,6 +51,8 @@ from .graph_core import DistanceData, Graph, distances
 from .scheme import (
     DrgParameters,
     EigenData,
+    _at4_local,
+    _taylor_local,
     at4_parameters,
     eigen_data,
     taylor_parameters,
@@ -128,7 +130,6 @@ class GraphContext:
     @cached_property
     def route_local(self) -> tuple:
         """tmodules' (local SrgParams, local Spectrum, flags) for a Taylor or
-        AT4 route, built once."""
-        from .tmodules import _at4_local, _taylor_local  # tmodules imports this module
-
-        return (_taylor_local if self.route[0] == "taylor" else _at4_local)(self)
+        AT4 route, built once by scheme._taylor_local or scheme._at4_local."""
+        kind, args = self.route
+        return _taylor_local(args, self.eigen.theta) if kind == "taylor" else _at4_local(args)

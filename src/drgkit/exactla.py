@@ -233,13 +233,16 @@ class AlgebraicScalar:
         return _sign(self.a, self.b, self.d)
 
     def compare(self, other) -> int:
-        """Exact three-way comparison, valid across two different surds.
+        """Exact three-way comparison, valid across two different surds;
+        NotImplemented when other is not a scalar, an int or a Fraction.
 
         With two surds, x - y = X + Y for X = (a_x - a_y) + b_x sqrt(d_x) and
         Y = -b_y sqrt(d_y).  When X and Y have opposite signs, the sign of
         X^2 - Y^2, an element of Q(sqrt(d_x)), says which one wins.
         """
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         r0 = self.a - o.a
         if self.d == o.d or self.d == 0 or o.d == 0:
             return _sign(r0, self.b - o.b, self.d or o.d)
@@ -250,16 +253,20 @@ class AlgebraicScalar:
                           2 * r0 * self.b, self.d)
 
     def __lt__(self, other):
-        return self.compare(other) < 0
+        c = self.compare(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
-        return self.compare(other) <= 0
+        c = self.compare(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        return self.compare(other) > 0
+        c = self.compare(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        return self.compare(other) >= 0
+        c = self.compare(other)
+        return c if c is NotImplemented else c >= 0
 
     # -- rendering --------------------------------------------------------------
 
@@ -419,9 +426,6 @@ class ExactSpan:
         if v.shape[0] != self.ncols:
             raise ValueError("dimension mismatch")
         return v
-
-    def contains(self, mat) -> bool:
-        return self._reduce(self._flatten(mat)) is None
 
     def insert(self, mat) -> bool:
         """Insert when independent of the current span; True means it grew."""

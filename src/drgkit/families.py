@@ -20,6 +20,10 @@ reproducible:
 * icosahedron: fixed 12-vertex edge list (two antipodal 5-wheels).
 * chang(v): Seidel switch of johnson(8, 2) by the classical switching sets,
   given as 1-based 2-subsets and translated to the colex labels.
+
+johnson, halved_cube, hamming and rook_grid are built from these words (as
+incidence vectors, bits and digits) by one _word_graph, which counts the
+agreements of all pairs of words with one float32 product of one-hot codes.
 """
 
 from __future__ import annotations
@@ -106,10 +110,27 @@ def _capped_power(q: int, d: int) -> int:
     return size
 
 
+def _digits(q: int, d: int) -> np.ndarray:
+    """Row w holds the d base-q digits of w, least significant first, for
+    w = 0 .. q**d - 1 (a size the caller has checked)."""
+    return np.arange(q**d)[:, None] // q ** np.arange(d) % q
+
+
+def _word_graph(words: np.ndarray, t: int, label: str) -> Graph:
+    """The rows of a small-integer array, adjacent iff they differ in exactly
+    t coordinates.
+
+    Agreements are counted by one float32 product of one-hot codes, exact
+    because every entry is at most the word length, far below 2**24.
+    """
+    n, d = words.shape
+    onehot = (words[:, :, None] == np.arange(int(words.max()) + 1)).reshape(n, -1)
+    agree = onehot.astype(np.float32) @ onehot.T.astype(np.float32)
+    return Graph((agree == d - t).astype(np.int8), label=label)
+
+
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    subs = [tuple(sorted(s)) for s in itertools.combinations(range(n), k)]
-    subs.sort(key=lambda s: tuple(reversed(s)))
-    return subs
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
 
 
 def johnson_vertex_index(n: int, k: int, subset: Sequence[int]) -> int:
@@ -123,51 +144,25 @@ def johnson(n: int, k: int) -> Graph:
         raise GraphError("params", f"johnson needs 0 < k < n, got ({n}, {k})")
     # C(n, k) >= n: testing n first keeps math.comb off huge arguments
     require_size(f"J({n},{k})", n if n > MAX_VERTICES else math.comb(n, k))
-    verts = _colex_subsets(n, k)
-    m = len(verts)
-    sets = [frozenset(v) for v in verts]
-    adj = np.zeros((m, m), dtype=np.int8)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if len(sets[i] & sets[j]) == k - 1:
-                adj[i, j] = adj[j, i] = 1
-    return Graph(adj, label=f"J({n},{k})")
+    verts = np.array(_colex_subsets(n, k))
+    incidence = np.zeros((len(verts), n), dtype=np.int8)
+    incidence[np.arange(len(verts))[:, None], verts] = 1
+    return _word_graph(incidence, 2, f"J({n},{k})")
 
 
 def halved_cube(n: int) -> Graph:
     if n < 2:
         raise GraphError("params", "halved_cube needs n >= 2")
     require_size(f"1/2 H({n},2)", _capped_power(2, n - 1))
-    words = [w for w in range(2**n) if bin(w).count("1") % 2 == 0]
-    m = len(words)
-    adj = np.zeros((m, m), dtype=np.int8)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if bin(words[i] ^ words[j]).count("1") == 2:
-                adj[i, j] = adj[j, i] = 1
-    return Graph(adj, label=f"1/2 H({n},2)")
+    bits = _digits(2, n)
+    return _word_graph(bits[bits.sum(axis=1) % 2 == 0], 2, f"1/2 H({n},2)")
 
 
 def hamming(d: int, q: int) -> Graph:
     if d < 1 or q < 2:
         raise GraphError("params", "hamming needs d >= 1 and q >= 2")
-    n = _capped_power(q, d)
-    require_size(f"H({d},{q})", n)
-    adj = np.zeros((n, n), dtype=np.int8)
-
-    def digits(w):
-        out = []
-        for _ in range(d):
-            out.append(w % q)
-            w //= q
-        return out
-
-    words = [digits(w) for w in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sum(a != b for a, b in zip(words[i], words[j])) == 1:
-                adj[i, j] = adj[j, i] = 1
-    return Graph(adj, label=f"H({d},{q})")
+    require_size(f"H({d},{q})", _capped_power(q, d))
+    return _word_graph(_digits(q, d), 1, f"H({d},{q})")
 
 
 def shrikhande() -> Graph:
@@ -183,14 +178,8 @@ def shrikhande() -> Graph:
 def rook_grid(m: int) -> Graph:
     if m < 2:
         raise GraphError("params", "rook_grid needs m >= 2")
-    n = m * m
-    require_size(f"{m}x{m} grid", n)
-    adj = np.zeros((n, n), dtype=np.int8)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i // m == j // m or i % m == j % m:
-                adj[i, j] = adj[j, i] = 1
-    return Graph(adj, label=f"{m}x{m} grid")
+    require_size(f"{m}x{m} grid", m * m)
+    return _word_graph(_digits(m, 2), 1, f"{m}x{m} grid")
 
 
 def triangular_complement(m: int) -> Graph:

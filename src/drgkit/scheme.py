@@ -1,11 +1,13 @@
 """Distance-regularity, intersection numbers, eigenvalues and multiplicities,
 Krein parameters, Q-polynomial orderings, antipodality, the tightness bound, and
-recognition of the Taylor and AT4(p, q, 2) intersection arrays.
+recognition of the Taylor and AT4(p, q, 2) intersection arrays with the local
+strongly regular parameters and spectrum each of them predicts.
 
 Only verify_drg and antipodality look at the n x n graph (antipodality only
-at its distance table).  verify_drg multiplies 0/1 class indicators in
-float32, which is exact because every entry counts at most
-n <= MAX_VERTICES < 2**24 vertices.  Everything else is computed from the
+at its distance table).  verify_drg forms the D products A A_j of 0/1 class
+indicators in float32, which is exact because every entry counts at most
+n <= MAX_VERTICES < 2**24 vertices; a graph that is not distance-regular is
+rejected with a witness (h, 1, j, x, y).  Everything else is computed from the
 intersection array: the eigenvalues are the spectrum of the (D+1) x (D+1)
 tridiagonal intersection matrix, taken by spectra.spectrum_of_int_matrix like
 any other integer matrix (the matrix is not symmetric, but its eigenvalues
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .exactla import AlgebraicScalar
 from .graph_core import DistanceData, Graph, GraphError, distances, require_size
-from .spectra import spectrum_of_int_matrix
+from .spectra import SrgParams, spectrum_of_int_matrix, srg_spectrum
 
 __all__ = [
     "DrgParameters",
@@ -47,7 +50,8 @@ __all__ = [
 
 
 class NotDistanceRegularError(ValueError):
-    """Raised with a witness (h, i, j, x, y) where p^h_ij fails to be constant."""
+    """Raised with a witness (h, 1, j, x, y) where p^h_1j fails to be constant:
+    |G_1(x) n G_j(y)| differs from its value at the first pair of class h."""
 
     def __init__(self, h, i, j, x, y):
         self.witness = (h, i, j, x, y)
@@ -67,7 +71,6 @@ class DrgParameters:
     b: tuple[int, ...]  # b_0 .. b_{D-1}
     c: tuple[int, ...]  # c_1 .. c_D
     a: tuple[int, ...]  # a_0 .. a_D
-    p: tuple  # p[h][i][j]
     k_i: tuple[int, ...]  # class sizes
 
     @property
@@ -84,14 +87,17 @@ class DrgParameters:
 
 
 def verify_drg(g: Graph, dd: Optional[DistanceData] = None) -> DrgParameters:
-    """Check constancy of every p^h_ij over all vertex pairs; return the data.
+    """Check constancy of every p^h_1j over all vertex pairs; return the data.
 
-    Uses the algebraic identity A_i A_j = sum_h p^h_ij A_h: the (x, y) entry of
-    A_i A_j counts |G_i(x) n G_j(y)|, so constancy on each distance class is
-    exactly distance-regularity.  The class indicators are built from dist as
-    they are needed and multiplied in float32, exactly (see the module
-    docstring).  Every pair is compared with the first pair of its class in
-    row-major order; the first pair that differs is the witness.
+    The (x, y) entry of A A_j counts |G_1(x) n G_j(y)|, so it must be constant,
+    p^h_1j, on each distance class h.  These numbers are c_h, a_h and b_h for
+    j = h - 1, h, h + 1, and their constancy is exactly distance-regularity,
+    so D products A A_1 .. A A_D decide it (A A_0 = A gives c_1 = 1).  The
+    class indicators are built from dist as they are needed and multiplied in
+    float32, exactly (see the module docstring).  Every pair is compared with
+    the first pair of its class in row-major order; the first pair that
+    differs is the witness (h, 1, j, x, y).  The class sizes follow from
+    k_i c_i = k_{i-1} b_{i-1}.
     """
     g.require_connected()
     require_size("graph", g.n)
@@ -101,29 +107,26 @@ def verify_drg(g: Graph, dd: Optional[DistanceData] = None) -> DrgParameters:
         raise GraphError("diameter", "a single vertex has diameter 0; "
                          "distance-regular analysis needs diameter >= 1")
     first = [int(np.argmax(dist.ravel() == h)) for h in range(D + 1)]
-    p = [[[0] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
-    for i in range(D + 1):
-        Ai = (dist == i).astype(np.float32)
-        for j in range(i, D + 1):
-            prod = Ai @ (dist == j).astype(np.float32)
-            v = prod.ravel()[first]
-            bad = prod != v[dist]
-            if bad.any():
-                h = int(dist[bad].min())
-                x, y = (int(t) for t in np.argwhere(bad & (dist == h))[0])
-                raise NotDistanceRegularError(h, i, j, x, y)
-            for h in range(D + 1):
-                p[h][i][j] = p[h][j][i] = int(v[h])
-    k = p[0][1][1]
-    b = tuple(p[i][1][i + 1] for i in range(D))
-    c = tuple(p[i][1][i - 1] for i in range(1, D + 1))
-    a = tuple(p[i][1][i] for i in range(D + 1))
-    k_i = tuple(p[0][i][i] for i in range(D + 1))
-    params = DrgParameters(
-        n=n, D=D, k=k, b=b, c=c, a=a,
-        p=tuple(tuple(tuple(r) for r in m) for m in p), k_i=k_i,
-    )
-    assert all(params.c_at(i) + params.a[i] + params.b_at(i) == k for i in range(D + 1))
+    A = (dist == 1).astype(np.float32)
+    p1 = [None]  # p1[j][h] = p^h_1j
+    for j in range(1, D + 1):
+        prod = A @ (dist == j).astype(np.float32)
+        v = prod.ravel()[first]
+        bad = prod != v[dist]
+        if bad.any():
+            h = int(dist[bad].min())
+            x, y = (int(t) for t in np.argwhere(bad & (dist == h))[0])
+            raise NotDistanceRegularError(h, 1, j, x, y)
+        p1.append([int(t) for t in v])
+    b = tuple(p1[i + 1][i] for i in range(D))
+    c = (1,) + tuple(p1[i - 1][i] for i in range(2, D + 1))
+    a = (0,) + tuple(p1[i][i] for i in range(1, D + 1))
+    k_i = [1]
+    for i in range(1, D + 1):
+        k_i.append(k_i[-1] * b[i - 1] // c[i - 1])
+    params = DrgParameters(n=n, D=D, k=b[0], b=b, c=c, a=a, k_i=tuple(k_i))
+    assert all(params.c_at(i) + params.a[i] + params.b_at(i) == params.k for i in range(D + 1))
+    assert sum(k_i) == n
     return params
 
 
@@ -336,6 +339,28 @@ def taylor_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
     return k, b
 
 
+def _taylor_local(kb: tuple[int, int], theta) -> tuple:
+    """(local SrgParams, local Spectrum, flags) of the Taylor graph
+    {k,b,1;1,b,k} with eigenvalues theta, after the exact checks
+    tmodules.decompose_taylor documents."""
+    k, b = kb
+    a1 = k - b - 1
+    if a1 % 2 or (3 * a1 - k - 1) % 2:
+        raise ValueError(f"Taylor graph ({k}, {b}) has no strongly regular local graph")
+    local_params = SrgParams(k, a1, (3 * a1 - k - 1) // 2, a1 // 2)
+    sigma, tau = local_params.sigma, local_params.tau
+    half = AlgebraicScalar(Fraction(1, 2))
+    if sigma != (theta[1] + theta[2]) * half or tau != (theta[2] + theta[3]) * half:
+        raise ValueError("2*lambda = theta_t + theta_(t+1) identity failed")
+    flags = []
+    if sigma != (theta[1] - theta[2]) * half:
+        flags.append(
+            "taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
+            "not (theta1-theta2)/2"
+        )
+    return local_params, srg_spectrum(local_params), tuple(flags)
+
+
 def at4_intersection_array(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(b_0..b_3, c_1..c_4) of AT4(p, q, 2); entries must come out integral."""
     if p < 1 or q < 2:
@@ -362,3 +387,12 @@ def at4_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
             if params.b == b and params.c == c:
                 return p, q
     return None
+
+
+def _at4_local(pq: tuple[int, int]) -> tuple:
+    """(local SrgParams, local Spectrum, no flags) of AT4(p, q, 2): the local
+    graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues are
+    sigma = p and tau = -q."""
+    p, q = pq
+    local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
+    return local_params, srg_spectrum(local_params), ()

@@ -51,7 +51,6 @@ from .spectra import (
     SrgParams,
     effective_multiplicities,
     srg_local_split,
-    srg_spectrum,
 )
 
 __all__ = [
@@ -358,28 +357,6 @@ def _cover_local(ctx: GraphContext, x: int) -> tuple:
     return ctx.eigen.theta, local_params, flags
 
 
-def _taylor_local(ctx: GraphContext) -> tuple:
-    """(local SrgParams, local Spectrum, flags) of the Taylor graph
-    {k,b,1;1,b,k}, after the exact checks decompose_taylor documents."""
-    k, b = ctx.route[1]
-    theta = ctx.eigen.theta
-    a1 = k - b - 1
-    if a1 % 2 or (3 * a1 - k - 1) % 2:
-        raise ValueError(f"Taylor graph ({k}, {b}) has no strongly regular local graph")
-    local_params = SrgParams(k, a1, (3 * a1 - k - 1) // 2, a1 // 2)
-    sigma, tau = local_params.sigma, local_params.tau
-    half = AlgebraicScalar(Fraction(1, 2))
-    if sigma != (theta[1] + theta[2]) * half or tau != (theta[2] + theta[3]) * half:
-        raise ValueError("2*lambda = theta_t + theta_(t+1) identity failed")
-    flags = []
-    if sigma != (theta[1] - theta[2]) * half:
-        flags.append(
-            "taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
-            "not (theta1-theta2)/2"
-        )
-    return local_params, srg_spectrum(local_params), tuple(flags)
-
-
 def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
     """T(x)-module classes of a Taylor graph: the primary module and one dim-2
     endpoint-1 class per nontrivial local eigenvalue sigma, tau.
@@ -411,15 +388,6 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
 # ---------------------------------------------------------------------------
 # diameter 4: antipodal tight graphs AT4(p, q, 2)
 # ---------------------------------------------------------------------------
-
-
-def _at4_local(ctx: GraphContext) -> tuple:
-    """(local SrgParams, local Spectrum, no flags) of AT4(p, q, 2): the local
-    graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues are
-    sigma = p and tau = -q."""
-    p, q = ctx.route[1]
-    local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
-    return local_params, srg_spectrum(local_params), ()
 
 
 def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:

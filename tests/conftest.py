@@ -79,6 +79,12 @@ def neighbors(g, v: int) -> np.ndarray:
     return np.nonzero(g.adjacency[v])[0]
 
 
+def span_contains(span, mat) -> bool:
+    """Whether the integer matrix mat lies in the row space of an ExactSpan:
+    it reduces to zero against the span's echelon rows."""
+    return span._reduce(span._flatten(mat)) is None
+
+
 def distance_matrices(dd) -> list[np.ndarray]:
     """The distance matrices A_0..A_D as int64 0/1 arrays."""
     return [(dd.dist == i).astype(np.int64) for i in range(dd.D + 1)]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drgkit
-from conftest import distance_matrices
+from conftest import distance_matrices, span_contains
 from drgkit import exactla
 from drgkit.exactla import (
     AlgebraicScalar,
@@ -146,6 +146,18 @@ def test_floats_are_refused():
         with pytest.raises(TypeError):
             make()
     assert AlgebraicScalar.__slots__ == ("a", "b", "d")
+
+
+def test_ordering_against_a_non_number_is_a_type_error():
+    for make in (lambda: S(1) < "x", lambda: S(1) <= "x", lambda: S(1) > "x",
+                 lambda: S(1) >= "x", lambda: "x" < S(1), lambda: S(0, 1, 2) < None,
+                 lambda: sorted([S(1), None]), lambda: sorted([None, S(0, 1, 5)])):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(TypeError, match="cannot mix an exact AlgebraicScalar with the float"):
+        S(1) < 0.5
+    assert S(1).compare("x") is NotImplemented
+    assert sorted([Fraction(3, 2), S(0, 1, 2), 1]) == [1, S(0, 1, 2), Fraction(3, 2)]
 
 
 def test_sign_exactness():
@@ -293,7 +305,7 @@ def test_span_rejects_linear_combinations(c1, c2):
     span = ExactSpan(9)
     span.insert(A)
     span.insert(B)
-    assert span.contains(A * c1 + B * c2)
+    assert span_contains(span, A * c1 + B * c2)
 
 
 def test_span_rows_carry_their_max_abs(monkeypatch):
@@ -321,7 +333,7 @@ def test_span_rows_carry_their_max_abs(monkeypatch):
         coeffs = rng.integers(-3, 4, size=len(mats)).tolist()
         combo = sum((c * exactla._to_object(m) for c, m in zip(coeffs, mats)),
                     np.zeros((3, 4), dtype=object))
-        assert span.contains(combo)
+        assert span_contains(span, combo)
     assert "_combine" in callers
 
 

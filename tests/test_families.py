@@ -1,5 +1,7 @@
 """Family constructors, labelings, Seidel switching."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,42 @@ def test_johnson_colex_labeling():
     assert johnson_vertex_index(8, 2, (0, 2)) == 1
     assert johnson_vertex_index(8, 2, (1, 2)) == 2
     assert johnson_vertex_index(8, 2, (0, 3)) == 3
+
+
+def _colex(n, k):
+    # colex order: compare the subsets as their descending tuples
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def _digits(w, q, d):
+    return [w // q**i % q for i in range(d)]
+
+
+# each family's labelling and adjacency as the module docstring defines them,
+# pair by pair: (vertices in label order, adjacency predicate)
+_PAIRWISE = {
+    "johnson(6,3)": (johnson(6, 3), _colex(6, 3), lambda u, v: len(set(u) & set(v)) == 2),
+    "johnson(7,2)": (johnson(7, 2), _colex(7, 2), lambda u, v: len(set(u) & set(v)) == 1),
+    "halved_cube(6)": (halved_cube(6), [w for w in range(64) if bin(w).count("1") % 2 == 0],
+                       lambda u, v: bin(u ^ v).count("1") == 2),
+    "hamming(3,3)": (hamming(3, 3), [_digits(w, 3, 3) for w in range(27)],
+                     lambda u, v: sum(a != b for a, b in zip(u, v)) == 1),
+    "hamming(2,4)": (hamming(2, 4), [_digits(w, 4, 2) for w in range(16)],
+                     lambda u, v: sum(a != b for a, b in zip(u, v)) == 1),
+    "rook_grid(4)": (rook_grid(4), [divmod(i, 4) for i in range(16)],
+                     lambda u, v: u != v and (u[0] == v[0] or u[1] == v[1])),
+    "triangular_complement(6)": (triangular_complement(6), _colex(6, 2),
+                                 lambda u, v: not set(u) & set(v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRWISE))
+def test_family_labelling_matches_pairwise_definition(name):
+    g, verts, adjacent = _PAIRWISE[name]
+    expected = np.array([[int(i != j and adjacent(u, v)) for j, v in enumerate(verts)]
+                         for i, u in enumerate(verts)])
+    assert g.n == len(verts)
+    assert (g.adjacency == expected).all()
 
 
 def test_johnson_diameter():

@@ -78,10 +78,27 @@ def test_verify_drg_witness_on_triangular_prism():
 
 
 def test_class_size_identity():
-    params = verify_drg(johnson(8, 4))
-    for h in range(params.D + 1):
-        for i in range(params.D + 1):
-            assert sum(params.p[h][i]) == params.k_i[i]
+    # oracle: every p^h_ij from the int64 products A_i A_j, read at one pair of
+    # each class h after checking that it is constant there
+    for g in (johnson(8, 4), icosahedron(), halved_cube(6), hamming(3, 3), chang(1)):
+        params = verify_drg(g)
+        dd = distances(g)
+        A = distance_matrices(dd)
+        D = dd.D
+        p = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
+        for i, j in itertools.product(range(D + 1), repeat=2):
+            prod = A[i] @ A[j]
+            for h in range(D + 1):
+                values = set(prod[dd.dist == h].tolist())
+                assert len(values) == 1
+                p[h, i, j] = values.pop()
+        for h, i in itertools.product(range(D + 1), repeat=2):
+            assert p[h, i].sum() == params.k_i[i]
+        assert tuple(p[0, range(D + 1), range(D + 1)]) == params.k_i
+        assert params.k == p[0, 1, 1]
+        assert params.a == tuple(p[h, 1, h] for h in range(D + 1))
+        assert params.b == tuple(p[h, 1, h + 1] for h in range(D))
+        assert params.c == tuple(p[h, 1, h - 1] for h in range(1, D + 1))
 
 
 def test_eigen_data_j82():
