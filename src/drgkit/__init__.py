@@ -28,6 +28,7 @@ from .spectra import (
     SrgParams,
     srg_spectrum,
     subconstituent_spectrum,
+    subconstituent_spectra,
     second_subconstituent_derived,
 )
 from .terwilliger import block_spin_dim, terwilliger_dimension

@@ -12,6 +12,11 @@ classes in their canonical order, exact scalars rendered as canonical strings.
 One report builds one context.GraphContext and passes it to every layer, the
 pvt verdict included, so each distance table, local spectrum, factored
 characteristic polynomial and closure dimension is computed once per report.
+A report on every vertex fills the local spectra one distance class at a time
+(GraphContext.subconstituent_spectra); a report on some vertices takes them
+one vertex at a time, so analyzing one base vertex of a large Taylor or AT4
+cover, whose verdict reads no local spectra, certifies only that vertex's
+blocks.
 The eigen data and the classification route are read from the context's
 memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
 decided once per report, and tmodules.decompose follows it, taking its
@@ -125,6 +130,9 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
             parameters.append(2)  # AT4(p, q, 2)
         graph_section["classification"] = {"type": route, "parameters": parameters}
 
+    if set(vertices) == set(range(g.n)):  # every vertex: one stack per class
+        for i in range(1, params.D + 1):
+            ctx.subconstituent_spectra(i)
     vertex_records = []
     decomposition_flags: set[str] = set()
     for x in vertices:

@@ -11,6 +11,7 @@ exit 2; no command prints a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -43,7 +44,10 @@ def _parse_params(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad --params {text!r}: comma-separated integers")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as
+    it was, so every command of a long-lived process shares it."""
     parser = argparse.ArgumentParser(
         prog="drgkit",
         description="Exact Terwilliger-algebra analysis of small distance-regular graphs",

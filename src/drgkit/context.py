@@ -17,7 +17,11 @@ graph-level values are computed on first access and kept:
 It also memoizes the per-vertex results that analysis, pvt, tmodules and
 tables ask for more than once:
 
-* subconstituent spectra, keyed by (x, i);
+* subconstituent spectra, keyed by (x, i).  subconstituent_spectrum(x, i)
+  fills one entry; subconstituent_spectra(i) fills every vertex's entry of
+  class i still missing from one stacked certificate, for the callers that
+  need all of them (check_pvt's SRG and generic routes, and so
+  t_isomorphic_srg; analyze_graph when its report covers every vertex);
 * the finished Spectrum of each certified factor key ((r, m), ...,
   (s, p, m), ...) and of each charpoly_int coefficient tuple of a block that
   exactla.certified_factors declined, float spectra included.  Blocks with
@@ -26,6 +30,9 @@ tables ask for more than once:
   spectra does not rest on this sharing: Spectrum == compares keys, so it
   holds across contexts too;
 * dim T(x) from the algebra closure, keyed by x;
+* srg_modules: tmodules.decompose's SRG module decompositions, keyed by the
+  exact local Spectrum, which with the route's SrgParams is all that
+  decompose_srg reads;
 * route_local, the graph-level data of a Taylor or AT4 route: the local
   SrgParams, local spectrum and flags that tmodules checks every vertex
   against.
@@ -58,7 +65,13 @@ from .scheme import (
     taylor_parameters,
     verify_drg,
 )
-from .spectra import FLOAT_REFUSED, Spectrum, SrgParams, subconstituent_spectrum
+from .spectra import (
+    FLOAT_REFUSED,
+    Spectrum,
+    SrgParams,
+    subconstituent_spectra,
+    subconstituent_spectrum,
+)
 from .terwilliger import terwilliger_dimension
 
 __all__ = ["GraphContext"]
@@ -74,6 +87,7 @@ class GraphContext:
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
     _by_key: dict = field(default_factory=dict, init=False, repr=False)
     _dims: dict = field(default_factory=dict, init=False, repr=False)
+    srg_modules: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, g: Union[Graph, "GraphContext"]) -> "GraphContext":
@@ -120,6 +134,20 @@ class GraphContext:
         if not (spec.exact or allow_float):
             raise ValueError(FLOAT_REFUSED)
         return spec
+
+    def subconstituent_spectra(self, i: int) -> tuple:
+        """The spectra of the distance-i classes of all vertices, x = 0..n-1.
+
+        Fills the (x, i) memo for every x not yet in it from one stack
+        (spectra.subconstituent_spectra).  For callers that need every
+        vertex; float spectra are returned as they are, for the caller to
+        refuse or flag.
+        """
+        missing = [x for x in range(self.params.n) if (x, i) not in self._spectra]
+        if missing:
+            specs = subconstituent_spectra(self.graph, i, self.dd, self._by_key, missing)
+            self._spectra.update(((x, i), spec) for x, spec in zip(missing, specs))
+        return tuple(self._spectra[(x, i)] for x in range(self.params.n))
 
     def terwilliger_dimension(self, x: int) -> int:
         """dim T(x) by the algebra closure, computed once per x."""

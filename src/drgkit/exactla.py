@@ -14,15 +14,18 @@ module.  The guiding constraints:
   fallback.
 * Linear independence is decided by fraction-free row reduction with gcd
   stripping; no floating point is consulted for any exact decision.
-* Spectra of integer matrices have one certificate: floats propose, integers
-  certify.  certified_factors reads integer roots and monic quadratics
-  x^2 - s*x + p off the float eigenvalues of _float_eigenvalues, the one
-  float eigensolver (eigvalsh for a symmetric matrix, eigvals for any other,
-  such as the intersection matrix), and accepts them only when their product
-  annihilates the matrix and the power traces tr(B^j), j < d, match; the
-  accepted factor key, with multiplicities, is the exact spectrum, and
-  factor_roots turns it into exact eigenvalues.  A float can cause a
-  fallback, never an answer.
+* Spectra of integer matrices have one certificate, certified_stack: floats
+  propose, integers certify.  It takes an (m, k, k) stack, such as the
+  subconstituent blocks of one distance class, reads integer roots and
+  monic quadratics x^2 - s*x + p off one batched run of _float_eigenvalues,
+  the one float eigensolver (eigvalsh for symmetric matrices, eigvals for
+  any other, such as the intersection matrix), groups the matrices by
+  proposal, and accepts a proposal for a matrix only when their product
+  annihilates it and the power traces tr(B^j), j < d, match, both checked
+  by batched integer products on the group.  The accepted factor key, with
+  multiplicities, is the exact spectrum, and factor_roots turns it into
+  exact eigenvalues.  certified_factors(B) is the case m = 1.  A float can
+  cause a fallback, never an answer.
 * A matrix the certificate declines (a cubic factor, a non-diagonalizable
   matrix) goes through charpoly_int (CRT Faddeev-LeVerrier) and
   eigenvalues_from_charpoly, which factors the polynomial with sympy into a
@@ -49,6 +52,7 @@ __all__ = [
     "sqrt_of_fraction",
     "square_free_split",
     "certified_factors",
+    "certified_stack",
     "charpoly_int",
     "eigenvalues_from_charpoly",
     "factor_roots",
@@ -320,10 +324,12 @@ def _max_abs(a: np.ndarray) -> int:
 
 
 def _max_row_sum(a: np.ndarray) -> int:
-    """The largest absolute row sum (infinity norm) of an integer matrix, exactly."""
-    if a.dtype != object and _max_abs(a) * a.shape[1] < _INT64_SAFE:
-        return int(np.abs(a).sum(axis=1).max(initial=0))
-    return max((sum(abs(int(v)) for v in row) for row in a.tolist()), default=0)
+    """The largest absolute row sum (infinity norm) of an integer matrix, or
+    the largest over a stack of them, exactly."""
+    if a.dtype != object and _max_abs(a) * a.shape[-1] < _INT64_SAFE:
+        return int(np.abs(a).sum(axis=-1).max(initial=0))
+    rows = a.reshape(-1, a.shape[-1]).tolist()
+    return max((sum(abs(int(v)) for v in row) for row in rows), default=0)
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
@@ -568,29 +574,45 @@ def _cluster_factors(vals) -> Optional[tuple]:
     return tuple(sorted(linear)) + tuple(sorted(quadratic))
 
 
-def _float_eigenvalues(B: np.ndarray) -> tuple[np.ndarray, float]:
-    """The float eigenvalues of an integer matrix, ascending, and the largest
-    |imaginary part| among them: np.linalg.eigvalsh for a symmetric B (0.0),
-    the real parts of np.linalg.eigvals for any other.  The one float
+def _float_eigenvalues(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float eigenvalues of an integer matrix, or of each matrix of an
+    (m, k, k) stack, ascending along the last axis, and the largest
+    |imaginary part| per matrix: one (batched) np.linalg.eigvalsh when every
+    matrix is symmetric (zeros), the real parts of one np.linalg.eigvals for
+    any other stack, such as the intersection matrix.  The one float
     eigensolver of the package: _propose_factors and the float spectra of
     spectra read it."""
     F = B.astype(float)
-    if (B == B.T).all():
-        return np.linalg.eigvalsh(F), 0.0
+    if (B == np.swapaxes(B, -1, -2)).all():
+        vals = np.linalg.eigvalsh(F)
+        return vals, np.zeros(vals.shape[:-1])
     vals = np.linalg.eigvals(F)
-    return np.sort(vals.real), float(np.abs(vals.imag).max())
+    return np.sort(vals.real, axis=-1), np.abs(vals.imag).max(axis=-1)
 
 
-def _propose_factors(B: np.ndarray) -> Optional[tuple]:
-    """_cluster_factors on the _float_eigenvalues of B; see certified_factors.
+_ROW_DECIMALS = 9
 
-    No proposal when an eigenvalue is further than _PROPOSE_TOL from the real
-    line, nor for an object-dtype (large-entry) or empty matrix.
+
+def _propose_factors(S: np.ndarray) -> list[Optional[tuple]]:
+    """One proposal per matrix of an (m, k, k) stack: _cluster_factors on its
+    _float_eigenvalues; see certified_stack.
+
+    Rows of eigenvalues that agree to _ROW_DECIMALS places are clustered
+    once, on the first such row; a proposal is only ever a proposal, so this
+    sharing can make a certificate fail, never pass.  No proposal for a
+    matrix with an eigenvalue further than _PROPOSE_TOL from the real line,
+    nor for an object-dtype (large-entry) or empty stack.
     """
-    if B.dtype == object or B.size == 0:
-        return None
-    vals, imag = _float_eigenvalues(B)
-    return None if imag > _PROPOSE_TOL else _cluster_factors(vals)
+    if S.dtype == object or S.shape[-1] == 0:
+        return [None] * len(S)
+    vals, imag = _float_eigenvalues(S)
+    rows = np.round(vals, _ROW_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
+    clustered: dict[bytes, Optional[tuple]] = {}
+    for row, v in zip(rows, vals):
+        if (key := row.tobytes()) not in clustered:
+            clustered[key] = _cluster_factors(v)
+    return [None if im > _PROPOSE_TOL else clustered[row.tobytes()]
+            for row, im in zip(rows, imag.tolist())]
 
 
 def _split_proposal(proposal: tuple) -> Optional[tuple[list, list]]:
@@ -619,25 +641,28 @@ def _power_sums(factor: tuple, count: int) -> list[int]:
     return sums[:count]
 
 
-def _power_traces(B: np.ndarray, count: int) -> list[int]:
-    """tr(B^0)..tr(B^(count-1)), each as the sum of the entries of B^a * (B^b)^T
-    with a + b = j.  With r the largest absolute row sum, nothing exceeds
-    n^2 * r^(count-1), so int64 runs when that is below 2**62."""
-    n, r = len(B), max(1, _max_row_sum(B))
+def _power_traces(B: np.ndarray, count: int) -> np.ndarray:
+    """tr(B^0)..tr(B^(count-1)) along the last axis, for a matrix or each
+    matrix of a stack: tr(B^j) is the sum of the entries of B^a * (B^b)^T with
+    a + b = j.  With r the largest absolute row sum in the stack, nothing
+    exceeds n^2 * r^(count-1), so int64 runs when that is below 2**62."""
+    n, r = B.shape[-1], max(1, _max_row_sum(B))
     if B.dtype != object and n * n * r ** max(count - 1, 1) >= _INT64_SAFE:
         B = _to_object(B)
-    powers = [np.eye(n, dtype=np.int64).astype(B.dtype), B]
+    powers = [np.broadcast_to(np.eye(n, dtype=np.int64).astype(B.dtype), B.shape), B]
     while len(powers) < count // 2 + 1:
         powers.append(powers[-1] @ B)
-    return [int((powers[j // 2] * powers[j - j // 2].T).sum()) for j in range(count)]
+    return np.stack([(powers[j // 2] * np.swapaxes(powers[j - j // 2], -1, -2)).sum(axis=(-2, -1))
+                     for j in range(count)], axis=-1)
 
 
 def _factor_product(B: np.ndarray, factors) -> np.ndarray:
-    """prod_i f_i(B) exactly, for factors (r,) = x - r and (s, p) = x^2 - s*x + p.
+    """prod_i f_i(B) exactly, for factors (r,) = x - r and (s, p) = x^2 - s*x + p,
+    of a matrix or of each matrix of a stack.
 
-    With r the largest absolute row sum, every entry and partial sum is at
-    most prod_i ||f_i(B)|| in infinity norms, so int64 runs when that bound
-    is below 2**62.
+    With r the largest absolute row sum in the stack, every entry and partial
+    sum is at most prod_i ||f_i(B)|| in infinity norms, so int64 runs when
+    that bound is below 2**62.
     """
     B = _as_int_array(B)
     r = max(1, _max_row_sum(B))
@@ -645,23 +670,26 @@ def _factor_product(B: np.ndarray, factors) -> np.ndarray:
                       for f in factors)
     if B.dtype != object and bound >= _INT64_SAFE:
         B = _to_object(B)
-    eye = np.eye(len(B), dtype=np.int64).astype(B.dtype)
+    eye = np.eye(B.shape[-1], dtype=np.int64).astype(B.dtype)
     B2 = B @ B if any(len(f) == 2 for f in factors) else None
-    product = eye
+    product = np.broadcast_to(eye, B.shape)
     for f in factors:
         product = product @ (B - f[0] * eye if len(f) == 1 else B2 - f[0] * B + f[1] * eye)
     return product
 
 
-def certified_factors(B) -> Optional[tuple]:
-    """The characteristic polynomial of an integer matrix as a proven product of
-    integer roots and monic real quadratics, or None.
+def certified_stack(S) -> list[Optional[tuple]]:
+    """For each matrix of an (m, k, k) integer stack, its characteristic
+    polynomial as a proven product of integer roots and monic real
+    quadratics, or None.
 
-    _propose_factors reads ((r, m), ..., (s, p, m), ...) off float
-    eigenvalues: integer roots r and quadratics x^2 - s*x + p, each with a
-    multiplicity m.  The proposal is returned only when its factors are
-    distinct, every quadratic has two real irrational roots (s^2 - 4p > 0
-    and not a square), and two integer checks pass:
+    _propose_factors reads ((r, m), ..., (s, p, m), ...) off one batched run
+    of _float_eigenvalues: integer roots r and quadratics x^2 - s*x + p, each
+    with a multiplicity m.  The matrices are grouped by proposal, and a
+    proposal is accepted for a matrix only when its factors are distinct,
+    every quadratic has two real irrational roots (s^2 - 4p > 0 and not a
+    square), and two integer checks pass, each run once on the group's
+    sub-stack:
 
     * prod_i f_i(B) = 0, so every eigenvalue of B is a root of some f_i;
     * tr(B^j) = sum_i m_i * p_j(f_i) for j = 0..d-1, d = sum_i deg f_i, with
@@ -669,29 +697,49 @@ def certified_factors(B) -> Optional[tuple]:
       this is a nonsingular Vandermonde system, so it fixes every
       multiplicity (j = 0 gives the size of B).
 
-    Neither check needs B symmetric.  Eigenvalues of an integer matrix are
-    algebraic integers, so rational ones are integers and quadratic ones have
-    an integral monic minimal polynomial: any diagonalizable B with its
-    spectrum in at most quadratic fields has such a proposal.  Symmetric
-    matrices are diagonalizable, and so is the intersection matrix of a
-    distance-regular graph, whose eigenvalues are real and simple (BCN
-    Sect. 4.1).  A float can only make the proposal fail; it never decides
-    the answer.  Callers fall back to charpoly_int on None.
+    Both checks are exact: int64 under the overflow bounds of _factor_product
+    and _power_traces, taken from the group's largest row sum, and Python
+    ints (object dtype) where a bound fails.  Neither check needs B
+    symmetric.  Eigenvalues of an integer matrix are algebraic integers, so
+    rational ones are integers and quadratic ones have an integral monic
+    minimal polynomial: any diagonalizable B with its spectrum in at most
+    quadratic fields has such a proposal.  Symmetric matrices are
+    diagonalizable, and so is the intersection matrix of a distance-regular
+    graph, whose eigenvalues are real and simple (BCN Sect. 4.1).  A float
+    can only make the proposal fail; it never decides the answer.  Callers
+    fall back to charpoly_int on None.
     """
-    B = _as_int_array(B)
-    proposal = _propose_factors(B)
-    split = None if proposal is None else _split_proposal(proposal)
-    if split is None:
-        return None
-    factors, mults = split
-    if _factor_product(B, factors).any():
-        return None
-    d = sum(len(f) for f in factors)
-    expected = [0] * d
-    for f, m in zip(factors, mults):
-        for j, pj in enumerate(_power_sums(f, d)):
-            expected[j] += m * pj
-    return tuple(proposal) if _power_traces(B, d) == expected else None
+    S = _as_int_array(S)
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise ValueError("(m, k, k) stack of square matrices expected")
+    keys: list[Optional[tuple]] = [None] * len(S)
+    groups: dict[tuple, list[int]] = {}
+    for b, proposal in enumerate(_propose_factors(S)):
+        if proposal is not None:
+            groups.setdefault(tuple(proposal), []).append(b)
+    for proposal, members in groups.items():
+        split = _split_proposal(proposal)
+        if split is None:
+            continue
+        factors, mults = split
+        members = np.array(members)
+        members = members[~(_factor_product(S[members], factors) != 0).any(axis=(-2, -1))]
+        d = sum(len(f) for f in factors)
+        expected = [0] * d
+        for f, m in zip(factors, mults):
+            for j, pj in enumerate(_power_sums(f, d)):
+                expected[j] += m * pj
+        for b, traces in zip(members.tolist(), _power_traces(S[members], d).tolist()):
+            if traces == expected:
+                keys[b] = proposal
+    return keys
+
+
+def certified_factors(B) -> Optional[tuple]:
+    """The characteristic polynomial of one integer matrix as a proven product
+    of integer roots and monic real quadratics, or None: the m = 1 case of
+    certified_stack."""
+    return certified_stack(_as_int_array(B)[None])[0]
 
 
 def _sympy_factors(coeffs: list[int]) -> list[tuple[list[int], int]]:

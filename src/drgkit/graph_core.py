@@ -52,6 +52,14 @@ def require_size(what: str, n: int) -> None:
         raise GraphError("size", f"{what} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
+def _is_symmetric(adj: np.ndarray, tile: int = 128) -> bool:
+    """adj == adj.T, compared tile by tile: a whole transposed comparison
+    strides across rows and costs about ten times as much at n = 4096."""
+    n = len(adj)
+    return not any((adj[i:i + tile, j:j + tile] != adj[j:j + tile, i:i + tile].T).any()
+                   for i in range(0, n, tile) for j in range(i, n, tile))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with dense 0/1 adjacency."""
@@ -64,14 +72,15 @@ class Graph:
         adj = np.asarray(self.adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise GraphError("shape", "adjacency must be square")
-        # checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1
-        if not np.isin(adj, (0, 1)).all():
+        # checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1;
+        # two comparisons, not np.isin, which sorts the whole matrix
+        if not ((adj == 0) | (adj == 1)).all():
             raise GraphError("entries", "adjacency entries must be 0/1")
         adj = adj.astype(np.int8)
         if adj.diagonal().any():
             v = int(np.nonzero(adj.diagonal())[0][0])
             raise GraphError("loop", f"vertex {v}")
-        if (adj != adj.T).any():
+        if not _is_symmetric(adj):
             u, v = (int(i) for i in np.argwhere(adj != adj.T)[0])
             raise GraphError("asymmetric", f"pair ({u}, {v})")
         adj.setflags(write=False)

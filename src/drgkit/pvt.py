@@ -8,6 +8,11 @@ distance class plus a constant Terwilliger dimension), never 'pvt'.
 
 Both verdicts read their distances, parameters, local spectra and closure
 dimensions from a context.GraphContext, which memoizes them for one command.
+The SRG and generic routes compare every vertex, so they take each distance
+class's spectra at once from GraphContext.subconstituent_spectra (one stacked
+certificate per class) and then scan the vertices in order: the first
+differing vertex, and in the generic route its first differing class, is the
+witness, as in a vertex-by-vertex scan.
 Spectra are compared with ==, which compares their exact keys (the factor
 key, or the characteristic polynomial of a float spectrum; see spectra), so
 no verdict rests on a float.
@@ -67,9 +72,8 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
     params = ctx.params
     route, route_params = ctx.route or (None, None)
     if route == "srg":
-        base = ctx.subconstituent_spectrum(0, 1)
-        for x in range(1, params.n):
-            spec = ctx.subconstituent_spectrum(x, 1)
+        base, *others = ctx.subconstituent_spectra(1)
+        for x, spec in enumerate(others, 1):
             if spec != base:
                 return PvtVerdict(
                     verdict=VERDICT_NOT_PVT,
@@ -88,17 +92,16 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
         return PvtVerdict(verdict=VERDICT_PVT, method=METHOD_AT4,
                           detail=f"antipodal tight cover with (p, q) = {route_params}")
     # generic necessary conditions
-    base_specs = [ctx.subconstituent_spectrum(0, i) for i in range(1, params.D + 1)]
+    by_class = [ctx.subconstituent_spectra(i) for i in range(1, params.D + 1)]
     for x in range(1, params.n):
-        for i in range(1, params.D + 1):
-            spec = ctx.subconstituent_spectrum(x, i)
-            if spec != base_specs[i - 1]:
+        for i, specs in enumerate(by_class, 1):
+            if specs[x] != specs[0]:
                 return PvtVerdict(
                     verdict=VERDICT_NOT_PVT,
                     method=METHOD_GENERIC,
                     witness={"x": 0, "y": x, "class": i,
-                             "spectrum_x": str(base_specs[i - 1]),
-                             "spectrum_y": str(spec)},
+                             "spectrum_x": str(specs[0]),
+                             "spectrum_y": str(specs[x])},
                     detail=f"subconstituent {i} spectra differ",
                 )
     base_dim = ctx.terwilliger_dimension(0)

@@ -6,13 +6,15 @@ spectra is == on that key:
 
 * an exact spectrum's key is its factor key ((r, m), ..., (s, p, m), ...):
   integer roots r and monic quadratics x^2 - s*x + p with multiplicities,
-  sorted.  spectrum_of_int_matrix, the one route from an integer matrix
-  (a subconstituent block, or the intersection matrix of scheme.eigen_data)
-  to a Spectrum, gets it from exactla.certified_factors (floats propose,
-  integer checks accept) or, for a matrix the certificate declines, from
-  charpoly_int and eigenvalues_from_charpoly (sympy); Spectrum.from_pairs
-  builds it from exact eigenvalues.  The routes give the same key for the
-  same multiset, and exactla.factor_roots decodes it into eigenvalues;
+  sorted.  An integer matrix gets it from the one certificate,
+  exactla.certified_stack (floats propose, integer checks accept): the
+  intersection matrix of scheme.eigen_data through spectrum_of_int_matrix
+  and certified_factors, its one-matrix case, and the subconstituent blocks
+  of one distance class as one stack (subconstituent_spectra).  A matrix
+  the certificate declines takes one fallback, _spectrum_from_key:
+  charpoly_int and eigenvalues_from_charpoly (sympy).  Spectrum.from_pairs
+  builds the key from exact eigenvalues.  The routes give the same key for
+  the same multiset, and exactla.factor_roots decodes it into eigenvalues;
 * a spectrum with an irreducible factor of degree >= 3 is keyed by the
   charpoly_int coefficient tuple.  Its eigenvalues are plain floats from
   exactla._float_eigenvalues (exact=False), shown in reports with a flag,
@@ -31,10 +33,12 @@ of all-ones has dimension mult - 1.  For connected subconstituents this just
 removes the Perron eigenvalue; for disconnected ones the extra copies count
 as local.
 
-Nothing here is memoized.  The per-command memos of subconstituent spectra,
-by (x, i) and by key, live on context.GraphContext, which passes its distance
-data and its key memo (``memo``) in here; a memo kept at module level would
-let one command answer from another's results.
+The functions here keep no state between calls.  The per-command memos of
+subconstituent spectra, by (x, i) and by key, live on context.GraphContext,
+which passes its distance data, its key memo (``memo``) and the vertices it
+still lacks in here; a memo kept at module level would let one command answer
+from another's results.  Within one call, subconstituent_spectra certifies a
+whole distance class at once and builds one Spectrum per distinct key.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .exactla import (
     AlgebraicScalar,
     _float_eigenvalues,
     certified_factors,
+    certified_stack,
     charpoly_int,
     eigenvalues_from_charpoly,
     factor_roots,
@@ -64,6 +69,7 @@ __all__ = [
     "srg_spectrum",
     "spectrum_of_int_matrix",
     "subconstituent_spectrum",
+    "subconstituent_spectra",
     "srg_local_split",
     "second_subconstituent_derived",
     "effective_multiplicities",
@@ -148,22 +154,26 @@ class Spectrum:
 
 
 def spectrum_of_int_matrix(arr, memo: Optional[dict] = None) -> Spectrum:
-    """Exact spectrum of an integer matrix, float fallback if needed.
+    """Exact spectrum of one integer matrix, symmetric or not, float fallback
+    if needed: the route of the intersection matrix of scheme.eigen_data.
 
-    The one route from an integer matrix, symmetric or not, to a Spectrum:
-    the subconstituent blocks and the intersection matrix of scheme.eigen_data
-    both take it.  The key comes from exactla.certified_factors; a matrix it
-    declines goes through charpoly_int and eigenvalues_from_charpoly, and
-    keeps the coefficient tuple as its key when that finds a factor of degree
-    >= 3.  ``memo`` maps certified keys and coefficient tuples to finished
-    spectra; GraphContext passes its own, so each distinct spectrum is built,
-    and each distinct polynomial factored, once per command.
+    The key comes from exactla.certified_factors.  A matrix it declines goes,
+    like every declined block of subconstituent_spectra, through
+    _spectrum_from_key: charpoly_int and eigenvalues_from_charpoly, keeping
+    the coefficient tuple as its key when that finds a factor of degree >= 3.
+    ``memo`` maps certified keys and coefficient tuples to finished spectra;
+    GraphContext passes its own, so each distinct spectrum is built, and each
+    distinct polynomial factored, once per command.
     """
     arr = np.asarray(arr)
     if arr.shape[0] == 0:
         return Spectrum(())
-    memo = {} if memo is None else memo
-    key = certified_factors(arr)
+    return _spectrum_from_key(arr, certified_factors(arr), {} if memo is None else memo)
+
+
+def _spectrum_from_key(arr: np.ndarray, key: Optional[tuple], memo: dict) -> Spectrum:
+    """The Spectrum of arr given its certified key, or, when the certificate
+    declined it (key None), by charpoly_int and eigenvalues_from_charpoly."""
     if key is not None:
         return memo.setdefault(key, Spectrum(key))
     coeffs = tuple(charpoly_int(arr))
@@ -238,18 +248,36 @@ def subconstituent_spectrum(g: Graph, x: int, i: int,
                             memo: Optional[dict] = None) -> Spectrum:
     """Spectrum of the subgraph induced on the distance-i class of x: exact,
     or flagged float when the local polynomial needs a field of degree >= 3
-    (GraphContext.subconstituent_spectrum refuses those on request).
+    (GraphContext.subconstituent_spectrum refuses those on request).  The
+    one-vertex case of subconstituent_spectra.
+    """
+    return subconstituent_spectra(g, i, dd, memo, [x])[0]
 
-    ``memo`` is handed to spectrum_of_int_matrix.
+
+def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
+                           memo: Optional[dict] = None, vertices=None) -> list[Spectrum]:
+    """The subconstituent spectra of the distance-i classes of the given
+    vertices (default: every vertex), in their order.
+
+    The classes have one size k_i, as in any distance-regular graph, so their
+    induced blocks are one (m, k_i, k_i) stack, cut out by one fancy index and
+    certified by one exactla.certified_stack; the blocks it declines take the
+    charpoly_int route of spectrum_of_int_matrix.  ``memo`` is as there.
     """
     dd = dd or distances(g)
     if not 1 <= i <= dd.D:
         raise ValueError(f"distance class {i} out of range 1..{dd.D}")
-    cls = dd.classes_from(x, i)
-    if len(cls) == 0:
-        raise ValueError(f"empty distance class {i} from vertex {x}")
-    block = g.adjacency[np.ix_(cls, cls)].astype(np.int64)
-    return spectrum_of_int_matrix(block, memo=memo)
+    vertices = np.arange(g.n) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    rows, cols = np.nonzero(dd.dist[vertices] == i)
+    sizes = np.bincount(rows, minlength=len(vertices))
+    if (sizes == 0).any():
+        raise ValueError(f"empty distance class {i} from vertex {vertices[np.argmin(sizes)]}")
+    if (sizes != sizes[0]).any():
+        raise ValueError(f"distance-{i} classes of different sizes: not distance-regular")
+    cls = cols.reshape(len(vertices), -1)
+    blocks = g.adjacency[cls[:, :, None], cls[:, None, :]].astype(np.int64)
+    memo = {} if memo is None else memo
+    return [_spectrum_from_key(b, key, memo) for b, key in zip(blocks, certified_stack(blocks))]
 
 
 def effective_multiplicities(s: Spectrum, valency) -> dict[AlgebraicScalar, int]:

@@ -145,13 +145,21 @@ def _primary(params: DrgParameters, theta) -> ModuleDescriptor:
 def decompose(g: Union[Graph, GraphContext], x: int) -> Optional[ModuleDecomposition]:
     """The T(x)-module classes by the context's classification route, or None
     on a graph no theorem covers.  Each route reads its parameters from
-    GraphContext.route and GraphContext.params itself."""
+    GraphContext.route and GraphContext.params itself.
+
+    decompose_srg reads nothing of x but its local spectrum, so it runs once
+    per distinct local Spectrum, memoized in GraphContext.srg_modules.  The
+    closure is not involved, so the Wedderburn sum stays independent of it.
+    """
     ctx = GraphContext.of(g)
     if ctx.route is None:
         return None
     name = ctx.route[0]
     if name == "srg":
-        return decompose_srg(ctx, x)
+        local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+        if local not in ctx.srg_modules:
+            ctx.srg_modules[local] = decompose_srg(ctx, x)
+        return ctx.srg_modules[local]
     if name == "taylor":
         return decompose_taylor(ctx, x)
     return decompose_at4(ctx, x)

@@ -194,13 +194,18 @@ def chang_corpus(srg_corpus):
 @pytest.fixture
 def float_local_spectra(monkeypatch):
     """Pretend every subconstituent fails certification and has a cubic
-    factor, so each one takes the float fallback.  Only symmetric blocks are
-    forced: the intersection matrix, which scheme.eigen_data sends through the
+    factor, so each one takes the float fallback.  Both certificate bindings
+    of spectra are forced, the one-matrix certified_factors and the stacked
+    certified_stack of the subconstituent blocks.  Only symmetric matrices
+    are: the intersection matrix, which scheme.eigen_data sends through the
     same spectra bindings, is not symmetric, so the graph spectrum stays
     exact."""
-    certify = drgkit.spectra.certified_factors
+    certify, certify_stack = drgkit.spectra.certified_factors, drgkit.spectra.certified_stack
     monkeypatch.setattr(drgkit.spectra, "certified_factors",
                         lambda arr: None if (arr == arr.T).all() else certify(arr))
+    monkeypatch.setattr(drgkit.spectra, "certified_stack",
+                        lambda S: [None if (B == B.T).all() else key
+                                   for B, key in zip(S, certify_stack(S))])
     monkeypatch.setattr(drgkit.spectra, "eigenvalues_from_charpoly", lambda coeffs: None)
 
 

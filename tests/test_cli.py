@@ -379,3 +379,24 @@ def test_cli_exit_contract_on_generated_files(text1, text2):
         ]
         for argv in argvs:
             assert run(argv) in (0, 1, 2, 3), argv
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    """main builds the parser once per process; a rejected command line
+    leaves nothing behind for the next one, so each answer is the same as
+    from a fresh parser."""
+    from drgkit.cli import build_parser
+
+    assert build_parser() is build_parser()
+    g_path = tmp_path / "s.json"
+    save_graph(shrikhande(), g_path)
+    argvs = [["pvt"], ["analyze", str(g_path), "--base-vertex", "x"], ["pvt", str(g_path)],
+             ["construct", "--family", "nope", "--out", "x.json"], ["pvt", str(g_path)]]
+    first = []
+    for argv in argvs:
+        code = run(argv)
+        first.append((code, *capsys.readouterr()))
+    for argv, expected in zip(argvs * 2, first * 2):
+        code = run(argv)
+        assert (code, *capsys.readouterr()) == expected, argv
+    assert [code for code, _, _ in first] == [1, 1, 0, 1, 0]

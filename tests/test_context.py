@@ -10,6 +10,7 @@ import drgkit.graph_core
 import drgkit.scheme
 import drgkit.spectra
 import drgkit.terwilliger
+import drgkit.tmodules
 from drgkit.analysis import analyze_graph
 from drgkit.cli import main
 from drgkit.context import GraphContext
@@ -17,6 +18,7 @@ from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shr
 from drgkit.graph_core import save_graph
 from drgkit.pvt import check_pvt, t_isomorphic_srg
 from drgkit.spectra import FLOAT_REFUSED, SrgParams
+from drgkit.tmodules import decompose
 
 
 def _spy(monkeypatch, module, name):
@@ -35,12 +37,20 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+def _vertices(args) -> list:
+    """The vertices of a recorded subconstituent_spectra(g, i, dd, memo,
+    vertices) call: all of g's when none are given."""
+    return list(range(args[0].n)) if len(args) < 5 or args[4] is None else list(args[4])
+
+
 def test_analyze_computes_each_result_once(monkeypatch):
     g = shrikhande()
     charpolys = _spy(monkeypatch, drgkit.exactla, "charpoly_int")
     factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
     decoded = _spy(monkeypatch, drgkit.exactla, "factor_roots")
-    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
+    # every block is built in subconstituent_spectra, whose one-vertex case is
+    # subconstituent_spectrum, so its calls count each (x, i) on both routes
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
     closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
     dists = _spy(monkeypatch, drgkit.graph_core, "distances")
     report = analyze_graph(g, list(range(g.n)))
@@ -48,10 +58,39 @@ def test_analyze_computes_each_result_once(monkeypatch):
     assert charpolys == factored == []  # every spectrum, the graph's too, is certified
     factor_keys = [args[0] for args in decoded]
     assert len(factor_keys) == len(set(factor_keys)) >= 2  # the local graphs
-    keys = [(args[1], args[2]) for args in spectra]
+    keys = [(x, args[1]) for args in spectra for x in _vertices(args)]
     assert sorted(keys) == [(x, i) for x in range(g.n) for i in (1, 2)]
+    assert len(spectra) == 2  # one stack per distance class
     assert sorted(args[1] for args in closures) == list(range(g.n))
     assert len(dists) == 1
+
+
+def test_class_stack_fills_only_missing_vertices(monkeypatch):
+    """A stack after a per-vertex spectrum builds the other vertices only,
+    and both routes give the same spectra."""
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
+    ctx = GraphContext.of(chang(1))
+    first = ctx.subconstituent_spectrum(3, 1)
+    specs = ctx.subconstituent_spectra(1)
+    assert specs[3] is first and len(specs) == 28
+    assert [_vertices(args) for args in spectra] == [[3], [x for x in range(28) if x != 3]]
+    assert ctx.subconstituent_spectra(1) == specs and len(spectra) == 2
+    one_by_one = GraphContext.of(chang(1))
+    assert specs == tuple(one_by_one.subconstituent_spectrum(x, 1) for x in range(28))
+    assert len(set(specs)) == 2
+
+
+def test_srg_decomposition_is_built_once_per_local_spectrum(monkeypatch):
+    built = _spy(monkeypatch, drgkit.tmodules, "decompose_srg")
+    for g, distinct in ((shrikhande(), 1), (chang(1), 2), (chang(3), 2)):
+        built.clear()
+        ctx = GraphContext.of(g)
+        mds = [decompose(ctx, x) for x in range(g.n)]
+        assert len(built) == distinct == len(ctx.srg_modules), g.label
+        for x in range(g.n):
+            assert mds[x] is ctx.srg_modules[ctx.subconstituent_spectrum(x, 1)]
+            # the memo answers what decompose_srg answers for x itself
+            assert mds[x] == drgkit.tmodules.decompose_srg(ctx, x)
 
 
 def test_consecutive_commands_share_no_memo(monkeypatch, tmp_path, capsys):

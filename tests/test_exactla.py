@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from drgkit.exactla import (
     AlgebraicScalar,
     ExactSpan,
     certified_factors,
+    certified_stack,
     charpoly_int,
     eigenvalues_from_charpoly,
     factor_roots,
@@ -523,7 +525,7 @@ def test_wrong_clusters_fall_back_to_sympy(monkeypatch, wrong):
 def test_non_real_eigenvalues_get_no_proposal(B):
     # x^2 + 1 and x^3 - 1 = (x - 1)(x^2 + x + 1): non-real roots either way
     B = np.array(B, dtype=np.int64)
-    assert exactla._propose_factors(B) is None
+    assert exactla._propose_factors(B[None]) == [None]
     assert certified_factors(B) is None
     assert eigenvalues_from_charpoly(charpoly_int(B)) is None
 
@@ -611,8 +613,9 @@ _C6_KEY = ((-2, 1), (-1, 2), (1, 2), (2, 1))
 
 
 def _certify_proposal(monkeypatch, B, proposal):
-    """certified_factors(B) when the float step proposes ``proposal``."""
-    monkeypatch.setattr(exactla, "_propose_factors", lambda _: proposal)
+    """certified_factors(B) when the float step proposes ``proposal`` for
+    every matrix of the stack it is given."""
+    monkeypatch.setattr(exactla, "_propose_factors", lambda S: [proposal] * len(S))
     return certified_factors(B)
 
 
@@ -681,3 +684,134 @@ def test_rank_matches_float_rank_on_acceptance_graphs():
     for g in (shrikhande(), johnson(8, 2)):
         m = np.asarray(g.adjacency, dtype=np.int64)
         assert span_rank(m) == np.linalg.matrix_rank(m.astype(float), tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the stacked certificate: certified_factors is its m = 1 case
+# ---------------------------------------------------------------------------
+
+
+def _class_stacks(g):
+    """(i, the (n, k_i, k_i) stack of distance-i class blocks) for every i."""
+    dd = distances(g)
+    for i in range(1, dd.D + 1):
+        cls = np.array([dd.classes_from(x, i) for x in range(g.n)])
+        yield i, g.adjacency[cls[:, :, None], cls[:, None, :]].astype(np.int64)
+
+
+@pytest.mark.parametrize("family, params", _CORPUS)
+def test_stacked_certificate_matches_per_block_on_corpus(family, params):
+    g = construct(FamilySpec(family, params))
+    for i, stack in _class_stacks(g):
+        keys = certified_stack(stack)
+        assert keys == [certified_factors(B) for B in stack], (g.label, i)
+        assert all(key is not None for key in keys), (g.label, i)
+
+
+def _perturbed(proposal: tuple) -> tuple:
+    """A wrong proposal: the first factor's root shifted, or its
+    quadratic's constant term moved, by one."""
+    head, *rest = proposal
+    head = (head[0] + 1, head[1]) if len(head) == 2 else (head[0], head[1] + 1, head[2])
+    return (head, *rest)
+
+
+_symmetric_block = st.integers(min_value=0, max_value=2**21 - 1)
+
+
+def _block(bits: int, k: int) -> np.ndarray:
+    """The symmetric 0/1 matrix with zero diagonal whose upper triangle is
+    read off the low bits of ``bits``."""
+    B = np.zeros((k, k), dtype=np.int64)
+    iu = np.triu_indices(k, 1)
+    B[iu] = [(bits >> t) & 1 for t in range(len(iu[0]))]
+    return B + B.T
+
+
+def _path(n: int) -> np.ndarray:
+    return np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+
+
+# small graphs whose spectra lie in quadratic fields: K1, K2, P3, K3, C4, K4,
+# C5, P4 and C6
+_QUADRATIC_PIECES = [_path(1), _path(2), _path(3), 1 - np.eye(3, dtype=np.int64), _cycle(4),
+                     1 - np.eye(4, dtype=np.int64), _cycle(5), _path(4), _cycle(6)]
+
+
+def _union_block(bits: int, k: int) -> np.ndarray:
+    """A disjoint union of _QUADRATIC_PIECES on k vertices, picked by ``bits``:
+    its spectrum is certified."""
+    B = np.zeros((k, k), dtype=np.int64)
+    at = 0
+    while at < k:
+        bits, pick = divmod(bits, len(_QUADRATIC_PIECES))
+        piece = _QUADRATIC_PIECES[pick]
+        if len(piece) > k - at:
+            piece = _path(1)
+        B[at:at + len(piece), at:at + len(piece)] = piece
+        at += len(piece)
+    return B
+
+
+@given(st.lists(st.tuples(_symmetric_block, st.booleans(),
+                          st.sampled_from(["honest", "perturb", "borrow"])),
+                min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_stacked_certificate_matches_one_by_one(draws, rnd):
+    """A stack of certified blocks (C6 + K1 and unions of small graphs),
+    cubic blocks (C7 and most random graphs on 7 vertices) and blocks given a
+    wrong proposal: a perturbed one, or another block's honest one, so a
+    group of one proposal mixes blocks that pass and blocks that fail.  Every
+    block gets the key that it gets alone under the same proposal, and a
+    wrong proposal never certifies."""
+    k = 7
+    blocks = [_cycle(7), np.pad(_cycle(6), ((0, 1), (0, 1)))]
+    kinds = ["honest", "honest"]
+    for bits, union, kind in draws:
+        perm = rnd.sample(range(k), k)
+        B = _union_block(bits, k) if union else _block(bits, k)
+        blocks += [B, B[perm][:, perm]]
+        kinds += [kind, "honest"]
+    stack = np.stack(blocks)
+    honest = exactla._propose_factors(stack)
+    truth = [certified_factors(B) for B in stack]
+    assert truth[0] is None and truth[1] is not None  # the cubic C7, C6 + K1
+    candidates = [p for p in honest if p is not None]
+    proposals = []
+    for b, kind in enumerate(kinds):
+        p = honest[b]
+        if kind == "perturb" and p:
+            p = _perturbed(p)
+        elif kind == "borrow":
+            p = next((q for q in candidates if q != p), _perturbed(p) if p else None)
+        proposals.append(p)
+    with mock.patch.object(exactla, "_propose_factors", lambda S: list(proposals)):
+        keys = certified_stack(stack)
+    for b, B in enumerate(stack):
+        with mock.patch.object(exactla, "_propose_factors", lambda S: [proposals[b]]):
+            assert keys[b] == certified_factors(B), b
+        assert keys[b] == (truth[b] if proposals[b] == honest[b] else None), b
+
+
+def test_group_past_int64_bound_certifies_on_object_dtype():
+    """Entries of 10**7: prod f_i(B) bounds above 2**62, so the group's
+    product runs on Python ints, and both blocks still certify."""
+    N = 10**7
+    B = np.zeros((4, 4), dtype=np.int64)
+    B[0, 1] = B[1, 0] = N
+    B[2, 3] = B[3, 2] = 3
+    perm = [2, 0, 3, 1]
+    stack = np.stack([B, B[perm][:, perm]])
+    key = ((-N, 1), (-3, 1), (3, 1), (N, 1))
+    converted = []
+    to_object = exactla._to_object
+
+    def spy(a):
+        converted.append(a.shape)
+        return to_object(a)
+
+    with mock.patch.object(exactla, "_to_object", spy):
+        assert certified_stack(stack) == [key, key]
+    assert (2, 4, 4) in converted  # the whole group, in one object product
+    assert certified_factors(B) == key

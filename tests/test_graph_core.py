@@ -60,6 +60,22 @@ def test_asymmetric_rejected():
     assert e.value.reason == "asymmetric"
 
 
+@pytest.mark.parametrize("pairs, first", [
+    ([(200, 3)], (3, 200)),
+    ([(299, 150), (5, 140)], (5, 140)),
+    ([(130, 2), (2, 131)], (2, 130)),
+])
+def test_asymmetric_pair_named_across_tiles(pairs, first):
+    """Symmetry is checked tile by tile; the message still names the first
+    asymmetric pair in row-major order."""
+    adj = np.zeros((300, 300), dtype=np.int64)
+    for u, v in pairs:
+        adj[u, v] = 1
+    with pytest.raises(GraphError) as e:
+        Graph(adj)
+    assert str(e.value) == f"asymmetric: pair {first}"
+
+
 @pytest.mark.parametrize("entry", [256, 0.5, -255, 1.7])
 def test_out_of_range_entries_rejected_not_cast(entry):
     # an int8 cast would turn 256 and 0.5 into 0, and -255 and 1.7 into 1

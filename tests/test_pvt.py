@@ -27,6 +27,25 @@ def test_chang_not_pvt_with_witness():
         assert "local_spectrum_x" in v.witness
 
 
+@pytest.mark.parametrize("variant, witness", [
+    (1, {"x": 0, "y": 6,
+         "local_spectrum_x": "{6^1, {1 + √5}^1, 2^1, 0^3, {1 - √5}^1, -2^5}",
+         "local_spectrum_y": "{6^1, 2^3, 0^2, -2^6}"}),
+    (2, {"x": 0, "y": 6,
+         "local_spectrum_x": "{6^1, {1 + √3}^1, 2^1, √2^1, 0^1, {1 - √3}^1, -√2^1, -2^5}",
+         "local_spectrum_y": "{6^1, {1 + √3}^2, 0^2, {1 - √3}^2, -2^5}"}),
+    (3, {"x": 0, "y": 9,
+         "local_spectrum_x": "{6^1, 3^1, {1/2 + 1/2√5}^2, {1/2 - 1/2√5}^2, -1^1, -2^5}",
+         "local_spectrum_y": "{6^1, {1/2 + 1/2√13}^2, 1^2, {1/2 - 1/2√13}^2, -2^5}"}),
+])
+def test_chang_witness_is_the_first_differing_vertex(variant, witness):
+    """The local spectra come from one stacked certificate; the witness is
+    still the first vertex, in label order, whose spectrum differs from
+    vertex 0's."""
+    v = check_pvt(chang(variant))
+    assert (v.verdict, v.witness, v.detail) == ("not_pvt", witness, "local spectra differ")
+
+
 def test_float_local_spectra_compare_by_characteristic_polynomial(float_local_spectra):
     # blocks with one characteristic polynomial share one float spectrum, so
     # no verdict rests on two eigvalsh runs agreeing to the last bit

@@ -18,7 +18,7 @@ from drgkit.exactla import (
     factor_roots,
 )
 from drgkit.families import chang, icosahedron, johnson, rook_grid, shrikhande
-from drgkit.graph_core import distances
+from drgkit.graph_core import Graph, distances
 from drgkit.spectra import (
     InfeasibleSrgError,
     Spectrum,
@@ -26,6 +26,7 @@ from drgkit.spectra import (
     second_subconstituent_derived,
     spectrum_of_int_matrix,
     srg_spectrum,
+    subconstituent_spectra,
     subconstituent_spectrum,
 )
 
@@ -83,6 +84,22 @@ def test_subconstituent_icosahedron_pentagon():
 def test_subconstituent_out_of_range():
     with pytest.raises(ValueError):
         subconstituent_spectrum(icosahedron(), 0, 4)
+
+
+def test_class_stack_needs_equal_class_sizes():
+    """One vertex's class is always one block; a stack of several needs the
+    classes of one size, as in a distance-regular graph."""
+    path = np.eye(4, k=1, dtype=np.int64) + np.eye(4, k=-1, dtype=np.int64)
+    g = Graph(path)
+    assert subconstituent_spectrum(g, 0, 1) == spec((S(0), 1))
+    assert subconstituent_spectra(g, 1, vertices=[0, 3]) == [spec((S(0), 1))] * 2
+    with pytest.raises(ValueError, match="distance-1 classes of different sizes"):
+        subconstituent_spectra(g, 1)
+    with pytest.raises(ValueError, match="empty distance class 3 from vertex 1"):
+        subconstituent_spectra(g, 3, vertices=[0, 1])
+    ico = icosahedron()
+    assert subconstituent_spectra(ico, 2) == [subconstituent_spectrum(ico, x, 2)
+                                             for x in range(12)]
 
 
 def test_derived_second_subconstituent_j82():
