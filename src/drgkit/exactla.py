@@ -606,13 +606,12 @@ def _propose_factors(S: np.ndarray) -> list[Optional[tuple]]:
     if S.dtype == object or S.shape[-1] == 0:
         return [None] * len(S)
     vals, imag = _float_eigenvalues(S)
-    rows = np.round(vals, _ROW_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
+    rows = [row.tobytes() for row in np.round(vals, _ROW_DECIMALS) + 0.0]  # -0.0 -> 0.0
     clustered: dict[bytes, Optional[tuple]] = {}
     for row, v in zip(rows, vals):
-        if (key := row.tobytes()) not in clustered:
-            clustered[key] = _cluster_factors(v)
-    return [None if im > _PROPOSE_TOL else clustered[row.tobytes()]
-            for row, im in zip(rows, imag.tolist())]
+        if row not in clustered:
+            clustered[row] = _cluster_factors(v)
+    return [None if im > _PROPOSE_TOL else clustered[row] for row, im in zip(rows, imag.tolist())]
 
 
 def _split_proposal(proposal: tuple) -> Optional[tuple[list, list]]:
