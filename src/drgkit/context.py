@@ -26,9 +26,9 @@ tables ask for more than once:
   (s, p, m), ...) and of each charpoly_int coefficient tuple of a block that
   exactla.certified_factors declined, float spectra included.  Blocks with
   one key share one Spectrum, so its eigenvalues are decoded (and sorted)
-  once, and sympy factors each declined polynomial once.  Equality of
-  spectra does not rest on this sharing: Spectrum == compares keys, so it
-  holds across contexts too;
+  once, and each declined polynomial is factored once.  Equality of spectra
+  does not rest on this sharing: Spectrum == compares keys, so it holds
+  across contexts too;
 * dim T(x) from the algebra closure, keyed by x;
 * srg_modules: tmodules.decompose's SRG module decompositions, keyed by the
   exact local Spectrum, which with the route's SrgParams is all that

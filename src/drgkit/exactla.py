@@ -27,12 +27,13 @@ module.  The guiding constraints:
   exact eigenvalues.  certified_factors(B) is the case m = 1.  A float can
   cause a fallback, never an answer.
 * A matrix the certificate declines (a cubic factor, a non-diagonalizable
-  matrix) goes through charpoly_int (CRT Faddeev-LeVerrier) and
-  eigenvalues_from_charpoly, which factors the polynomial with sympy into a
-  factor key of the same canonical form.  sympy is imported there and
-  nowhere else; everything else (square-free parts, the CRT primes) is plain
-  integer code.  spectra.spectrum_of_int_matrix is the one caller that
-  chains these steps into a Spectrum.
+  matrix) goes through charpoly_int (Faddeev-LeVerrier over Z) and
+  eigenvalues_from_charpoly, which divides out integer roots and real
+  quadratics by exact trial division into a factor key of the same
+  canonical form, or gives None.  Both are plain integer code, like the
+  square-free parts; the package imports no computer algebra system.
+  spectra._spectrum_from_key is the one caller that chains these steps into
+  a Spectrum.
 * Scalars compare exactly: the sign of a + b*sqrt(d) is decided by one
   comparison of squares, and two different surds by one more (compare).
 """
@@ -456,78 +457,33 @@ class ExactSpan:
 
 
 # ---------------------------------------------------------------------------
-# exact characteristic polynomials (CRT Faddeev-LeVerrier)
+# exact characteristic polynomials (Faddeev-LeVerrier over Z)
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def _crt_primes() -> tuple[int, ...]:
-    """The 64 smallest primes above 2**24, sieved once on first use.
-
-    They lie below 2**24 + 1200, so one window [2**24, 2**24 + 4096) holds
-    them; it is crossed off by the primes up to its square root, themselves
-    from a plain sieve.
-    """
-    lo, width = 2**24, 4096
-    root = math.isqrt(lo + width)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for q in range(2, math.isqrt(root) + 1):
-        if small[q]:
-            small[q * q::q] = False
-    window = np.ones(width, dtype=bool)
-    for q in np.flatnonzero(small).tolist():
-        window[-lo % q::q] = False
-    return tuple((lo + np.flatnonzero(window)[:64]).tolist())
-
-
-def _charpoly_mod(A: np.ndarray, p: int) -> list[int]:
-    n = len(A)
-    Ap = np.array([[int(v) % p for v in row] for row in A.tolist()], dtype=np.int64)
-    M = np.eye(n, dtype=np.int64)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        N = np.mod(Ap @ M, p)
-        c = (-int(np.trace(N)) * pow(k, -1, p)) % p
-        coeffs.append(c)
-        M = np.mod(N + c * np.eye(n, dtype=np.int64), p)
-    return coeffs
 
 
 def charpoly_int(A) -> list[int]:
     """Exact characteristic polynomial [1, c1, ..., cn] of an integer matrix.
 
-    Faddeev-LeVerrier modulo enough 24-bit primes, recombined by CRT.  The
-    prime product exceeds twice the bound |c_k| <= C(n,k) * r**k (r = maximum
-    absolute row sum), which dominates every elementary symmetric function of
-    the eigenvalues, so the lift is exact, not heuristic.
+    Faddeev-LeVerrier over Z: M_1 = I, c_k = -tr(A M_k)/k and M_(k+1) =
+    A M_k + c_k I.  Every M_k is an integer polynomial in A, so each division
+    is exact; a remainder raises ArithmeticError.  The products go through
+    _imatmul, int64 while its bound holds and Python ints after.
     """
     A = _as_int_array(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
     n = len(A)
-    if n == 0:
-        return [1]
-    r = max(1, _max_row_sum(A))
-    bound = max(math.comb(n, k) * r**k for k in range(n + 1))
-    primes, prod = [], 1
-    for p in _crt_primes():
-        primes.append(p)
-        prod *= p
-        if prod > 2 * bound:
-            break
-    else:
-        raise ValueError("matrix too large for the CRT prime pool")
-    residues = [_charpoly_mod(A, p) for p in primes]
-    coeffs = []
-    for k in range(n + 1):
-        x, mod = 0, 1
-        for p, res in zip(primes, residues):
-            t = ((res[k] - x) * pow(mod, -1, p)) % p
-            x += mod * t
-            mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
+    diag = np.arange(n)
+    coeffs, M = [1], np.eye(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        M = _imatmul(A, M)
+        c, rem = divmod(-sum(M.diagonal().tolist()), k)  # n entries may overflow int64
+        if rem:
+            raise ArithmeticError(f"tr(A M_{k}) is not divisible by {k}")
+        coeffs.append(c)
+        if M.dtype != object and abs(c) + _max_abs(M) >= _INT64_SAFE:
+            M = _to_object(M)
+        M[diag, diag] += c
     return coeffs
 
 
@@ -741,15 +697,6 @@ def certified_factors(B) -> Optional[tuple]:
     return certified_stack(_as_int_array(B)[None])[0]
 
 
-def _sympy_factors(coeffs: list[int]) -> list[tuple[list[int], int]]:
-    """(integer coefficients, multiplicity) of each irreducible factor over Q,
-    by sympy, which is imported here and nowhere else in the package."""
-    import sympy
-
-    poly = sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.ZZ)
-    return [([int(c) for c in f.all_coeffs()], m) for f, m in poly.factor_list()[1]]
-
-
 def factor_roots(key) -> list[tuple[AlgebraicScalar, int]]:
     """The exact (eigenvalue, multiplicity) pairs of a factor key ((r, m), ...,
     (s, p, m), ...), sorted strictly descending: r for x - r, and
@@ -770,25 +717,72 @@ def factor_roots(key) -> list[tuple[AlgebraicScalar, int]]:
     return pairs
 
 
+def _exact_quotient(f: list[int], g: Sequence[int]) -> Optional[list[int]]:
+    """f / g for integer coefficient lists, g monic, or None when g does not
+    divide f."""
+    f, q = list(f), []
+    for i in range(len(f) - len(g) + 1):
+        q.append(f[i])
+        for j in range(1, len(g)):
+            f[i + j] -= f[i] * g[j]
+    return None if any(f[len(q):]) else q
+
+
+def _divide_out(f: list[int], g: Sequence[int]) -> tuple[list[int], int]:
+    """(f / g^m, m) for the largest m with g^m dividing f."""
+    m = 0
+    while len(f) >= len(g):
+        q = _exact_quotient(f, g)
+        if q is None:
+            break
+        f, m = q, m + 1
+    return f, m
+
+
+def _square_sum(f: Sequence[int]) -> int:
+    """c1^2 - 2 c2 for f = [1, c1, c2, ...]: the sum of the squared roots."""
+    c1, c2 = (list(f) + [0, 0])[1:3]
+    return c1 * c1 - 2 * c2
+
+
 def eigenvalues_from_charpoly(coeffs: Sequence[int]) -> Optional[tuple]:
     """The factor key ((r, m), ..., (s, p, m), ...) of a monic integer
-    polynomial, factored by sympy: the route of a matrix that
-    certified_factors declines.
+    polynomial whose roots are integers and real quadratic pairs, else None:
+    the route of a matrix that certified_factors declines.
 
-    The irreducible factors of a monic polynomial over Z are monic, and the
-    key is sorted as certified_factors sorts its own, so one spectrum has one
-    key whichever route found it.  Returns None when a factor has degree >= 3
-    or is a quadratic with non-real roots; callers then fall back to plain
-    float eigenvalues.  The function returns a key, not eigenvalues; its name
-    is kept because the benchmark's layer trace (perfbench/layer_trace.py)
-    records the sympy route under it.
+    When every root is real, each one lies within sqrt(p2), p2 = c1^2 - 2 c2
+    the sum of the squared roots (p2 < 0 gives None).  Trial division then
+    removes every integer root |t| <= isqrt(p2) dividing the constant term,
+    and then every quadratic x^2 - s*x + p with two real roots u, w, so
+    s^2 > 4p, s^2 - 2p = u^2 + w^2 <= p2 and |p| = |u w| <= p2/2, p dividing
+    the constant term left.  Such a quadratic has no integer root, all of
+    them being gone, so it is irreducible.  The key is returned only when
+    nothing is left.  Only real factors are divided out, so a non-real root
+    or one of degree >= 3 always leaves a remainder, and callers then fall
+    back to plain float eigenvalues.  The key is sorted as certified_factors
+    sorts its own, so one spectrum has one key whichever route found it.
+    The function returns a key, not eigenvalues; its name is kept because
+    the benchmark's layer trace (perfbench/layer_trace.py) records the
+    declined route under it.
     """
+    f = [int(c) for c in coeffs]
+    p2 = _square_sum(f)
+    if p2 < 0:
+        return None
     linear, quadratic = [], []
-    for cs, m in _sympy_factors([int(c) for c in coeffs]):
-        if len(cs) == 2:
-            linear.append((-cs[1], m))
-        elif len(cs) == 3 and cs[1] * cs[1] - 4 * cs[2] > 0:
-            quadratic.append((-cs[1], cs[2], m))
-        else:
-            return None
-    return tuple(sorted(linear)) + tuple(sorted(quadratic))
+    r = math.isqrt(p2)
+    for t in range(-r, r + 1):
+        if (f[-1] % t if t else f[-1]) == 0:  # t divides the constant term
+            f, m = _divide_out(f, [1, -t])
+            if m:
+                linear.append((t, m))
+    p2 = _square_sum(f)
+    for p in (sign * q for q in range(1, p2 // 2 + 1) for sign in (1, -1)):
+        if len(f) > 1 and f[-1] % p == 0:
+            bound = math.isqrt(p2 + 2 * p)
+            for s in range(-bound, bound + 1):
+                if s * s > 4 * p:
+                    f, m = _divide_out(f, [1, -s, p])
+                    if m:
+                        quadratic.append((s, p, m))
+    return tuple(linear) + tuple(sorted(quadratic)) if len(f) == 1 else None

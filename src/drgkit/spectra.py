@@ -12,7 +12,8 @@ spectra is == on that key:
   and certified_factors, its one-matrix case, and the subconstituent blocks
   of one distance class as one stack (subconstituent_spectra).  A matrix
   the certificate declines takes one fallback, _spectrum_from_key:
-  charpoly_int and eigenvalues_from_charpoly (sympy).  Spectrum.from_pairs
+  charpoly_int and eigenvalues_from_charpoly, both exact integer code
+  (Faddeev-LeVerrier over Z, then trial division).  Spectrum.from_pairs
   builds the key from exact eigenvalues.  The routes give the same key for
   the same multiset, and exactla.factor_roots decodes it into eigenvalues;
 * a spectrum with an irreducible factor of degree >= 3 is keyed by the
@@ -153,27 +154,28 @@ class Spectrum:
                                for v, m in values) + "}"
 
 
-def spectrum_of_int_matrix(arr, memo: Optional[dict] = None) -> Spectrum:
+def spectrum_of_int_matrix(arr) -> Spectrum:
     """Exact spectrum of one integer matrix, symmetric or not, float fallback
     if needed: the route of the intersection matrix of scheme.eigen_data.
 
     The key comes from exactla.certified_factors.  A matrix it declines goes,
     like every declined block of subconstituent_spectra, through
     _spectrum_from_key: charpoly_int and eigenvalues_from_charpoly, keeping
-    the coefficient tuple as its key when that finds a factor of degree >= 3.
-    ``memo`` maps certified keys and coefficient tuples to finished spectra;
-    GraphContext passes its own, so each distinct spectrum is built, and each
-    distinct polynomial factored, once per command.
+    the coefficient tuple as its key when that finds a factor of degree >= 3
+    or a non-real root.
     """
     arr = np.asarray(arr)
     if arr.shape[0] == 0:
         return Spectrum(())
-    return _spectrum_from_key(arr, certified_factors(arr), {} if memo is None else memo)
+    return _spectrum_from_key(arr, certified_factors(arr), {})
 
 
 def _spectrum_from_key(arr: np.ndarray, key: Optional[tuple], memo: dict) -> Spectrum:
     """The Spectrum of arr given its certified key, or, when the certificate
-    declined it (key None), by charpoly_int and eigenvalues_from_charpoly."""
+    declined it (key None), by charpoly_int and eigenvalues_from_charpoly.
+    ``memo`` maps certified keys and coefficient tuples to finished spectra,
+    so each distinct spectrum is built, and each distinct polynomial
+    factored, once per memo."""
     if key is not None:
         return memo.setdefault(key, Spectrum(key))
     coeffs = tuple(charpoly_int(arr))
@@ -262,7 +264,8 @@ def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
     The classes have one size k_i, as in any distance-regular graph, so their
     induced blocks are one (m, k_i, k_i) stack, cut out by one fancy index and
     certified by one exactla.certified_stack; the blocks it declines take the
-    charpoly_int route of spectrum_of_int_matrix.  ``memo`` is as there.
+    charpoly_int route of _spectrum_from_key, sharing ``memo`` (GraphContext
+    passes its own key memo).
     """
     dd = dd or distances(g)
     if not 1 <= i <= dd.D:

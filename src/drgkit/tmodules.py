@@ -229,17 +229,15 @@ class DimensionSequence:
 
 
 def dimension_sequence(md: ModuleDecomposition, p: SrgParams,
-                       d2_spectrum: Optional[Spectrum] = None) -> DimensionSequence:
-    """Counts of distinct classes per category; l2' is recounted from the
-    second-subconstituent spectrum when one is supplied."""
+                       d2_spectrum: Spectrum) -> DimensionSequence:
+    """Counts of distinct classes per category; l2' is counted from the
+    second-subconstituent spectrum, so DimensionSequence checks l1' = l2'
+    against an independent count."""
     l1 = sum(1 for d in md.descriptors if d.endpoint == 1 and d.dim == 1)
     l1p = sum(1 for d in md.descriptors if d.dim == 2)
     l2 = sum(1 for d in md.descriptors if d.endpoint == 2 and d.dim == 1)
-    if d2_spectrum is not None:
-        eff2 = effective_multiplicities(d2_spectrum, p.k - p.c)
-        l2p = sum(1 for v in eff2 if v != p.sigma and v != p.tau)
-    else:
-        l2p = l1p
+    eff2 = effective_multiplicities(d2_spectrum, p.k - p.c)
+    l2p = sum(1 for v in eff2 if v != p.sigma and v != p.tau)
     return DimensionSequence(l1=l1, l1p=l1p, l2=l2, l2p=l2p)
 
 

@@ -16,9 +16,10 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import drgkit
-from conftest import distance_matrices, span_contains
+from conftest import LATIN_SQUARE_6, distance_matrices, latin_square_graph, span_contains
 from drgkit import exactla
 from drgkit.exactla import (
     AlgebraicScalar,
@@ -33,7 +34,7 @@ from drgkit.exactla import (
 )
 from drgkit.context import GraphContext
 from drgkit.families import FamilySpec, construct, icosahedron
-from drgkit.graph_core import Graph, distances
+from drgkit.graph_core import Graph, distances, save_graph
 from drgkit.scheme import eigen_data, intersection_matrix
 
 
@@ -104,11 +105,6 @@ def test_square_free_split_cofactors_above_the_cube_root():
     for n in cases:
         assert square_free_split(n) == _factorint_split(n), n
     assert square_free_split(2**61 - 1) == (1, 2**61 - 1)
-
-
-def test_crt_primes_are_the_first_64_above_2_24():
-    assert list(exactla._crt_primes()) == list(
-        itertools.islice(sympy.primerange(2**24, 2**26), 64))
 
 
 def test_canonicalization():
@@ -363,6 +359,30 @@ def test_charpoly_large_entries():
     assert coeffs == [int(c) for c in expect]
 
 
+def test_charpoly_has_no_size_limit():
+    # past any fixed pool of CRT primes: the coefficients have about 800 digits
+    big = 10**400
+    coeffs = charpoly_int(np.diag(np.array([big, 3, -5], dtype=object)))
+    assert coeffs == [1, 2 - big, -15 - 2 * big, 15 * big]
+
+
+@pytest.mark.parametrize("n", [44, 50, 60])
+def test_charpoly_past_int64_matches_domain_matrix(monkeypatch, n):
+    """Symmetric 0/1 matrices whose Faddeev-LeVerrier products leave int64
+    for Python ints part way, against sympy's DomainMatrix.charpoly."""
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+    A = upper + upper.T
+    switches = []
+    to_object = exactla._to_object
+    monkeypatch.setattr(exactla, "_to_object", lambda a: switches.append(a.dtype) or to_object(a))
+    coeffs = charpoly_int(A)
+    assert np.dtype(np.int64) in switches  # an int64 M_k went over to Python ints
+    expect = DomainMatrix([[sympy.ZZ(v) for v in row] for row in A.tolist()],
+                          (n, n), sympy.ZZ).charpoly()
+    assert coeffs == [int(c) for c in expect]
+
+
 def test_eigenvalues_from_charpoly_quadratic():
     # (x^2 - x - 1)(x - 2): golden ratio pair plus 2
     coeffs = [1, -3, 1, 2]
@@ -404,15 +424,19 @@ def _poly(factors):
     return [int(c) for c in sympy.Poly(expr, x).all_coeffs()]
 
 
-def _spy_sympy(monkeypatch):
+def _spy_factoring(monkeypatch):
+    """Record each polynomial handed to eigenvalues_from_charpoly, through its
+    exactla binding (tests call exactla.eigenvalues_from_charpoly) and the
+    spectra binding of the declined route."""
     calls = []
-    original = exactla._sympy_factors
+    original = exactla.eigenvalues_from_charpoly
 
     def spy(coeffs):
         calls.append(tuple(coeffs))
         return original(coeffs)
 
-    monkeypatch.setattr(exactla, "_sympy_factors", spy)
+    for module in (exactla, drgkit.spectra):
+        monkeypatch.setattr(module, "eigenvalues_from_charpoly", spy)
     return calls
 
 
@@ -430,8 +454,9 @@ _CORPUS = [("shrikhande", ()), ("rook_grid", (4,)), ("johnson", (8, 2)), ("chang
 
 def test_corpus_intersection_charpolys_match_sympy_without_it(monkeypatch):
     """The intersection matrices are not symmetric; certified_factors proposes
-    from np.linalg.eigvals and decides all but C7's without sympy."""
-    calls = _spy_sympy(monkeypatch)
+    from np.linalg.eigvals and decides all but C7's without the factoring
+    route."""
+    calls = _spy_factoring(monkeypatch)
     for family, params in _CORPUS:
         B = intersection_matrix(GraphContext.of(construct(FamilySpec(family, params))).params)
         key = certified_factors(B)
@@ -441,7 +466,7 @@ def test_corpus_intersection_charpolys_match_sympy_without_it(monkeypatch):
     c7 = intersection_matrix(GraphContext.of(_cycle_graph(7)).params)
     assert certified_factors(c7) is None
     coeffs = tuple(charpoly_int(c7))
-    assert eigenvalues_from_charpoly(coeffs) is None is _sympy_route(coeffs)
+    assert exactla.eigenvalues_from_charpoly(coeffs) is None is _sympy_route(coeffs)
     assert calls == [coeffs]
 
 
@@ -474,16 +499,17 @@ def _companion(coeffs) -> np.ndarray:
 def test_random_products_match_sympy(monkeypatch, max_mult):
     """eigenvalues_from_charpoly against the sympy oracle, and the certificate
     on the companion matrix of each product: it decides every product with
-    simple roots without sympy.  A repeated root makes the companion matrix
-    non-diagonalizable, so the certificate declines it; it is never wrong."""
-    calls = _spy_sympy(monkeypatch)
+    simple roots without the factoring route.  A repeated root makes the
+    companion matrix non-diagonalizable, so the certificate declines it; it
+    is never wrong."""
+    calls = _spy_factoring(monkeypatch)
     rng = random.Random(max_mult)
     certified = 0
     for _ in range(150):
         coeffs = _poly(_random_factors(rng, max_mult))
         expected = _sympy_route(coeffs)
         key = certified_factors(_companion(coeffs))
-        factored = eigenvalues_from_charpoly(coeffs)
+        factored = exactla.eigenvalues_from_charpoly(coeffs)
         if key is not None:
             certified += 1
             assert factor_roots(key) == expected, coeffs
@@ -494,12 +520,36 @@ def test_random_products_match_sympy(monkeypatch, max_mult):
         assert certified == 150
 
 
-def test_cubic_fields_go_to_sympy_and_give_none(monkeypatch):
-    calls = _spy_sympy(monkeypatch)
+def test_cubic_fields_give_none(monkeypatch):
+    calls = _spy_factoring(monkeypatch)
     c7 = charpoly_int(np.asarray(_cycle_graph(7).adjacency, dtype=np.int64))
     for coeffs in (c7, [1, 0, -3, 1]):
-        assert eigenvalues_from_charpoly(coeffs) is None is _sympy_route(coeffs)
+        assert exactla.eigenvalues_from_charpoly(coeffs) is None is _sympy_route(coeffs)
     assert len(calls) == 2
+
+
+_MIXED = ["x - 3", "x + 2", "x", "x - 1", "x**2 - 5", "x**2 - x - 1", "x**2 - 3*x - 7",
+          "x**2 + 1", "x**2 + x + 1", "x**2 + 2*x + 5",     # non-real pairs
+          "x**3 - 3*x + 1", "x**3 - 2", "x**3 - x - 1",      # cubic fields
+          "x**4 - 10*x**2 + 1", "x**4 - 4*x**2 + 2", "x**4 + 1"]
+
+
+def test_random_mixed_products_match_sympy():
+    """Products with irreducible cubics and quartics, non-real quadratics and
+    repeated factors next to the integer and real quadratic ones: whatever
+    trial division leaves makes the answer None, as sympy's factors do."""
+    x = sympy.Symbol("x")
+    factors = [sympy.sympify(f, locals={"x": x}) for f in _MIXED]
+    rng = random.Random(19)
+    for _ in range(200):
+        expr = sympy.Mul(*[rng.choice(factors) ** rng.randint(1, 3)
+                           for _ in range(rng.randint(1, 4))])
+        coeffs = [int(c) for c in sympy.Poly(expr, x).all_coeffs()]
+        expected = _sympy_route(coeffs)
+        key = eigenvalues_from_charpoly(coeffs)
+        assert (key is None) is (expected is None), expr
+        if key is not None:
+            assert factor_roots(key) == expected, expr
 
 
 @pytest.mark.parametrize("wrong", [
@@ -515,7 +565,7 @@ def test_wrong_clusters_fall_back_to_sympy(monkeypatch, wrong):
     B = intersection_matrix(ctx.params)
     expected = _sympy_route(charpoly_int(B))
     assert _certify_proposal(monkeypatch, B, wrong) is None
-    calls = _spy_sympy(monkeypatch)
+    calls = _spy_factoring(monkeypatch)
     ed = eigen_data(ctx.params)  # the wrong proposal is still in place
     assert ed.exact and ed.theta == tuple(v for v, _ in expected)
     assert calls == [tuple(charpoly_int(B))]
@@ -550,8 +600,11 @@ print(json.dumps(seen))
 """
 
 
-def test_sympy_is_imported_only_for_cubic_fields(tmp_path):
-    """pytest has sympy loaded already, so a fresh interpreter runs the commands."""
+def test_no_command_imports_sympy(tmp_path):
+    """pytest has sympy loaded already, so a fresh interpreter runs the
+    commands, the declined matrices of C7 and of the Latin square's local
+    graphs (cubic fields) included."""
+    save_graph(latin_square_graph(LATIN_SQUARE_6), tmp_path / "latin.json")
     graphs = [("shrikhande", "shrikhande", ()), ("rook4", "rook_grid", (4,)),
               ("j82", "johnson", (8, 2)), ("chang1", "chang", (1,)),
               ("chang2", "chang", (2,)), ("chang3", "chang", (3,)),
@@ -562,7 +615,8 @@ def test_sympy_is_imported_only_for_cubic_fields(tmp_path):
     ops += [["tiso", f"{a}.json", f"{b}.json"]
             for a, b in (("shrikhande", "rook4"), ("j82", "chang1"), ("chang2", "chang3"))]
     ops += [["analyze", "j84.json"], ["analyze", "halved8.json"],
-            ["analyze", "c7.json", "--float-fallback"]]
+            ["analyze", "c7.json", "--all-vertices", "--float-fallback"],
+            ["analyze", "latin.json", "--all-vertices", "--float-fallback"]]
     src = str(Path(drgkit.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, str(tmp_path),
                            json.dumps(graphs), json.dumps(ops)],
@@ -570,7 +624,6 @@ def test_sympy_is_imported_only_for_cubic_fields(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     expected = {"import drgkit.cli": False, **{" ".join(op): False for op in ops}}
-    expected["analyze c7.json --float-fallback"] = True
     assert json.loads(proc.stdout) == expected
 
 
