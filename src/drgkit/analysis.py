@@ -12,11 +12,11 @@ classes in their canonical order, exact scalars rendered as canonical strings.
 One report builds one context.GraphContext and passes it to every layer, the
 pvt verdict included, so each distance table, local spectrum, factored
 characteristic polynomial and closure dimension is computed once per report.
-A report on every vertex fills the local spectra one distance class at a time
-(GraphContext.subconstituent_spectra); a report on some vertices takes them
-one vertex at a time, so analyzing one base vertex of a large Taylor or AT4
-cover, whose verdict reads no local spectra, certifies only that vertex's
-blocks.
+The report asks GraphContext.subconstituent_spectra once per distance class
+for exactly its own vertices, so each class is one stack of the vertices the
+verdict did not already certify, and analyzing one base vertex of a large
+Taylor or AT4 cover, whose verdict reads no local spectra, certifies only
+that vertex's blocks.
 The eigen data and the classification route are read from the context's
 memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
 decided once per report, and tmodules.decompose follows it, taking its
@@ -130,17 +130,13 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
             parameters.append(2)  # AT4(p, q, 2)
         graph_section["classification"] = {"type": route, "parameters": parameters}
 
-    if set(vertices) == set(range(g.n)):  # every vertex: one stack per class
-        for i in range(1, params.D + 1):
-            ctx.subconstituent_spectra(i)
+    by_class = [ctx.subconstituent_spectra(i, vertices) for i in range(1, params.D + 1)]
     vertex_records = []
     decomposition_flags: set[str] = set()
-    for x in vertices:
+    for x, specs in zip(vertices, zip(*by_class)):
         record = {"vertex": x}
-        specs = []
         exact_ok = True
-        for i in range(1, params.D + 1):
-            s = ctx.subconstituent_spectrum(x, i)
+        for i, s in enumerate(specs, 1):
             if not s.exact:
                 if not allow_float:
                     raise AnalysisError(
@@ -149,7 +145,6 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                     )
                 exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
-            specs.append(s)
         record["subconstituent_spectra"] = [_spectrum_json(s.pairs) for s in specs]
         dim_t = ctx.terwilliger_dimension(x)
         record["dim_T"] = dim_t

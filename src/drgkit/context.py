@@ -17,18 +17,13 @@ graph-level values are computed on first access and kept:
 It also memoizes the per-vertex results that analysis, pvt, tmodules and
 tables ask for more than once:
 
-* subconstituent spectra, keyed by (x, i).  subconstituent_spectrum(x, i)
-  fills one entry; subconstituent_spectra(i) fills every vertex's entry of
-  class i still missing from one stacked certificate, for the callers that
-  need all of them (check_pvt's SRG and generic routes, and so
-  t_isomorphic_srg; analyze_graph when its report covers every vertex);
-* the finished Spectrum of each certified factor key ((r, m), ...,
-  (s, p, m), ...) and of each charpoly_int coefficient tuple of a block that
-  exactla.certified_factors declined, float spectra included.  Blocks with
-  one key share one Spectrum, so its eigenvalues are decoded (and sorted)
-  once, and each declined polynomial is factored once.  Equality of spectra
-  does not rest on this sharing: Spectrum == compares keys, so it holds
-  across contexts too;
+* subconstituent spectra, keyed by (x, i).  subconstituent_spectra(i,
+  vertices) is the one code that computes them: it certifies the requested
+  vertices of class i that are not yet in the memo, each once, as one stack
+  (spectra.subconstituent_spectra), whose blocks with one key share one
+  Spectrum.  subconstituent_spectrum(x, i) is its one-vertex view, with the
+  refusal of float spectra.  Equality of spectra does not rest on sharing:
+  Spectrum == compares keys, so it holds across stacks and contexts too;
 * dim T(x) from the algebra closure, keyed by x;
 * srg_modules: tmodules.decompose's SRG module decompositions, keyed by the
   exact local Spectrum, which with the route's SrgParams is all that
@@ -70,7 +65,6 @@ from .spectra import (
     Spectrum,
     SrgParams,
     subconstituent_spectra,
-    subconstituent_spectrum,
 )
 from .terwilliger import terwilliger_dimension
 
@@ -85,7 +79,6 @@ class GraphContext:
     dd: DistanceData
     params: DrgParameters
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
-    _by_key: dict = field(default_factory=dict, init=False, repr=False)
     _dims: dict = field(default_factory=dict, init=False, repr=False)
     srg_modules: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -120,34 +113,31 @@ class GraphContext:
         return None
 
     def subconstituent_spectrum(self, x: int, i: int, allow_float: bool = True) -> Spectrum:
-        """Spectrum of the distance-i class of x, computed once per (x, i).
+        """Spectrum of the distance-i class of x, from subconstituent_spectra.
 
         One memo entry serves both settings of allow_float: an exact spectrum
         is the answer under either, and a float one raises ValueError when
         the caller does not allow it.
         """
-        key = (x, i)
-        spec = self._spectra.get(key)
-        if spec is None:
-            spec = subconstituent_spectrum(self.graph, x, i, self.dd, memo=self._by_key)
-            self._spectra[key] = spec
+        spec = self.subconstituent_spectra(i, [x])[0]
         if not (spec.exact or allow_float):
             raise ValueError(FLOAT_REFUSED)
         return spec
 
-    def subconstituent_spectra(self, i: int) -> tuple:
-        """The spectra of the distance-i classes of all vertices, x = 0..n-1.
+    def subconstituent_spectra(self, i: int, vertices=None) -> tuple:
+        """The spectra of the distance-i classes of the given vertices
+        (default: every vertex), in their order.
 
-        Fills the (x, i) memo for every x not yet in it from one stack
-        (spectra.subconstituent_spectra).  For callers that need every
-        vertex; float spectra are returned as they are, for the caller to
-        refuse or flag.
+        One stack (spectra.subconstituent_spectra) fills the (x, i) memo for
+        every requested x not yet in it, a repeated x once.  Float spectra
+        are returned as they are, for the caller to refuse or flag.
         """
-        missing = [x for x in range(self.params.n) if (x, i) not in self._spectra]
+        vertices = range(self.params.n) if vertices is None else vertices
+        missing = list(dict.fromkeys(x for x in vertices if (x, i) not in self._spectra))
         if missing:
-            specs = subconstituent_spectra(self.graph, i, self.dd, self._by_key, missing)
+            specs = subconstituent_spectra(self.graph, i, self.dd, missing)
             self._spectra.update(((x, i), spec) for x, spec in zip(missing, specs))
-        return tuple(self._spectra[(x, i)] for x in range(self.params.n))
+        return tuple(self._spectra[(x, i)] for x in vertices)
 
     def terwilliger_dimension(self, x: int) -> int:
         """dim T(x) by the algebra closure, computed once per x."""

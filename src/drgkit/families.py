@@ -54,19 +54,6 @@ __all__ = [
     "chang",
 ]
 
-FAMILY_ARITY = {
-    "johnson": 2,
-    "halved_cube": 1,
-    "hamming": 2,
-    "shrikhande": 0,
-    "rook_grid": 1,
-    "triangular_complement": 1,
-    "complete_bipartite": 1,
-    "icosahedron": 0,
-    "chang": 1,
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -86,17 +73,7 @@ class FamilySpec:
 
 def construct(spec: FamilySpec) -> Graph:
     """Build the named family member."""
-    fn = {
-        "johnson": johnson,
-        "halved_cube": halved_cube,
-        "hamming": hamming,
-        "shrikhande": shrikhande,
-        "rook_grid": rook_grid,
-        "triangular_complement": triangular_complement,
-        "complete_bipartite": complete_bipartite,
-        "icosahedron": icosahedron,
-        "chang": chang,
-    }[spec.family]
+    fn, _ = _FAMILIES[spec.family]
     return fn(*spec.params)
 
 
@@ -252,3 +229,19 @@ def chang_switching_set(variant: int) -> list[int]:
 def chang(variant: int) -> Graph:
     g = seidel_switch(johnson(8, 2), chang_switching_set(variant))
     return Graph(g.adjacency, label=f"Chang-{variant}")
+
+
+# family name -> (constructor, number of integer parameters), the one table
+# that construct, FamilySpec and the CLI's --family choices read
+_FAMILIES = {
+    "johnson": (johnson, 2),
+    "halved_cube": (halved_cube, 1),
+    "hamming": (hamming, 2),
+    "shrikhande": (shrikhande, 0),
+    "rook_grid": (rook_grid, 1),
+    "triangular_complement": (triangular_complement, 1),
+    "complete_bipartite": (complete_bipartite, 1),
+    "icosahedron": (icosahedron, 0),
+    "chang": (chang, 1),
+}
+FAMILY_ARITY = {name: arity for name, (_, arity) in _FAMILIES.items()}

@@ -34,12 +34,13 @@ of all-ones has dimension mult - 1.  For connected subconstituents this just
 removes the Perron eigenvalue; for disconnected ones the extra copies count
 as local.
 
-The functions here keep no state between calls.  The per-command memos of
-subconstituent spectra, by (x, i) and by key, live on context.GraphContext,
-which passes its distance data, its key memo (``memo``) and the vertices it
-still lacks in here; a memo kept at module level would let one command answer
-from another's results.  Within one call, subconstituent_spectra certifies a
-whole distance class at once and builds one Spectrum per distinct key.
+The functions here keep no state between calls.  The per-command memo of
+subconstituent spectra, by (x, i), lives on context.GraphContext, the one
+production caller of subconstituent_spectra, which passes in its distance
+data and the vertices it still lacks; a memo kept at module level would let
+one command answer from another's results.  Within one call,
+subconstituent_spectra certifies the requested classes as one stack and
+builds one Spectrum per distinct key.
 """
 
 from __future__ import annotations
@@ -170,19 +171,19 @@ def spectrum_of_int_matrix(arr) -> Spectrum:
     return _spectrum_from_key(arr, certified_factors(arr), {})
 
 
-def _spectrum_from_key(arr: np.ndarray, key: Optional[tuple], memo: dict) -> Spectrum:
+def _spectrum_from_key(arr: np.ndarray, key: Optional[tuple], built: dict) -> Spectrum:
     """The Spectrum of arr given its certified key, or, when the certificate
     declined it (key None), by charpoly_int and eigenvalues_from_charpoly.
-    ``memo`` maps certified keys and coefficient tuples to finished spectra,
-    so each distinct spectrum is built, and each distinct polynomial
-    factored, once per memo."""
+    ``built`` maps the certified keys and coefficient tuples of one call to
+    their finished spectra, so within that call each distinct spectrum is
+    built, and each distinct polynomial factored, once."""
     if key is not None:
-        return memo.setdefault(key, Spectrum(key))
+        return built.setdefault(key, Spectrum(key))
     coeffs = tuple(charpoly_int(arr))
-    if coeffs not in memo:
+    if coeffs not in built:
         factors = eigenvalues_from_charpoly(coeffs)
-        memo[coeffs] = _float_spectrum(arr, coeffs) if factors is None else Spectrum(factors)
-    return memo[coeffs]
+        built[coeffs] = _float_spectrum(arr, coeffs) if factors is None else Spectrum(factors)
+    return built[coeffs]
 
 
 def _float_spectrum(arr: np.ndarray, coeffs: tuple) -> Spectrum:
@@ -246,26 +247,24 @@ def srg_spectrum(p: SrgParams) -> Spectrum:
 
 
 def subconstituent_spectrum(g: Graph, x: int, i: int,
-                            dd: Optional[DistanceData] = None,
-                            memo: Optional[dict] = None) -> Spectrum:
+                            dd: Optional[DistanceData] = None) -> Spectrum:
     """Spectrum of the subgraph induced on the distance-i class of x: exact,
-    or flagged float when the local polynomial needs a field of degree >= 3
-    (GraphContext.subconstituent_spectrum refuses those on request).  The
-    one-vertex case of subconstituent_spectra.
+    or flagged float when the local polynomial needs a field of degree >= 3.
+    The one-vertex case of subconstituent_spectra, for library callers.
     """
-    return subconstituent_spectra(g, i, dd, memo, [x])[0]
+    return subconstituent_spectra(g, i, dd, [x])[0]
 
 
 def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
-                           memo: Optional[dict] = None, vertices=None) -> list[Spectrum]:
+                           vertices=None) -> list[Spectrum]:
     """The subconstituent spectra of the distance-i classes of the given
     vertices (default: every vertex), in their order.
 
     The classes have one size k_i, as in any distance-regular graph, so their
     induced blocks are one (m, k_i, k_i) stack, cut out by one fancy index and
     certified by one exactla.certified_stack; the blocks it declines take the
-    charpoly_int route of _spectrum_from_key, sharing ``memo`` (GraphContext
-    passes its own key memo).
+    charpoly_int route of _spectrum_from_key.  Blocks with one key share one
+    Spectrum, so its eigenvalues are decoded once per call.
     """
     dd = dd or distances(g)
     if not 1 <= i <= dd.D:
@@ -279,8 +278,8 @@ def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
         raise ValueError(f"distance-{i} classes of different sizes: not distance-regular")
     cls = cols.reshape(len(vertices), -1)
     blocks = g.adjacency[cls[:, :, None], cls[:, None, :]].astype(np.int64)
-    memo = {} if memo is None else memo
-    return [_spectrum_from_key(b, key, memo) for b, key in zip(blocks, certified_stack(blocks))]
+    built: dict = {}
+    return [_spectrum_from_key(b, key, built) for b, key in zip(blocks, certified_stack(blocks))]
 
 
 def effective_multiplicities(s: Spectrum, valency) -> dict[AlgebraicScalar, int]:

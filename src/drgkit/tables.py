@@ -35,7 +35,7 @@ from .families import (
 from .graph_core import Graph
 from .pvt import check_pvt, gq_dim, t_isomorphic_srg
 from .scheme import tightness
-from .spectra import Spectrum, second_subconstituent_derived
+from .spectra import FLOAT_REFUSED, Spectrum, second_subconstituent_derived
 from .tmodules import decompose, dimension_sequence, srg_dim_formula, wedderburn_dim
 
 __all__ = ["TABLES", "reproduce_table"]
@@ -58,8 +58,9 @@ def _record_groups(g: Graph) -> dict:
     """Group vertices by (local spectrum, dim T); returns {key: sorted verts}."""
     ctx = GraphContext.of(g)
     groups: dict = {}
-    for x in range(g.n):
-        spec = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+    for x, spec in enumerate(ctx.subconstituent_spectra(1)):
+        if not spec.exact:
+            raise ValueError(FLOAT_REFUSED)
         groups.setdefault((spec, ctx.terwilliger_dimension(x)), []).append(x)
     return groups
 
@@ -80,14 +81,9 @@ def reproduce_shrikhande():
     for g, local_exp, dim_exp in expected:
         ctx = GraphContext.of(g)
         ctxs.append(ctx)
-        dims = set()
-        weds = set()
-        locals_ok = True
-        for x in range(g.n):
-            spec = ctx.subconstituent_spectrum(x, 1)
-            locals_ok &= spec == local_exp
-            dims.add(ctx.terwilliger_dimension(x))
-            weds.add(wedderburn_dim(decompose(ctx, x)))
+        locals_ok = all(spec == local_exp for spec in ctx.subconstituent_spectra(1))
+        dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
+        weds = {wedderburn_dim(decompose(ctx, x)) for x in range(g.n)}
         ok &= _row(lines, locals_ok, f"{g.label}: local spectrum {local_exp} at all vertices")
         ok &= _row(lines, dims == {dim_exp},
                    f"{g.label}: closure dim {sorted(dims)} == {dim_exp} at all vertices")
@@ -195,14 +191,10 @@ def reproduce_taylor():
     ok = True
     for g, msig in ((icosahedron(), 2), (johnson(6, 3), 4)):
         ctx = GraphContext.of(g)
-        dims = set()
-        mults = set()
-        for x in range(g.n):
-            md = decompose(ctx, x)
-            dims.add(wedderburn_dim(md))
-            dims.add(ctx.terwilliger_dimension(x))
-            eps1 = tuple(sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1))
-            mults.add(eps1)
+        mds = [decompose(ctx, x) for x in range(g.n)]
+        dims = {ctx.terwilliger_dimension(x) for x in range(g.n)} | set(map(wedderburn_dim, mds))
+        mults = {tuple(sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1))
+                 for md in mds}
         ok &= _row(lines, dims == {24},
                    f"{g.label}: dim T = {sorted(dims)} == 24 at every vertex "
                    "(closure and Wedderburn)")
@@ -228,20 +220,13 @@ def _at4_suite(lines, g, p, q, expect):
     d2 = ctx.subconstituent_spectrum(0, 2)
     ok &= _row(lines, len(d2.pairs) <= 7,
                f"{g.label}: second subconstituent has {len(d2.pairs)} <= 7 distinct eigenvalues")
-    dims = set()
-    a1s = set()
-    ells = set()
-    eta_ok = True
     thetas = set(ctx.eigen.theta[1:])
-    for x in range(g.n):
-        md = decompose(ctx, x)
-        dims.add(wedderburn_dim(md))
-        dims.add(ctx.terwilliger_dimension(x))
-        a1 = tuple(str(d.a_seq[1]) for d in md.descriptors if d.endpoint == 1)
-        a1s.add(a1)
-        ep2 = [d for d in md.descriptors if d.endpoint == 2]
-        ells.add(len(ep2))
-        eta_ok &= all(d.local_eigenvalue in thetas for d in ep2)
+    mds = [decompose(ctx, x) for x in range(g.n)]
+    ep2s = [[d for d in md.descriptors if d.endpoint == 2] for md in mds]
+    dims = {ctx.terwilliger_dimension(x) for x in range(g.n)} | set(map(wedderburn_dim, mds))
+    a1s = {tuple(str(d.a_seq[1]) for d in md.descriptors if d.endpoint == 1) for md in mds}
+    ells = {len(ep2) for ep2 in ep2s}
+    eta_ok = all(d.local_eigenvalue in thetas for ep2 in ep2s for d in ep2)
     ell = expect["ell"]
     ok &= _row(lines, ells == {ell},
                f"{g.label}: number of endpoint-2 classes = {sorted(ells)} == {ell}")

@@ -5,7 +5,10 @@ decompose_srg, decompose_taylor or decompose_at4 (None on the generic
 route), and each of them reads its parameters from the context, so no caller
 passes them.  Every route reads the graph's eigenvalues theta_0 > ... >
 theta_D from GraphContext.eigen, the certified spectrum of the intersection
-array; none is written here in closed form.  One _primary builds the primary
+array.  The one closed form is decompose_srg's sigma and tau, read from the
+route's SrgParams (which the route builds without GraphContext.eigen, so a
+verdict never computes it); _check_a_sum checks every class built from them
+against GraphContext.eigen.theta.  One _primary builds the primary
 module of every route from the intersection numbers, and the Taylor and AT4
 routes check each local spectrum against GraphContext.route_local in one
 place (_cover_local).

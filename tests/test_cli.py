@@ -300,6 +300,17 @@ def test_reproduce_exit_codes(capsys):
     assert run(["reproduce", "--table", "gq", "--slow"]) == 1
 
 
+def test_base_vertex_out_of_range_is_a_usage_error(tmp_path, capsys):
+    g_path = tmp_path / "c10.json"
+    g_path.write_text(json.dumps({"n": 10, "edges": [sorted((v, (v + 1) % 10))
+                                                    for v in range(10)]}))
+    for v in (-1, 10):
+        assert run(["analyze", str(g_path), "--base-vertex", str(v)]) == 1
+        assert capsys.readouterr().err == f"error: base vertex {v} out of range\n"
+    assert run(["analyze", str(g_path), "--base-vertex", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"][0]["vertex"] == 9
+
+
 def test_all_vertices_gate(tmp_path):
     g_path = tmp_path / "hc.json"
     run(["construct", "--family", "halved_cube", "--params", "8", "--out", str(g_path)])

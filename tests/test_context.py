@@ -18,6 +18,7 @@ from drgkit.families import chang, hamming, icosahedron, johnson, rook_grid, shr
 from drgkit.graph_core import save_graph
 from drgkit.pvt import check_pvt, t_isomorphic_srg
 from drgkit.spectra import FLOAT_REFUSED, SrgParams
+from drgkit.tables import reproduce_chang
 from drgkit.tmodules import decompose
 
 
@@ -38,9 +39,9 @@ def _spy(monkeypatch, module, name):
 
 
 def _vertices(args) -> list:
-    """The vertices of a recorded subconstituent_spectra(g, i, dd, memo,
-    vertices) call: all of g's when none are given."""
-    return list(range(args[0].n)) if len(args) < 5 or args[4] is None else list(args[4])
+    """The vertices of a recorded subconstituent_spectra(g, i, dd, vertices)
+    call: all of g's when none are given."""
+    return list(range(args[0].n)) if len(args) < 4 or args[3] is None else list(args[3])
 
 
 def test_analyze_computes_each_result_once(monkeypatch):
@@ -48,8 +49,7 @@ def test_analyze_computes_each_result_once(monkeypatch):
     charpolys = _spy(monkeypatch, drgkit.exactla, "charpoly_int")
     factored = _spy(monkeypatch, drgkit.exactla, "eigenvalues_from_charpoly")
     decoded = _spy(monkeypatch, drgkit.exactla, "factor_roots")
-    # every block is built in subconstituent_spectra, whose one-vertex case is
-    # subconstituent_spectrum, so its calls count each (x, i) on both routes
+    # every block is built in subconstituent_spectra, so its calls count each (x, i)
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
     closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
     dists = _spy(monkeypatch, drgkit.graph_core, "distances")
@@ -78,6 +78,30 @@ def test_class_stack_fills_only_missing_vertices(monkeypatch):
     one_by_one = GraphContext.of(chang(1))
     assert specs == tuple(one_by_one.subconstituent_spectrum(x, 1) for x in range(28))
     assert len(set(specs)) == 2
+    spectra.clear()  # a repeated vertex is stacked once and answered in place
+    twice = ctx.subconstituent_spectra(2, [4, 1, 4])
+    assert [_vertices(args) for args in spectra] == [[4, 1]] and twice[0] is twice[2]
+
+
+def test_report_on_some_vertices_stacks_each_class_once(monkeypatch):
+    """A report on three vertices of Chang-1 asks for each distance class
+    once: class 1 comes from the verdict's stack of every vertex, class 2 is
+    one stack of exactly the three; the records are those of three
+    one-vertex reports."""
+    g = chang(1)
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
+    report = analyze_graph(g, [0, 5, 9])
+    assert [(args[1], _vertices(args)) for args in spectra] == [
+        (1, list(range(28))), (2, [0, 5, 9])]
+    assert report["vertices"] == [analyze_graph(g, [x])["vertices"][0] for x in (0, 5, 9)]
+
+
+def test_reproduce_chang_stacks_class_1_once_per_graph(monkeypatch):
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
+    ok, _ = reproduce_chang()
+    assert ok
+    assert [(args[0].n, args[1], _vertices(args)) for args in spectra] == [
+        (28, 1, list(range(28)))] * 4
 
 
 def test_srg_decomposition_is_built_once_per_local_spectrum(monkeypatch):
@@ -123,7 +147,7 @@ def test_of_returns_the_given_context():
 
 def test_float_spectrum_is_computed_once_and_refused_without_fallback(
         monkeypatch, float_local_spectra):
-    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
+    spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
     ctx = GraphContext.of(shrikhande())
     spec = ctx.subconstituent_spectrum(0, 1)
     assert not spec.exact and spec.size == 6

@@ -616,7 +616,9 @@ def test_no_command_imports_sympy(tmp_path):
             for a, b in (("shrikhande", "rook4"), ("j82", "chang1"), ("chang2", "chang3"))]
     ops += [["analyze", "j84.json"], ["analyze", "halved8.json"],
             ["analyze", "c7.json", "--all-vertices", "--float-fallback"],
-            ["analyze", "latin.json", "--all-vertices", "--float-fallback"]]
+            ["analyze", "latin.json", "--all-vertices", "--float-fallback"],
+            ["construct", "--family", "icosahedron", "--out", "built.json"],
+            ["reproduce", "--table", "j82"]]
     src = str(Path(drgkit.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, str(tmp_path),
                            json.dumps(graphs), json.dumps(ops)],
