@@ -36,8 +36,8 @@ as local.
 
 The functions here keep no state between calls.  The per-command memo of
 subconstituent spectra, by (x, i), lives on context.GraphContext, the one
-production caller of subconstituent_spectra, which passes in its distance
-data and the vertices it still lacks; a memo kept at module level would let
+production caller of the two functions, which passes in its distance data
+and the vertices it still lacks; a memo kept at module level would let
 one command answer from another's results.  Within one call,
 subconstituent_spectra certifies the requested classes as one stack and
 builds one Spectrum per distinct key.
@@ -250,7 +250,8 @@ def subconstituent_spectrum(g: Graph, x: int, i: int,
                             dd: Optional[DistanceData] = None) -> Spectrum:
     """Spectrum of the subgraph induced on the distance-i class of x: exact,
     or flagged float when the local polynomial needs a field of degree >= 3.
-    The one-vertex case of subconstituent_spectra, for library callers.
+    The one-vertex case of subconstituent_spectra, for library callers and
+    for a context request that lacks one vertex.
     """
     return subconstituent_spectra(g, i, dd, [x])[0]
 
@@ -258,7 +259,8 @@ def subconstituent_spectrum(g: Graph, x: int, i: int,
 def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
                            vertices=None) -> list[Spectrum]:
     """The subconstituent spectra of the distance-i classes of the given
-    vertices (default: every vertex), in their order.
+    vertices (default: every vertex), in their order.  A vertex outside
+    0..n-1 raises ValueError, not a numpy index that wraps round.
 
     The classes have one size k_i, as in any distance-regular graph, so their
     induced blocks are one (m, k_i, k_i) stack, cut out by one fancy index and
@@ -270,6 +272,8 @@ def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
     if not 1 <= i <= dd.D:
         raise ValueError(f"distance class {i} out of range 1..{dd.D}")
     vertices = np.arange(g.n) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    if (outside := vertices[(vertices < 0) | (vertices >= g.n)]).size:
+        raise ValueError(f"vertex {outside[0]} out of range 0..{g.n - 1}")
     rows, cols = np.nonzero(dd.dist[vertices] == i)
     sizes = np.bincount(rows, minlength=len(vertices))
     if (sizes == 0).any():

@@ -35,7 +35,7 @@ from .families import (
 from .graph_core import Graph
 from .pvt import check_pvt, gq_dim, t_isomorphic_srg
 from .scheme import tightness
-from .spectra import FLOAT_REFUSED, Spectrum, second_subconstituent_derived
+from .spectra import Spectrum, second_subconstituent_derived
 from .tmodules import decompose, dimension_sequence, srg_dim_formula, wedderburn_dim
 
 __all__ = ["TABLES", "reproduce_table"]
@@ -57,10 +57,10 @@ def _row(lines, ok, text):
 def _record_groups(g: Graph) -> dict:
     """Group vertices by (local spectrum, dim T); returns {key: sorted verts}."""
     ctx = GraphContext.of(g)
+    ctx.subconstituent_spectra(1)  # the whole class as one stack
     groups: dict = {}
-    for x, spec in enumerate(ctx.subconstituent_spectra(1)):
-        if not spec.exact:
-            raise ValueError(FLOAT_REFUSED)
+    for x in range(g.n):
+        spec = ctx.subconstituent_spectrum(x, 1, allow_float=False)
         groups.setdefault((spec, ctx.terwilliger_dimension(x)), []).append(x)
     return groups
 

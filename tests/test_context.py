@@ -83,6 +83,27 @@ def test_class_stack_fills_only_missing_vertices(monkeypatch):
     assert [_vertices(args) for args in spectra] == [[4, 1]] and twice[0] is twice[2]
 
 
+def test_vertex_outside_the_graph_is_refused_and_not_memoized():
+    g = chang(1)
+    ctx = GraphContext.of(g)
+    with pytest.raises(ValueError, match="vertex -1 out of range 0..27"):
+        ctx.subconstituent_spectra(1, [-1])
+    with pytest.raises(ValueError, match="vertex 28 out of range 0..27"):
+        ctx.subconstituent_spectrum(g.n, 1)
+    with pytest.raises(ValueError, match="vertex -28 out of range"):
+        ctx.subconstituent_spectra(1, [0, -28])
+    assert ctx._spectra == {}
+
+
+def test_lone_missing_vertex_takes_the_one_vertex_helper(monkeypatch):
+    one = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
+    ctx = GraphContext.of(chang(1))
+    ctx.subconstituent_spectrum(3, 1)
+    ctx.subconstituent_spectra(1, [3, 4])
+    ctx.subconstituent_spectra(1, [5, 6])
+    assert [args[1:3] for args in one] == [(3, 1), (4, 1)]
+
+
 def test_report_on_some_vertices_stacks_each_class_once(monkeypatch):
     """A report on three vertices of Chang-1 asks for each distance class
     once: class 1 comes from the verdict's stack of every vertex, class 2 is

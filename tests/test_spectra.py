@@ -84,6 +84,9 @@ def test_subconstituent_icosahedron_pentagon():
 def test_subconstituent_out_of_range():
     with pytest.raises(ValueError):
         subconstituent_spectrum(icosahedron(), 0, 4)
+    for x in (-1, 12):  # a negative vertex would otherwise wrap round
+        with pytest.raises(ValueError, match=f"vertex {x} out of range 0..11"):
+            subconstituent_spectrum(icosahedron(), x, 1)
 
 
 def test_class_stack_needs_equal_class_sizes():
