@@ -12,8 +12,12 @@ module.  The guiding constraints:
   products, characteristic polynomials).  int64 is used whenever a bound
   check proves it safe, with Python-int object arrays as the overflow
   fallback.
-* Linear independence is decided by fraction-free row reduction with gcd
-  stripping; no floating point is consulted for any exact decision.
+* Linear independence is decided against a reduced integer echelon form
+  kept as one matrix R (ExactSpan): a vector v reduces against every row in
+  one integer product, L v - (v[pivots] * (L // p)) @ R with p the pivot
+  entries and L their lcm, and an accepted row is stripped of its content and
+  back-substituted into the other rows in one vectorized step.  No floating
+  point is consulted for any exact decision.
 * Spectra of integer matrices have one certificate, certified_stack: floats
   propose, integers certify.  It takes an (m, k, k) stack, such as the
   subconstituent blocks of one distance class, reads integer roots and
@@ -60,7 +64,6 @@ __all__ = [
 ]
 
 _INT64_SAFE = 2**62
-_STRIP_THRESHOLD = 2**40
 
 
 def square_free_split(n: int) -> tuple[int, int]:
@@ -341,10 +344,16 @@ def _to_object(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product; int64 when provably overflow-free."""
+def _imatmul(A: np.ndarray, B: np.ndarray, bound: Optional[int] = None) -> np.ndarray:
+    """Exact integer matrix product; int64 when provably overflow-free.
+
+    bound, when the caller knows one, bounds the product's entries (and every
+    partial sum of them); otherwise it is max|A| max|B| times the inner size.
+    """
     if A.dtype != object and B.dtype != object:
-        if _max_abs(A) * _max_abs(B) * A.shape[1] < _INT64_SAFE:
+        if bound is None:
+            bound = _max_abs(A) * _max_abs(B) * A.shape[1]
+        if bound < _INT64_SAFE:
             return A @ B
     return _to_object(A) @ _to_object(B)
 
@@ -365,16 +374,6 @@ def _gcd_all(a: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Row:
-    """One row of a reduced integer echelon form: pivot column, vector and
-    m = max|v|."""
-
-    __slots__ = ("piv", "v", "m")
-
-    def __init__(self, piv: int, v: np.ndarray, m: int):
-        self.piv, self.v, self.m = piv, v, m
-
-
 def _strip_row(v: np.ndarray) -> tuple[np.ndarray, int]:
     """v divided by its content, back on int64 when it fits, and its max|v|."""
     g, m = _gcd_all(v), _max_abs(v)
@@ -388,45 +387,48 @@ def _strip_row(v: np.ndarray) -> tuple[np.ndarray, int]:
 class ExactSpan:
     """Incrementally maintained row space over Q of flat integer vectors.
 
-    Rows are kept in fully reduced echelon form with integer entries (content
-    stripped, leading coefficient positive), so a membership test is a single
-    elimination sweep.  Each row carries its largest absolute entry, so a
-    combination p*v - c*r is bounded by |p| max|v| + |c| max|r| without a
-    pass over the entries.  Matrices are inserted as their flattened entries,
-    which is the algebra-closure hot path.
+    The rows are kept in one integer matrix R in reduced echelon form: every
+    row is primitive (content 1), positive at its pivot column and zero at the
+    pivot column of every other row.  A vector v therefore reduces against all
+    rows in one product: with c = v[pivots], p the pivot entries and L their
+    lcm, L v - (c * (L // p)) @ R is zero at every pivot, and it is zero
+    everywhere exactly when v lies in the span.  An accepted residue has its
+    content stripped and is back-substituted into the rows that are nonzero at
+    its pivot in one step.  Each row carries its largest absolute entry, so
+    the int64 bound L max|v| + max|v| max(L/p) rows max|R| is checked without
+    a pass over the entries; past it the arithmetic runs on Python ints.  R
+    grows geometrically as rows arrive.  Matrices are inserted as their
+    flattened entries, which is the algebra-closure hot path.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[_Row] = []
-        self.last_row: Optional[_Row] = None  # reduced residue of the last insert
+        self.dim = 0
+        self.bounds: list[int] = []  # max|entry| of each row
+        self.last: Optional[tuple[np.ndarray, int]] = None  # newest row, its bound
+        self._R = np.zeros((0, ncols), dtype=np.int64)  # rows 0..dim-1 are in use
+        self._piv = np.zeros(0, dtype=np.intp)  # pivot column of each row
+        self._p: list[int] = []  # pivot entry of each row
+        self._L = 1
+        self._Lp = np.zeros(0, dtype=np.int64)  # L // pivot entry, per row
+        self._scale = 0  # L + max(L/p) rows max|R|: residue bound per unit of max|v|
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> np.ndarray:
+        """The echelon rows, one per dimension (a view, valid until the next
+        insert)."""
+        return self._R[:self.dim]
 
-    @staticmethod
-    def _combine(p: int, v: np.ndarray, mv: int, c: int, r: np.ndarray, mr: int
-                 ) -> tuple[np.ndarray, int]:
-        """p*v - c*r exactly, with the bound |p| mv + |c| mr on its entries
-        (mv, mr bound those of v, r); int64 when the bound allows it."""
-        m = abs(p) * mv + abs(c) * mr
-        if v.dtype != object and r.dtype != object and m < _INT64_SAFE:
-            return v * p - c * r, m
-        return _to_object(v) * p - c * _to_object(r), m
-
-    def _reduce(self, v: np.ndarray) -> Optional[_Row]:
-        m = _max_abs(v)
-        for row in self.rows:
-            if v[row.piv] != 0:
-                v, m = self._combine(int(row.v[row.piv]), v, m, int(v[row.piv]), row.v, row.m)
-                if v.dtype == object or m > _STRIP_THRESHOLD:
-                    v, m = _strip_row(v)
-        v, m = _strip_row(v)
-        if m == 0:
-            return None
-        first = int(np.flatnonzero(v)[0])
-        return _Row(first, -v if v[first] < 0 else v, m)
+    def _residue(self, v: np.ndarray, mv: int) -> np.ndarray:
+        """L v minus the combination of rows that clears v at every pivot,
+        given mv >= max|v|: zero exactly when v lies in the span."""
+        c = v[self._piv[:self.dim]]
+        if not c.any():
+            return v
+        R = self.rows
+        if v.dtype != object and R.dtype != object and mv * self._scale < _INT64_SAFE:
+            return v * self._L - (c * self._Lp) @ R
+        return _to_object(v) * self._L - (_to_object(c) * _to_object(self._Lp)) @ _to_object(R)
 
     def _flatten(self, mat) -> np.ndarray:
         v = _as_int_array(mat).reshape(-1).copy()
@@ -434,26 +436,72 @@ class ExactSpan:
             raise ValueError("dimension mismatch")
         return v
 
-    def insert(self, mat) -> bool:
-        """Insert when independent of the current span; True means it grew."""
-        new = self._reduce(self._flatten(mat))
-        if new is None:
+    def insert(self, mat, bound: Optional[int] = None) -> bool:
+        """Insert when independent of the current span; True means it grew,
+        and then self.last holds the new row and its largest absolute entry.
+
+        bound, when given, bounds the absolute entries of mat, an integer
+        array with ncols entries, which is then read without a copy.
+        """
+        if bound is None:
+            v = self._flatten(mat)
+            bound = _max_abs(v)
+        else:
+            v = mat.reshape(-1)
+        w = self._residue(v, bound)
+        if not w.any():
             return False
-        self.last_row = new
-        p = int(new.v[new.piv])
-        updated = []
-        for row in self.rows:
-            if row.v[new.piv] != 0:
-                # new.v is zero on row.piv and both leads are positive, so the
-                # combination keeps a positive lead
-                v, _ = self._combine(p, row.v, row.m, int(row.v[new.piv]), new.v, new.m)
-                updated.append(_Row(row.piv, *_strip_row(v)))
-            else:
-                updated.append(row)
-        updated.append(new)
-        updated.sort(key=lambda r: r.piv)
-        self.rows = updated
+        w, m = _strip_row(w)
+        piv = int(np.flatnonzero(w)[0])
+        if w[piv] < 0:
+            w = -w
+        self._back_substitute(piv, w, m)
+        self._append(piv, w, m)
+        self.last = (w, m)
         return True
+
+    def _back_substitute(self, piv: int, w: np.ndarray, m: int) -> None:
+        """Clear column piv in every row with q R_i - R_i[piv] w, q = w[piv] > 0,
+        then strip each changed row's content.  w is zero at every old pivot,
+        so the rows stay zero there and their pivot entries stay positive."""
+        R = self.rows
+        hit = np.flatnonzero(R[:, piv])
+        if not hit.size:
+            return
+        q = int(w[piv])
+        if R.dtype == object or w.dtype == object or (q + m) * max(self.bounds) >= _INT64_SAFE:
+            self._R = _to_object(self._R)
+            R, w = self.rows, _to_object(w)
+        sub = R[hit]
+        sub = sub * q - sub[:, piv, None] * w
+        content = np.gcd.reduce(np.abs(sub), axis=1)
+        sub //= content[:, None]
+        R[hit] = sub
+        for i, g, row_max in zip(hit.tolist(), content.tolist(), np.abs(sub).max(axis=1).tolist()):
+            self._p[i] = self._p[i] * q // int(g)
+            self.bounds[i] = int(row_max)
+
+    def _append(self, piv: int, w: np.ndarray, m: int) -> None:
+        """Store w as a new row with pivot column piv and bound m, then refresh
+        L, L // p and the residue bound."""
+        if self.dim == len(self._R):
+            cap = min(self.ncols, max(4, 2 * self.dim))
+            R = np.zeros((cap, self.ncols), dtype=self._R.dtype)
+            R[:self.dim] = self.rows
+            self._R, self._piv = R, np.resize(self._piv, cap)
+        if w.dtype == object:
+            self._R = _to_object(self._R)
+        self._R[self.dim], self._piv[self.dim] = w, piv
+        self.dim += 1
+        self._p.append(int(w[piv]))
+        self.bounds.append(m)
+        mr = max(self.bounds)
+        if self._R.dtype == object and mr < _INT64_SAFE:
+            self._R = self._R.astype(np.int64)
+        self._L = math.lcm(*self._p)
+        Lp = [self._L // p for p in self._p]
+        self._Lp = np.array(Lp, dtype=np.int64 if self._L < _INT64_SAFE else object)
+        self._scale = self._L + max(Lp) * self.dim * mr
 
 
 # ---------------------------------------------------------------------------

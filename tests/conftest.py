@@ -21,7 +21,7 @@ from drgkit.families import (
     triangular_complement,
 )
 from drgkit.context import GraphContext
-from drgkit.exactla import AlgebraicScalar
+from drgkit.exactla import AlgebraicScalar, _max_abs
 from drgkit.graph_core import Graph, GraphError
 from drgkit.scheme import cosine_sequence
 from drgkit.spectra import SrgParams, effective_multiplicities
@@ -81,8 +81,9 @@ def neighbors(g, v: int) -> np.ndarray:
 
 def span_contains(span, mat) -> bool:
     """Whether the integer matrix mat lies in the row space of an ExactSpan:
-    it reduces to zero against the span's echelon rows."""
-    return span._reduce(span._flatten(mat)) is None
+    its residue against the span's echelon rows is zero."""
+    v = span._flatten(mat)
+    return not span._residue(v, _max_abs(v)).any()
 
 
 def distance_matrices(dd) -> list[np.ndarray]:

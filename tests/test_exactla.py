@@ -325,14 +325,50 @@ def test_span_rows_carry_their_max_abs(monkeypatch):
         span = ExactSpan(12)
         for m in mats:
             span.insert(m)
-            for row in span.rows:
-                assert row.m == max(abs(int(v)) for v in row.v)
+            for row, bound in zip(span.rows, span.bounds):
+                assert bound == max(abs(int(v)) for v in row)
         assert span.dim == sympy.Matrix([[int(v) for v in m.flat] for m in mats]).rank()
         coeffs = rng.integers(-3, 4, size=len(mats)).tolist()
         combo = sum((c * exactla._to_object(m) for c, m in zip(coeffs, mats)),
                     np.zeros((3, 4), dtype=object))
         assert span_contains(span, combo)
-    assert "_combine" in callers
+    assert "_residue" in callers
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_span_with_non_unit_pivots_matches_sympy_rank(data):
+    # independent rows d e_c + (entries after c), d in 2..5, ending in 1 so
+    # each is primitive with pivot entry d > 1, mixed with integer
+    # combinations of them; every second row is scaled by 2**40 and inserted
+    # as Python ints, the others as int64
+    ncols = data.draw(st.integers(3, 8))
+    k = data.draw(st.integers(1, ncols - 1))
+    cols = sorted(data.draw(st.lists(st.integers(0, ncols - 2), min_size=k, max_size=k,
+                                     unique=True)))
+    base = []
+    for c in cols:
+        row = [0] * c + [data.draw(st.integers(2, 5))]
+        row += data.draw(st.lists(st.integers(-3, 3), min_size=ncols - c - 2,
+                                  max_size=ncols - c - 2)) + [1]
+        base.append(row)
+    small = st.integers(-3, 3)
+    combos = [[sum(a * b for a, b in zip(coeffs, column)) for column in zip(*base)]
+              for coeffs in data.draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                                               max_size=3))]
+    rows = [base[0]] + data.draw(st.permutations(base[1:] + combos))
+    rows = [[v * 2**40 for v in row] if i % 2 else row for i, row in enumerate(rows)]
+    span = ExactSpan(ncols)
+    for i, row in enumerate(rows):
+        grew = span.insert(np.array(row, dtype=object if i % 2 else np.int64))
+        assert grew == (sympy.Matrix(rows[:i + 1]).rank() > sympy.Matrix(rows[:i]).rank())
+        if i == 0:
+            assert span.rows[0][cols[0]] == base[0][cols[0]] > 1
+    assert span.dim == sympy.Matrix(rows).rank() == k
+    coeffs = data.draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+    combo = [sum(c * row[t] for c, row in zip(coeffs, rows)) for t in range(ncols)]
+    assert span_contains(span, np.array(combo, dtype=object))
+    assert not span.insert(np.array(combo, dtype=object))
 
 
 # ---------------------------------------------------------------------------

@@ -127,12 +127,12 @@ def _spin_closure(gens) -> ExactSpan:
     n = gens[0].shape[0]
     span = ExactSpan(n * n)
     span.insert(np.eye(n, dtype=np.int64))
-    todo = [span.last_row.v.reshape(n, n)]
+    todo = [span.last[0].reshape(n, n)]
     while todo:
         M = todo.pop()
         for G in gens:
             if span.insert(_imatmul(G, M)):
-                todo.append(span.last_row.v.reshape(n, n))
+                todo.append(span.last[0].reshape(n, n))
     return span
 
 
@@ -224,7 +224,7 @@ def test_closure_basis_is_closed_and_transpose_stable():
     cells = [np.flatnonzero(e) for e in _class_indicators(dd, 0)]
     assert block_spin_dim([gens[0]], cells) == 20
     span = _spin_closure(gens)
-    basis = [row.v.reshape(g.n, g.n) for row in span.rows]
+    basis = [row.reshape(g.n, g.n) for row in span.rows]
     assert len(basis) == 20
     # T is the direct sum of its blocks E*_h T E*_j, so every row of the
     # reduced echelon basis lies in one block
@@ -320,6 +320,19 @@ def test_closure_dense_and_diagonal_generators_match_naive_fixed_point():
         assert _closure_dim(gens) == _naive_closure_dim(gens)
 
 
+def test_transpose_path_needs_an_exactly_symmetric_generator():
+    # one off-diagonal entry breaks the symmetry, in its support or only in its
+    # value: T is then not closed under transpose, and spinning only the
+    # blocks l >= j would give 8 and 11
+    path = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    path[2, 1] = 0
+    weighted = np.array([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]])
+    weighted[0, 2] = 2
+    for gens, dim in (([path, np.diag([0, 1, 2, 3])], 12),
+                      ([weighted, np.diag([1, 1, 0, 0])], 13)):
+        assert _closure_dim(gens) == _spin_closure_dim(gens) == _naive_closure_dim(gens) == dim
+
+
 def test_closure_dim_survives_int64_overflow(monkeypatch):
     import sys
 
@@ -340,4 +353,4 @@ def test_closure_dim_survives_int64_overflow(monkeypatch):
         assert _closure_dim(big) == plain
         monkeypatch.setattr(exactla, "_to_object", to_object)
     # the scaled run really took the Python-int paths it is meant to cover
-    assert {"_imatmul", "_combine"} <= fallbacks
+    assert {"_imatmul", "_residue"} <= fallbacks
