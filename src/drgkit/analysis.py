@@ -133,6 +133,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     by_class = [ctx.subconstituent_spectra(i, vertices) for i in range(1, params.D + 1)]
     vertex_records = []
     decomposition_flags: set[str] = set()
+    derived_by_local: dict = {}  # the SRG derived Delta_2 spectrum, by local spectrum
     for x, specs in zip(vertices, zip(*by_class)):
         record = {"vertex": x}
         exact_ok = True
@@ -150,7 +151,9 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         record["dim_T"] = dim_t
         md = decompose(ctx, x) if exact_ok or route != "srg" else None
         if md is not None and route == "srg":
-            derived = second_subconstituent_derived(specs[0], route_params)
+            if specs[0] not in derived_by_local:
+                derived_by_local[specs[0]] = second_subconstituent_derived(specs[0], route_params)
+            derived = derived_by_local[specs[0]]
             if derived != specs[1]:
                 raise AnalysisError(
                     f"derived second-subconstituent spectrum {derived} differs "

@@ -4,10 +4,13 @@ Everything downstream (spectra, scheme data, algebra closures) rests on this
 module.  The guiding constraints:
 
 * Scalars are numbers a + b*sqrt(d) with rational a, b and square-free d >= 0.
-  Surds appear only as scalars: eigenvalues, multiplicity and Krein
-  computations on the (D+1)-sized intersection array, and local spectra.
-  Scalars are exact only; eigenvalues whose minimal polynomial does not
-  split over a quadratic field are plain Python floats, outside this type.
+  Surds appear as scalars only in eigenvalues (of the graph and of its
+  subconstituents) and the quantities derived from them.  Scalars are
+  exact only; eigenvalues whose minimal polynomial does not split over a
+  quadratic field are plain Python floats, outside this type.  The scheme
+  data of several quadratic fields at once (multiplicities, Krein signs)
+  never form scalars: they are integer coefficients on distinct square-free
+  radicals sqrt(r), whose sign radical_sign decides.
 * Matrices are plain integer numpy arrays (0/1 generators, algebra closure
   products, characteristic polynomials).  int64 is used whenever a bound
   check proves it safe, with Python-int object arrays as the overflow
@@ -39,7 +42,8 @@ module.  The guiding constraints:
   spectra._spectrum_from_key is the one caller that chains these steps into
   a Spectrum.
 * Scalars compare exactly: the sign of a + b*sqrt(d) is decided by one
-  comparison of squares, and two different surds by one more (compare).
+  comparison of squares, and two different surds by one more (compare).  A
+  sum of more radicals is signed by isqrt intervals (radical_sign).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 __all__ = [
     "AlgebraicScalar",
     "ExactSpan",
-    "sqrt_of_fraction",
+    "radical_sign",
     "square_free_split",
     "certified_factors",
     "certified_stack",
@@ -143,19 +147,10 @@ class AlgebraicScalar:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.is_rational and self.a.denominator == 1
-
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
         return self.a
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return int(self.a)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -236,10 +231,6 @@ class AlgebraicScalar:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def sign(self) -> int:
-        """Exact sign: -1, 0 or 1."""
-        return _sign(self.a, self.b, self.d)
-
     def compare(self, other) -> int:
         """Exact three-way comparison, valid across two different surds;
         NotImplemented when other is not a scalar, an int or a Fraction.
@@ -296,13 +287,32 @@ class AlgebraicScalar:
         return f"AlgebraicScalar({self})"
 
 
-def sqrt_of_fraction(x) -> AlgebraicScalar:
-    """Exact square root of a non-negative rational."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    s, d = square_free_split(x.numerator * x.denominator)
-    return AlgebraicScalar(0, Fraction(s, x.denominator), d)
+def radical_sign(terms: dict[int, int]) -> int:
+    """Exact sign of sum_r c_r sqrt(r), integers c_r and r >= 0: -1, 0 or 1.
+    Over distinct square-free r the sqrt(r) are linearly independent over Q,
+    so the sum is zero exactly when every c_r is.  Otherwise each c_r sqrt(r)
+    2^e lies between +-isqrt(c_r^2 r 4^e) and the next integer, and e grows
+    until the sum of those intervals excludes 0 (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993)."""
+    terms = [(c, r) for r, c in terms.items() if c]
+    e = 0
+    while terms:
+        lo = hi = 0
+        for c, r in terms:
+            x = c * c * r << 2 * e
+            t = math.isqrt(x)
+            u = t if t * t == x else t + 1
+            lo, hi = (lo + t, hi + u) if c > 0 else (lo - u, hi - t)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        if e == 0:  # undecided: fold each r = s^2 d into square-free d, so a zero sum
+            folded: dict = {}  # keeps no term and the loop ends
+            for c, r in terms:
+                s, d = square_free_split(r)
+                folded[d] = folded.get(d, 0) + c * s
+            terms = [(c, r) for r, c in folded.items() if c]
+        e = 2 * e + 16
+    return 0
 
 
 # ---------------------------------------------------------------------------

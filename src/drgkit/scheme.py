@@ -11,23 +11,28 @@ rejected with a witness (h, 1, j, x, y).  Everything else is computed from the
 intersection array: the eigenvalues are the spectrum of the (D+1) x (D+1)
 tridiagonal intersection matrix, taken by spectra.spectrum_of_int_matrix like
 any other integer matrix (the matrix is not symmetric, but its eigenvalues
-are real and simple); the multiplicities (Biggs' formula) and the Krein
-parameters (a closed form, BCN Sect. 2.3) follow from the cosine sequences.
-Roots must lie in Q or a single quadratic field, otherwise the spectrum is
-flagged as float fallback.  GraphContext.eigen keeps the result, and every
-other layer reads the graph's eigenvalues theta_0 > ... > theta_D there.
+are real and simple).  Each eigenvalue in Q or a quadratic field Q(sqrt(d))
+gets its P-matrix row v_l = k_l u_l on integers, (alpha_l + beta_l
+sqrt(d))/2, and the multiplicities (Biggs' formula), the trace checks and
+the signs of the Krein parameters (a closed form, BCN Sect. 2.3) are read
+off those rows as integer coefficients of square-free radicals, so the
+eigenvalues may lie in several quadratic fields at once.  An eigenvalue of
+higher degree makes the spectrum a flagged float fallback.  GraphContext.eigen
+keeps the result, and every other layer reads the graph's eigenvalues
+theta_0 > ... > theta_D there.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .exactla import AlgebraicScalar
+from .exactla import AlgebraicScalar, radical_sign
 from .graph_core import DistanceData, Graph, GraphError, distances, require_size
 from .spectra import SrgParams, spectrum_of_int_matrix, srg_spectrum
 
@@ -145,36 +150,60 @@ def intersection_matrix(params: DrgParameters) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Eigenvalues theta_0 > ... > theta_D and their multiplicities."""
+    """Eigenvalues theta_0 > ... > theta_D, their multiplicities and, when
+    exact, the integer P-matrix rows: rows[i] = (d, alpha, beta) with
+    v_l(theta_i) = (alpha_l + beta_l sqrt(d))/2 for l = 0..D."""
 
     theta: tuple  # AlgebraicScalar, descending (floats in fallback mode)
     mult: tuple[int, ...]
     exact: bool = True
+    rows: tuple = field(default=(), repr=False, compare=False)
 
 
-def cosine_sequence(theta, params: DrgParameters) -> list:
-    """u_0(theta) .. u_D(theta) from the three-term recurrence u_0 = 1,
-    b_h u_{h+1} = (theta - a_h) u_h - c_h u_{h-1}; theta is an AlgebraicScalar,
-    or a float in fallback mode."""
-    u = [1, theta / params.k]
-    for h in range(1, params.D):
-        u.append(((theta - params.a[h]) * u[h] - params.c_at(h) * u[h - 1]) / params.b[h])
-    return u
+def _p_row(theta: AlgebraicScalar, params: DrgParameters) -> tuple[tuple, int]:
+    """The P-matrix row of an exact eigenvalue and its multiplicity.
 
-
-def multiplicity(theta, params: DrgParameters) -> int:
-    """Multiplicity of the eigenvalue theta by Biggs' formula
-    m = n / sum_h k_h u_h(theta)^2 (BCN Thm 4.1.4).
-
-    An exact theta must give a positive integer; a float theta must land within
-    1e-6 of one.  Anything else means theta is not an eigenvalue: ValueError.
+    theta = (s + f sqrt(d))/2 with integers s, f, like every eigenvalue of an
+    integer matrix in a quadratic field.  The algebraic integers
+    v_l = k_l u_l(theta) = (alpha_l + beta_l sqrt(d))/2 follow from v_0 = 1
+    and c_(l+1) v_(l+1) = (theta - a_l) v_l - b_(l-1) v_(l-1), whose value at
+    l = D must be 0, and Biggs' formula (BCN Thm 4.1.4) m = n / sum_l
+    v_l^2 / k_l must have no sqrt(d) part and be a positive integer.  Any
+    failure, an inexact division included, means theta is not an eigenvalue
+    of the array: ValueError.
     """
-    u = cosine_sequence(theta, params)
-    m = params.n / sum(k * v * v for k, v in zip(params.k_i, u))
-    if isinstance(m, AlgebraicScalar):
-        if not m.is_integer or m.as_int() < 1:
-            raise ValueError(f"multiplicity of {theta} is {m}, not a positive integer")
-        return m.as_int()
+    s, f, d = 2 * theta.a, 2 * theta.b, theta.d or 1
+    if s.denominator != 1 or f.denominator != 1:
+        raise ValueError(f"{theta} is not an algebraic integer")
+    s, f = int(s), int(f)
+    alpha, beta = [2], [0]
+    x0 = y0 = 0  # 2 b_(l-1) v_(l-1) in half units
+    for l in range(params.D + 1):
+        x = s * alpha[l] + f * beta[l] * d - 2 * params.a[l] * alpha[l] - x0
+        y = s * beta[l] + f * alpha[l] - 2 * params.a[l] * beta[l] - y0
+        c2 = 2 * params.c_at(l + 1)  # 0 at l = D, where x and y themselves must be 0
+        if (x % c2 or y % c2) if c2 else (x or y):
+            raise ValueError(f"{theta} is not an eigenvalue of {params.intersection_array}")
+        if c2:
+            alpha.append(x // c2)
+            beta.append(y // c2)
+            x0, y0 = 2 * params.b[l] * alpha[l], 2 * params.b[l] * beta[l]
+    L = math.lcm(*params.k_i)
+    w = [L // k for k in params.k_i]  # 4 L sum v^2/k = sum w (alpha + beta √d)^2
+    m = Fraction(4 * params.n * L, sum(t * (p * p + q * q * d) for t, p, q in zip(w, alpha, beta)))
+    if sum(t * p * q for t, p, q in zip(w, alpha, beta)) or m.denominator != 1 or m < 1:
+        raise ValueError(f"multiplicity of {theta} is not a positive integer")
+    return (d, tuple(alpha), tuple(beta)), int(m)
+
+
+def _float_multiplicity(theta: float, params: DrgParameters) -> int:
+    """Biggs' formula m = n / sum_l v_l^2 / k_l in floats, for an eigenvalue
+    outside every quadratic field; m must land within 1e-6 of a positive
+    integer, or theta is not an eigenvalue: ValueError."""
+    v = [1.0, theta]
+    for l in range(1, params.D):
+        v.append(((theta - params.a[l]) * v[l] - params.b[l - 1] * v[l - 1]) / params.c[l])
+    m = params.n / sum(x * x / k for x, k in zip(v, params.k_i))
     r = round(m)
     if abs(m - r) > 1e-6 or r < 1:
         raise ValueError(f"multiplicity of {theta} is {m!r}, not near a positive integer")
@@ -186,87 +215,118 @@ def eigen_data(params: DrgParameters) -> EigenData:
 
     The eigenvalues are those of the (D+1) x (D+1) intersection matrix, from
     spectra.spectrum_of_int_matrix like any other integer matrix, and must be
-    simple.  The multiplicities come from Biggs' formula, so no n x n matrix
-    is built.  The exact result must satisfy m_0 = 1, sum m_i = n,
-    sum m_i theta_i = tr A = 0 and sum m_i theta_i^2 = tr A^2 = n k.  When
-    the intersection-matrix charpoly has an irreducible factor of degree
-    >= 3 the eigenvalues are floats (flagged), and the rounded float
-    multiplicities must still sum to n.
+    simple.  Each exact one gets its integer P-matrix row and multiplicity
+    from _p_row, so no n x n matrix is built and no scalar of one quadratic
+    field meets one of another.  m_0 = 1, sum m_i = n, sum m_i theta_i =
+    tr A = 0 and sum m_i theta_i^2 = tr A^2 = n k are checked on integer
+    coefficients of radicals: theta = (s + f sqrt(d))/2 adds m s + m f sqrt(d)
+    to 2 tr A.  When the intersection-matrix charpoly has an irreducible
+    factor of degree >= 3 the eigenvalues are floats (flagged), with
+    multiplicities from _float_multiplicity that must still sum to n.
     """
     spec = spectrum_of_int_matrix(intersection_matrix(params))
     n, k = params.n, params.k
     theta = tuple(v for v, _ in spec.pairs)
     if any(m != 1 for _, m in spec.pairs) or len(theta) != params.D + 1:
         raise ValueError("intersection matrix spectrum is not simple")
-    mult = tuple(multiplicity(t, params) for t in theta)
     if not spec.exact:
+        mult = tuple(_float_multiplicity(t, params) for t in theta)
         if sum(mult) != n:
             raise ValueError(f"float multiplicities {mult} do not sum to n = {n}")
         return EigenData(theta=theta, mult=mult, exact=False)
+    rows, mult = zip(*(_p_row(t, params) for t in theta))
     if mult[0] != 1 or sum(mult) != n:
         raise ValueError("multiplicities do not sum to n with m_0 = 1")
-    if sum(m * t for m, t in zip(mult, theta)) != 0:
+    tr1, tr2 = {1: 0}, {1: -4 * n * k}  # 2 tr A and 4 tr A^2 - 4 n k on radicals
+    for m, (d, (_, s, *_), (_, f, *_)) in zip(mult, rows):
+        for terms, rational, surd in ((tr1, m * s, m * f),
+                                      (tr2, m * (s * s + f * f * d), 2 * m * s * f)):
+            terms[1] += rational
+            terms[d] = terms.get(d, 0) + surd
+    if any(tr1.values()):
         raise ValueError("multiplicities contradict tr A = 0")
-    if sum(m * t * t for m, t in zip(mult, theta)) != n * k:
+    if any(tr2.values()):
         raise ValueError("multiplicities contradict tr A^2 = n k")
-    return EigenData(theta=theta, mult=mult, exact=True)
+    return EigenData(theta=theta, mult=mult, exact=True, rows=rows)
 
 
 @dataclass(frozen=True)
 class KreinData:
-    """Krein parameters q^h_ij and all Q-polynomial orderings fixing E_0."""
+    """Which Krein parameters q^h_ij vanish, and all Q-polynomial orderings
+    fixing E_0."""
 
-    q: tuple  # q[h][i][j] as AlgebraicScalar
+    nonzero: tuple  # nonzero[h][i][j]: q^h_ij != 0
     qpoly_orderings: tuple[tuple[int, ...], ...]
 
 
-def _qpoly_pattern_holds(nonzero: bool, h: int, i: int, j: int) -> bool:
-    """Q-polynomial shape of q^h_ij: zero when the largest of h, i, j exceeds
-    the sum of the other two, nonzero when it equals that sum."""
-    hi = max(h, i, j)
-    rest = h + i + j - hi
-    if hi > rest:
-        return not nonzero
-    return hi < rest or nonzero
+def _times_row(terms: dict, row: tuple) -> dict:
+    """terms, a map sqrt(r) -> integer vector over l, times the P-matrix row
+    (d, alpha, beta) entrywise: alpha_l keeps sqrt(r), and beta_l sqrt(d)
+    turns it into g sqrt(r d / g^2), g = gcd(r, d), square-free again."""
+    d, alpha, beta = row
+    out: dict = {}
+    for r, vec in terms.items():
+        g = math.gcd(r, d)
+        for key, coef, x in ((r, 1, alpha), (r * d // (g * g), g, beta)):
+            if any(x):
+                prod = [coef * p * q for p, q in zip(vec, x)]
+                old = out.get(key)
+                out[key] = prod if old is None else [p + q for p, q in zip(old, prod)]
+    return out
 
 
 def krein(ed: EigenData, params: DrgParameters) -> KreinData:
-    """Krein parameters in closed form on the cosine sequences.
+    """The zero pattern of the Krein parameters and the Q-polynomial
+    orderings read off it.
 
-    E_i o E_j = (1/n) sum_h q^h_ij E_h with q^h_ij = (m_i m_j / n) sum_l k_l
-    u_l(theta_i) u_l(theta_j) u_l(theta_h) (Brouwer-Cohen-Neumaier,
-    Distance-Regular Graphs, Sect. 2.3), with u the cosine sequences that
-    multiplicity uses too.  The sum is symmetric in i, j, h, so it is
-    computed once per multiset {i, j, h}.  A Q-polynomial ordering needs only
-    which q^h_ij vanish, so the orderings are read off that pattern.
+    q^h_ij = (m_i m_j / n) sum_l k_l u_l(theta_i) u_l(theta_j) u_l(theta_h)
+    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, Sect. 2.3) has the sign
+    of S = sum_l v_l(theta_i) v_l(theta_j) v_l(theta_h) K / k_l^2 on the
+    P-matrix rows v_l = k_l u_l of eigen_data, K = lcm k_l^2.  Each v is
+    (alpha + beta sqrt(d))/2, so 8 S collects integer coefficients on
+    distinct square-free radicals sqrt(r), whatever fields the three
+    eigenvalues lie in, and exactla.radical_sign decides it.  S is symmetric
+    in i, j, h, so it is computed once per multiset.  A negative q^h_ij means
+    the eigen data are wrong: ValueError.
     """
     if not ed.exact:
         raise ValueError("Krein parameters need exact eigen data")
-    D, n = params.D, params.n
-    u = [cosine_sequence(t, params) for t in ed.theta]
-    q = [[[None] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
+    D = params.D
+    K = math.lcm(*(k * k for k in params.k_i))
+    weight = {1: [K // (k * k) for k in params.k_i]}
+    sums = {}
     for i, j in itertools.combinations_with_replacement(range(D + 1), 2):
-        w = [k * x * y for k, x, y in zip(params.k_i, u[i], u[j])]
+        pair = _times_row(_times_row(weight, ed.rows[i]), ed.rows[j])
         for h in range(j, D + 1):
-            total = sum(x * y for x, y in zip(w, u[h])) / n
-            for a, b, c in set(itertools.permutations((i, j, h))):
-                q[c][a][b] = total * (ed.mult[a] * ed.mult[b])
-    for i in range(D + 1):
-        for j in range(i, D + 1):
-            for h in range(D + 1):
-                if q[h][i][j].sign() < 0:
-                    raise ValueError(f"negative Krein parameter q^{h}_{{{i}{j}}} = {q[h][i][j]}")
-    nonzero = [[[v.sign() != 0 for v in r] for r in m] for m in q]
+            sums[i, j, h] = {r: sum(vec) for r, vec in _times_row(pair, ed.rows[h]).items()}
+    sign = {key: radical_sign(terms) for key, terms in sums.items()}
+    triples = list(itertools.product(range(D + 1), repeat=3))
+    for i, j, h in triples:
+        if i <= j and sign[tuple(sorted((i, j, h)))] < 0:
+            terms = sums[tuple(sorted((i, j, h)))]  # q = m_i m_j 8S / (8 n K)
+            scale = Fraction(ed.mult[i] * ed.mult[j], 8 * params.n * K)
+            surds = [(r, c) for r, c in sorted(terms.items()) if r != 1 and c] or [(0, 0)]
+            value = " + ".join(
+                str(AlgebraicScalar(scale * terms.get(1, 0) * (not t), scale * c, r))
+                for t, (r, c) in enumerate(surds))
+            raise ValueError(f"negative Krein parameter q^{h}_{{{i}{j}}} = {value}")
+    nonzero = tuple(tuple(tuple(sign[tuple(sorted((h, i, j)))] != 0 for j in range(D + 1))
+                          for i in range(D + 1)) for h in range(D + 1))
+    # Q-polynomial: q^h_ij = 0 when the largest of h, i, j exceeds the sum of
+    # the other two, and != 0 when it equals that sum.  So E_1' fixes the
+    # order: E_(i+1)' is the one E_h left with q^h_(1'i') != 0.
+    shape = [(h, i, j, 2 * max(h, i, j) == h + i + j)
+             for h, i, j in triples if 2 * max(h, i, j) >= h + i + j]
     orderings = []
-    for perm in itertools.permutations(range(1, D + 1)):
-        order = (0,) + perm
-        if all(_qpoly_pattern_holds(nonzero[order[h]][order[i]][order[j]], h, i, j)
-               for h, i, j in itertools.product(range(D + 1), repeat=3)):
-            orderings.append(order)
-    return KreinData(
-        q=tuple(tuple(tuple(r) for r in m) for m in q),
-        qpoly_orderings=tuple(orderings),
-    )
+    for first in range(1, D + 1):
+        order = [0, first]
+        while len(order) <= D and len(nxt := [h for h in range(1, D + 1) if h not in order
+                                              and nonzero[h][first][order[-1]]]) == 1:
+            order += nxt
+        if len(order) == D + 1 and all(nonzero[order[h]][order[i]][order[j]] == want
+                                       for h, i, j, want in shape):
+            orderings.append(tuple(order))
+    return KreinData(nonzero=nonzero, qpoly_orderings=tuple(orderings))
 
 
 def antipodality(dd: DistanceData) -> Optional[dict[int, int]]:
@@ -299,7 +359,9 @@ def tightness(params: DrgParameters, ed: EigenData) -> TightnessResult:
     """Evaluate the fundamental bound exactly and the local eigenvalues b+-.
 
     Bipartite graphs (theta_D = -k) have 1 + theta_D = 0 and are reported as
-    'tightness undefined' rather than by division.
+    'tightness undefined' rather than by division.  The bound multiplies
+    theta_1 by theta_D, so the two must lie in one quadratic field (or Q);
+    otherwise ValueError names both fields.
     """
     if params.D < 3:
         raise ValueError("tightness needs diameter >= 3")
@@ -312,6 +374,9 @@ def tightness(params: DrgParameters, ed: EigenData) -> TightnessResult:
     if thD == -k:
         return TightnessResult(is_tight=False, bipartite=True, lhs=None, rhs=None,
                                b_plus=None, b_minus=None)
+    if th1.d and thD.d and th1.d != thD.d:
+        raise ValueError(f"tightness needs theta_1 = {th1} and theta_D = {thD} in one "
+                         f"quadratic field, not Q(√{th1.d}) and Q(√{thD.d})")
     shift = k / (a1 + 1)
     lhs = (th1 + shift) * (thD + shift)
     rhs = AlgebraicScalar(-1) * k * a1 * b1 / ((a1 + 1) * (a1 + 1))

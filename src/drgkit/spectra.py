@@ -60,7 +60,7 @@ from .exactla import (
     charpoly_int,
     eigenvalues_from_charpoly,
     factor_roots,
-    sqrt_of_fraction,
+    square_free_split,
 )
 from .graph_core import Graph, DistanceData, distances
 
@@ -202,9 +202,10 @@ def _float_spectrum(arr: np.ndarray, coeffs: tuple) -> Spectrum:
 class SrgParams:
     """Strongly regular graph parameters with the derived eigenvalue data.
 
-    sigma, tau, m_sigma and m_tau are computed once, on
-    construction, which also rejects parameters whose discriminant is not
-    positive or whose multiplicities are not non-negative integers.
+    sigma, tau, m_sigma and m_tau are computed once, on construction, from
+    the square-free split f^2 d of the discriminant and integer arithmetic;
+    parameters whose discriminant is not positive or whose multiplicities are
+    not non-negative integers are rejected.
     """
 
     n: int
@@ -217,22 +218,24 @@ class SrgParams:
     m_tau: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        disc = (self.a - self.c) ** 2 + 4 * (self.k - self.c)
+        n, k, a, c = self.tuple()
+        disc = (a - c) ** 2 + 4 * (k - c)
         if disc <= 0:
             raise InfeasibleSrgError(f"non-positive discriminant for {self.tuple()}")
-        root = sqrt_of_fraction(disc)
-        half = AlgebraicScalar(Fraction(1, 2))
-        sigma = (AlgebraicScalar(self.a - self.c) + root) * half
-        tau = (AlgebraicScalar(self.a - self.c) - root) * half
-        ms = (AlgebraicScalar(self.n - 1) * tau + self.k) / (tau - sigma)
-        mt = (AlgebraicScalar(self.n - 1) * sigma + self.k) / (sigma - tau)
-        for m in (ms, mt):
-            if not m.is_integer or m.as_int() < 0:
+        # sigma, tau = (a - c +- f sqrt(d))/2; m_sigma, m_tau = ((n-1) theta + k) /
+        # (theta - the other) = (n - 1)/2 -+ e sqrt(d) / (2 f d), e = (n-1)(a-c) + 2k
+        f, d = square_free_split(disc)
+        e = (n - 1) * (a - c) + 2 * k
+        values = {"sigma": AlgebraicScalar(Fraction(a - c, 2), Fraction(f, 2), d),
+                  "tau": AlgebraicScalar(Fraction(a - c, 2), Fraction(-f, 2), d)}
+        for name, sign in (("m_sigma", -1), ("m_tau", 1)):
+            m = AlgebraicScalar(Fraction(n - 1, 2), Fraction(sign * e, 2 * f * d), d)
+            if not m.is_rational or m.a.denominator != 1 or m.a < 0:
                 raise InfeasibleSrgError(
                     f"infeasible SRG parameters {self.tuple()}: multiplicity {m}"
                 )
-        for name, value in (("sigma", sigma), ("tau", tau),
-                            ("m_sigma", ms.as_int()), ("m_tau", mt.as_int())):
+            values[name] = int(m.a)
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     def tuple(self) -> tuple[int, int, int, int]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from drgkit.families import (
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar, _max_abs
 from drgkit.graph_core import Graph, GraphError
-from drgkit.scheme import cosine_sequence
 from drgkit.spectra import SrgParams, effective_multiplicities
 from drgkit.tmodules import decompose, dimension_sequence
 
@@ -72,6 +70,23 @@ def paley_graph(q: int, perm=None) -> Graph:
     if perm is not None:
         adj = adj[perm][:, perm]
     return Graph(adj, label=f"Paley({q})")
+
+
+# the Tutte 12-cage: 126 vertices, {3,2,2,2,2,2;1,1,1,1,1,3}, eigenvalues in
+# Q, Q(sqrt 2) and Q(sqrt 6) at once
+TUTTE_12_CAGE_LCF = [17, 27, -13, -59, -35, 35, -11, 13, -53, 53, -27, 21,
+                     57, 11, -21, -57, 59, -17] * 7
+
+
+def lcf_graph(code, label: str = "") -> Graph:
+    """The cubic graph of an LCF code: the cycle 0..n-1 plus the chords
+    v ~ v + code[v] (mod n)."""
+    n = len(code)
+    adj = np.zeros((n, n), dtype=np.int64)
+    v = np.arange(n)
+    for w in ((v + 1) % n, (v + np.asarray(code)) % n):
+        adj[v, w] = adj[w, v] = 1
+    return Graph(adj, label=label)
 
 
 def neighbors(g, v: int) -> np.ndarray:
@@ -158,19 +173,42 @@ def _local_duality_check(s1, s2, p: SrgParams) -> bool:
     return mapped == loc2
 
 
-def idempotent_profiles(ed, params) -> list[list[AlgebraicScalar]]:
-    """prof[h][i] = the constant value of E_i on the distance-h class.
+def sympy_scalar(x: AlgebraicScalar):
+    """An exact scalar as a sympy number."""
+    import sympy
+
+    return sympy.Rational(x.a.numerator, x.a.denominator) + \
+        sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d)
+
+
+def sympy_cosines(theta, params) -> list:
+    """u_0(theta) .. u_D(theta) for a sympy number theta, from u_0 = 1,
+    u_1 = theta / k and b_h u_(h+1) = (theta - a_h) u_h - c_h u_(h-1).  A test
+    oracle, computed apart from scheme's integer P-matrix rows."""
+    import sympy
+
+    u = [sympy.Integer(1), theta / params.k]
+    for h in range(1, params.D):
+        u.append(sympy.expand(((theta - params.a[h]) * u[h] - params.c_at(h) * u[h - 1])
+                              / params.b[h]))
+    return u
+
+
+def idempotent_profiles(ed, params) -> list[list]:
+    """prof[h][i] = the constant value of E_i on the distance-h class, as a
+    sympy number.
 
     E_i = (m_i / n) * sum_h u_h(theta_i) A_h with the cosine sequence u of
-    cosine_sequence.  A test oracle: the idempotents written out entrywise.
+    sympy_cosines.  A test oracle: the idempotents written out entrywise.
     """
+    import sympy
+
     D, n = params.D, params.n
     prof = [[None] * (D + 1) for _ in range(D + 1)]
     for i in range(D + 1):
-        u = cosine_sequence(ed.theta[i], params)
-        scale = AlgebraicScalar(Fraction(ed.mult[i], n))
+        u = sympy_cosines(sympy_scalar(ed.theta[i]), params)
         for h in range(D + 1):
-            prof[h][i] = scale * u[h]
+            prof[h][i] = sympy.expand(sympy.Rational(ed.mult[i], n) * u[h])
     return prof
 
 

@@ -1,5 +1,6 @@
 """CLI commands, exit codes, report determinism."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -13,9 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import drgkit
-from conftest import LATIN_SQUARE_6, latin_square_graph, paley_graph
+from conftest import (
+    LATIN_SQUARE_6,
+    TUTTE_12_CAGE_LCF,
+    latin_square_graph,
+    lcf_graph,
+    paley_graph,
+)
 from drgkit.cli import main
-from drgkit.families import chang, shrikhande
+from drgkit.exactla import AlgebraicScalar
+from drgkit.families import chang, icosahedron, shrikhande
 from drgkit.graph_core import save_graph
 from drgkit.spectra import subconstituent_spectrum
 
@@ -127,6 +135,41 @@ def test_analyze_j84_single_vertex(tmp_path):
     ell = sum(1 for c in rec["decomposition"]["classes"] if c["endpoint"] == 2)
     assert rec["dim_T"] == ell + 43 == 46
     assert report["graph"]["tightness"]["is_tight"]
+
+
+def test_analyze_tutte_12_cage(tmp_path):
+    # eigenvalues 3, +-sqrt 6, +-sqrt 2, 0, -3 lie in three fields at once
+    g_path = tmp_path / "tutte.json"
+    save_graph(lcf_graph(TUTTE_12_CAGE_LCF), str(g_path))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(g_path), "--base-vertex", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["graph"]["spectrum"] == [["3", 1], ["√6", 21], ["√2", 27], ["0", 28],
+                                           ["-√2", 27], ["-√6", 21], ["-3", 1]]
+    assert report["graph"]["qpoly_orderings"] == []
+    assert report["graph"]["tightness"]["bipartite"]
+    assert report["vertices"][0]["dim_T"] == 168
+    assert report["graph"]["pvt"]["verdict"] == "not_pvt"
+
+
+def test_tightness_in_two_fields_is_one_analysis_error_line(tmp_path, capsys, monkeypatch):
+    # hand-built eigen data: theta_1 in Q(sqrt 6), theta_D in Q(sqrt 2)
+    import drgkit.context
+
+    eigen_data = drgkit.context.eigen_data
+
+    def two_fields(params):
+        theta = (AlgebraicScalar(5), AlgebraicScalar(0, 1, 6), AlgebraicScalar(-1),
+                 AlgebraicScalar(0, -1, 2))
+        return dataclasses.replace(eigen_data(params), theta=theta)
+
+    monkeypatch.setattr(drgkit.context, "eigen_data", two_fields)
+    g_path = tmp_path / "ico.json"
+    save_graph(icosahedron(), str(g_path))
+    assert run(["analyze", str(g_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: tightness") and err.count("\n") == 1
+    assert "Q(√6)" in err and "Q(√2)" in err and "cannot mix" not in err
 
 
 def test_analyze_non_drg_fails(tmp_path):

@@ -197,8 +197,22 @@ def test_route_is_decided_once_and_verdicts_never_compute_eigen(monkeypatch):
     assert ctx.eigen is ctx.eigen and len(eigen) == 2
 
 
+def _spy_srg_params(monkeypatch):
+    """Record every SrgParams construction: the one place that splits an SRG
+    discriminant into its square root, sigma, tau and their multiplicities."""
+    original = SrgParams.__post_init__
+    calls = []
+
+    def spy(self):
+        calls.append(self.tuple())
+        return original(self)
+
+    monkeypatch.setattr(SrgParams, "__post_init__", spy)
+    return calls
+
+
 def test_srg_surds_are_evaluated_once_per_report(monkeypatch):
-    surds = _spy(monkeypatch, drgkit.exactla, "sqrt_of_fraction")
+    surds = _spy_srg_params(monkeypatch)
     p = SrgParams(28, 12, 6, 4)
     assert len(surds) == 1
     for _ in range(3):
@@ -220,9 +234,9 @@ def test_srg_surds_are_evaluated_once_per_report(monkeypatch):
 def test_taylor_and_at4_local_data_are_built_once_per_report(monkeypatch, g, vertices, count):
     """The local SrgParams and the 2*lambda check are graph-level: the whole
     sweep takes as many square roots as vertex 0.  The Taylor eigenvalues
-    come from GraphContext.eigen, whose factor key is decoded without
-    sqrt_of_fraction, so the one square root is the local SrgParams'."""
-    surds = _spy(monkeypatch, drgkit.exactla, "sqrt_of_fraction")
+    come from GraphContext.eigen, whose factor key is decoded without an
+    SrgParams, so the one square root is the local SrgParams'."""
+    surds = _spy_srg_params(monkeypatch)
     counts = []
     for vs in ([0], vertices):
         surds.clear()

@@ -1,6 +1,8 @@
 """Distance-regularity, eigen data, Krein parameters, antipodality, tightness."""
 
+import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,15 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import distance_matrices, idempotent_profiles, induced_subgraph
+from conftest import (
+    TUTTE_12_CAGE_LCF,
+    distance_matrices,
+    idempotent_profiles,
+    induced_subgraph,
+    lcf_graph,
+    sympy_cosines,
+    sympy_scalar,
+)
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import (
     chang,
@@ -20,12 +30,15 @@ from drgkit.families import (
 )
 from drgkit.graph_core import Graph, distances
 from drgkit.scheme import (
+    DrgParameters,
+    EigenData,
     NotDistanceRegularError,
+    _float_multiplicity,
+    _p_row,
     antipodality,
     eigen_data,
     intersection_matrix,
     krein,
-    multiplicity,
     tightness,
     verify_drg,
 )
@@ -137,9 +150,7 @@ def test_eigen_data_float_fallback_cycles():
         assert np.allclose(ed.theta, expect)
 
 
-def _sym(x: AlgebraicScalar):
-    return sympy.Rational(x.a.numerator, x.a.denominator) + \
-        sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d)
+_sym = sympy_scalar
 
 
 def _is_zero(M) -> bool:
@@ -155,7 +166,7 @@ def test_idempotent_identities():
         prof = idempotent_profiles(ed, params)
         n, D = g.n, params.D
         A = [sympy.Matrix(a.tolist()) for a in distance_matrices(distances(g))]
-        E = [sum((_sym(prof[h][i]) * A[h] for h in range(D + 1)), sympy.zeros(n))
+        E = [sum((prof[h][i] * A[h] for h in range(D + 1)), sympy.zeros(n))
              for i in range(D + 1)]
         for i in range(D + 1):
             for j in range(D + 1):
@@ -183,18 +194,37 @@ def test_idempotent_profiles_match_entries():
         E = E * sympy.radsimp(1 / sympy.expand(denom))
         for h in range(params.D + 1):
             xs, ys = np.nonzero(dd.dist == h)
-            assert sympy.expand(E[int(xs[0]), int(ys[0])] - _sym(prof[h][i])) == 0
+            assert sympy.expand(E[int(xs[0]), int(ys[0])] - prof[h][i]) == 0
 
 
 def test_multiplicities_reject_wrong_theta():
     for g in (shrikhande(), icosahedron(), johnson(8, 4)):
         params = verify_drg(g)
         ed = eigen_data(params)
-        assert [multiplicity(t, params) for t in ed.theta] == list(ed.mult)
+        assert [_p_row(t, params)[1] for t in ed.theta] == list(ed.mult)
+        assert [_float_multiplicity(float(t), params) for t in ed.theta] == list(ed.mult)
         with pytest.raises(ValueError):
-            multiplicity(ed.theta[1] + 1, params)
+            _p_row(ed.theta[1] + 1, params)
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            _p_row(ed.theta[1] / 3, params)
+    # every division is exact and Biggs' formula gives 8, but 0 is no eigenvalue
+    with pytest.raises(ValueError, match="not an eigenvalue"):
+        _p_row(S(0), verify_drg(shrikhande()))
         with pytest.raises(ValueError):
-            multiplicity(float(ed.theta[1]) + 0.5, params)
+            _float_multiplicity(float(ed.theta[1]) + 0.5, params)
+
+
+@pytest.mark.parametrize("build", [shrikhande, icosahedron, lambda: johnson(8, 4),
+                                   lambda: hamming(3, 2), lambda: halved_cube(8)],
+                         ids=["Shrikhande", "icosahedron", "J(8,4)", "H(3,2)", "halved-8-cube"])
+def test_p_rows_match_sympy_cosines(build):
+    # v_l(theta) = (alpha_l + beta_l sqrt(d))/2 = k_l u_l(theta), u from sympy
+    params = verify_drg(build())
+    ed = eigen_data(params)
+    for t, (d, alpha, beta) in zip(ed.theta, ed.rows):
+        u = sympy_cosines(_sym(t), params)
+        for k, uh, a, b in zip(params.k_i, u, alpha, beta):
+            assert sympy.expand(k * uh - (a + b * sympy.sqrt(d)) / 2) == 0
 
 
 def _krein_oracle(ed, params):
@@ -203,7 +233,7 @@ def _krein_oracle(ed, params):
     Returns q[h, i, j] and the Q-polynomial orderings of its zero pattern."""
     D, n = params.D, params.n
     prof = idempotent_profiles(ed, params)
-    P = sympy.Matrix(D + 1, D + 1, lambda h, i: _sym(prof[h][i]))
+    P = sympy.Matrix(D + 1, D + 1, lambda h, i: prof[h][i])
     pairs = list(itertools.product(range(D + 1), repeat=2))
     R = sympy.Matrix(D + 1, len(pairs), lambda h, c: P[h, pairs[c][0]] * P[h, pairs[c][1]])
     M = DomainMatrix.from_Matrix(P.row_join(R), extension=True)
@@ -226,11 +256,15 @@ def _krein_oracle(ed, params):
     return q, tuple(orderings)
 
 
+def _tutte_12_cage():
+    return lcf_graph(TUTTE_12_CAGE_LCF, "Tutte 12-cage")
+
+
 @pytest.mark.parametrize("build", [shrikhande, icosahedron, lambda: johnson(8, 4),
                                    lambda: johnson(7, 3), lambda: halved_cube(8),
-                                   lambda: hamming(3, 3), lambda: chang(3)],
+                                   lambda: hamming(3, 3), lambda: chang(3), _tutte_12_cage],
                          ids=["Shrikhande", "icosahedron", "J(8,4)", "J(7,3)", "halved-8-cube",
-                              "H(3,3)", "Chang-3"])
+                              "H(3,3)", "Chang-3", "Tutte-12-cage"])
 def test_krein_matches_elimination_oracle(build):
     g = build()
     params = verify_drg(g)
@@ -238,8 +272,45 @@ def test_krein_matches_elimination_oracle(build):
     kd = krein(ed, params)
     q, orderings = _krein_oracle(ed, params)
     for (h, i, j), value in q.items():
-        assert sympy.expand(value - _sym(kd.q[h][i][j])) == 0, (g.label, h, i, j)
+        assert (value != 0) == kd.nonzero[h][i][j], (g.label, h, i, j)
+        assert value >= 0, (g.label, h, i, j, value)
     assert kd.qpoly_orderings == orderings
+
+
+def test_tutte_12_cage_multiplicities_match_sympy():
+    # eigenvalues in Q, Q(sqrt 2) and Q(sqrt 6); sympy: the roots of the
+    # intersection matrix and Biggs' formula n / sum_h k_h u_h^2 on them
+    params = verify_drg(_tutte_12_cage())
+    assert params.intersection_array == "{3,2,2,2,2,2;1,1,1,1,1,3}"
+    ed = eigen_data(params)
+    roots = sympy.Matrix(intersection_matrix(params).tolist()).eigenvals()
+    assert set(roots.values()) == {1}
+    expected = {}
+    for r in roots:
+        u = sympy_cosines(r, params)
+        expected[r] = sympy.nsimplify(sympy.radsimp(
+            params.n / sympy.expand(sum(k * x * x for k, x in zip(params.k_i, u)))))
+    got = {_sym(t): m for t, m in zip(ed.theta, ed.mult)}
+    assert got == expected
+    assert ed.mult == (1, 21, 27, 28, 27, 21, 1)
+    assert krein(ed, params).qpoly_orderings == ()
+
+
+@pytest.mark.parametrize("params, mult, message", [
+    # SRG(28,9,0,4): q^2_22 = -4/9
+    (DrgParameters(n=28, D=2, k=9, b=(9, 8), c=(1, 4), a=(0, 0, 5), k_i=(1, 9, 18)),
+     (1, 21, 6), "q^2_{22} = -4/9"),
+    # {8,7,2;1,4,4}, eigenvalues -1 +- sqrt 21: q^1_11 = -4/5 - 3/35 sqrt 21, and
+    # q^1_13 has a positive rational part but is negative
+    (DrgParameters(n=30, D=3, k=8, b=(8, 7, 2), c=(1, 4, 4), a=(0, 0, 2, 4), k_i=(1, 8, 14, 7)),
+     (1, 4, 21, 4), "q^1_{11} = -4/5 - 3/35√21"),
+], ids=["SRG(28,9,0,4)", "{8,7,2;1,4,4}"])
+def test_krein_condition_rejects_infeasible_arrays(params, mult, message):
+    # integral multiplicities, but a negative Krein parameter
+    ed = eigen_data(params)
+    assert ed.mult == mult
+    with pytest.raises(ValueError, match=re.escape(f"negative Krein parameter {message}")):
+        krein(ed, params)
 
 
 def test_krein_srg_natural_ordering():
@@ -256,7 +327,7 @@ def test_krein_icosahedron_dual_bipartite():
     assert (0, 1, 2, 3) in kd.qpoly_orderings
     # q^i_{1,i} = 0 for all i in the natural ordering
     for i in range(4):
-        assert kd.q[i][1][i] == S(0)
+        assert not kd.nonzero[i][1][i]
 
 
 def test_krein_j84_has_ordering():
@@ -296,6 +367,17 @@ def test_tightness_j84():
     assert t.is_tight
     assert t.lhs == S(Fraction(-864, 49)) and t.rhs == S(Fraction(-864, 49))
     assert t.b_plus == S(2) and t.b_minus == S(-2)
+
+
+def test_tightness_names_both_fields_of_theta_1_and_theta_d():
+    # hand-built: theta_1 in Q(sqrt 6), theta_D in Q(sqrt 2), not bipartite
+    params = verify_drg(icosahedron())
+    ed = dataclasses.replace(eigen_data(params), theta=(S(5), S(0, 1, 6), S(-1), S(0, -1, 2)))
+    with pytest.raises(ValueError) as e:
+        tightness(params, ed)
+    text = str(e.value)
+    assert "Q(√6)" in text and "Q(√2)" in text and "\n" not in text
+    assert "cannot mix" not in text
 
 
 def test_tightness_bipartite_undefined():
