@@ -288,9 +288,9 @@ class AlgebraicScalar:
 
 
 def radical_sign(terms: dict[int, int]) -> int:
-    """Exact sign of sum_r c_r sqrt(r), integers c_r and r >= 0: -1, 0 or 1.
-    Over distinct square-free r the sqrt(r) are linearly independent over Q,
-    so the sum is zero exactly when every c_r is.  Otherwise each c_r sqrt(r)
+    """Exact sign of sum_r c_r sqrt(r), integers c_r and distinct square-free
+    r >= 1: -1, 0 or 1.  Those sqrt(r) are linearly independent over Q, so
+    the sum is zero exactly when every c_r is.  Otherwise each c_r sqrt(r)
     2^e lies between +-isqrt(c_r^2 r 4^e) and the next integer, and e grows
     until the sum of those intervals excludes 0 (Cohen, A Course in
     Computational Algebraic Number Theory, 1993)."""
@@ -305,12 +305,6 @@ def radical_sign(terms: dict[int, int]) -> int:
             lo, hi = (lo + t, hi + u) if c > 0 else (lo - u, hi - t)
         if lo > 0 or hi < 0:
             return 1 if lo > 0 else -1
-        if e == 0:  # undecided: fold each r = s^2 d into square-free d, so a zero sum
-            folded: dict = {}  # keeps no term and the loop ends
-            for c, r in terms:
-                s, d = square_free_split(r)
-                folded[d] = folded.get(d, 0) + c * s
-            terms = [(c, r) for r, c in folded.items() if c]
         e = 2 * e + 16
     return 0
 

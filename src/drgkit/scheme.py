@@ -237,15 +237,15 @@ def eigen_data(params: DrgParameters) -> EigenData:
     rows, mult = zip(*(_p_row(t, params) for t in theta))
     if mult[0] != 1 or sum(mult) != n:
         raise ValueError("multiplicities do not sum to n with m_0 = 1")
-    tr1, tr2 = {1: 0}, {1: -4 * n * k}  # 2 tr A and 4 tr A^2 - 4 n k on radicals
-    for m, (d, (_, s, *_), (_, f, *_)) in zip(mult, rows):
-        for terms, rational, surd in ((tr1, m * s, m * f),
-                                      (tr2, m * (s * s + f * f * d), 2 * m * s * f)):
-            terms[1] += rational
-            terms[d] = terms.get(d, 0) + surd
-    if any(tr1.values()):
+    msfd = [(m, alpha[1], beta[1], d) for m, (d, alpha, beta) in zip(mult, rows)]
+    surds: dict = {}  # d -> sqrt(d) parts of 2 tr A and 4 tr A^2
+    for m, s, f, d in msfd:
+        a, b = surds.get(d, (0, 0))
+        surds[d] = (a + m * f, b + 2 * m * s * f)
+    if sum(m * s for m, s, f, d in msfd) or any(a for a, _ in surds.values()):
         raise ValueError("multiplicities contradict tr A = 0")
-    if any(tr2.values()):
+    if sum(m * (s * s + f * f * d) for m, s, f, d in msfd) != 4 * n * k or any(
+            b for _, b in surds.values()):
         raise ValueError("multiplicities contradict tr A^2 = n k")
     return EigenData(theta=theta, mult=mult, exact=True, rows=rows)
 
