@@ -118,8 +118,7 @@ def cmd_analyze(args) -> int:
         return _fail(EXIT_USAGE, f"error: {e}")
     if args.all_vertices and g.n > _SLOW_GATE and not args.slow:
         return _fail(EXIT_USAGE, f"error: --all-vertices on {g.n} vertices needs --slow "
-                                 "(one T(x) closure per vertex, about two thirds of the "
-                                 "time: about 3 s for the 128-vertex halved 8-cube)")
+                                 "(one T(x) closure per vertex, about two thirds of the time)")
     if not (args.all_vertices or 0 <= args.base_vertex < g.n):
         return _fail(EXIT_USAGE, f"error: base vertex {args.base_vertex} out of range")
     vertices = list(range(g.n)) if args.all_vertices else [args.base_vertex]

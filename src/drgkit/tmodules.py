@@ -21,9 +21,10 @@ Every decomposition built here is self-certifying:
 * multiplicities times dimensions must sum to n;
 * the diameter-4 endpoint-1 classes are computed from an explicit local
   eigenvector (an integer column of the product of the other factors of the
-  exact local spectrum), walked on integer vectors, with the three-term
-  action coefficients read off by exact inner products, so thinness is
-  witnessed rather than assumed.
+  exact local spectrum), walked once on integer vectors; at every step the
+  parts of A w_i on subconstituents i and i+1 are checked to be exact
+  multiples of w_(i-1) and w_i, which gives x_i(W) and a_i(W), so thinness
+  is witnessed rather than assumed.
 
 wedderburn_dim (sum of squared class dimensions) is the bridge to the
 brute-force algebra closure: the two must agree exactly, which ties the
@@ -32,7 +33,6 @@ classification to an independent computation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -254,18 +254,13 @@ def srg_dim_formula(ds: DimensionSequence) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> int:
-    """Exact inner product of two integer vectors."""
-    return int(_imatmul(u.reshape(1, -1), v.reshape(-1, 1))[0, 0])
-
-
-def _local_eigenvector(ctx: GraphContext, x: int, lam: AlgebraicScalar) -> np.ndarray:
-    """A lambda-eigenvector of B_1 as an integer vector, for rational lambda: a
-    nonzero column of the product of the factors of the local key other than
-    x - lambda, which is a multiple of the lambda-eigenprojection."""
+def _local_eigenvector(ctx: GraphContext, x: int, lam: int) -> np.ndarray:
+    """A lambda-eigenvector of B_1 as an integer vector: a nonzero column of the
+    product of the factors of the local key other than x - lambda, which is a
+    multiple of the lambda-eigenprojection."""
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     factors = [tuple(f[:-1]) for f in local.key]
-    others = [f for f in factors if f != (lam.as_fraction(),)]
+    others = [f for f in factors if f != (lam,)]
     if len(others) == len(factors):
         raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
     cls1 = ctx.dd.classes_from(x, 1)
@@ -277,76 +272,44 @@ def _local_eigenvector(ctx: GraphContext, x: int, lam: AlgebraicScalar) -> np.nd
     return v // _gcd_all(v)
 
 
-def endpoint1_module_data(g: Union[Graph, GraphContext], x: int, lam: AlgebraicScalar,
-                          expected_diameter: Optional[int] = None):
+def _multiple(u: np.ndarray, w: np.ndarray) -> AlgebraicScalar:
+    """c with u = c w, checked as u <w, w> = <u, w> w on Python ints."""
+    u, w = _to_object(u), _to_object(w)
+    uw, ww = int(u.dot(w)), int(w.dot(w))
+    if (u * ww != uw * w).any():
+        raise ValueError("module is not thin: A w_i leaves span(w_(i-1), w_i, w_(i+1))")
+    return AlgebraicScalar(Fraction(uw, ww))
+
+
+def endpoint1_module_data(ctx: GraphContext, x: int, lam: int):
     """(a_seq, x_seq) of the thin module generated by a lambda-eigenvector.
 
-    Takes an integer local eigenvector v of B_1 = adjacency of the first
-    subconstituent (a column of the product of the other local factors,
-    from the exact local spectrum), embeds it as w_0, forms
-    w_i = E*_{1+i} A w_{i-1} on integer vectors, and reads a_i(W), x_i(W) off
-    as Fractions of exact inner products.  Verifies that v is orthogonal to
-    all-ones, that the walk terminates (thin, endpoint 1) and that A maps
-    each w_i into span(w_{i-1}, w_i, w_{i+1}) exactly.  Only rational lambda
-    is supported here; that covers the tight diameter-4 graphs, whose local
-    eigenvalues are integers.
+    Embeds the integer local eigenvector v of B_1 (_local_eigenvector), which
+    must be orthogonal to all-ones (endpoint 1), as w_0 and walks
+    w_(i+1) = E*_(i+2) A w_i on integer vectors until it vanishes.  A maps
+    subconstituent i+1 only into subconstituents i, i+1 and i+2, so the module
+    is thin exactly when, at every step, the part of A w_i on subconstituent
+    i+1 is a_i(W) w_i and the part on subconstituent i is x_i(W) w_(i-1); a
+    step where either is not such a multiple raises ValueError.
     """
-    if not lam.is_rational:
-        raise ValueError("explicit module extraction implemented for rational lambda")
-    ctx = GraphContext.of(g)
-    g, dd = ctx.graph, ctx.dd
     v = _local_eigenvector(ctx, x, lam)
-    n = g.n
-    w = np.zeros(n, dtype=v.dtype)
-    w[dd.classes_from(x, 1)] = v
     if sum(v.tolist()) != 0:
         raise ValueError("local eigenvector is not orthogonal to all-ones")
-    A = np.asarray(g.adjacency, dtype=np.int64)
-    dist = dd.dist[x]
-
-    def apply_A(vec):
-        return _imatmul(A, vec.reshape(-1, 1)).reshape(-1)
-
-    def project(vec, i):
-        return np.where(dist == i, vec, 0)
-
-    def three_term_holds(Aw, ahead, j):
-        # den * (A w_j - ahead - a_j w_j - x_j w_{j-1}) == 0 in Python ints
-        coefs = [a_seq[j].as_fraction()] + ([x_seq[j - 1].as_fraction()] if j else [])
-        den = math.lcm(*(c.denominator for c in coefs))
-        rest = den * (_to_object(Aw) - _to_object(ahead))
-        for c, vec in zip(coefs, (ws[j], ws[j - 1])):
-            rest = rest - int(c * den) * _to_object(vec)
-        return not rest.any()
-
-    zero = np.zeros(n, dtype=np.int64)
-    ws = [w]
-    a_seq, x_seq = [], []
-    i = 0
+    dist = ctx.dd.dist[x]
+    A = np.asarray(ctx.graph.adjacency, dtype=np.int64)
+    w = np.zeros(ctx.graph.n, dtype=v.dtype)
+    w[ctx.dd.classes_from(x, 1)] = v
+    ws, a_seq, x_seq = [w], [], []
     while True:
-        Aw = apply_A(ws[i])
-        a_seq.append(AlgebraicScalar(Fraction(_dot(Aw, ws[i]), _dot(ws[i], ws[i]))))
-        if i > 0:
-            x_seq.append(AlgebraicScalar(Fraction(_dot(Aw, ws[i - 1]),
-                                                  _dot(ws[i - 1], ws[i - 1]))))
-        if i == 0 and project(Aw, i).any():
-            raise ValueError("module does not have endpoint 1")
-        nxt = project(Aw, i + 2)
-        if nxt.any():
-            ws.append(nxt)
-            i += 1
-            continue
-        # walk ended; verify A w_i lands exactly in span(w_{i-1}, w_i)
-        if not three_term_holds(Aw, zero, i):
-            raise ValueError("module is not thin: A w_d leaves the walk span")
-        break
-    # interior steps: A w_i = w_{i+1} + a_i w_i + x_i w_{i-1} exactly
-    for j in range(len(ws) - 1):
-        if not three_term_holds(apply_A(ws[j]), ws[j + 1], j):
-            raise ValueError("three-term action fails: module is not thin")
-    if expected_diameter is not None and len(ws) - 1 != expected_diameter:
-        raise ValueError(f"module diameter {len(ws) - 1} != expected {expected_diameter}")
-    return tuple(a_seq), tuple(x_seq)
+        i = len(ws) - 1
+        Aw = _imatmul(A, ws[i].reshape(-1, 1)).reshape(-1)
+        a_seq.append(_multiple(np.where(dist == i + 1, Aw, 0), ws[i]))
+        if i:
+            x_seq.append(_multiple(np.where(dist == i, Aw, 0), ws[i - 1]))
+        nxt = np.where(dist == i + 2, Aw, 0)
+        if not nxt.any():
+            return tuple(a_seq), tuple(x_seq)
+        ws.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +382,7 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
     for lam_int, mult, t in ((p, m_bp, 1), (-q, m_bm, 2)):
         lam = AlgebraicScalar(lam_int)
         expected_a1 = theta[t] + theta[t + 1] + theta[t + 2] - lam - lam
-        a_seq, x_seq = endpoint1_module_data(ctx, x, lam, expected_diameter=2)
+        a_seq, x_seq = endpoint1_module_data(ctx, x, lam_int)
         if a_seq != (lam, expected_a1, lam):
             raise ValueError(
                 f"endpoint-1 a-sequence {tuple(str(a) for a in a_seq)} differs from "

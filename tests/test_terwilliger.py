@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,7 +139,8 @@ def _spin_closure_dim(gens):
 def _closure_dim(gens):
     """dim of the unital algebra generated by gens through block_spin_dim: the
     diagonal generators give the cells, their common level sets (one cell when
-    there is none), and the others are the dense generators."""
+    there is none), and the one other generator, or a zero matrix when there
+    is none, is the symmetric matrix A."""
     gens = [np.asarray(G) for G in gens]
     n = gens[0].shape[0]
     diagonal = [np.count_nonzero(G) == np.count_nonzero(G.diagonal()) for G in gens]
@@ -147,7 +149,9 @@ def _closure_dim(gens):
         key = tuple(int(G[v, v]) for G, diag in zip(gens, diagonal) if diag)
         cells.setdefault(key, []).append(v)
     dense = [G for G, diag in zip(gens, diagonal) if not diag]
-    return block_spin_dim(dense, [np.array(c) for c in cells.values()])
+    assert len(dense) <= 1
+    A = dense[0] if dense else np.zeros((n, n), dtype=np.int64)
+    return block_spin_dim(A, [np.array(c) for c in cells.values()])
 
 
 def test_closure_identity_only():
@@ -217,7 +221,7 @@ def test_closure_basis_is_closed_and_transpose_stable():
     dd = distances(g)
     gens = _terwilliger_generators(g, 0, dd)
     cells = [np.flatnonzero(e) for e in _class_indicators(dd, 0)]
-    assert block_spin_dim([gens[0]], cells) == 20
+    assert block_spin_dim(gens[0], cells) == 20
     span = _spin_closure(gens)
     basis = [row.reshape(g.n, g.n) for row in span.rows]
     assert len(basis) == 20
@@ -291,11 +295,15 @@ def _naive_closure_dim(gens):
         mats = grown
 
 
+def _symmetrized(rng, n):
+    G = rng.integers(-2, 3, size=(n, n))
+    return G + G.T
+
+
 def test_closure_dim_matches_naive_fixed_point():
     rng = np.random.default_rng(3)
     for _ in range(4):
-        n = int(rng.integers(2, 4))
-        gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
+        gens = [_symmetrized(rng, int(rng.integers(2, 4)))]
         assert _closure_dim(gens) == _naive_closure_dim(gens)
 
 
@@ -304,7 +312,7 @@ def _dense_and_diagonal_generators(seed):
     cases = []
     for _ in range(6):
         n = int(rng.integers(2, 5))
-        gens = [rng.integers(-2, 3, size=(n, n)) for _ in range(int(rng.integers(1, 3)))]
+        gens = [_symmetrized(rng, n)]
         gens += [np.diag(rng.integers(-3, 4, size=n)) for _ in range(int(rng.integers(1, 3)))]
         cases.append(gens)
     return cases
@@ -318,14 +326,16 @@ def test_closure_dense_and_diagonal_generators_match_naive_fixed_point():
 def test_transpose_path_needs_an_exactly_symmetric_generator():
     # one off-diagonal entry breaks the symmetry, in its support or only in its
     # value: T is then not closed under transpose, and spinning only the
-    # blocks l >= j would give 8 and 11
+    # blocks l >= j would give 8 and 11, so block_spin_dim refuses the matrix
     path = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
     path[2, 1] = 0
     weighted = np.array([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]])
     weighted[0, 2] = 2
     for gens, dim in (([path, np.diag([0, 1, 2, 3])], 12),
                       ([weighted, np.diag([1, 1, 0, 0])], 13)):
-        assert _closure_dim(gens) == _spin_closure_dim(gens) == _naive_closure_dim(gens) == dim
+        assert _spin_closure_dim(gens) == _naive_closure_dim(gens) == dim
+        with pytest.raises(ValueError, match="symmetric"):
+            _closure_dim(gens)
 
 
 def test_closure_dim_survives_int64_overflow(monkeypatch):

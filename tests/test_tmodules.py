@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from drgkit import tmodules
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
 from drgkit.families import hamming, halved_cube, icosahedron, johnson, shrikhande
@@ -115,13 +116,14 @@ def test_decompose_taylor_j63():
 def test_taylor_explicit_module_matches_formula():
     # the explicit eigenvector route reproduces the published module data on
     # J(6,3), whose local eigenvalues are integers
-    g = johnson(6, 3)
-    md = decompose(g, 0)
+    ctx = GraphContext.of(johnson(6, 3))
+    md = decompose(ctx, 0)
     for d in md.descriptors:
         if d.endpoint != 1:
             continue
-        a_seq, x_seq = endpoint1_module_data(g, 0, d.local_eigenvalue,
-                                             expected_diameter=1)
+        lam = d.local_eigenvalue.as_fraction()
+        assert lam.denominator == 1
+        a_seq, x_seq = endpoint1_module_data(ctx, 0, int(lam))
         assert a_seq == d.a_seq
         assert x_seq == d.x_seq
 
@@ -211,18 +213,30 @@ def test_endpoint1_module_data_matches_nullspace_oracle(graph, lams, vertices):
     ctx = GraphContext.of(graph)
     for x in vertices:
         for lam in lams:
-            a_seq, x_seq = endpoint1_module_data(ctx, x, S(lam), expected_diameter=2)
+            a_seq, x_seq = endpoint1_module_data(ctx, x, lam)
             oa, ox = _endpoint1_oracle(graph, x, lam)
             assert a_seq == tuple(S(a) for a in oa) and x_seq == tuple(S(v) for v in ox)
 
 
 def test_endpoint1_module_data_rejects_non_eigenvalues():
-    g = johnson(8, 4)  # local spectrum {6^1, 2^6, -2^9}
+    ctx = GraphContext.of(johnson(8, 4))  # local spectrum {6^1, 2^6, -2^9}
     for lam in (3, 0, 6):  # not local eigenvalues; 6 has only all-ones
         with pytest.raises(ValueError):
-            endpoint1_module_data(g, 0, S(lam))
-    with pytest.raises(ValueError):
-        endpoint1_module_data(g, 0, S(Fraction(1, 2)))
+            endpoint1_module_data(ctx, 0, lam)
+
+
+def test_endpoint1_module_data_rejects_a_module_that_is_not_thin(monkeypatch):
+    # a vector orthogonal to all-ones that is not a B_1-eigenvector: B_1 v is
+    # not a multiple of v, so A w_0 leaves span(w_0, w_1) on subconstituent 1
+    ctx = GraphContext.of(johnson(8, 4))
+    cls1 = ctx.dd.classes_from(0, 1)
+    B1 = ctx.graph.adjacency[np.ix_(cls1, cls1)].astype(np.int64)
+    v = np.zeros(len(cls1), dtype=np.int64)
+    v[0], v[1] = 1, -1
+    assert (B1 @ v).any() and np.linalg.matrix_rank(np.stack([B1 @ v, v])) == 2
+    monkeypatch.setattr(tmodules, "_local_eigenvector", lambda ctx, x, lam: v)
+    with pytest.raises(ValueError, match="not thin"):
+        endpoint1_module_data(ctx, 0, 2)
 
 
 def test_wedderburn_examples():
