@@ -113,6 +113,7 @@ def _sign(a: Fraction, b: Fraction, d: int) -> int:
     return sa * ((diff > 0) - (diff < 0))
 
 
+@functools.total_ordering
 class AlgebraicScalar:
     """An exact real number a + b*sqrt(d) with rational a and b.
 
@@ -146,11 +147,6 @@ class AlgebraicScalar:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.a
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -189,10 +185,6 @@ class AlgebraicScalar:
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -213,10 +205,6 @@ class AlgebraicScalar:
     def __truediv__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else o * self.inverse()
 
     # -- comparisons ----------------------------------------------------------
 
@@ -254,18 +242,6 @@ class AlgebraicScalar:
     def __lt__(self, other):
         c = self.compare(other)
         return c if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self.compare(other)
-        return c if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self.compare(other)
-        return c if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self.compare(other)
-        return c if c is NotImplemented else c >= 0
 
     # -- rendering --------------------------------------------------------------
 

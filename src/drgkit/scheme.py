@@ -13,13 +13,12 @@ tridiagonal intersection matrix, taken by spectra.spectrum_of_int_matrix like
 any other integer matrix (the matrix is not symmetric, but its eigenvalues
 are real and simple).  Each eigenvalue in Q or a quadratic field Q(sqrt(d))
 gets its P-matrix row v_l = k_l u_l on integers, (alpha_l + beta_l
-sqrt(d))/2, and the multiplicities (Biggs' formula), the trace checks and
-the signs of the Krein parameters (a closed form, BCN Sect. 2.3) are read
-off those rows as integer coefficients of square-free radicals, so the
-eigenvalues may lie in several quadratic fields at once.  An eigenvalue of
-higher degree makes the spectrum a flagged float fallback.  GraphContext.eigen
-keeps the result, and every other layer reads the graph's eigenvalues
-theta_0 > ... > theta_D there.
+sqrt(d))/2, and the multiplicities (Biggs' formula) and the signs of the
+Krein parameters (a closed form, BCN Sect. 2.3) are read off those rows as
+integer coefficients of square-free radicals, so the eigenvalues may lie in
+several quadratic fields at once.  An eigenvalue of higher degree makes the
+spectrum a flagged float fallback.  GraphContext.eigen keeps the result, and
+every other layer reads the graph's eigenvalues theta_0 > ... > theta_D there.
 """
 
 from __future__ import annotations
@@ -217,15 +216,17 @@ def eigen_data(params: DrgParameters) -> EigenData:
     spectra.spectrum_of_int_matrix like any other integer matrix, and must be
     simple.  Each exact one gets its integer P-matrix row and multiplicity
     from _p_row, so no n x n matrix is built and no scalar of one quadratic
-    field meets one of another.  m_0 = 1, sum m_i = n, sum m_i theta_i =
-    tr A = 0 and sum m_i theta_i^2 = tr A^2 = n k are checked on integer
-    coefficients of radicals: theta = (s + f sqrt(d))/2 adds m s + m f sqrt(d)
-    to 2 tr A.  When the intersection-matrix charpoly has an irreducible
-    factor of degree >= 3 the eigenvalues are floats (flagged), with
-    multiplicities from _float_multiplicity that must still sum to n.
+    field meets one of another.  m_0 = 1, sum m_i = n, tr A = 0 and
+    tr A^2 = n k need no check: the eigenvalues of L are D + 1 simple ones
+    and K L = L^T K, K = diag(k_l), so v_l(theta_i) sqrt(m_i / (n k_l)) is an
+    orthogonal matrix, sum_i m_i v_l(theta_i) v_h(theta_i) = n k_l delta_lh
+    (BCN Thm 4.1.4), and l, h in {0, 1} give all four.  When the charpoly of
+    L has an irreducible factor of degree >= 3 the eigenvalues are floats
+    (flagged), with rounded multiplicities from _float_multiplicity, which
+    must still sum to n.
     """
     spec = spectrum_of_int_matrix(intersection_matrix(params))
-    n, k = params.n, params.k
+    n = params.n
     theta = tuple(v for v, _ in spec.pairs)
     if any(m != 1 for _, m in spec.pairs) or len(theta) != params.D + 1:
         raise ValueError("intersection matrix spectrum is not simple")
@@ -235,18 +236,6 @@ def eigen_data(params: DrgParameters) -> EigenData:
             raise ValueError(f"float multiplicities {mult} do not sum to n = {n}")
         return EigenData(theta=theta, mult=mult, exact=False)
     rows, mult = zip(*(_p_row(t, params) for t in theta))
-    if mult[0] != 1 or sum(mult) != n:
-        raise ValueError("multiplicities do not sum to n with m_0 = 1")
-    msfd = [(m, alpha[1], beta[1], d) for m, (d, alpha, beta) in zip(mult, rows)]
-    surds: dict = {}  # d -> sqrt(d) parts of 2 tr A and 4 tr A^2
-    for m, s, f, d in msfd:
-        a, b = surds.get(d, (0, 0))
-        surds[d] = (a + m * f, b + 2 * m * s * f)
-    if sum(m * s for m, s, f, d in msfd) or any(a for a, _ in surds.values()):
-        raise ValueError("multiplicities contradict tr A = 0")
-    if sum(m * (s * s + f * f * d) for m, s, f, d in msfd) != 4 * n * k or any(
-            b for _, b in surds.values()):
-        raise ValueError("multiplicities contradict tr A^2 = n k")
     return EigenData(theta=theta, mult=mult, exact=True, rows=rows)
 
 

@@ -7,17 +7,17 @@ passes them.  Every route reads the graph's eigenvalues theta_0 > ... >
 theta_D from GraphContext.eigen, the certified spectrum of the intersection
 array.  The one closed form is decompose_srg's sigma and tau, read from the
 route's SrgParams (which the route builds without GraphContext.eigen, so a
-verdict never computes it); _check_a_sum checks every class built from them
-against GraphContext.eigen.theta.  One _primary builds the primary
-module of every route from the intersection numbers, and the Taylor and AT4
-routes check each local spectrum against GraphContext.route_local in one
-place (_cover_local).
+verdict never computes it); decompose_srg checks them once against
+GraphContext.eigen.theta.  One _primary builds the primary module of every
+route from the intersection numbers, and the Taylor and AT4 routes check
+each local spectrum against GraphContext.route_local in one place
+(_cover_local).
 
 Every decomposition built here is self-certifying:
 
-* each class carries a_0(W)..a_d(W) whose sum is checked exactly against
-  theta_t + ... + theta_{t+d} (t the dual endpoint), and against the
-  palindromic identity a_i(W) = a_{d-i}(W) for antipodal covers;
+* each class's a_0(W) + ... + a_d(W) is theta_t + ... + theta_{t+d} (t the
+  dual endpoint) by construction: tr L for the primary class, and the
+  checks on sigma and tau (SRG, Taylor) or on the AT4 a-sequences for the rest;
 * multiplicities times dimensions must sum to n;
 * the diameter-4 endpoint-1 classes are computed from an explicit local
   eigenvector (an integer column of the product of the other factors of the
@@ -113,36 +113,14 @@ def wedderburn_dim(md: ModuleDecomposition) -> int:
     return sum(d.dim * d.dim for d in md.descriptors)
 
 
-def _check_a_sum(a_seq, theta, t: int):
-    """sum_i a_i(W) == sum_i theta_{t+i}, exactly."""
-    lhs = _ZERO
-    for a in a_seq:
-        lhs = lhs + a
-    rhs = _ZERO
-    for i in range(len(a_seq)):
-        rhs = rhs + theta[t + i]
-    if lhs != rhs:
-        raise ValueError(f"sum a_i(W) = {lhs} != {rhs} = sum theta_(t+i) (t={t})")
-
-
-def _check_palindrome(descs):
-    """a_i(W) == a_(d-i)(W) on every class, as on an antipodal cover."""
-    for d in descs:
-        if d.a_seq != d.a_seq[::-1]:
-            raise ValueError(f"a_i(W) != a_(d-i)(W) in {tuple(str(a) for a in d.a_seq)}")
-
-
-def _primary(params: DrgParameters, theta) -> ModuleDescriptor:
-    """The primary module, dim D + 1: a_i(W) = a_i and x_i(W) = b_(i-1) c_i,
-    its a-sum checked against theta_0 + ... + theta_D."""
-    desc = ModuleDescriptor(
+def _primary(params: DrgParameters) -> ModuleDescriptor:
+    """The primary module, dim D + 1: a_i(W) = a_i and x_i(W) = b_(i-1) c_i."""
+    return ModuleDescriptor(
         endpoint=0, dual_endpoint=0, diameter=params.D, dim=params.D + 1, multiplicity=1,
         local_eigenvalue=None,
         a_seq=tuple(AlgebraicScalar(a) for a in params.a),
         x_seq=tuple(AlgebraicScalar(b * c) for b, c in zip(params.b, params.c)),
     )
-    _check_a_sum(desc.a_seq, theta, 0)
-    return desc
 
 
 def decompose(g: Union[Graph, GraphContext], x: int) -> Optional[ModuleDecomposition]:
@@ -181,26 +159,27 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     action matrix [[lambda, -(lambda-sigma)(lambda-tau)], [1, sigma+tau-lambda]];
     dim-1 endpoint-1 classes for sigma/tau appearing in the local graph
     (eigenvector orthogonal to all-ones); dim-1 endpoint-2 classes for
-    sigma/tau multiplicity left over in the second subconstituent.
+    sigma/tau multiplicity left over in the second subconstituent.  sigma and
+    tau, from the route's SrgParams, must be theta_1 and theta_2.
     """
     p = ctx.route[1]
+    sigma, tau, theta = p.sigma, p.tau, ctx.eigen.theta
+    if (sigma, tau) != theta[1:]:
+        raise ValueError(f"sigma, tau = {sigma}, {tau} are not "
+                         f"theta_1, theta_2 = {theta[1]}, {theta[2]}")
     local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
     eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
-    sigma, tau = p.sigma, p.tau
-    theta = ctx.eigen.theta
 
-    descs = [_primary(ctx.params, theta)]
+    descs = [_primary(ctx.params)]
     for lam, mult in eff1.items():  # local eigenvalues outside {sigma, tau}
         a_seq = (lam, sigma + tau - lam)
         x_seq = (AlgebraicScalar(-1) * (lam - sigma) * (lam - tau),)
-        _check_a_sum(a_seq, theta, 1)
         descs.append(ModuleDescriptor(
             endpoint=1, dual_endpoint=1, diameter=1, dim=2, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
     for lam, mult, t in ((sigma, f_sigma, 1), (tau, f_tau, 2)):
         if mult:
-            _check_a_sum((lam,), theta, t)
             descs.append(ModuleDescriptor(
                 endpoint=1, dual_endpoint=t, diameter=0, dim=1, multiplicity=mult,
                 local_eigenvalue=lam, a_seq=(lam,), x_seq=(),
@@ -344,16 +323,14 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
     """
     theta, local_params, flags = _cover_local(ctx, x)
     sigma, tau = local_params.sigma, local_params.tau
-    descs = [_primary(ctx.params, theta)]
+    descs = [_primary(ctx.params)]
     for lam, mult, t in ((sigma, local_params.m_sigma, 1), (tau, local_params.m_tau, 2)):
         a_seq = (lam, lam)
         x_seq = ((lam - theta[t]) * (lam - theta[t]),)
-        _check_a_sum(a_seq, theta, t)
         descs.append(ModuleDescriptor(
             endpoint=1, dual_endpoint=t, diameter=1, dim=2, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
-    _check_palindrome(descs)
     return ModuleDecomposition(n=ctx.params.n, descriptors=tuple(descs), flags=flags)
 
 
@@ -377,7 +354,7 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
     p, q = ctx.route[1]
     theta, local_params, _ = _cover_local(ctx, x)
     m_bp, m_bm = local_params.m_sigma, local_params.m_tau
-    descs = [_primary(params, theta)]
+    descs = [_primary(params)]
     a1w = {}
     for lam_int, mult, t in ((p, m_bp, 1), (-q, m_bm, 2)):
         lam = AlgebraicScalar(lam_int)
@@ -388,7 +365,6 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
                 f"endpoint-1 a-sequence {tuple(str(a) for a in a_seq)} differs from "
                 f"({lam}, {expected_a1}, {lam})"
             )
-        _check_a_sum(a_seq, theta, t)
         a1w[lam_int] = expected_a1
         descs.append(ModuleDescriptor(
             endpoint=1, dual_endpoint=t, diameter=2, dim=3, multiplicity=mult,
@@ -411,5 +387,4 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
                 multiplicity=left[theta[t]], local_eigenvalue=theta[t],
                 a_seq=(theta[t],), x_seq=(),
             ))
-    _check_palindrome(descs)
     return ModuleDecomposition(n=params.n, descriptors=tuple(descs))

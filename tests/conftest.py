@@ -89,6 +89,14 @@ def lcf_graph(code, label: str = "") -> Graph:
     return Graph(adj, label=label)
 
 
+def graph_from_edges(n: int, edges) -> Graph:
+    """The graph on 0..n-1 with the given edges."""
+    adj = np.zeros((n, n), dtype=np.int8)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    return Graph(adj)
+
+
 def neighbors(g, v: int) -> np.ndarray:
     """The neighbours of v in increasing label order."""
     return np.nonzero(g.adjacency[v])[0]

@@ -17,15 +17,23 @@ import drgkit
 from conftest import (
     LATIN_SQUARE_6,
     TUTTE_12_CAGE_LCF,
+    graph_from_edges,
     latin_square_graph,
     lcf_graph,
     paley_graph,
 )
+from drgkit.analysis import AnalysisError, analyze_graph
 from drgkit.cli import main
 from drgkit.exactla import AlgebraicScalar
-from drgkit.families import chang, icosahedron, shrikhande
+from drgkit.families import (
+    chang,
+    complete_bipartite,
+    icosahedron,
+    shrikhande,
+    triangular_complement,
+)
 from drgkit.graph_core import save_graph
-from drgkit.spectra import subconstituent_spectrum
+from drgkit.spectra import Spectrum, subconstituent_spectrum
 
 
 def run(argv):
@@ -101,6 +109,58 @@ def test_analyze_shrikhande_all(tmp_path):
     assert all(rec["decomposition"]["wedderburn_dim"] == 20
                for rec in report["vertices"])
     assert report["graph"]["pvt"]["verdict"] == "pvt"
+
+
+@pytest.mark.parametrize("build, dim_t", [
+    # irrational sigma, tau, and neither in the local graph {0^2}
+    (lambda: graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), 13),
+    (lambda: complete_bipartite(3), 11),  # sigma = 0
+    (lambda: triangular_complement(5), 15),  # Petersen: f_sigma = f_tau = 0
+    (lambda: graph_from_edges(6, [(u, v) for u, v in itertools.combinations(range(6), 2)
+                                  if v != u + 3]), 11),  # K_{2,2,2}
+], ids=["C5", "K3,3", "Petersen", "K2,2,2"])
+def test_analyze_all_vertices_of_small_srgs(tmp_path, build, dim_t):
+    g_path, out = tmp_path / "g.json", tmp_path / "report.json"
+    save_graph(build(), str(g_path))
+    assert run(["analyze", str(g_path), "--all-vertices", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["graph"]["classification"]["type"] == "srg"
+    assert [(rec["dim_T"], rec["decomposition"]["wedderburn_dim"])
+            for rec in report["vertices"]] == [(dim_t, dim_t)] * len(report["vertices"])
+
+
+def _analysis_error(tmp_path, capsys, g) -> str:
+    """The message of analyze_graph's AnalysisError on g, after checking that
+    the analyze command prints it as its one error line with exit 2."""
+    with pytest.raises(AnalysisError) as err:
+        analyze_graph(g)
+    g_path = tmp_path / "g.json"
+    save_graph(g, str(g_path))
+    assert run(["analyze", str(g_path)]) == 2
+    assert capsys.readouterr().err == f"analysis error: {err.value}\n"
+    return str(err.value)
+
+
+def test_wedderburn_closure_mismatch_is_an_analysis_error(tmp_path, capsys, monkeypatch):
+    # acceptance criterion 9: the Wedderburn sum must equal the closure dimension
+    import drgkit.context
+
+    closure = drgkit.context.terwilliger_dimension
+    monkeypatch.setattr(drgkit.context, "terwilliger_dimension",
+                        lambda g, x, dd=None: closure(g, x, dd) + 1)
+    assert _analysis_error(tmp_path, capsys, shrikhande()) == \
+        "Wedderburn dimension 20 != closure dimension 21 at vertex 0"
+
+
+def test_derived_second_subconstituent_mismatch_is_an_analysis_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    import drgkit.analysis
+
+    monkeypatch.setattr(drgkit.analysis, "second_subconstituent_derived",
+                        lambda local, p: Spectrum.from_pairs([(4, 1), (0, 8)]))
+    assert _analysis_error(tmp_path, capsys, shrikhande()) == (
+        "derived second-subconstituent spectrum {4^1, 0^8} differs from the computed "
+        "one {4^1, 2^1, 1^2, -1^2, -2^3} at vertex 0")
 
 
 def test_analyze_chang_orbit_partition(tmp_path):

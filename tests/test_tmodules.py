@@ -1,11 +1,14 @@
 """Module classification: SRG, Taylor, AT4 routes plus the Wedderburn bridge."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+from conftest import graph_from_edges
 from drgkit import tmodules
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
@@ -121,7 +124,8 @@ def test_taylor_explicit_module_matches_formula():
     for d in md.descriptors:
         if d.endpoint != 1:
             continue
-        lam = d.local_eigenvalue.as_fraction()
+        assert d.local_eigenvalue.is_rational
+        lam = d.local_eigenvalue.a
         assert lam.denominator == 1
         a_seq, x_seq = endpoint1_module_data(ctx, 0, int(lam))
         assert a_seq == d.a_seq
@@ -237,6 +241,50 @@ def test_endpoint1_module_data_rejects_a_module_that_is_not_thin(monkeypatch):
     monkeypatch.setattr(tmodules, "_local_eigenvector", lambda ctx, x, lam: v)
     with pytest.raises(ValueError, match="not thin"):
         endpoint1_module_data(ctx, 0, 2)
+
+
+def test_endpoint1_module_data_rejects_an_x_part_that_is_no_multiple(monkeypatch):
+    # 0 ~ 1, 2, 3; 1 ~ 4; 2, 3 ~ 5.  Subconstituents 1 = {1, 2, 3} and 2 = {4, 5}
+    # are independent sets, so both a-parts are 0 w_i and pass; at i = 1 the
+    # x-part A w_1 on {1, 2, 3} is (1, -1, -1), no multiple of w_0 = (1, -1, 0)
+    g = graph_from_edges(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5)))
+    ctx = GraphContext(graph=g, dd=distances(g), params=None)
+    monkeypatch.setattr(tmodules, "_local_eigenvector",
+                        lambda ctx, x, lam: np.array([1, -1, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="not thin"):
+        endpoint1_module_data(ctx, 0, 0)
+
+
+@pytest.mark.parametrize("theta", [(6, -2, 2), (6, 2, -3)], ids=["swapped", "tau"])
+def test_decompose_srg_rejects_sigma_tau_other_than_theta(theta):
+    # Shrikhande: sigma, tau = 2, -2 from SrgParams(16, 6, 2, 2)
+    ctx = GraphContext.of(shrikhande())
+    ctx.__dict__["eigen"] = dataclasses.replace(ctx.eigen, theta=tuple(S(t) for t in theta))
+    with pytest.raises(ValueError, match=r"sigma, tau = 2, -2 are not theta_1, theta_2"):
+        decompose(ctx, 0)
+
+
+def test_cover_rejects_a_local_spectrum_other_than_the_taylor_prediction():
+    ctx = GraphContext.of(icosahedron())
+    local_params, _, flags = ctx.route_local
+    ctx.__dict__["route_local"] = (local_params, Spectrum.from_pairs([(2, 1), (0, 4)]), flags)
+    with pytest.raises(ValueError, match=r"local spectrum .* at vertex 0 differs from the "
+                                         r"taylor prediction \{2\^1, 0\^4\}"):
+        decompose(ctx, 0)
+
+
+def test_decompose_at4_rejects_an_endpoint1_a_sequence_off_the_formula(monkeypatch):
+    # J(8,4): a_1(W) must be theta_t + theta_(t+1) + theta_(t+2) - 2 lambda
+    real = endpoint1_module_data
+
+    def flat(ctx, x, lam):
+        a_seq, x_seq = real(ctx, x, lam)
+        return (a_seq[0], a_seq[0], a_seq[0]), x_seq
+
+    monkeypatch.setattr(tmodules, "endpoint1_module_data", flat)
+    with pytest.raises(ValueError, match=re.escape(
+            "endpoint-1 a-sequence ('2', '2', '2') differs from (2, 4, 2)")):
+        decompose(johnson(8, 4), 0)
 
 
 def test_wedderburn_examples():
