@@ -16,7 +16,9 @@ The report asks GraphContext.subconstituent_spectra once per distance class
 for exactly its own vertices, so each class is one stack of the vertices the
 verdict did not already certify, and analyzing one base vertex of a large
 Taylor or AT4 cover, whose verdict reads no local spectra, certifies only
-that vertex's blocks.
+that vertex's blocks.  It asks GraphContext.terwilliger_dimensions once, before
+its vertex loop, so the closures the verdict did not already compute are one
+stacked spin.
 The eigen data and the classification route are read from the context's
 memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
 decided once per report, and tmodules.decompose follows it, taking its
@@ -134,7 +136,8 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     vertex_records = []
     decomposition_flags: set[str] = set()
     derived_by_local: dict = {}  # the SRG derived Delta_2 spectrum, by local spectrum
-    for x, specs in zip(vertices, zip(*by_class)):
+    dims = ctx.terwilliger_dimensions(vertices)
+    for x, specs, dim_t in zip(vertices, zip(*by_class), dims):
         record = {"vertex": x}
         exact_ok = True
         for i, s in enumerate(specs, 1):
@@ -147,7 +150,6 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                 exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
         record["subconstituent_spectra"] = [_spectrum_json(s.pairs) for s in specs]
-        dim_t = ctx.terwilliger_dimension(x)
         record["dim_T"] = dim_t
         md = decompose(ctx, x) if exact_ok or route != "srg" else None
         if md is not None and route == "srg":

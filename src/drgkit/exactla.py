@@ -15,12 +15,11 @@ module.  The guiding constraints:
   products, characteristic polynomials).  int64 is used whenever a bound
   check proves it safe, with Python-int object arrays as the overflow
   fallback.
-* Linear independence is decided against a reduced integer echelon form
-  kept as one matrix R (ExactSpan): a vector v reduces against every row in
-  one integer product, L v - (v[pivots] * (L // p)) @ R with p the pivot
-  entries and L their lcm, and an accepted row is stripped of its content and
-  back-substituted into the other rows in one vectorized step.  No floating
-  point is consulted for any exact decision.
+* Integer products go through _imatmul, which picks the cheapest exact
+  route from a bound on every partial sum: float64 (BLAS) below 2**53, where
+  every partial sum is an integer that float64 holds exactly, int64 below
+  2**62 and Python ints past that.  No floating point is consulted for any
+  exact decision.
 * Spectra of integer matrices have one certificate, certified_stack: floats
   propose, integers certify.  It takes an (m, k, k) stack, such as the
   subconstituent blocks of one distance class, reads integer roots and
@@ -57,7 +56,6 @@ import numpy as np
 
 __all__ = [
     "AlgebraicScalar",
-    "ExactSpan",
     "radical_sign",
     "square_free_split",
     "certified_factors",
@@ -68,6 +66,7 @@ __all__ = [
 ]
 
 _INT64_SAFE = 2**62
+_FLOAT_EXACT = 2**53
 
 
 def square_free_split(n: int) -> tuple[int, int]:
@@ -317,24 +316,37 @@ def _max_row_sum(a: np.ndarray) -> int:
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
+    """a as an array of Python ints, of any shape (an empty axis included)."""
     if a.dtype == object:
         return a
-    out = np.empty(a.shape, dtype=object)
-    out[...] = a.tolist()
-    return out
+    out = np.empty(a.size, dtype=object)
+    out[:] = a.ravel().tolist()
+    return out.reshape(a.shape)
+
+
+def _float_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B through float64 (BLAS), back on int64: exact when every partial
+    sum is an integer below 2**53, whatever the summation order."""
+    return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
 
 
 def _imatmul(A: np.ndarray, B: np.ndarray, bound: Optional[int] = None) -> np.ndarray:
-    """Exact integer matrix product; int64 when provably overflow-free.
+    """Exact integer matrix product of two matrices or two stacks of them:
+    float64 (BLAS) when the bound is below 2**53, int64 below 2**62, and
+    Python ints past that.
 
-    bound, when the caller knows one, bounds the product's entries (and every
-    partial sum of them); otherwise it is max|A| max|B| times the inner size.
+    bound, when the caller knows one, bounds the product's entries and every
+    partial sum of them; otherwise it is max|A| max|B| times the inner size.
+    Narrower integer inputs are widened, so the product is never computed in
+    their type.
     """
     if A.dtype != object and B.dtype != object:
         if bound is None:
-            bound = _max_abs(A) * _max_abs(B) * A.shape[1]
+            bound = _max_abs(A) * _max_abs(B) * A.shape[-1]
+        if bound < _FLOAT_EXACT:
+            return _float_matmul(A, B)
         if bound < _INT64_SAFE:
-            return A @ B
+            return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     return _to_object(A) @ _to_object(B)
 
 
@@ -347,141 +359,6 @@ def _gcd_all(a: np.ndarray) -> int:
         if g == 1:
             return 1
     return g
-
-
-# ---------------------------------------------------------------------------
-# spans
-# ---------------------------------------------------------------------------
-
-
-def _strip_row(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """v divided by its content, back on int64 when it fits, and its max|v|."""
-    g, m = _gcd_all(v), _max_abs(v)
-    if g > 1:
-        v, m = v // g, m // g
-    if v.dtype == object and m < _INT64_SAFE:
-        v = v.astype(np.int64)
-    return v, m
-
-
-class ExactSpan:
-    """Incrementally maintained row space over Q of flat integer vectors.
-
-    The rows are kept in one integer matrix R in reduced echelon form: every
-    row is primitive (content 1), positive at its pivot column and zero at the
-    pivot column of every other row.  A vector v therefore reduces against all
-    rows in one product: with c = v[pivots], p the pivot entries and L their
-    lcm, L v - (c * (L // p)) @ R is zero at every pivot, and it is zero
-    everywhere exactly when v lies in the span.  An accepted residue has its
-    content stripped and is back-substituted into the rows that are nonzero at
-    its pivot in one step.  Each row carries its largest absolute entry, so
-    the int64 bound L max|v| + max|v| max(L/p) rows max|R| is checked without
-    a pass over the entries; past it the arithmetic runs on Python ints.  R
-    grows geometrically as rows arrive.  Matrices are inserted as their
-    flattened entries, which is the algebra-closure hot path.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.dim = 0
-        self.bounds: list[int] = []  # max|entry| of each row
-        self.last: Optional[tuple[np.ndarray, int]] = None  # newest row, its bound
-        self._R = np.zeros((0, ncols), dtype=np.int64)  # rows 0..dim-1 are in use
-        self._piv = np.zeros(0, dtype=np.intp)  # pivot column of each row
-        self._p: list[int] = []  # pivot entry of each row
-        self._L = 1
-        self._Lp = np.zeros(0, dtype=np.int64)  # L // pivot entry, per row
-        self._scale = 0  # L + max(L/p) rows max|R|: residue bound per unit of max|v|
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The echelon rows, one per dimension (a view, valid until the next
-        insert)."""
-        return self._R[:self.dim]
-
-    def _residue(self, v: np.ndarray, mv: int) -> np.ndarray:
-        """L v minus the combination of rows that clears v at every pivot,
-        given mv >= max|v|: zero exactly when v lies in the span."""
-        c = v[self._piv[:self.dim]]
-        if not c.any():
-            return v
-        R = self.rows
-        if v.dtype != object and R.dtype != object and mv * self._scale < _INT64_SAFE:
-            return v * self._L - (c * self._Lp) @ R
-        return _to_object(v) * self._L - (_to_object(c) * _to_object(self._Lp)) @ _to_object(R)
-
-    def _flatten(self, mat) -> np.ndarray:
-        v = _as_int_array(mat).reshape(-1).copy()
-        if v.shape[0] != self.ncols:
-            raise ValueError("dimension mismatch")
-        return v
-
-    def insert(self, mat, bound: Optional[int] = None) -> bool:
-        """Insert when independent of the current span; True means it grew,
-        and then self.last holds the new row and its largest absolute entry.
-
-        bound, when given, bounds the absolute entries of mat, an integer
-        array with ncols entries, which is then read without a copy.
-        """
-        if bound is None:
-            v = self._flatten(mat)
-            bound = _max_abs(v)
-        else:
-            v = mat.reshape(-1)
-        w = self._residue(v, bound)
-        if not w.any():
-            return False
-        w, m = _strip_row(w)
-        piv = int(np.flatnonzero(w)[0])
-        if w[piv] < 0:
-            w = -w
-        self._back_substitute(piv, w, m)
-        self._append(piv, w, m)
-        self.last = (w, m)
-        return True
-
-    def _back_substitute(self, piv: int, w: np.ndarray, m: int) -> None:
-        """Clear column piv in every row with q R_i - R_i[piv] w, q = w[piv] > 0,
-        then strip each changed row's content.  w is zero at every old pivot,
-        so the rows stay zero there and their pivot entries stay positive."""
-        R = self.rows
-        hit = np.flatnonzero(R[:, piv])
-        if not hit.size:
-            return
-        q = int(w[piv])
-        if R.dtype == object or w.dtype == object or (q + m) * max(self.bounds) >= _INT64_SAFE:
-            self._R = _to_object(self._R)
-            R, w = self.rows, _to_object(w)
-        sub = R[hit]
-        sub = sub * q - sub[:, piv, None] * w
-        content = np.gcd.reduce(np.abs(sub), axis=1)
-        sub //= content[:, None]
-        R[hit] = sub
-        for i, g, row_max in zip(hit.tolist(), content.tolist(), np.abs(sub).max(axis=1).tolist()):
-            self._p[i] = self._p[i] * q // int(g)
-            self.bounds[i] = int(row_max)
-
-    def _append(self, piv: int, w: np.ndarray, m: int) -> None:
-        """Store w as a new row with pivot column piv and bound m, then refresh
-        L, L // p and the residue bound."""
-        if self.dim == len(self._R):
-            cap = min(self.ncols, max(4, 2 * self.dim))
-            R = np.zeros((cap, self.ncols), dtype=self._R.dtype)
-            R[:self.dim] = self.rows
-            self._R, self._piv = R, np.resize(self._piv, cap)
-        if w.dtype == object:
-            self._R = _to_object(self._R)
-        self._R[self.dim], self._piv[self.dim] = w, piv
-        self.dim += 1
-        self._p.append(int(w[piv]))
-        self.bounds.append(m)
-        mr = max(self.bounds)
-        if self._R.dtype == object and mr < _INT64_SAFE:
-            self._R = self._R.astype(np.int64)
-        self._L = math.lcm(*self._p)
-        Lp = [self._L // p for p in self._p]
-        self._Lp = np.array(Lp, dtype=np.int64 if self._L < _INT64_SAFE else object)
-        self._scale = self._L + max(Lp) * self.dim * mr
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ The SRG and generic routes compare every vertex, so they take each distance
 class's spectra at once from GraphContext.subconstituent_spectra (one stacked
 certificate per class) and then scan the vertices in order: the first
 differing vertex, and in the generic route its first differing class, is the
-witness, as in a vertex-by-vertex scan.
+witness, as in a vertex-by-vertex scan.  The generic route then asks
+GraphContext.terwilliger_dimensions for every vertex in one request, one
+stacked closure, and its witness is the first vertex whose dim T differs
+from vertex 0's.
 Spectra are compared with ==, which compares their exact keys (the factor
 key, or the characteristic polynomial of a float spectrum; see spectra), so
 no verdict rests on a float.
@@ -104,14 +107,13 @@ def check_pvt(g: Union[Graph, GraphContext]) -> PvtVerdict:
                              "spectrum_y": str(specs[x])},
                     detail=f"subconstituent {i} spectra differ",
                 )
-    base_dim = ctx.terwilliger_dimension(0)
-    for x in range(1, params.n):
-        dim = ctx.terwilliger_dimension(x)
-        if dim != base_dim:
+    dims = ctx.terwilliger_dimensions()  # every vertex, as one stack
+    for x, dim in enumerate(dims):
+        if dim != dims[0]:
             return PvtVerdict(
                 verdict=VERDICT_NOT_PVT,
                 method=METHOD_GENERIC,
-                witness={"x": 0, "y": x, "dim_T_x": base_dim, "dim_T_y": dim},
+                witness={"x": 0, "y": x, "dim_T_x": dims[0], "dim_T_y": dim},
                 detail="Terwilliger dimensions differ",
             )
     return PvtVerdict(

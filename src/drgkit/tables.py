@@ -58,10 +58,11 @@ def _record_groups(g: Graph) -> dict:
     """Group vertices by (local spectrum, dim T); returns {key: sorted verts}."""
     ctx = GraphContext.of(g)
     ctx.subconstituent_spectra(1)  # the whole class as one stack
+    dims = ctx.terwilliger_dimensions()  # every vertex as one stack
     groups: dict = {}
-    for x in range(g.n):
+    for x, dim in enumerate(dims):
         spec = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-        groups.setdefault((spec, ctx.terwilliger_dimension(x)), []).append(x)
+        groups.setdefault((spec, dim), []).append(x)
     return groups
 
 
@@ -82,7 +83,7 @@ def reproduce_shrikhande():
         ctx = GraphContext.of(g)
         ctxs.append(ctx)
         locals_ok = all(spec == local_exp for spec in ctx.subconstituent_spectra(1))
-        dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
+        dims = set(ctx.terwilliger_dimensions())
         weds = {wedderburn_dim(decompose(ctx, x)) for x in range(g.n)}
         ok &= _row(lines, locals_ok, f"{g.label}: local spectrum {local_exp} at all vertices")
         ok &= _row(lines, dims == {dim_exp},
@@ -173,7 +174,7 @@ def reproduce_gq():
     for s, t, g in cases:
         expect = gq_dim(s, t)
         ctx = GraphContext.of(g)
-        dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
+        dims = set(ctx.terwilliger_dimensions())
         weds = {wedderburn_dim(decompose(ctx, x)) for x in range(g.n)}
         ok &= _row(lines, dims == {expect} and weds == {expect},
                    f"GQ({s},{t}) via {g.label}: dim T = {sorted(dims)} "
@@ -192,7 +193,7 @@ def reproduce_taylor():
     for g, msig in ((icosahedron(), 2), (johnson(6, 3), 4)):
         ctx = GraphContext.of(g)
         mds = [decompose(ctx, x) for x in range(g.n)]
-        dims = {ctx.terwilliger_dimension(x) for x in range(g.n)} | set(map(wedderburn_dim, mds))
+        dims = set(ctx.terwilliger_dimensions()) | set(map(wedderburn_dim, mds))
         mults = {tuple(sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1))
                  for md in mds}
         ok &= _row(lines, dims == {24},
@@ -223,7 +224,7 @@ def _at4_suite(lines, g, p, q, expect):
     thetas = set(ctx.eigen.theta[1:])
     mds = [decompose(ctx, x) for x in range(g.n)]
     ep2s = [[d for d in md.descriptors if d.endpoint == 2] for md in mds]
-    dims = {ctx.terwilliger_dimension(x) for x in range(g.n)} | set(map(wedderburn_dim, mds))
+    dims = set(ctx.terwilliger_dimensions()) | set(map(wedderburn_dim, mds))
     a1s = {tuple(str(d.a_seq[1]) for d in md.descriptors if d.endpoint == 1) for md in mds}
     ells = {len(ep2) for ep2 in ep2s}
     eta_ok = all(d.local_eigenvalue in thetas for ep2 in ep2s for d in ep2)
@@ -287,7 +288,7 @@ def reproduce_j82():
     ds = dimension_sequence(md, p, direct)
     ok &= _row(lines, ds.tuple() == (2, 1, 1, 1) and srg_dim_formula(ds) == 16,
                f"dimension sequence {ds.tuple()}, formula dim {srg_dim_formula(ds)}")
-    dims = {ctx.terwilliger_dimension(x) for x in range(g.n)}
+    dims = set(ctx.terwilliger_dimensions())
     ok &= _row(lines, dims == {16}, f"closure dim {sorted(dims)} == 16 at every vertex")
     return ok, lines
 

@@ -136,10 +136,9 @@ def _srg_record(g) -> SrgGraphRecord:
     ctx = GraphContext.of(g)
     p = ctx.route[1]
     verts = []
-    for x in range(g.n):
+    for x, dim_t in enumerate(ctx.terwilliger_dimensions()):
         local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
         d2 = ctx.subconstituent_spectrum(x, 2, allow_float=False)
-        dim_t = ctx.terwilliger_dimension(x)
         md = decompose(ctx, x)
         ds = dimension_sequence(md, p, d2)
         verts.append(SrgVertexRecord(local=local, d2=d2, dim_t=dim_t,

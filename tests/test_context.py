@@ -51,7 +51,7 @@ def test_analyze_computes_each_result_once(monkeypatch):
     decoded = _spy(monkeypatch, drgkit.exactla, "factor_roots")
     # every block is built in subconstituent_spectra, so its calls count each (x, i)
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
-    closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
+    closures = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimensions")
     dists = _spy(monkeypatch, drgkit.graph_core, "distances")
     report = analyze_graph(g, list(range(g.n)))
     assert [v["dim_T"] for v in report["vertices"]] == [20] * g.n
@@ -61,8 +61,38 @@ def test_analyze_computes_each_result_once(monkeypatch):
     keys = [(x, args[1]) for args in spectra for x in _vertices(args)]
     assert sorted(keys) == [(x, i) for x in range(g.n) for i in (1, 2)]
     assert len(spectra) == 2  # one stack per distance class
-    assert sorted(args[1] for args in closures) == list(range(g.n))
+    assert [list(args[1]) for args in closures] == [list(range(g.n))]  # one stack
     assert len(dists) == 1
+
+
+def test_generic_verdict_stacks_every_closure_for_the_report(monkeypatch):
+    """check_pvt on J(7,3), whose route is the generic one, asks for dim T at
+    all 35 vertices in one request, and later requests on its context compute
+    no closure.  A report, which hands its context to check_pvt first, so
+    computes every closure in that one stack, whatever its own vertices."""
+    stacks = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimensions")
+    singles = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
+    ctx = GraphContext.of(johnson(7, 3))
+    assert check_pvt(ctx).verdict == "necessary_conditions_pass"
+    assert [list(args[1]) for args in stacks] == [list(range(35))] and singles == []
+    assert ctx.terwilliger_dimensions([0, 17, 34]) == (35, 35, 35)
+    assert check_pvt(ctx).verdict == "necessary_conditions_pass"
+    assert len(stacks) == 1 and singles == []
+    stacks.clear()
+    report = analyze_graph(johnson(7, 3), [0, 17, 34])
+    assert [v["dim_T"] for v in report["vertices"]] == [35] * 3
+    assert [list(args[1]) for args in stacks] == [list(range(35))] and singles == []
+
+
+def test_lone_missing_closure_takes_the_one_vertex_helper(monkeypatch):
+    stacks = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimensions")
+    singles = _spy(monkeypatch, drgkit.terwilliger, "terwilliger_dimension")
+    ctx = GraphContext.of(chang(1))
+    assert ctx.terwilliger_dimensions([3, 3]) == (27, 27)
+    assert ctx.terwilliger_dimensions([3, 4, 6, 4]) == (27, 27, 20, 27)
+    assert [args[1] for args in singles] == [3]
+    # the one-vertex helper is the m = 1 stack, then one stack of 4 and 6
+    assert [list(args[1]) for args in stacks] == [[3], [4, 6]]
 
 
 def test_class_stack_fills_only_missing_vertices(monkeypatch):

@@ -20,10 +20,10 @@ from sympy.polys.matrices import DomainMatrix
 
 import drgkit
 from conftest import LATIN_SQUARE_6, distance_matrices, latin_square_graph, span_contains
+from exact_span import ExactSpan
 from drgkit import exactla
 from drgkit.exactla import (
     AlgebraicScalar,
-    ExactSpan,
     certified_factors,
     certified_stack,
     charpoly_int,
@@ -394,6 +394,41 @@ def test_span_with_non_unit_pivots_matches_sympy_rank(data):
     combo = [sum(c * row[t] for c, row in zip(coeffs, rows)) for t in range(ncols)]
     assert span_contains(span, np.array(combo, dtype=object))
     assert not span.insert(np.array(combo, dtype=object))
+
+
+# ---------------------------------------------------------------------------
+# integer products
+# ---------------------------------------------------------------------------
+
+
+def _spy_float_products(monkeypatch) -> list:
+    products = []
+    float_matmul = exactla._float_matmul
+    monkeypatch.setattr(exactla, "_float_matmul",
+                        lambda A, B: products.append(A.shape) or float_matmul(A, B))
+    return products
+
+
+def test_imatmul_takes_float64_below_2_53_and_int64_from_there(monkeypatch):
+    floats = _spy_float_products(monkeypatch)
+    # bound max|A| max|B| inner = 2**26 (2**26 - 1) 2, just below 2**53
+    A = np.array([[2**26, 1], [-3, 2**26]])
+    below = np.array([[2**26 - 1, 0], [1, -(2**26 - 1)]])
+    exact = exactla._to_object(A) @ exactla._to_object(below)
+    assert exactla._imatmul(A, below).tolist() == exact.tolist() and len(floats) == 1
+    # 2**26 (2**26 + 1) 2 is just above it: int64, which stays exact where
+    # a float64 product would round the odd entry 2**54 + 1
+    above = np.array([[2**26 + 1, 0], [1, -(2**26 + 1)]])
+    exact = exactla._to_object(A) @ exactla._to_object(above)
+    assert exactla._imatmul(A, above).tolist() == exact.tolist() and len(floats) == 1
+    odd = np.array([[2**27, 1]]), np.array([[2**27], [1]])
+    assert exactla._imatmul(*odd).tolist() == [[2**54 + 1]] != exactla._float_matmul(*odd).tolist()
+    # a caller's bound decides alone, for a stack as for one matrix
+    stack = np.stack([A, -A])
+    for bound, route in ((2**53 - 1, [(2, 2, 2)]), (2**53, [])):
+        floats.clear()
+        assert exactla._imatmul(stack, stack, bound).tolist() == (stack @ stack).tolist()
+        assert floats == route
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import distance_matrices, idempotent_profiles, span_contains
 from drgkit.exactla import (
-    ExactSpan,
     _imatmul,
     charpoly_int,
     eigenvalues_from_charpoly,
@@ -25,7 +24,13 @@ from drgkit.scheme import (
     krein,
     verify_drg,
 )
-from drgkit.terwilliger import block_spin_dim, terwilliger_dimension
+from drgkit.terwilliger import (
+    StackedSpan,
+    block_spin_dims,
+    terwilliger_dimension,
+    terwilliger_dimensions,
+)
+from exact_span import ExactSpan
 
 
 def _class_indicators(dd, x):
@@ -137,7 +142,7 @@ def _spin_closure_dim(gens):
 
 
 def _closure_dim(gens):
-    """dim of the unital algebra generated by gens through block_spin_dim: the
+    """dim of the unital algebra generated by gens through block_spin_dims: the
     diagonal generators give the cells, their common level sets (one cell when
     there is none), and the one other generator, or a zero matrix when there
     is none, is the symmetric matrix A."""
@@ -145,13 +150,14 @@ def _closure_dim(gens):
     n = gens[0].shape[0]
     diagonal = [np.count_nonzero(G) == np.count_nonzero(G.diagonal()) for G in gens]
     cells = {}
-    for v in range(n):
-        key = tuple(int(G[v, v]) for G, diag in zip(gens, diagonal) if diag)
-        cells.setdefault(key, []).append(v)
+    labels = [cells.setdefault(tuple(int(G[v, v]) for G, diag in zip(gens, diagonal) if diag),
+                               len(cells))
+              for v in range(n)]
     dense = [G for G, diag in zip(gens, diagonal) if not diag]
     assert len(dense) <= 1
     A = dense[0] if dense else np.zeros((n, n), dtype=np.int64)
-    return block_spin_dim(A, [np.array(c) for c in cells.values()])
+    (dim,) = block_spin_dims(A, [labels])
+    return dim
 
 
 def test_closure_identity_only():
@@ -193,6 +199,21 @@ def test_closure_skips_empty_distance_classes():
         _spin_closure_dim(_terwilliger_generators(g, 1, dd)) == 5
 
 
+def test_one_request_spins_each_class_size_pattern_apart():
+    # the path is not distance-regular: the leaves have classes of sizes
+    # 1, 1, 1 and the centre 1, 2, 0, so one request spins two stacks, and
+    # each vertex gets what its one-vertex call and the oracle give
+    g = Graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    dd = distances(g)
+    singles = [terwilliger_dimension(g, x, dd) for x in range(3)]
+    assert terwilliger_dimensions(g, [0, 1, 2], dd) == singles == \
+        [_spin_closure_dim(_terwilliger_generators(g, x, dd)) for x in range(3)] == [9, 5, 9]
+    assert terwilliger_dimensions(g, [1, 0, 1], dd) == [5, 9, 5]
+    assert terwilliger_dimensions(g, [], dd) == []
+    with pytest.raises(ValueError, match="vertex 3 out of range 0..2"):
+        terwilliger_dimensions(g, [0, 3], dd)
+
+
 def test_closure_matches_whole_matrix_spin():
     cases = [(g, range(g.n)) for g in (shrikhande(), chang(1), chang(2), chang(3), icosahedron())]
     cases += [(hamming(3, 3), [0]), (johnson(8, 4), [0])]
@@ -201,6 +222,35 @@ def test_closure_matches_whole_matrix_spin():
         for x in vertices:
             assert terwilliger_dimension(g, x, dd) == \
                 _spin_closure_dim(_terwilliger_generators(g, x, dd)), (g.label, x)
+
+
+def test_one_stacked_request_matches_whole_matrix_spin_at_every_vertex():
+    # Chang-1..3 have two dims each, so their vertices accept new elements at
+    # different steps and the stacked spans carry vertices that did not grow
+    for g in (chang(1), chang(2), chang(3)):
+        dd = distances(g)
+        dims = terwilliger_dimensions(g, range(g.n), dd)
+        assert len(set(dims)) == 2, g.label
+        assert dims == [_spin_closure_dim(_terwilliger_generators(g, x, dd))
+                        for x in range(g.n)], g.label
+
+
+def test_stacks_are_cut_at_the_entry_budget(monkeypatch):
+    # J(8,4) has classes of sizes 1, 16, 36, 16, 1: at most 2**16 // 36**2 = 50
+    # vertices per stack, so its 70 vertices take two stacks
+    import drgkit.terwilliger
+
+    spin = drgkit.terwilliger._spin_stack
+    stacks = []
+
+    def spy(A, cells):
+        stacks.append(len(cells[0]))
+        return spin(A, cells)
+
+    monkeypatch.setattr(drgkit.terwilliger, "_spin_stack", spy)
+    g = johnson(8, 4)
+    assert terwilliger_dimensions(g, range(g.n)) == [46] * g.n
+    assert stacks == [50, 20]
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,8 +270,7 @@ def test_closure_basis_is_closed_and_transpose_stable():
     g = shrikhande()
     dd = distances(g)
     gens = _terwilliger_generators(g, 0, dd)
-    cells = [np.flatnonzero(e) for e in _class_indicators(dd, 0)]
-    assert block_spin_dim(gens[0], cells) == 20
+    assert block_spin_dims(gens[0], [dd.dist[0]]) == [20]
     span = _spin_closure(gens)
     basis = [row.reshape(g.n, g.n) for row in span.rows]
     assert len(basis) == 20
@@ -326,7 +375,7 @@ def test_closure_dense_and_diagonal_generators_match_naive_fixed_point():
 def test_transpose_path_needs_an_exactly_symmetric_generator():
     # one off-diagonal entry breaks the symmetry, in its support or only in its
     # value: T is then not closed under transpose, and spinning only the
-    # blocks l >= j would give 8 and 11, so block_spin_dim refuses the matrix
+    # blocks l >= j would give 8 and 11, so block_spin_dims refuses the matrix
     path = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
     path[2, 1] = 0
     weighted = np.array([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]])
@@ -338,24 +387,98 @@ def test_transpose_path_needs_an_exactly_symmetric_generator():
             _closure_dim(gens)
 
 
-def test_closure_dim_survives_int64_overflow(monkeypatch):
+def _spy_conversions(monkeypatch):
+    """Record the function that asks for each Python-int conversion, in
+    exactla (the products) and in terwilliger (the stacked spans)."""
     import sys
 
+    import drgkit.terwilliger
     from drgkit import exactla
 
-    fallbacks = set()
+    callers = set()
     to_object = exactla._to_object
 
     def spy(a):
-        fallbacks.add(sys._getframe(1).f_code.co_name)
+        callers.add(sys._getframe(1).f_code.co_name)
         return to_object(a)
 
-    scale = 2**40
-    for gens in _dense_and_diagonal_generators(7):
-        plain = _closure_dim(gens)
-        monkeypatch.setattr(exactla, "_to_object", spy)
-        big = [to_object(np.asarray(g, dtype=np.int64)) * scale for g in gens]
-        assert _closure_dim(big) == plain
-        monkeypatch.setattr(exactla, "_to_object", to_object)
-    # the scaled run really took the Python-int paths it is meant to cover
-    assert {"_imatmul", "_residue"} <= fallbacks
+    monkeypatch.setattr(exactla, "_to_object", spy)
+    monkeypatch.setattr(drgkit.terwilliger, "_to_object", spy)
+    return callers
+
+
+def _big(mat, scale=2**40):
+    return np.array([[int(v) * scale for v in row] for row in np.asarray(mat)], dtype=object)
+
+
+def test_closure_dim_survives_int64_overflow(monkeypatch):
+    # generators scaled by 2**40 as Python ints: the products overflow int64,
+    # so the stacked kernel multiplies and reduces on Python ints, and the
+    # scaled algebra has the dimension of the plain one
+    plain = [_closure_dim(gens) for gens in _dense_and_diagonal_generators(7)]
+    callers = _spy_conversions(monkeypatch)
+    assert [_closure_dim([_big(g) for g in gens])
+            for gens in _dense_and_diagonal_generators(7)] == plain
+    assert {"_imatmul", "_residue"} <= callers
+    # a stack of several vertices: 2**40 A on the distance classes of every
+    # vertex of the icosahedron, one stack of 12, gives dim T(x) = 24
+    callers.clear()
+    g = icosahedron()
+    assert block_spin_dims(_big(g.adjacency), distances(g).dist) == [24] * g.n
+    assert {"_imatmul", "_residue"} <= callers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_span_matches_sympy_rank_per_vertex(data):
+    # m vertices, each step inserting one vector for a drawn subset of them;
+    # some vectors are integer combinations of that vertex's earlier ones.
+    # Past their first entry, the fresh ones may carry multiples of 2**24,
+    # whose back-substitution overflows int64 under small pivot entries, or
+    # of 2**61, whose residues do: either takes the span to Python ints
+    m = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    scale = data.draw(st.sampled_from([0, 2**24, 2**61]))
+    span = StackedSpan(m, ncols)
+    inserted = [[] for _ in range(m)]
+    for _ in range(data.draw(st.integers(1, 8))):
+        idx = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+        rows = []
+        for b in idx:
+            if inserted[b] and data.draw(st.booleans()):
+                coeffs = data.draw(st.lists(small, min_size=len(inserted[b]),
+                                            max_size=len(inserted[b])))
+                row = [sum(c * r[t] for c, r in zip(coeffs, inserted[b])) for t in range(ncols)]
+            else:
+                row = data.draw(st.lists(small, min_size=ncols, max_size=ncols))
+                row = row[:1] + [v + scale * data.draw(small) for v in row[1:]]
+            rows.append(row)
+        ranks = [sympy.Matrix(inserted[b]).rank() if inserted[b] else 0 for b in idx]
+        for b, row in zip(idx, rows):
+            inserted[b].append(row)
+        mv = max(abs(v) for row in rows for v in row)
+        V = np.array(rows, dtype=object if mv >= 2**62 else np.int64)
+        grew, W, bound = span.insert(np.array(idx), V, mv)
+        assert grew.tolist() == [b for b, r in zip(idx, ranks)
+                                 if sympy.Matrix(inserted[b]).rank() > r]
+        assert bound == max((abs(int(v)) for v in np.asarray(W).flat), default=0)
+    for b in range(m):
+        assert span.dim[b] == sympy.Matrix(inserted[b]).rank()
+
+
+def test_stacked_span_back_substitution_moves_to_python_ints():
+    # vertex 0's second row has pivot entry 1 but an entry 2**33, so clearing
+    # its pivot column from the first row, q R - 2**30 w, reaches -2**63:
+    # the whole stack moves to Python ints, and vertex 1's small rows with it
+    span = StackedSpan(2, 3)
+    both = np.array([0, 1])
+    grew, _, _ = span.insert(both, np.array([[1, 2**30, 0], [2, 0, 1]]), 2**30)
+    assert grew.tolist() == [0, 1]
+    grew, W, bound = span.insert(both, np.array([[0, 1, 2**33], [0, 3, 0]]), 2**33)
+    assert grew.tolist() == [0, 1] and bound == 2**33
+    assert span._R.dtype == object and span.dim.tolist() == [2, 2]
+    assert span._R[0, :2].tolist() == [[1, 0, -2**63], [0, 1, 2**33]]
+    combo = np.array([[5, 7, 5 * -2**63 + 7 * 2**33], [4, 9, 2]], dtype=object)
+    grew, _, _ = span.insert(both, combo, 2**70)
+    assert grew.tolist() == [] and span.dim.tolist() == [2, 2]
