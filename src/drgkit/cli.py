@@ -118,7 +118,8 @@ def cmd_analyze(args) -> int:
         return _fail(EXIT_USAGE, f"error: {e}")
     if args.all_vertices and g.n > _SLOW_GATE and not args.slow:
         return _fail(EXIT_USAGE, f"error: --all-vertices on {g.n} vertices needs --slow "
-                                 "(one T(x) closure per vertex, about two thirds of the time)")
+                                 "(spectra, a T(x) closure and a module decomposition "
+                                 "at every vertex)")
     if not (args.all_vertices or 0 <= args.base_vertex < g.n):
         return _fail(EXIT_USAGE, f"error: base vertex {args.base_vertex} out of range")
     vertices = list(range(g.n)) if args.all_vertices else [args.base_vertex]

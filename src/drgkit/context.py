@@ -15,23 +15,23 @@ graph-level values are computed on first access and kept:
   decomposition takes its parameters from here, never from its caller.
 
 It also memoizes the per-vertex results that analysis, pvt, tmodules and
-tables ask for more than once:
+tables ask for more than once.  One helper fills both per-vertex memos: it
+reads the requested vertices once and computes those not yet in the memo,
+each once, as one stack.  A lone missing vertex takes the stack's one-vertex
+function (spectra.subconstituent_spectrum, terwilliger.terwilliger_dimension),
+because the benchmark's layer tracer counts spectra and closures by those
+names; that one line is the only place where the two differ.
 
-* subconstituent spectra, keyed by (x, i).  subconstituent_spectra(i,
-  vertices) is the one code that computes them: it certifies the requested
-  vertices of class i that are not yet in the memo, each once, as one stack
-  (spectra.subconstituent_spectra), whose blocks with one key share one
-  Spectrum.  subconstituent_spectrum(x, i) is its one-vertex view, with the
-  refusal of float spectra.  Equality of spectra does not rest on sharing:
-  Spectrum == compares keys, so it holds across stacks and contexts too;
-* dim T(x) from the algebra closure, keyed by x.  terwilliger_dimensions(
-  vertices) is the one code that computes them: it spins the requested
-  vertices that are not yet in the memo as one stack
-  (terwilliger.terwilliger_dimensions), so check_pvt's request for every
-  vertex is one stacked closure.  A lone missing vertex takes
-  terwilliger.terwilliger_dimension, the same kernel with a stack of one,
-  because the benchmark's layer tracer counts closures by that name, as it
-  does subconstituent_spectrum for spectra;
+* subconstituent spectra, keyed by (x, i), from
+  spectra.subconstituent_spectra, whose blocks with one key share one
+  Spectrum.  subconstituent_spectra(i, vertices) returns float spectra as
+  they are; subconstituent_spectrum(x, i) is the exact one-vertex accessor,
+  which raises ValueError on a float one.  Equality of spectra does not rest
+  on sharing: Spectrum == compares keys, so it holds across stacks and
+  contexts too;
+* dim T(x) from the algebra closure, keyed by x, from
+  terwilliger.terwilliger_dimensions, so check_pvt's request for every
+  vertex is one stacked closure;
 * srg_modules: tmodules.decompose's SRG module decompositions, keyed by the
   exact local Spectrum, which with the route's SrgParams is all that
   decompose_srg reads;
@@ -120,56 +120,41 @@ class GraphContext:
             return "at4", pq
         return None
 
-    def subconstituent_spectrum(self, x: int, i: int, allow_float: bool = True) -> Spectrum:
-        """Spectrum of the distance-i class of x, from subconstituent_spectra.
-
-        One memo entry serves both settings of allow_float: an exact spectrum
-        is the answer under either, and a float one raises ValueError when
-        the caller does not allow it.
-        """
+    def subconstituent_spectrum(self, x: int, i: int) -> Spectrum:
+        """The exact spectrum of the distance-i class of x, from
+        subconstituent_spectra; a float one raises ValueError."""
         spec = self.subconstituent_spectra(i, [x])[0]
-        if not (spec.exact or allow_float):
+        if not spec.exact:
             raise ValueError(FLOAT_REFUSED)
         return spec
 
     def subconstituent_spectra(self, i: int, vertices=None) -> tuple:
         """The spectra of the distance-i classes of the given vertices
-        (default: every vertex), in their order.
-
-        One stack (spectra.subconstituent_spectra) fills the (x, i) memo for
-        every requested x not yet in it, a repeated x once.  A lone missing
-        x takes spectra.subconstituent_spectrum, that stack's one-vertex
-        case, so the benchmark's layer tracer, which wraps that function by
-        name, still counts one-vertex requests.  Float spectra are returned
-        as they are, for the caller to refuse or flag.
-        """
-        vertices = range(self.params.n) if vertices is None else vertices
-        missing = list(dict.fromkeys(x for x in vertices if (x, i) not in self._spectra))
-        if missing:
-            specs = ([subconstituent_spectrum(self.graph, missing[0], i, self.dd)]
-                     if len(missing) == 1 else
-                     subconstituent_spectra(self.graph, i, self.dd, missing))
-            self._spectra.update(((x, i), spec) for x, spec in zip(missing, specs))
-        return tuple(self._spectra[(x, i)] for x in vertices)
+        (default: every vertex), in their order, float ones as they are, for
+        the caller to refuse or flag.  The memo is keyed by (x, i)."""
+        return self._fill(self._spectra, lambda x: (x, i), vertices,
+                          lambda x: subconstituent_spectrum(self.graph, x, i, self.dd),
+                          lambda xs: subconstituent_spectra(self.graph, i, self.dd, xs))
 
     def terwilliger_dimensions(self, vertices=None) -> tuple:
         """dim T(x) by the algebra closure for the given vertices (default:
-        every vertex), in their order.
+        every vertex), in their order.  The memo is keyed by x."""
+        return self._fill(self._dims, lambda x: x, vertices,
+                          lambda x: terwilliger_dimension(self.graph, x, self.dd),
+                          lambda xs: terwilliger_dimensions(self.graph, xs, self.dd))
 
-        One stack (terwilliger.terwilliger_dimensions) fills the memo for
-        every requested x not yet in it, a repeated x once.  A lone missing
-        x takes terwilliger.terwilliger_dimension, that stack's one-vertex
-        case, so the benchmark's layer tracer, which wraps that function by
-        name, still counts one-vertex requests.
+    def _fill(self, memo: dict, key, vertices, one, stack) -> tuple:
+        """memo[key(x)] for the given vertices (default: every vertex), in
+        their order; any iterable of vertices is read once.  stack(missing)
+        computes the missing ones, each once; a lone one takes one(x), the
+        name the benchmark's layer tracer counts (see the module docstring).
         """
-        vertices = range(self.params.n) if vertices is None else vertices
-        missing = list(dict.fromkeys(x for x in vertices if x not in self._dims))
+        vertices = range(self.params.n) if vertices is None else list(vertices)
+        missing = list(dict.fromkeys(x for x in vertices if key(x) not in memo))
         if missing:
-            dims = ([terwilliger_dimension(self.graph, missing[0], self.dd)]
-                    if len(missing) == 1 else
-                    terwilliger_dimensions(self.graph, missing, self.dd))
-            self._dims.update(zip(missing, dims))
-        return tuple(self._dims[x] for x in vertices)
+            memo.update(zip(map(key, missing),
+                            [one(missing[0])] if len(missing) == 1 else stack(missing)))
+        return tuple(memo[key(x)] for x in vertices)
 
     @cached_property
     def route_local(self) -> tuple:

@@ -162,7 +162,7 @@ def t_isomorphic_srg(g1: Union[Graph, GraphContext],
                 note="a graph in the pair is not pseudo-vertex-transitive, so some "
                      "pair of base vertices has differing local spectra",
             )
-    s1, s2 = c1.subconstituent_spectrum(0, 1), c2.subconstituent_spectrum(0, 1)
+    (s1,), (s2,) = c1.subconstituent_spectra(1, [0]), c2.subconstituent_spectra(1, [0])
     if s1 == s2:
         return TIsoResult(True)
     return TIsoResult(False,

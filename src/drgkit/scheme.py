@@ -83,9 +83,6 @@ class DrgParameters:
         cs = ",".join(str(x) for x in self.c)
         return "{" + bs + ";" + cs + "}"
 
-    def b_at(self, i: int) -> int:
-        return self.b[i] if i < self.D else 0
-
     def c_at(self, i: int) -> int:
         return self.c[i - 1] if 1 <= i <= self.D else 0
 
@@ -101,7 +98,9 @@ def verify_drg(g: Graph, dd: Optional[DistanceData] = None) -> DrgParameters:
     float32, exactly (see the module docstring).  Every pair is compared with
     the first pair of its class in row-major order; the first pair that
     differs is the witness (h, 1, j, x, y).  The class sizes follow from
-    k_i c_i = k_{i-1} b_{i-1}.
+    k_i c_i = k_{i-1} b_{i-1}: double counting the edges between G_{i-1}(x)
+    and G_i(x) shows k_i = |G_i(x)|, so the k_i sum to n, and
+    c_h + a_h + b_h = p^0_11 = k, the valency.
     """
     g.require_connected()
     require_size("graph", g.n)
@@ -128,10 +127,7 @@ def verify_drg(g: Graph, dd: Optional[DistanceData] = None) -> DrgParameters:
     k_i = [1]
     for i in range(1, D + 1):
         k_i.append(k_i[-1] * b[i - 1] // c[i - 1])
-    params = DrgParameters(n=n, D=D, k=b[0], b=b, c=c, a=a, k_i=tuple(k_i))
-    assert all(params.c_at(i) + params.a[i] + params.b_at(i) == params.k for i in range(D + 1))
-    assert sum(k_i) == n
-    return params
+    return DrgParameters(n=n, D=D, k=b[0], b=b, c=c, a=a, k_i=tuple(k_i))
 
 
 def intersection_matrix(params: DrgParameters) -> np.ndarray:

@@ -275,6 +275,8 @@ def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
     if not 1 <= i <= dd.D:
         raise ValueError(f"distance class {i} out of range 1..{dd.D}")
     vertices = np.arange(g.n) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    if not len(vertices):
+        return []
     if (outside := vertices[(vertices < 0) | (vertices >= g.n)]).size:
         raise ValueError(f"vertex {outside[0]} out of range 0..{g.n - 1}")
     rows, cols = np.nonzero(dd.dist[vertices] == i)

@@ -61,7 +61,7 @@ def _record_groups(g: Graph) -> dict:
     dims = ctx.terwilliger_dimensions()  # every vertex as one stack
     groups: dict = {}
     for x, dim in enumerate(dims):
-        spec = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+        spec = ctx.subconstituent_spectrum(x, 1)
         groups.setdefault((spec, dim), []).append(x)
     return groups
 

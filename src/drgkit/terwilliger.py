@@ -39,8 +39,10 @@ spin step is paid once per stack, not once per vertex.
 
 * A queue element holds only the vertices for which it is new: their indices
   into the stack and an (m', k_h, k_j) stack of their elements.
-* Vertices whose class sizes differ are spun in separate stacks, so a graph
-  that is not distance-regular, or a vertex with an empty class, still works.
+* A request must hold one tuple of class sizes, as every request from a
+  distance-regular graph does; one whose vertices differ is refused, as
+  spectra.subconstituent_spectra refuses classes of different sizes.  Empty
+  classes are skipped, so a lone vertex of any graph still works.
 * A stack holds at most 2**16 // max_l k_l^2 vertices (at least one), so its
   widest block, k_l k_j entries per vertex, has at most 2**16 entries per
   queue element or echelon row.  The cut depends on the input alone; it keeps
@@ -262,40 +264,36 @@ def block_spin_dims(A: np.ndarray, labels) -> list[int]:
     matrix A and the projections onto the cells {v : labels[b, v] = c}, the
     nonempty level sets in increasing order of c.
 
-    The rows with one tuple of cell sizes are spun together, in stacks of at
-    most 2**16 // (largest size)^2 rows.  Column j spins the blocks l >= j
-    of T P_j from P_j and from the transposes of the blocks (j, h), h < j,
-    found in earlier columns: every new element M of block (h, j) is
+    All rows must have the same cell sizes; they are spun in stacks of at
+    most 2**16 // (largest size)^2 rows.  Column j spins the blocks
+    l >= j of T P_j from P_j and from the transposes of the blocks (j, h),
+    h < j, found in earlier columns: every new element M of block (h, j) is
     multiplied by each nonzero sub-block B = A[X_l, X_h], l >= j, and the
     product is inserted into the span of block (l, j).  Terminates because
     block (h, j) has dimension at most |X_h| |X_j|.  A may be an object array
     of Python ints.  Raises ValueError for an A that is not symmetric, whose
-    T those transposes would not span.
+    T those transposes would not span, and for rows whose cell sizes differ.
     """
     A = _as_int_array(A)
     if not np.array_equal(A, A.T):
         raise ValueError("block_spin_dims needs a symmetric matrix")
     labels = np.asarray(labels)
-    counts = (labels[:, :, None] == np.arange(labels.max(initial=0) + 1)).sum(axis=1)
-    order = np.argsort(labels, axis=1, kind="stable")
-    groups: dict = {}
-    for b, row in enumerate(counts.tolist()):
-        groups.setdefault(tuple(s for s in row if s), []).append(b)
-    dims = [0] * len(labels)
-    for sizes, members in groups.items():
-        ends = np.cumsum(sizes)
-        step = max(1, _STACK_ENTRIES // max(sizes) ** 2)
-        for s in range(0, len(members), step):
-            chunk = members[s:s + step]
-            cols = np.split(order[chunk], ends[:-1], axis=1)
-            for b, dim in zip(chunk, _spin_stack(A, cols).tolist()):
-                dims[b] = dim
-    return dims
+    if not len(labels):
+        return []
+    counts = (labels[:, :, None] == np.arange(labels.max() + 1)).sum(axis=1)
+    if (counts != counts[0]).any():
+        raise ValueError("cells of different sizes in one request: not distance-regular")
+    sizes = counts[0][counts[0] > 0]
+    cols = np.split(np.argsort(labels, axis=1, kind="stable"), np.cumsum(sizes)[:-1], axis=1)
+    step = max(1, _STACK_ENTRIES // int(sizes.max()) ** 2)
+    return [dim for s in range(0, len(labels), step)
+            for dim in _spin_stack(A, [X[s:s + step] for X in cols]).tolist()]
 
 
 def terwilliger_dimensions(g: Graph, vertices, dd: Optional[DistanceData] = None) -> list[int]:
     """dim T(x) for each of the given vertices: block_spin_dims of A on the
-    distance classes from x.  A vertex outside 0..n-1 raises ValueError."""
+    distance classes from x.  A vertex outside 0..n-1 raises ValueError, as
+    do vertices whose classes differ in size."""
     dd = dd or distances(g)
     vertices = np.asarray(vertices, dtype=np.intp).reshape(-1)
     if (outside := vertices[(vertices < 0) | (vertices >= g.n)]).size:

@@ -90,19 +90,16 @@ class ModuleDescriptor:
 
 @dataclass(frozen=True)
 class ModuleDecomposition:
-    """Pairwise non-isomorphic classes whose multiplicities fill the standard module."""
+    """Pairwise non-isomorphic classes whose multiplicities fill the standard module.
 
-    n: int
+    Each route builds exactly one primary class, of multiplicity 1, and
+    classes whose dimensions times multiplicities sum to the number of
+    vertices; the descriptors are kept in sort_key order."""
+
     descriptors: tuple
     flags: tuple = ()
 
     def __post_init__(self):
-        total = sum(d.multiplicity * d.dim for d in self.descriptors)
-        if total != self.n:
-            raise ValueError(f"decomposition covers {total} of {self.n} dimensions")
-        primaries = [d for d in self.descriptors if d.endpoint == 0]
-        if len(primaries) != 1 or primaries[0].multiplicity != 1:
-            raise ValueError("need exactly one primary class with multiplicity 1")
         object.__setattr__(
             self, "descriptors", tuple(sorted(self.descriptors, key=lambda d: d.sort_key()))
         )
@@ -137,7 +134,7 @@ def decompose(g: Union[Graph, GraphContext], x: int) -> Optional[ModuleDecomposi
         return None
     name = ctx.route[0]
     if name == "srg":
-        local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+        local = ctx.subconstituent_spectrum(x, 1)
         if local not in ctx.srg_modules:
             ctx.srg_modules[local] = decompose_srg(ctx, x)
         return ctx.srg_modules[local]
@@ -167,7 +164,7 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     if (sigma, tau) != theta[1:]:
         raise ValueError(f"sigma, tau = {sigma}, {tau} are not "
                          f"theta_1, theta_2 = {theta[1]}, {theta[2]}")
-    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+    local = ctx.subconstituent_spectrum(x, 1)
     eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
 
     descs = [_primary(ctx.params)]
@@ -190,7 +187,7 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
                 endpoint=2, dual_endpoint=t, diameter=0, dim=1, multiplicity=mult,
                 local_eigenvalue=lam, a_seq=(lam,), x_seq=(),
             ))
-    return ModuleDecomposition(n=p.n, descriptors=tuple(descs))
+    return ModuleDecomposition(descriptors=tuple(descs))
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ def _local_eigenvector(ctx: GraphContext, x: int, lam: int) -> np.ndarray:
     """A lambda-eigenvector of B_1 as an integer vector: a nonzero column of the
     product of the factors of the local key other than x - lambda, which is a
     multiple of the lambda-eigenprojection."""
-    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+    local = ctx.subconstituent_spectrum(x, 1)
     factors = [tuple(f[:-1]) for f in local.key]
     others = [f for f in factors if f != (lam,)]
     if len(others) == len(factors):
@@ -301,7 +298,7 @@ def _cover_local(ctx: GraphContext, x: int) -> tuple:
     GraphContext.eigen and the rest from GraphContext.route_local, after
     checking the local spectrum at x against the one the route predicts."""
     local_params, expected, flags = ctx.route_local
-    local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
+    local = ctx.subconstituent_spectrum(x, 1)
     if local != expected:
         raise ValueError(f"local spectrum {local} at vertex {x} differs from the "
                          f"{ctx.route[0]} prediction {expected}")
@@ -331,7 +328,7 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
             endpoint=1, dual_endpoint=t, diameter=1, dim=2, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
-    return ModuleDecomposition(n=ctx.params.n, descriptors=tuple(descs), flags=flags)
+    return ModuleDecomposition(descriptors=tuple(descs), flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +370,7 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
 
     # endpoint-2 classes: the Delta_2 spectrum less the endpoint <= 1 images,
     # a_2 once and a_1(W) once per endpoint-1 module of each class
-    left = dict(ctx.subconstituent_spectrum(x, 2, allow_float=False).pairs)
+    left = dict(ctx.subconstituent_spectrum(x, 2).pairs)
     for eta, m in ((AlgebraicScalar(params.a[2]), 1), (a1w[p], m_bp), (a1w[-q], m_bm)):
         left[eta] = left.get(eta, 0) - m
     for eta, m in left.items():
@@ -387,4 +384,4 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
                 multiplicity=left[theta[t]], local_eigenvalue=theta[t],
                 a_seq=(theta[t],), x_seq=(),
             ))
-    return ModuleDecomposition(n=params.n, descriptors=tuple(descs))
+    return ModuleDecomposition(descriptors=tuple(descs))

@@ -137,8 +137,8 @@ def _srg_record(g) -> SrgGraphRecord:
     p = ctx.route[1]
     verts = []
     for x, dim_t in enumerate(ctx.terwilliger_dimensions()):
-        local = ctx.subconstituent_spectrum(x, 1, allow_float=False)
-        d2 = ctx.subconstituent_spectrum(x, 2, allow_float=False)
+        local = ctx.subconstituent_spectrum(x, 1)
+        d2 = ctx.subconstituent_spectrum(x, 2)
         md = decompose(ctx, x)
         ds = dimension_sequence(md, p, d2)
         verts.append(SrgVertexRecord(local=local, d2=d2, dim_t=dim_t,

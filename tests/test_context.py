@@ -200,12 +200,23 @@ def test_float_spectrum_is_computed_once_and_refused_without_fallback(
         monkeypatch, float_local_spectra):
     spectra = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectra")
     ctx = GraphContext.of(shrikhande())
-    spec = ctx.subconstituent_spectrum(0, 1)
+    (spec,) = ctx.subconstituent_spectra(1, [0])
     assert not spec.exact and spec.size == 6
     with pytest.raises(ValueError, match=FLOAT_REFUSED):
-        ctx.subconstituent_spectrum(0, 1, allow_float=False)
-    assert ctx.subconstituent_spectrum(0, 1) is spec
+        ctx.subconstituent_spectrum(0, 1)
+    assert ctx.subconstituent_spectra(1, [0])[0] is spec is ctx._spectra[0, 1]
     assert len(spectra) == 1
+
+
+def test_requested_vertices_are_read_once():
+    # a generator is read once, both for the vertices missing from the memo
+    # and for the answer
+    ctx = GraphContext.of(shrikhande())
+    specs = ctx.subconstituent_spectra(1, (x for x in [0, 1]))
+    assert specs == GraphContext.of(shrikhande()).subconstituent_spectra(1, [0, 1])
+    assert len(specs) == 2
+    assert ctx.terwilliger_dimensions(x for x in [0, 1]) == (20, 20)
+    assert ctx.terwilliger_dimensions(x for x in [1]) == (20,)
 
 
 def test_route_is_decided_once_and_verdicts_never_compute_eigen(monkeypatch):

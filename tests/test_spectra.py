@@ -20,6 +20,7 @@ from drgkit.exactla import (
 from drgkit.families import chang, icosahedron, johnson, rook_grid, shrikhande
 from drgkit.graph_core import Graph, distances
 from drgkit.spectra import (
+    FLOAT_REFUSED,
     InfeasibleSrgError,
     Spectrum,
     SrgParams,
@@ -103,6 +104,10 @@ def test_class_stack_needs_equal_class_sizes():
     ico = icosahedron()
     assert subconstituent_spectra(ico, 2) == [subconstituent_spectrum(ico, x, 2)
                                              for x in range(12)]
+
+
+def test_empty_class_stack_is_an_empty_list():
+    assert subconstituent_spectra(shrikhande(), 1, None, []) == []
 
 
 def test_derived_second_subconstituent_j82():
@@ -265,11 +270,19 @@ def test_latin_square_local_spectra_compare_exact_against_float():
     # 16 exact local spectra and 20 with a cubic factor; comparing the two
     # kinds is a key comparison, not a float one
     ctx = GraphContext.of(latin_square_graph(LATIN_SQUARE_6))
-    specs = [ctx.subconstituent_spectrum(x, 1) for x in range(36)]
+    specs = ctx.subconstituent_spectra(1)
     exact = [s for s in specs if s.exact]
     assert len(exact) == 16 and specs[0].exact
     assert all(s != specs[0] for s in specs if not s.exact)
     assert all(isinstance(v, float) for s in specs if not s.exact for v, _ in s.pairs)
+    # the exact accessor answers from the same memo entries and refuses the floats
+    for x, s in enumerate(specs):
+        if s.exact:
+            assert ctx.subconstituent_spectrum(x, 1) is s
+        else:
+            with pytest.raises(ValueError, match=FLOAT_REFUSED):
+                ctx.subconstituent_spectrum(x, 1)
+    assert len(ctx._spectra) == 36
 
 
 def test_float_spectra_are_equal_across_contexts_by_characteristic_polynomial():

@@ -24,6 +24,7 @@ from drgkit.scheme import (
     krein,
     verify_drg,
 )
+from drgkit.spectra import Spectrum, subconstituent_spectra
 from drgkit.terwilliger import (
     StackedSpan,
     block_spin_dims,
@@ -199,19 +200,32 @@ def test_closure_skips_empty_distance_classes():
         _spin_closure_dim(_terwilliger_generators(g, 1, dd)) == 5
 
 
-def test_one_request_spins_each_class_size_pattern_apart():
+def test_one_request_refuses_classes_of_different_sizes():
     # the path is not distance-regular: the leaves have classes of sizes
-    # 1, 1, 1 and the centre 1, 2, 0, so one request spins two stacks, and
-    # each vertex gets what its one-vertex call and the oracle give
+    # 1, 1, 1 and the centre 1, 2, 0, so both stacked kernels refuse the three
+    # vertices together, and each vertex alone gets what the oracle gives
     g = Graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     dd = distances(g)
-    singles = [terwilliger_dimension(g, x, dd) for x in range(3)]
-    assert terwilliger_dimensions(g, [0, 1, 2], dd) == singles == \
+    with pytest.raises(ValueError, match="different sizes"):
+        terwilliger_dimensions(g, [0, 1, 2], dd)
+    with pytest.raises(ValueError, match="different sizes"):
+        subconstituent_spectra(g, 1, dd, [0, 1, 2])
+    assert [terwilliger_dimensions(g, [x], dd)[0] for x in range(3)] == \
         [_spin_closure_dim(_terwilliger_generators(g, x, dd)) for x in range(3)] == [9, 5, 9]
-    assert terwilliger_dimensions(g, [1, 0, 1], dd) == [5, 9, 5]
+    blocks = [g.adjacency[np.ix_(c, c)].astype(np.int64) for c in
+              (dd.classes_from(x, 1) for x in range(3))]
+    assert [subconstituent_spectra(g, 1, dd, [x])[0] for x in range(3)] == \
+        [Spectrum.from_pairs(factor_roots(eigenvalues_from_charpoly(charpoly_int(B))))
+         for B in blocks]
+    assert terwilliger_dimensions(g, [0, 2, 0], dd) == [9, 9, 9]
     assert terwilliger_dimensions(g, [], dd) == []
     with pytest.raises(ValueError, match="vertex 3 out of range 0..2"):
         terwilliger_dimensions(g, [0, 3], dd)
+
+
+def test_empty_request_spins_nothing():
+    g = shrikhande()
+    assert block_spin_dims(g.adjacency, np.empty((0, g.n), int)) == []
 
 
 def test_closure_matches_whole_matrix_spin():
