@@ -24,12 +24,27 @@ memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
 decided once per report, and tmodules.decompose follows it, taking its
 parameters from the context.  The memos live on that context only: nothing
 carries over to the next report.
+
+Records share their repeated fragments: one "subconstituent_spectra" list per
+distinct tuple of exact spectra (a float spectrum by its object), one
+"decomposition" dict per ModuleDecomposition object (an SRG has one per local
+spectrum) and one "dimension_sequence" list per decomposition and Delta_2
+spectrum.  The Wedderburn and derived-Delta_2 checks still run at every
+vertex.  Base vertices must be ints (numpy ints too, bools not): nothing is
+truncated.
+
+report_to_json writes exactly the bytes of ``json.dumps(report, indent=2)``
+plus a newline, rendering each list, tuple or dict object once and reusing
+its text wherever the report holds it again.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .context import GraphContext
@@ -72,14 +87,19 @@ def _descriptor_json(d) -> dict:
 
 def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                   allow_float: bool = False) -> dict:
-    """Full analysis report for the given base vertices (default: vertex 0)."""
+    """Full analysis report for the given base vertices (default: vertex 0).
+
+    Vertex records share their repeated fragments as one object each (see the
+    module docstring): deep-copy a report before editing one record in place."""
     g.require_connected()
-    if vertices is None:
-        vertices = [0]
-    vertices = [int(v) for v in vertices]
+    vertices = [0] if vertices is None else list(vertices)
     for v in vertices:
+        # bool is an int subclass; a float or a string must not be truncated
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise AnalysisError(f"base vertex {v!r} is not an integer")
         if not 0 <= v < g.n:
             raise AnalysisError(f"base vertex {v} out of range")
+    vertices = [int(v) for v in vertices]
     ctx = GraphContext.of(g)
     params = ctx.params
     ed = ctx.eigen
@@ -135,7 +155,13 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     by_class = [ctx.subconstituent_spectra(i, vertices) for i in range(1, params.D + 1)]
     vertex_records = []
     decomposition_flags: set[str] = set()
-    derived_by_local: dict = {}  # the SRG derived Delta_2 spectrum, by local spectrum
+    shared: dict = {}  # each distinct fragment of the records, and the derived Delta_2
+
+    def share(key, build):
+        if key not in shared:
+            shared[key] = build()
+        return shared[key]
+
     dims = ctx.terwilliger_dimensions(vertices)
     for x, specs, dim_t in zip(vertices, zip(*by_class), dims):
         record = {"vertex": x}
@@ -149,20 +175,24 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                     )
                 exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
-        record["subconstituent_spectra"] = [_spectrum_json(s.pairs) for s in specs]
+        # a float spectrum is keyed by its object, as Spectrum == ignores its
+        # float_pairs (and -0.0 == 0.0); the context memo keeps it alive
+        record["subconstituent_spectra"] = share(
+            ("spectra",) + tuple(s.key if s.exact else id(s) for s in specs),
+            lambda: [_spectrum_json(s.pairs) for s in specs])
         record["dim_T"] = dim_t
         md = decompose(ctx, x) if exact_ok or route != "srg" else None
         if md is not None and route == "srg":
-            if specs[0] not in derived_by_local:
-                derived_by_local[specs[0]] = second_subconstituent_derived(specs[0], route_params)
-            derived = derived_by_local[specs[0]]
+            derived = share(("derived", specs[0]),
+                            lambda: second_subconstituent_derived(specs[0], route_params))
             if derived != specs[1]:
                 raise AnalysisError(
                     f"derived second-subconstituent spectrum {derived} differs "
                     f"from the computed one {specs[1]} at vertex {x}"
                 )
-            ds = dimension_sequence(md, route_params, specs[1])
-            record["dimension_sequence"] = list(ds.tuple())
+            record["dimension_sequence"] = share(
+                ("dimension_sequence", id(md), specs[1]),
+                lambda: list(dimension_sequence(md, route_params, specs[1]).tuple()))
         if md is not None:
             wd = wedderburn_dim(md)
             if wd != dim_t:
@@ -171,10 +201,13 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                     f"at vertex {x}"
                 )
             decomposition_flags.update(md.flags)
-            record["decomposition"] = {
+            # keyed by object (an SRG's vertices share one md per local
+            # spectrum, and hashing an md costs about what rendering it does);
+            # md is kept in the value, so no later md can take its id
+            record["decomposition"] = share(("decomposition", id(md)), lambda: (md, {
                 "classes": [_descriptor_json(d) for d in md.descriptors],
                 "wedderburn_dim": wd,
-            }
+            }))[1]
         else:
             record["decomposition"] = None
         vertex_records.append(record)
@@ -189,4 +222,36 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(report, indent=2) + "\\n"``, byte for byte, with each
+    list, tuple or dict rendered once however often the report holds it.
+
+    Dict keys must be str: encode_basestring_ascii raises TypeError on any
+    other key, where json.dumps would coerce it.  The report may hold one
+    object in many places, but not inside itself.
+    """
+    texts: dict = {}  # id of a container -> its text at indent 0; the report keeps them alive
+
+    def render(o) -> str:
+        if type(o) is str:
+            return encode_basestring_ascii(o)
+        if type(o) is int:
+            return int.__repr__(o)
+        if not isinstance(o, (list, tuple, dict)):
+            return json.dumps(o)
+        text = texts.get(id(o))
+        if text is not None:
+            return text
+        if isinstance(o, dict):
+            items = [f"{encode_basestring_ascii(k)}: {render(v)}" for k, v in o.items()]
+            open_, close = "{", "}"
+        else:
+            items = [render(v) for v in o]
+            open_, close = "[", "]"
+        # the encoder escapes every newline inside a string, so each raw one
+        # starts a line, and the child lines move in by one level
+        text = (f"{open_}\n  " + ",\n".join(items).replace("\n", "\n  ") + f"\n{close}"
+                if items else open_ + close)
+        texts[id(o)] = text
+        return text
+
+    return render(report) + "\n"
