@@ -27,11 +27,11 @@ carries over to the next report.
 
 Records share their repeated fragments: one "subconstituent_spectra" list per
 distinct tuple of exact spectra (a float spectrum by its object), one
-"decomposition" dict per ModuleDecomposition object (an SRG has one per local
-spectrum) and one "dimension_sequence" list per decomposition and Delta_2
-spectrum.  The Wedderburn and derived-Delta_2 checks still run at every
-vertex.  Base vertices must be ints (numpy ints too, bools not): nothing is
-truncated.
+"decomposition" dict per ModuleDecomposition object (an SRG or a Taylor graph
+has one per local spectrum, an AT4 graph one per vertex) and one
+"dimension_sequence" list per decomposition and Delta_2 spectrum.  The
+Wedderburn and derived-Delta_2 checks still run at every vertex.  Base
+vertices must be ints (numpy ints too, bools not): nothing is truncated.
 
 report_to_json writes exactly the bytes of ``json.dumps(report, indent=2)``
 plus a newline, rendering each list, tuple or dict object once and reusing
@@ -44,12 +44,10 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .context import GraphContext
 from .exactla import AlgebraicScalar
-from .graph_core import Graph
+from .graph_core import Graph, checked_vertices
 from .pvt import check_pvt
 from .scheme import antipodality, krein, tightness
 from .spectra import FLOAT_REFUSED, format_eigenvalue, second_subconstituent_derived
@@ -92,14 +90,10 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
     Vertex records share their repeated fragments as one object each (see the
     module docstring): deep-copy a report before editing one record in place."""
     g.require_connected()
-    vertices = [0] if vertices is None else list(vertices)
-    for v in vertices:
-        # bool is an int subclass; a float or a string must not be truncated
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise AnalysisError(f"base vertex {v!r} is not an integer")
-        if not 0 <= v < g.n:
-            raise AnalysisError(f"base vertex {v} out of range")
-    vertices = [int(v) for v in vertices]
+    try:
+        vertices = [0] if vertices is None else checked_vertices(g.n, vertices)
+    except ValueError as e:
+        raise AnalysisError(f"base {e}") from None
     ctx = GraphContext.of(g)
     params = ctx.params
     ed = ctx.eigen
@@ -192,7 +186,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                 )
             record["dimension_sequence"] = share(
                 ("dimension_sequence", id(md), specs[1]),
-                lambda: list(dimension_sequence(md, route_params, specs[1]).tuple()))
+                lambda: list(dimension_sequence(md, route_params, specs[1])))
         if md is not None:
             wd = wedderburn_dim(md)
             if wd != dim_t:
@@ -201,7 +195,7 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                     f"at vertex {x}"
                 )
             decomposition_flags.update(md.flags)
-            # keyed by object (an SRG's vertices share one md per local
+            # keyed by object (SRG and Taylor vertices share one md per local
             # spectrum, and hashing an md costs about what rendering it does);
             # md is kept in the value, so no later md can take its id
             record["decomposition"] = share(("decomposition", id(md)), lambda: (md, {

@@ -32,9 +32,9 @@ names; that one line is the only place where the two differ.
 * dim T(x) from the algebra closure, keyed by x, from
   terwilliger.terwilliger_dimensions, so check_pvt's request for every
   vertex is one stacked closure;
-* srg_modules: tmodules.decompose's SRG module decompositions, keyed by the
-  exact local Spectrum, which with the route's SrgParams is all that
-  decompose_srg reads;
+* modules: tmodules.decompose's SRG and Taylor module decompositions, keyed
+  by the exact local Spectrum, which with the route's parameters is all that
+  decompose_srg and decompose_taylor read (AT4 ones are built per vertex);
 * route_local, the graph-level data of a Taylor or AT4 route: the local
   SrgParams, local spectrum and flags that tmodules checks every vertex
   against.
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .graph_core import DistanceData, Graph, distances
+from .graph_core import DistanceData, Graph, checked_vertices, distances
 from .scheme import (
     DrgParameters,
     EigenData,
@@ -88,7 +88,7 @@ class GraphContext:
     params: DrgParameters
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
     _dims: dict = field(default_factory=dict, init=False, repr=False)
-    srg_modules: dict = field(default_factory=dict, init=False, repr=False)
+    modules: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, g: Union[Graph, "GraphContext"]) -> "GraphContext":
@@ -145,11 +145,13 @@ class GraphContext:
 
     def _fill(self, memo: dict, key, vertices, one, stack) -> tuple:
         """memo[key(x)] for the given vertices (default: every vertex), in
-        their order; any iterable of vertices is read once.  stack(missing)
+        their order; any iterable of vertices is read once, and each must pass
+        graph_core.checked_vertices before the memo is read.  stack(missing)
         computes the missing ones, each once; a lone one takes one(x), the
         name the benchmark's layer tracer counts (see the module docstring).
         """
-        vertices = range(self.params.n) if vertices is None else list(vertices)
+        vertices = range(self.params.n) if vertices is None else checked_vertices(
+            self.params.n, vertices)
         missing = list(dict.fromkeys(x for x in vertices if key(x) not in memo))
         if missing:
             memo.update(zip(map(key, missing),

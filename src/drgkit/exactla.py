@@ -505,13 +505,15 @@ def _power_traces(B: np.ndarray, count: int) -> np.ndarray:
     """tr(B^0)..tr(B^(count-1)) along the last axis, for a matrix or each
     matrix of a stack: tr(B^j) is the sum of the entries of B^a * (B^b)^T with
     a + b = j.  With r the largest absolute row sum in the stack, nothing
-    exceeds n^2 * r^(count-1), so int64 runs when that is below 2**62."""
-    n, r = B.shape[-1], max(1, _max_row_sum(B))
-    if B.dtype != object and n * n * r ** max(count - 1, 1) >= _INT64_SAFE:
+    exceeds n^2 * r^(count-1): _imatmul takes that bound for the powers, and
+    the element-wise terms run on Python ints when it reaches 2**62."""
+    n = B.shape[-1]
+    bound = n * n * max(1, _max_row_sum(B)) ** max(count - 1, 1)
+    if B.dtype != object and bound >= _INT64_SAFE:
         B = _to_object(B)
     powers = [np.broadcast_to(np.eye(n, dtype=np.int64).astype(B.dtype), B.shape), B]
     while len(powers) < count // 2 + 1:
-        powers.append(powers[-1] @ B)
+        powers.append(_imatmul(powers[-1], B, bound))
     return np.stack([(powers[j // 2] * np.swapaxes(powers[j - j // 2], -1, -2)).sum(axis=(-2, -1))
                      for j in range(count)], axis=-1)
 
@@ -521,8 +523,8 @@ def _factor_product(B: np.ndarray, factors) -> np.ndarray:
     of a matrix or of each matrix of a stack.
 
     With r the largest absolute row sum in the stack, every entry and partial
-    sum is at most prod_i ||f_i(B)|| in infinity norms, so int64 runs when
-    that bound is below 2**62.
+    sum is at most prod_i ||f_i(B)|| in infinity norms: _imatmul takes that
+    bound, and the element-wise terms run on Python ints when it reaches 2**62.
     """
     B = _as_int_array(B)
     r = max(1, _max_row_sum(B))
@@ -531,10 +533,11 @@ def _factor_product(B: np.ndarray, factors) -> np.ndarray:
     if B.dtype != object and bound >= _INT64_SAFE:
         B = _to_object(B)
     eye = np.eye(B.shape[-1], dtype=np.int64).astype(B.dtype)
-    B2 = B @ B if any(len(f) == 2 for f in factors) else None
+    B2 = _imatmul(B, B, bound) if any(len(f) == 2 for f in factors) else None
     product = np.broadcast_to(eye, B.shape)
     for f in factors:
-        product = product @ (B - f[0] * eye if len(f) == 1 else B2 - f[0] * B + f[1] * eye)
+        product = _imatmul(product, B - f[0] * eye if len(f) == 1
+                           else B2 - f[0] * B + f[1] * eye, bound)
     return product
 
 

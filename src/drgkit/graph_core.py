@@ -27,6 +27,7 @@ __all__ = [
     "GraphError",
     "MAX_VERTICES",
     "require_size",
+    "checked_vertices",
     "load_graph",
     "save_graph",
     "distances",
@@ -50,6 +51,18 @@ def require_size(what: str, n: int) -> None:
     """Reject a graph of n vertices above MAX_VERTICES, before allocating it."""
     if n > MAX_VERTICES:
         raise GraphError("size", f"{what} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
+
+
+def checked_vertices(n: int, vertices) -> list[int]:
+    """The vertices, read once, as Python ints: each must be an int (numpy
+    ints too, bools not) in 0..n-1, so none is truncated or wraps round."""
+    vertices = list(vertices)
+    for v in vertices:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+    return [int(v) for v in vertices]
 
 
 def _is_symmetric(adj: np.ndarray, tile: int = 128) -> bool:

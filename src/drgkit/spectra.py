@@ -62,7 +62,7 @@ from .exactla import (
     factor_roots,
     square_free_split,
 )
-from .graph_core import Graph, DistanceData, distances
+from .graph_core import Graph, DistanceData, checked_vertices, distances
 
 __all__ = [
     "Spectrum",
@@ -262,8 +262,8 @@ def subconstituent_spectrum(g: Graph, x: int, i: int,
 def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
                            vertices=None) -> list[Spectrum]:
     """The subconstituent spectra of the distance-i classes of the given
-    vertices (default: every vertex), in their order.  A vertex outside
-    0..n-1 raises ValueError, not a numpy index that wraps round.
+    vertices (default: every vertex), in their order.  The vertices must
+    pass graph_core.checked_vertices.
 
     The classes have one size k_i, as in any distance-regular graph, so their
     induced blocks are one (m, k_i, k_i) stack, cut out by one fancy index and
@@ -274,11 +274,10 @@ def subconstituent_spectra(g: Graph, i: int, dd: Optional[DistanceData] = None,
     dd = dd or distances(g)
     if not 1 <= i <= dd.D:
         raise ValueError(f"distance class {i} out of range 1..{dd.D}")
-    vertices = np.arange(g.n) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    vertices = np.arange(g.n) if vertices is None else np.array(
+        checked_vertices(g.n, vertices), dtype=np.intp)
     if not len(vertices):
         return []
-    if (outside := vertices[(vertices < 0) | (vertices >= g.n)]).size:
-        raise ValueError(f"vertex {outside[0]} out of range 0..{g.n - 1}")
     rows, cols = np.nonzero(dd.dist[vertices] == i)
     sizes = np.bincount(rows, minlength=len(vertices))
     if (sizes == 0).any():

@@ -286,8 +286,8 @@ def reproduce_j82():
     ok &= _row(lines, census == expect_census,
                f"module census (endpoint, dim, multiplicity): {census}")
     ds = dimension_sequence(md, p, direct)
-    ok &= _row(lines, ds.tuple() == (2, 1, 1, 1) and srg_dim_formula(ds) == 16,
-               f"dimension sequence {ds.tuple()}, formula dim {srg_dim_formula(ds)}")
+    ok &= _row(lines, ds == (2, 1, 1, 1) and srg_dim_formula(ds) == 16,
+               f"dimension sequence {tuple(ds)}, formula dim {srg_dim_formula(ds)}")
     dims = set(ctx.terwilliger_dimensions())
     ok &= _row(lines, dims == {16}, f"closure dim {sorted(dims)} == 16 at every vertex")
     return ok, lines

@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactla import _INT64_SAFE, _as_int_array, _imatmul, _max_abs, _to_object
-from .graph_core import DistanceData, Graph, distances
+from .graph_core import DistanceData, Graph, checked_vertices, distances
 
 __all__ = ["block_spin_dims", "terwilliger_dimension", "terwilliger_dimensions"]
 
@@ -292,12 +292,10 @@ def block_spin_dims(A: np.ndarray, labels) -> list[int]:
 
 def terwilliger_dimensions(g: Graph, vertices, dd: Optional[DistanceData] = None) -> list[int]:
     """dim T(x) for each of the given vertices: block_spin_dims of A on the
-    distance classes from x.  A vertex outside 0..n-1 raises ValueError, as
-    do vertices whose classes differ in size."""
+    distance classes from x, for vertices that pass checked_vertices.
+    Vertices whose classes differ in size raise ValueError."""
     dd = dd or distances(g)
-    vertices = np.asarray(vertices, dtype=np.intp).reshape(-1)
-    if (outside := vertices[(vertices < 0) | (vertices >= g.n)]).size:
-        raise ValueError(f"vertex {outside[0]} out of range 0..{g.n - 1}")
+    vertices = np.array(checked_vertices(g.n, vertices), dtype=np.intp)
     return block_spin_dims(g.adjacency, dd.dist[vertices])
 
 

@@ -11,7 +11,8 @@ verdict never computes it); decompose_srg checks them once against
 GraphContext.eigen.theta.  One _primary builds the primary module of every
 route from the intersection numbers, and the Taylor and AT4 routes check
 each local spectrum against GraphContext.route_local in one place
-(_cover_local).
+(_cover_local).  Each route appends its classes in canonical order (see
+ModuleDecomposition), so no decomposition is sorted.
 
 Every decomposition built here is self-certifying:
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,26 +67,26 @@ __all__ = [
     "wedderburn_dim",
 ]
 
-_ZERO = AlgebraicScalar(0)
-
 
 @dataclass(frozen=True)
 class ModuleDescriptor:
-    """One isomorphism class of irreducible T(x)-modules."""
+    """One isomorphism class of irreducible T(x)-modules; a thin module has
+    one a_i(W) per dimension."""
 
     endpoint: int
     dual_endpoint: int
-    diameter: int
-    dim: int
     multiplicity: int
     local_eigenvalue: Optional[AlgebraicScalar]
     a_seq: tuple  # a_0(W) .. a_d(W)
     x_seq: tuple  # x_1(W) .. x_d(W)
 
-    def sort_key(self):
-        lam = self.local_eigenvalue
-        return (self.endpoint, -self.dim, -lam if lam is not None else _ZERO,
-                self.dual_endpoint)
+    @property
+    def dim(self) -> int:
+        return len(self.a_seq)
+
+    @property
+    def diameter(self) -> int:
+        return self.dim - 1
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,11 @@ class ModuleDecomposition:
 
     Each route builds exactly one primary class, of multiplicity 1, and
     classes whose dimensions times multiplicities sum to the number of
-    vertices; the descriptors are kept in sort_key order."""
+    vertices, in canonical order: endpoint ascending, then dim descending,
+    then local eigenvalue descending, then dual endpoint."""
 
     descriptors: tuple
     flags: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "descriptors", tuple(sorted(self.descriptors, key=lambda d: d.sort_key()))
-        )
 
 
 def wedderburn_dim(md: ModuleDecomposition) -> int:
@@ -113,8 +110,7 @@ def wedderburn_dim(md: ModuleDecomposition) -> int:
 def _primary(params: DrgParameters) -> ModuleDescriptor:
     """The primary module, dim D + 1: a_i(W) = a_i and x_i(W) = b_(i-1) c_i."""
     return ModuleDescriptor(
-        endpoint=0, dual_endpoint=0, diameter=params.D, dim=params.D + 1, multiplicity=1,
-        local_eigenvalue=None,
+        endpoint=0, dual_endpoint=0, multiplicity=1, local_eigenvalue=None,
         a_seq=tuple(AlgebraicScalar(a) for a in params.a),
         x_seq=tuple(AlgebraicScalar(b * c) for b, c in zip(params.b, params.c)),
     )
@@ -125,22 +121,22 @@ def decompose(g: Union[Graph, GraphContext], x: int) -> Optional[ModuleDecomposi
     on a graph no theorem covers.  Each route reads its parameters from
     GraphContext.route and GraphContext.params itself.
 
-    decompose_srg reads nothing of x but its local spectrum, so it runs once
-    per distinct local Spectrum, memoized in GraphContext.srg_modules.  The
-    closure is not involved, so the Wedderburn sum stays independent of it.
+    decompose_srg and decompose_taylor read nothing of x but its local
+    spectrum, so each runs once per distinct local Spectrum (memoized in
+    GraphContext.modules); decompose_at4's walk is a per-vertex thinness
+    witness.  The closure is not involved, so the Wedderburn sum stays
+    independent of it.
     """
     ctx = GraphContext.of(g)
     if ctx.route is None:
         return None
     name = ctx.route[0]
-    if name == "srg":
-        local = ctx.subconstituent_spectrum(x, 1)
-        if local not in ctx.srg_modules:
-            ctx.srg_modules[local] = decompose_srg(ctx, x)
-        return ctx.srg_modules[local]
-    if name == "taylor":
-        return decompose_taylor(ctx, x)
-    return decompose_at4(ctx, x)
+    if name == "at4":
+        return decompose_at4(ctx, x)
+    local = ctx.subconstituent_spectrum(x, 1)
+    if local not in ctx.modules:
+        ctx.modules[local] = (decompose_srg if name == "srg" else decompose_taylor)(ctx, x)
+    return ctx.modules[local]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     dim-1 endpoint-1 classes for sigma/tau appearing in the local graph
     (eigenvector orthogonal to all-ones); dim-1 endpoint-2 classes for
     sigma/tau multiplicity left over in the second subconstituent.  sigma and
-    tau, from the route's SrgParams, must be theta_1 and theta_2.
+    tau, from the route's SrgParams, must be theta_1 and theta_2, so sigma > tau.
     """
     p = ctx.route[1]
     sigma, tau, theta = p.sigma, p.tau, ctx.eigen.theta
@@ -172,26 +168,20 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
         a_seq = (lam, sigma + tau - lam)
         x_seq = (AlgebraicScalar(-1) * (lam - sigma) * (lam - tau),)
         descs.append(ModuleDescriptor(
-            endpoint=1, dual_endpoint=1, diameter=1, dim=2, multiplicity=mult,
+            endpoint=1, dual_endpoint=1, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
-    for lam, mult, t in ((sigma, f_sigma, 1), (tau, f_tau, 2)):
+    for endpoint, lam, mult, t in ((1, sigma, f_sigma, 1), (1, tau, f_tau, 2),
+                                   (2, sigma, g_sigma, 1), (2, tau, g_tau, 2)):
         if mult:
             descs.append(ModuleDescriptor(
-                endpoint=1, dual_endpoint=t, diameter=0, dim=1, multiplicity=mult,
-                local_eigenvalue=lam, a_seq=(lam,), x_seq=(),
-            ))
-    for lam, mult, t in ((sigma, g_sigma, 1), (tau, g_tau, 2)):
-        if mult:
-            descs.append(ModuleDescriptor(
-                endpoint=2, dual_endpoint=t, diameter=0, dim=1, multiplicity=mult,
+                endpoint=endpoint, dual_endpoint=t, multiplicity=mult,
                 local_eigenvalue=lam, a_seq=(lam,), x_seq=(),
             ))
     return ModuleDecomposition(descriptors=tuple(descs))
 
 
-@dataclass(frozen=True)
-class DimensionSequence:
+class DimensionSequence(NamedTuple):
     """(l1, l1', l2, l2'): distinct one- and two-dimensional class counts."""
 
     l1: int
@@ -199,25 +189,19 @@ class DimensionSequence:
     l2: int
     l2p: int
 
-    def __post_init__(self):
-        if self.l1p != self.l2p:
-            raise ValueError(f"l1' = {self.l1p} != l2' = {self.l2p}")
-
-    def tuple(self) -> tuple[int, int, int, int]:
-        return (self.l1, self.l1p, self.l2, self.l2p)
-
 
 def dimension_sequence(md: ModuleDecomposition, p: SrgParams,
                        d2_spectrum: Spectrum) -> DimensionSequence:
     """Counts of distinct classes per category; l2' is counted from the
-    second-subconstituent spectrum, so DimensionSequence checks l1' = l2'
-    against an independent count."""
+    second-subconstituent spectrum, an independent count that must equal l1'."""
     l1 = sum(1 for d in md.descriptors if d.endpoint == 1 and d.dim == 1)
     l1p = sum(1 for d in md.descriptors if d.dim == 2)
     l2 = sum(1 for d in md.descriptors if d.endpoint == 2 and d.dim == 1)
     eff2 = effective_multiplicities(d2_spectrum, p.k - p.c)
     l2p = sum(1 for v in eff2 if v != p.sigma and v != p.tau)
-    return DimensionSequence(l1=l1, l1p=l1p, l2=l2, l2p=l2p)
+    if l1p != l2p:
+        raise ValueError(f"l1' = {l1p} != l2' = {l2p}")
+    return DimensionSequence(l1, l1p, l2, l2p)
 
 
 def srg_dim_formula(ds: DimensionSequence) -> int:
@@ -316,7 +300,7 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
     exactly, against the certified spectrum in GraphContext.eigen); the
     difference form (theta_1 - theta_2)/2 does not equal sigma, and a flag
     records that.  These graph-level data are built once per context
-    (GraphContext.route_local) and read by every vertex.
+    (GraphContext.route_local); x enters only through its local spectrum.
     """
     theta, local_params, flags = _cover_local(ctx, x)
     sigma, tau = local_params.sigma, local_params.tau
@@ -325,7 +309,7 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
         a_seq = (lam, lam)
         x_seq = ((lam - theta[t]) * (lam - theta[t]),)
         descs.append(ModuleDescriptor(
-            endpoint=1, dual_endpoint=t, diameter=1, dim=2, multiplicity=mult,
+            endpoint=1, dual_endpoint=t, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
     return ModuleDecomposition(descriptors=tuple(descs), flags=flags)
@@ -364,7 +348,7 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
             )
         a1w[lam_int] = expected_a1
         descs.append(ModuleDescriptor(
-            endpoint=1, dual_endpoint=t, diameter=2, dim=3, multiplicity=mult,
+            endpoint=1, dual_endpoint=t, multiplicity=mult,
             local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
         ))
 
@@ -380,8 +364,7 @@ def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
     for t in range(1, 5):
         if left.get(theta[t], 0):
             descs.append(ModuleDescriptor(
-                endpoint=2, dual_endpoint=t, diameter=0, dim=1,
-                multiplicity=left[theta[t]], local_eigenvalue=theta[t],
-                a_seq=(theta[t],), x_seq=(),
+                endpoint=2, dual_endpoint=t, multiplicity=left[theta[t]],
+                local_eigenvalue=theta[t], a_seq=(theta[t],), x_seq=(),
             ))
     return ModuleDecomposition(descriptors=tuple(descs))

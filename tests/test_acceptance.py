@@ -156,9 +156,9 @@ def test_criterion_4_dimension_formula_everywhere(srg_corpus):
     ok = True
     for name, rec in srg_corpus.items():
         for v in rec.vertices:
+            l1, l1p, l2, l2p = v.ds
             formula = srg_dim_formula(v.ds)
-            also = v.ds.l1 + v.ds.l2 + 4 * v.ds.l2p + 9
-            ok &= v.dim_t == formula == also
+            ok &= v.dim_t == formula == l1 + l2 + 4 * l1p + 9 == l1 + l2 + 4 * l2p + 9
     report("4 (closure dim == l1+l2+4l1'+9 == l1+l2+4l2'+9 at every vertex)", ok)
 
 

@@ -61,6 +61,13 @@ def test_j82_records_share_one_decomposition():
     assert len({id(r["dimension_sequence"]) for r in records}) == 1
 
 
+def test_j63_records_share_one_taylor_decomposition():
+    g = johnson(6, 3)
+    records = analyze_graph(g, range(g.n))["vertices"]
+    assert len(records) == 20
+    assert len({id(r["decomposition"]) for r in records}) == 1
+
+
 def test_chang1_shares_one_spectra_list_per_distinct_local_spectra():
     g = chang(1)
     records = analyze_graph(g, range(g.n))["vertices"]
@@ -80,6 +87,12 @@ def test_float_fallback_report_writes_the_bytes_of_json_dumps():
 @pytest.mark.parametrize("v", [1.5, 2.0, "3", True, np.float64(1.0), None])
 def test_base_vertex_must_be_an_int(v):
     with pytest.raises(AnalysisError, match=re.escape(f"base vertex {v!r} is not an integer")):
+        analyze_graph(shrikhande(), [0, v])
+
+
+@pytest.mark.parametrize("v", [-1, 16])
+def test_base_vertex_outside_the_graph_is_refused(v):
+    with pytest.raises(AnalysisError, match=re.escape(f"base vertex {v} out of range 0..15")):
         analyze_graph(shrikhande(), [0, v])
 
 

@@ -1,8 +1,10 @@
 """GraphContext: each per-graph result is computed once per command, and
 nothing is remembered between commands."""
 
+import re
 import sys
 
+import numpy as np
 import pytest
 
 import drgkit.exactla
@@ -125,6 +127,23 @@ def test_vertex_outside_the_graph_is_refused_and_not_memoized():
     assert ctx._spectra == {}
 
 
+@pytest.mark.parametrize("v", [1.0, 1.5, "1", True, np.float64(1.0), np.bool_(True)])
+def test_non_integer_vertex_is_refused_before_the_memo_is_read(v):
+    # 1.0 and True equal 1, so a memo lookup would answer them from vertex 1
+    ctx = GraphContext.of(shrikhande())
+    assert ctx.subconstituent_spectra(1, [1]) and ctx.terwilliger_dimensions([1]) == (20,)
+    spectra, dims = dict(ctx._spectra), dict(ctx._dims)
+    message = re.escape(f"vertex {v!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        ctx.subconstituent_spectrum(v, 1)
+    with pytest.raises(ValueError, match=message):
+        ctx.subconstituent_spectra(1, [0, v])
+    with pytest.raises(ValueError, match=message):
+        ctx.terwilliger_dimensions([0, v])
+    assert ctx._spectra == spectra and ctx._dims == dims
+    assert all(type(k) is int for k in ctx._dims)
+
+
 def test_lone_missing_vertex_takes_the_one_vertex_helper(monkeypatch):
     one = _spy(monkeypatch, drgkit.spectra, "subconstituent_spectrum")
     ctx = GraphContext.of(chang(1))
@@ -156,16 +175,25 @@ def test_reproduce_chang_stacks_class_1_once_per_graph(monkeypatch):
 
 
 def test_srg_decomposition_is_built_once_per_local_spectrum(monkeypatch):
-    built = _spy(monkeypatch, drgkit.tmodules, "decompose_srg")
-    for g, distinct in ((shrikhande(), 1), (chang(1), 2), (chang(3), 2)):
-        built.clear()
+    # a Taylor decomposition, too, reads nothing of x but its local spectrum
+    srg = _spy(monkeypatch, drgkit.tmodules, "decompose_srg")
+    taylor = _spy(monkeypatch, drgkit.tmodules, "decompose_taylor")
+    for g, route, built, distinct in ((shrikhande(), "srg", srg, 1), (chang(1), "srg", srg, 2),
+                                      (chang(3), "srg", srg, 2),
+                                      (icosahedron(), "taylor", taylor, 1),
+                                      (johnson(6, 3), "taylor", taylor, 1)):
+        srg.clear()
+        taylor.clear()
         ctx = GraphContext.of(g)
+        assert ctx.route[0] == route
         mds = [decompose(ctx, x) for x in range(g.n)]
-        assert len(built) == distinct == len(ctx.srg_modules), g.label
+        assert len(built) == distinct == len(ctx.modules), g.label
+        assert len(srg) + len(taylor) == distinct
+        build = getattr(drgkit.tmodules, f"decompose_{route}")
         for x in range(g.n):
-            assert mds[x] is ctx.srg_modules[ctx.subconstituent_spectrum(x, 1)]
-            # the memo answers what decompose_srg answers for x itself
-            assert mds[x] == drgkit.tmodules.decompose_srg(ctx, x)
+            assert mds[x] is ctx.modules[ctx.subconstituent_spectrum(x, 1)]
+            # the memo answers what the route answers for x itself
+            assert mds[x] == build(ctx, x)
 
 
 def test_consecutive_commands_share_no_memo(monkeypatch, tmp_path, capsys):

@@ -431,6 +431,50 @@ def test_imatmul_takes_float64_below_2_53_and_int64_from_there(monkeypatch):
         assert floats == route
 
 
+@st.composite
+def _stack_with_row_sum_near(draw, bits):
+    """An (m, k, k) int64 stack whose largest row sum is near 2**bits; its
+    entries lean to the extremes, so products come near their bounds."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    top = max(1, round(2 ** bits) // k)
+    entry = st.one_of(st.sampled_from([-top, top]), st.integers(-top, top))
+    return np.array(draw(st.lists(entry, min_size=m * k * k, max_size=m * k * k)),
+                    dtype=np.int64).reshape(m, k, k)
+
+
+# bounds from 2**48 to 2**70 fall on either side of 2**53 and of 2**62
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(48, 70))
+def test_factor_product_matches_its_python_int_evaluation(data, exponent):
+    # three or more factors keep the entries below 2**22
+    degrees = data.draw(st.lists(st.sampled_from([1, 2]), min_size=3, max_size=4))
+    bits = exponent / sum(degrees)  # each factor's norm is about r**degree
+    B = data.draw(_stack_with_row_sum_near(bits))
+    r = round(2 ** bits)
+    factors = [(data.draw(st.integers(-r, r)),) if d == 1 else
+               (data.draw(st.integers(-r, r)), data.draw(st.integers(-r * r, r * r)))
+               for d in degrees]
+    Bo = B.astype(object)
+    eye = np.eye(B.shape[-1], dtype=np.int64).astype(object)
+    expected = np.broadcast_to(eye, B.shape)
+    for f in factors:
+        expected = expected @ (Bo - f[0] * eye if len(f) == 1 else Bo @ Bo - f[0] * Bo + f[1] * eye)
+    assert exactla._factor_product(B, factors).tolist() == expected.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(48, 66), st.integers(2, 6))
+def test_power_traces_match_their_python_int_evaluation(data, exponent, count):
+    k_max = 4  # the bound is n^2 r^(count-1)
+    B = data.draw(_stack_with_row_sum_near((exponent - 2 * math.log2(k_max)) / (count - 1)))
+    power = np.broadcast_to(np.eye(B.shape[-1], dtype=np.int64).astype(object), B.shape)
+    expected = []
+    for _ in range(count):
+        expected.append(np.trace(power, axis1=-2, axis2=-1).tolist())
+        power = power @ B.astype(object)
+    assert exactla._power_traces(B, count).tolist() == np.array(expected).T.tolist()
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Spectra: SRG closed forms, subconstituents, the derived second
 subconstituent, duality, equality by exact key."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,15 @@ def test_subconstituent_out_of_range():
     for x in (-1, 12):  # a negative vertex would otherwise wrap round
         with pytest.raises(ValueError, match=f"vertex {x} out of range 0..11"):
             subconstituent_spectrum(icosahedron(), x, 1)
+
+
+@pytest.mark.parametrize("v", [2.7, "2", True, np.float64(2.0), np.bool_(True)])
+def test_non_integer_vertex_is_refused_not_truncated(v):
+    g = icosahedron()
+    with pytest.raises(ValueError, match=re.escape(f"vertex {v!r} is not an integer")):
+        subconstituent_spectra(g, 1, None, [0, v])
+    assert subconstituent_spectra(g, 1, None, []) == []
+    assert subconstituent_spectra(g, 1, None, [np.int64(2)]) == subconstituent_spectra(g, 1, None, [2])
 
 
 def test_class_stack_needs_equal_class_sizes():

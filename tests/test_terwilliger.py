@@ -1,6 +1,7 @@
 """Dual idempotents, dual eigenvalues, the block-spin closure, the primary-module action."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,19 @@ def test_one_request_refuses_classes_of_different_sizes():
     assert terwilliger_dimensions(g, [], dd) == []
     with pytest.raises(ValueError, match="vertex 3 out of range 0..2"):
         terwilliger_dimensions(g, [0, 3], dd)
+
+
+@pytest.mark.parametrize("v", [1.5, "1", True, np.float64(1.0), np.bool_(True)])
+def test_non_integer_vertex_is_refused_not_truncated(v):
+    g = shrikhande()
+    with pytest.raises(ValueError, match=re.escape(f"vertex {v!r} is not an integer")):
+        terwilliger_dimensions(g, [0, v])
+
+
+def test_numpy_int_vertices_are_accepted():
+    g = shrikhande()
+    assert terwilliger_dimensions(g, [np.int64(1), np.intp(2)]) == [20, 20]
+    assert terwilliger_dimensions(g, np.arange(2)) == [20, 20]
 
 
 def test_empty_request_spins_nothing():

@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import graph_from_edges
+from conftest import LATIN_SQUARE_6, graph_from_edges, latin_square_graph
 from drgkit import tmodules
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
-from drgkit.families import hamming, halved_cube, icosahedron, johnson, shrikhande
+from drgkit.families import (
+    chang,
+    halved_cube,
+    hamming,
+    icosahedron,
+    johnson,
+    shrikhande,
+    triangular_complement,
+)
 from drgkit.spectra import Spectrum, SrgParams, subconstituent_spectrum
 from drgkit.terwilliger import terwilliger_dimension
 from drgkit.tmodules import (
@@ -67,13 +75,17 @@ def test_dimension_sequence_j82():
     p = SrgParams(28, 12, 6, 4)
     md = decompose(g, 0)
     ds = dimension_sequence(md, p, subconstituent_spectrum(g, 0, 2))
-    assert ds.tuple() == (2, 1, 1, 1)
+    assert ds == (2, 1, 1, 1) and ds.l1 == 2
     assert srg_dim_formula(ds) == 16
 
 
 def test_dimension_sequence_mismatch_rejected():
-    with pytest.raises(ValueError):
-        DimensionSequence(1, 4, 1, 3)
+    # J(8,2) has one dim-2 class (lambda = 0), so l1' = 1; this Delta_2 has two
+    # eigenvalues outside {sigma, tau} = {4, -2} beside k - c = 8, so l2' = 2
+    md = decompose(johnson(8, 2), 0)
+    d2 = Spectrum.from_pairs([(8, 1), (2, 3), (1, 2), (-2, 9)])
+    with pytest.raises(ValueError, match=re.escape("l1' = 1 != l2' = 2")):
+        dimension_sequence(md, SrgParams(28, 12, 6, 4), d2)
 
 
 def test_srg_dim_formula_cases():
@@ -82,6 +94,33 @@ def test_srg_dim_formula_cases():
     assert srg_dim_formula(DimensionSequence(2, 1, 1, 1)) == 16
     assert srg_dim_formula(DimensionSequence(1, 3, 1, 3)) == 23
     assert srg_dim_formula(DimensionSequence(1, 6, 1, 6)) == 35
+
+
+def _sort_key(d):
+    """The canonical class order: endpoint ascending, then dim descending,
+    then local eigenvalue descending, then dual endpoint."""
+    lam = d.local_eigenvalue
+    return (d.endpoint, -d.dim, -lam if lam is not None else S(0), d.dual_endpoint)
+
+
+@pytest.mark.parametrize("build, vertices", [
+    (lambda: chang(1), None), (lambda: chang(2), None), (lambda: chang(3), None),
+    (lambda: latin_square_graph(LATIN_SQUARE_6), None),
+    (lambda: triangular_complement(5), None),  # the Petersen graph
+    (icosahedron, None), (lambda: johnson(6, 3), None), (lambda: johnson(8, 4), None),
+    (lambda: halved_cube(8), [0]),
+], ids=["Chang-1", "Chang-2", "Chang-3", "Latin square", "Petersen", "icosahedron",
+        "J(6,3)", "J(8,4)", "halved 8-cube"])
+def test_every_route_builds_its_classes_in_canonical_order(build, vertices):
+    # no route sorts: each appends its classes in the order _sort_key pins
+    ctx = GraphContext.of(build())
+    vertices = range(ctx.params.n) if vertices is None else vertices
+    # the Latin-square graph's other 20 local spectra need a cubic field
+    exact = [x for x, s in zip(vertices, ctx.subconstituent_spectra(1, vertices)) if s.exact]
+    assert exact
+    for x in exact:
+        keys = [_sort_key(d) for d in decompose(ctx, x).descriptors]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (ctx.graph.label, x)
 
 
 def test_taylor_parameters_shape():
@@ -324,8 +363,6 @@ def test_cross_oracle_wedderburn_vs_closure_small():
 
 
 def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
-    from drgkit.families import chang
-
     g = chang(2)
     p = SrgParams(28, 12, 6, 4)
     ctx = GraphContext.of(g)
@@ -337,8 +374,6 @@ def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
 
 
 def test_cross_oracle_petersen():
-    from drgkit.families import triangular_complement
-
     pet = triangular_complement(5)  # the Petersen graph
     ctx = GraphContext.of(pet)
     p = ctx.route[1]
