@@ -22,24 +22,24 @@ module.  The guiding constraints:
   exact decision.
 * Spectra of integer matrices have one certificate, certified_stack: floats
   propose, integers certify.  It takes an (m, k, k) stack, such as the
-  subconstituent blocks of one distance class, reads integer roots and
-  monic quadratics x^2 - s*x + p off one batched run of _float_eigenvalues,
-  the one float eigensolver (eigvalsh for symmetric matrices, eigvals for
-  any other, such as the intersection matrix), groups the matrices by
-  proposal, and accepts a proposal for a matrix only when their product
-  annihilates it and the power traces tr(B^j), j < d, match, both checked
-  by batched integer products on the group.  The accepted factor key, with
-  multiplicities, is the exact spectrum, and factor_roots turns it into
-  exact eigenvalues.  certified_factors(B) is the case m = 1.  A float can
-  cause a fallback, never an answer.
+  subconstituent blocks of one distance class, and reads integer roots and
+  monic quadratics x^2 - s*x + p off _float_eigenvalues, the one float
+  eigensolver (eigvalsh for symmetric matrices, eigvals for any other, such
+  as the intersection matrix): of the first matrix for the whole stack, then
+  of the matrices that proposal fails, in one batched run.  It accepts a
+  proposal for a matrix only when its factors' product annihilates it and the
+  power traces tr(B^j), j < d, match, both by batched integer products.
+  The accepted factor key, with multiplicities, is the exact spectrum, and
+  factor_roots turns it into exact eigenvalues.  certified_factors(B) is the
+  case m = 1.  A float can cause a fallback, never an answer.
 * A matrix the certificate declines (a cubic factor, a non-diagonalizable
   matrix) goes through charpoly_int (Faddeev-LeVerrier over Z) and
-  eigenvalues_from_charpoly, which divides out integer roots and real
-  quadratics by exact trial division into a factor key of the same
-  canonical form, or gives None.  Both are plain integer code, like the
-  square-free parts; the package imports no computer algebra system.
-  spectra._spectrum_from_key is the one caller that chains these steps into
-  a Spectrum.
+  eigenvalues_from_charpoly, which divides out integer roots (from their
+  Laguerre-Samuelson interval) and real quadratics by exact trial division
+  into a factor key of the same canonical form, or gives None.  Both are
+  plain integer code, like the square-free parts; the package imports no
+  computer algebra system.  spectra._spectrum_from_key is the one caller
+  that chains these steps into a Spectrum.
 * Scalars compare exactly: the sign of a + b*sqrt(d) is decided by one
   comparison of squares, and two different surds by one more (compare).  A
   sum of more radicals is signed by isqrt intervals (radical_sign).
@@ -451,28 +451,17 @@ def _float_eigenvalues(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(vals.real, axis=-1), np.abs(vals.imag).max(axis=-1)
 
 
-_ROW_DECIMALS = 9
-
-
 def _propose_factors(S: np.ndarray) -> list[Optional[tuple]]:
     """One proposal per matrix of an (m, k, k) stack: _cluster_factors on its
-    _float_eigenvalues; see certified_stack.
-
-    Rows of eigenvalues that agree to _ROW_DECIMALS places are clustered
-    once, on the first such row; a proposal is only ever a proposal, so this
-    sharing can make a certificate fail, never pass.  No proposal for a
-    matrix with an eigenvalue further than _PROPOSE_TOL from the real line,
-    nor for an object-dtype (large-entry) or empty stack.
+    row of one batched _float_eigenvalues; certified_stack asks for the first
+    matrix, then for those its proposal fails.  No proposal for a matrix with
+    an eigenvalue further than _PROPOSE_TOL from the real line, nor for an
+    object-dtype (large-entry) or empty stack.
     """
     if S.dtype == object or S.shape[-1] == 0:
         return [None] * len(S)
     vals, imag = _float_eigenvalues(S)
-    rows = [row.tobytes() for row in np.round(vals, _ROW_DECIMALS) + 0.0]  # -0.0 -> 0.0
-    clustered: dict[bytes, Optional[tuple]] = {}
-    for row, v in zip(rows, vals):
-        if row not in clustered:
-            clustered[row] = _cluster_factors(v)
-    return [None if im > _PROPOSE_TOL else clustered[row] for row, im in zip(rows, imag.tolist())]
+    return [None if im > _PROPOSE_TOL else _cluster_factors(v) for v, im in zip(vals, imag.tolist())]
 
 
 def _split_proposal(proposal: tuple) -> Optional[tuple[list, list]]:
@@ -504,16 +493,16 @@ def _power_sums(factor: tuple, count: int) -> list[int]:
 def _power_traces(B: np.ndarray, count: int) -> np.ndarray:
     """tr(B^0)..tr(B^(count-1)) along the last axis, for a matrix or each
     matrix of a stack: tr(B^j) is the sum of the entries of B^a * (B^b)^T with
-    a + b = j.  With r the largest absolute row sum in the stack, nothing
-    exceeds n^2 * r^(count-1): _imatmul takes that bound for the powers, and
-    the element-wise terms run on Python ints when it reaches 2**62."""
+    a + b = j.  With r the largest absolute row sum in the stack, _imatmul
+    takes r^j as the bound of B^j, and the element-wise terms, at most
+    n^2 * r^(count-1) in sum, run on Python ints when that reaches 2**62."""
     n = B.shape[-1]
-    bound = n * n * max(1, _max_row_sum(B)) ** max(count - 1, 1)
-    if B.dtype != object and bound >= _INT64_SAFE:
-        B = _to_object(B)
+    r = max(1, _max_row_sum(B))
     powers = [np.broadcast_to(np.eye(n, dtype=np.int64).astype(B.dtype), B.shape), B]
     while len(powers) < count // 2 + 1:
-        powers.append(_imatmul(powers[-1], B, bound))
+        powers.append(_imatmul(powers[-1], B, r ** len(powers)))
+    if n * n * r ** (count - 1) >= _INT64_SAFE:
+        powers = [_to_object(P) for P in powers]
     return np.stack([(powers[j // 2] * np.swapaxes(powers[j - j // 2], -1, -2)).sum(axis=(-2, -1))
                      for j in range(count)], axis=-1)
 
@@ -546,13 +535,16 @@ def certified_stack(S) -> list[Optional[tuple]]:
     polynomial as a proven product of integer roots and monic real
     quadratics, or None.
 
-    _propose_factors reads ((r, m), ..., (s, p, m), ...) off one batched run
-    of _float_eigenvalues: integer roots r and quadratics x^2 - s*x + p, each
-    with a multiplicity m.  The matrices are grouped by proposal, and a
-    proposal is accepted for a matrix only when its factors are distinct,
-    every quadratic has two real irrational roots (s^2 - 4p > 0 and not a
-    square), and two integer checks pass, each run once on the group's
-    sub-stack:
+    _propose_factors reads ((r, m), ..., (s, p, m), ...) off the float
+    eigenvalues: integer roots r and quadratics x^2 - s*x + p, each with a
+    multiplicity m.  The first round proposes from the first matrix and
+    tries that on the whole stack, which is enough when all share one
+    spectrum; the second proposes, in one batched run, for the others still
+    without a key and groups them by proposal, so m distinct spectra cost
+    two rounds, not m.  A proposal is accepted for a matrix only when its
+    factors are distinct, every quadratic has two real irrational roots
+    (s^2 - 4p > 0 and not a square), and two integer checks pass, each run
+    once on the sub-stack it is tried on:
 
     * prod_i f_i(B) = 0, so every eigenvalue of B is a root of some f_i;
     * tr(B^j) = sum_i m_i * p_j(f_i) for j = 0..d-1, d = sum_i deg f_i, with
@@ -561,7 +553,7 @@ def certified_stack(S) -> list[Optional[tuple]]:
       multiplicity (j = 0 gives the size of B).
 
     Both checks are exact: int64 under the overflow bounds of _factor_product
-    and _power_traces, taken from the group's largest row sum, and Python
+    and _power_traces, taken from the sub-stack's largest row sum, and Python
     ints (object dtype) where a bound fails.  Neither check needs B
     symmetric.  Eigenvalues of an integer matrix are algebraic integers, so
     rational ones are integers and quadratic ones have an integral monic
@@ -576,25 +568,30 @@ def certified_stack(S) -> list[Optional[tuple]]:
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise ValueError("(m, k, k) stack of square matrices expected")
     keys: list[Optional[tuple]] = [None] * len(S)
-    groups: dict[tuple, list[int]] = {}
-    for b, proposal in enumerate(_propose_factors(S)):
-        if proposal is not None:
-            groups.setdefault(tuple(proposal), []).append(b)
-    for proposal, members in groups.items():
-        split = _split_proposal(proposal)
-        if split is None:
-            continue
-        factors, mults = split
-        members = np.array(members)
-        members = members[~(_factor_product(S[members], factors) != 0).any(axis=(-2, -1))]
-        d = sum(len(f) for f in factors)
-        expected = [0] * d
-        for f, m in zip(factors, mults):
-            for j, pj in enumerate(_power_sums(f, d)):
-                expected[j] += m * pj
-        for b, traces in zip(members.tolist(), _power_traces(S[members], d).tolist()):
-            if traces == expected:
-                keys[b] = proposal
+    for first_round in (True, False):
+        todo = range(len(S)) if first_round else [b for b in range(1, len(S)) if keys[b] is None]
+        if not todo:
+            break
+        proposals = _propose_factors(S[:1]) * len(S) if first_round else _propose_factors(S[todo])
+        groups: dict[tuple, list[int]] = {}
+        for b, proposal in zip(todo, proposals):
+            if proposal is not None:
+                groups.setdefault(proposal, []).append(b)
+        for proposal, members in groups.items():
+            split = _split_proposal(proposal)
+            if split is None:
+                continue
+            factors, mults = split
+            members = np.array(members)
+            members = members[~(_factor_product(S[members], factors) != 0).any(axis=(-2, -1))]
+            d = sum(len(f) for f in factors)
+            expected = [0] * d
+            for f, m in zip(factors, mults):
+                for j, pj in enumerate(_power_sums(f, d)):
+                    expected[j] += m * pj
+            for b, traces in zip(members.tolist(), _power_traces(S[members], d).tolist()):
+                if traces == expected:
+                    keys[b] = proposal
     return keys
 
 
@@ -658,9 +655,10 @@ def eigenvalues_from_charpoly(coeffs: Sequence[int]) -> Optional[tuple]:
     polynomial whose roots are integers and real quadratic pairs, else None:
     the route of a matrix that certified_factors declines.
 
-    When every root is real, each one lies within sqrt(p2), p2 = c1^2 - 2 c2
-    the sum of the squared roots (p2 < 0 gives None).  Trial division then
-    removes every integer root |t| <= isqrt(p2) dividing the constant term,
+    When all n roots are real, s1 = -c1 is their sum, p2 = c1^2 - 2 c2 the
+    sum of their squares, and each root t has (n t - s1)^2 <= (n - 1)(n p2 -
+    s1^2) (Laguerre-Samuelson; n p2 < s1^2 gives None).  Trial division then
+    removes every integer root t in that interval dividing the constant term,
     and then every quadratic x^2 - s*x + p with two real roots u, w, so
     s^2 > 4p, s^2 - 2p = u^2 + w^2 <= p2 and |p| = |u w| <= p2/2, p dividing
     the constant term left.  Such a quadratic has no integer root, all of
@@ -674,12 +672,13 @@ def eigenvalues_from_charpoly(coeffs: Sequence[int]) -> Optional[tuple]:
     declined route under it.
     """
     f = [int(c) for c in coeffs]
-    p2 = _square_sum(f)
-    if p2 < 0:
+    n, s1 = max(len(f) - 1, 1), -(f + [0])[1]  # a constant f scans t = 0 alone
+    spread = n * _square_sum(f) - s1 * s1
+    if spread < 0:
         return None
     linear, quadratic = [], []
-    r = math.isqrt(p2)
-    for t in range(-r, r + 1):
+    r = math.isqrt((n - 1) * spread)
+    for t in range(-((r - s1) // n), (r + s1) // n + 1):
         if (f[-1] % t if t else f[-1]) == 0:  # t divides the constant term
             f, m = _divide_out(f, [1, -t])
             if m:

@@ -462,17 +462,42 @@ def test_factor_product_matches_its_python_int_evaluation(data, exponent):
     assert exactla._factor_product(B, factors).tolist() == expected.tolist()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(48, 66), st.integers(2, 6))
-def test_power_traces_match_their_python_int_evaluation(data, exponent, count):
-    k_max = 4  # the bound is n^2 r^(count-1)
-    B = data.draw(_stack_with_row_sum_near((exponent - 2 * math.log2(k_max)) / (count - 1)))
+def _python_int_traces(B, count):
+    """tr(B^0)..tr(B^(count-1)) per matrix of a stack, on Python ints."""
     power = np.broadcast_to(np.eye(B.shape[-1], dtype=np.int64).astype(object), B.shape)
     expected = []
     for _ in range(count):
         expected.append(np.trace(power, axis1=-2, axis2=-1).tolist())
         power = power @ B.astype(object)
-    assert exactla._power_traces(B, count).tolist() == np.array(expected).T.tolist()
+    return [list(row) for row in zip(*expected)]  # np.array would round past int64
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(48, 66), st.integers(2, 6))
+def test_power_traces_match_their_python_int_evaluation(data, exponent, count):
+    k_max = 4  # the bound is n^2 r^(count-1)
+    B = data.draw(_stack_with_row_sum_near((exponent - 2 * math.log2(k_max)) / (count - 1)))
+    assert exactla._power_traces(B, count).tolist() == _python_int_traces(B, count)
+
+
+def test_power_traces_past_int64_keep_their_powers_on_int64(monkeypatch):
+    """Row sums up to 2**21 and count 4: tr(B^3) reaches 2**63, so the trace
+    sums run on Python ints, but B^2 has entries of at most 2**42, so the
+    one power product gets no Python-int operand."""
+    r = 2**20
+    B = np.array([[[r, r, 0, 0], [r, -r, 0, 0], [0, 0, 2 * r, 0], [0, 0, 0, 3]],
+                  [[0, 2 * r, 0, 0], [2 * r, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]])
+    operands, imatmul = [], exactla._imatmul
+
+    def spy(A, C, bound=None):
+        operands.extend([A.dtype, C.dtype])
+        return imatmul(A, C, bound)
+
+    monkeypatch.setattr(exactla, "_imatmul", spy)
+    traces = exactla._power_traces(B, 4)
+    assert traces.tolist() == _python_int_traces(B, 4)
+    assert max(traces.tolist()[0]) >= 2**63
+    assert operands and object not in operands
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +560,25 @@ def test_eigenvalues_from_charpoly_quadratic():
 def test_eigenvalues_from_charpoly_cubic_gives_none():
     # x^3 - x - 1 is irreducible over Q
     assert eigenvalues_from_charpoly([1, 0, -1, -1]) is None
+
+
+def test_jordan_block_with_huge_eigenvalue_is_factored_at_once():
+    """The certificate declines a Jordan block, so its charpoly is factored,
+    and the integer roots are scanned only over their Laguerre-Samuelson
+    interval, here the one point 2**40; a scan up to sqrt(c1^2 - 2 c2) would
+    not finish.  A fresh interpreter with a time limit makes a regression
+    fail instead of hang."""
+    code = ("import numpy as np\n"
+            "from drgkit.exactla import certified_factors\n"
+            "from drgkit.spectra import spectrum_of_int_matrix\n"
+            "J = np.array([[2**40, 1], [0, 2**40]])\n"
+            "assert certified_factors(J) is None\n"
+            "print(spectrum_of_int_matrix(J))\n")
+    src = str(Path(drgkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{1099511627776^2}\n"
 
 
 def _sympy_route(coeffs):
@@ -903,6 +947,31 @@ def test_stacked_certificate_matches_per_block_on_corpus(family, params):
         assert all(key is not None for key in keys), (g.label, i)
 
 
+def _proposal_calls(monkeypatch) -> list[int]:
+    """The stack sizes that _propose_factors is asked for from now on."""
+    calls, propose = [], exactla._propose_factors
+    monkeypatch.setattr(exactla, "_propose_factors", lambda S: calls.append(len(S)) or propose(S))
+    return calls
+
+
+@pytest.mark.parametrize("family, params, rounds", [
+    ("chang", (1,), 2), ("chang", (2,), 2), ("chang", (3,), 2),
+    ("johnson", (8, 2), 1), ("halved_cube", (8,), 1),
+])
+def test_stack_takes_a_second_round_only_for_a_second_spectrum(monkeypatch, family,
+                                                                params, rounds):
+    """Every local graph of J(8,2) and of the halved 8-cube has one spectrum
+    per class, so the first block's proposal certifies the whole stack.  The
+    Chang graphs are not pseudo-vertex-transitive: their local graphs have
+    two spectra, so the blocks the first proposal fails take one more
+    batched proposal."""
+    calls = _proposal_calls(monkeypatch)
+    for i, stack in _class_stacks(construct(FamilySpec(family, params))):
+        calls.clear()
+        assert None not in certified_stack(stack), i
+        assert len(calls) == rounds and calls[0] == 1, (i, calls)
+
+
 def _perturbed(proposal: tuple) -> tuple:
     """A wrong proposal: the first factor's root shifted, or its
     quadratic's constant term moved, by one."""
@@ -954,12 +1023,14 @@ def _union_block(bits: int, k: int) -> np.ndarray:
        st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_stacked_certificate_matches_one_by_one(draws, rnd):
-    """A stack of certified blocks (C6 + K1 and unions of small graphs),
-    cubic blocks (C7 and most random graphs on 7 vertices) and blocks given a
-    wrong proposal: a perturbed one, or another block's honest one, so a
-    group of one proposal mixes blocks that pass and blocks that fail.  Every
-    block gets the key that it gets alone under the same proposal, and a
-    wrong proposal never certifies."""
+    """A shuffled stack of certified blocks (C6 + K1 and unions of small
+    graphs), cubic blocks (C7 and most random graphs on 7 vertices) and
+    blocks given a wrong proposal: a perturbed one, or another block's honest
+    one.  Each proposal is planted by the matrix itself, so the first block's
+    is tried on the whole stack and the others only on the blocks that made
+    them.  A wrong proposal never certifies: every key is the block's own
+    certified key or None.  A block whose planted proposal is honest gets
+    its true key."""
     k = 7
     blocks = [_cycle(7), np.pad(_cycle(6), ((0, 1), (0, 1)))]
     kinds = ["honest", "honest"]
@@ -968,25 +1039,49 @@ def test_stacked_certificate_matches_one_by_one(draws, rnd):
         B = _union_block(bits, k) if union else _block(bits, k)
         blocks += [B, B[perm][:, perm]]
         kinds += [kind, "honest"]
-    stack = np.stack(blocks)
+    order = rnd.sample(range(len(blocks)), len(blocks))
+    stack = np.stack([blocks[b] for b in order])
+    kinds = [kinds[b] for b in order]
     honest = exactla._propose_factors(stack)
     truth = [certified_factors(B) for B in stack]
-    assert truth[0] is None and truth[1] is not None  # the cubic C7, C6 + K1
     candidates = [p for p in honest if p is not None]
-    proposals = []
-    for b, kind in enumerate(kinds):
-        p = honest[b]
+    assert truth[order.index(0)] is None and truth[order.index(1)] is not None  # C7, C6 + K1
+    planted = {}  # a repeated matrix keeps its first plant
+    for B, p, kind in zip(stack, honest, kinds):
         if kind == "perturb" and p:
             p = _perturbed(p)
         elif kind == "borrow":
             p = next((q for q in candidates if q != p), _perturbed(p) if p else None)
-        proposals.append(p)
-    with mock.patch.object(exactla, "_propose_factors", lambda S: list(proposals)):
+        planted.setdefault(B.tobytes(), p)
+    proposals = [planted[B.tobytes()] for B in stack]
+    with mock.patch.object(exactla, "_propose_factors",
+                           lambda S: [planted[B.tobytes()] for B in S]):
         keys = certified_stack(stack)
-    for b, B in enumerate(stack):
-        with mock.patch.object(exactla, "_propose_factors", lambda S: [proposals[b]]):
-            assert keys[b] == certified_factors(B), b
-        assert keys[b] == (truth[b] if proposals[b] == honest[b] else None), b
+    for b in range(len(stack)):
+        assert keys[b] in (None, truth[b]), b
+        if proposals[b] == honest[b]:
+            assert keys[b] == truth[b], b
+
+
+def test_distinct_spectra_take_two_rounds(monkeypatch):
+    """Nine blocks on 6 vertices with nine spectra: one proposal from the
+    first block, then one batched proposal for the other eight."""
+    stack = np.stack([np.pad(piece, (0, 6 - len(piece))) for piece in _QUADRATIC_PIECES])
+    expected = [certified_factors(B) for B in stack]
+    assert None not in expected and len(set(expected)) == len(stack)
+    calls = _proposal_calls(monkeypatch)
+    assert certified_stack(stack) == expected
+    assert calls == [1, len(stack) - 1]
+
+
+@given(st.lists(st.tuples(_symmetric_block, st.booleans()), min_size=1, max_size=8),
+       st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_stacked_certificate_is_the_per_block_certificate(draws, k):
+    """Random symmetric 0/1 blocks and unions of small graphs: the two rounds
+    give every block the key that it gets alone."""
+    stack = np.stack([_union_block(bits, k) if union else _block(bits, k) for bits, union in draws])
+    assert certified_stack(stack) == [certified_factors(B) for B in stack]
 
 
 def test_group_past_int64_bound_certifies_on_object_dtype():
