@@ -16,9 +16,10 @@ The report asks GraphContext.subconstituent_spectra once per distance class
 for exactly its own vertices, so each class is one stack of the vertices the
 verdict did not already certify, and analyzing one base vertex of a large
 Taylor or AT4 cover, whose verdict reads no local spectra, certifies only
-that vertex's blocks.  It asks GraphContext.terwilliger_dimensions once, before
-its vertex loop, so the closures the verdict did not already compute are one
-stacked spin.
+that vertex's blocks.  It asks GraphContext.terwilliger_dimensions and
+tmodules.decompose once each, before its vertex loop, so the closures the
+verdict did not already compute are one stacked spin and an AT4 cover's walks
+one stack per local eigenvalue.
 The eigen data and the classification route are read from the context's
 memoized ``eigen`` and ``route``, which check_pvt reads too: the route is
 decided once per report, and tmodules.decompose follows it, taking its
@@ -157,9 +158,8 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
         return shared[key]
 
     dims = ctx.terwilliger_dimensions(vertices)
-    for x, specs, dim_t in zip(vertices, zip(*by_class), dims):
-        record = {"vertex": x}
-        exact_ok = True
+    wanted = []  # every vertex but an SRG one with a float spectrum is decomposed
+    for x, specs in zip(vertices, zip(*by_class)):
         for i, s in enumerate(specs, 1):
             if not s.exact:
                 if not allow_float:
@@ -167,15 +167,18 @@ def analyze_graph(g: Graph, vertices: Optional[list[int]] = None,
                         f"{FLOAT_REFUSED} at vertex {x}, distance class {i}; rerun "
                         "with float fallback enabled to accept approximate spectra"
                     )
-                exact_ok = False
                 float_flags.append(f"subconstituent-spectrum-float:vertex{x}:class{i}")
+        wanted.append(route != "srg" or all(s.exact for s in specs))
+    mds = iter(decompose(ctx, [x for x, w in zip(vertices, wanted) if w]))
+    for x, specs, dim_t, w in zip(vertices, zip(*by_class), dims, wanted):
+        record = {"vertex": x}
         # a float spectrum is keyed by its object, as Spectrum == ignores its
         # float_pairs (and -0.0 == 0.0); the context memo keeps it alive
         record["subconstituent_spectra"] = share(
             ("spectra",) + tuple(s.key if s.exact else id(s) for s in specs),
             lambda: [_spectrum_json(s.pairs) for s in specs])
         record["dim_T"] = dim_t
-        md = decompose(ctx, x) if exact_ok or route != "srg" else None
+        md = next(mds) if w else None
         if md is not None and route == "srg":
             derived = share(("derived", specs[0]),
                             lambda: second_subconstituent_derived(specs[0], route_params))

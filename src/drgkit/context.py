@@ -34,7 +34,8 @@ names; that one line is the only place where the two differ.
   vertex is one stacked closure;
 * modules: tmodules.decompose's SRG and Taylor module decompositions, keyed
   by the exact local Spectrum, which with the route's parameters is all that
-  decompose_srg and decompose_taylor read (AT4 ones are built per vertex);
+  decompose_srg and decompose_taylor read (AT4 ones, one per vertex, come
+  from one stacked walk per request and are not kept);
 * route_local, the graph-level data of a Taylor or AT4 route: the local
   SrgParams, local spectrum and flags that tmodules checks every vertex
   against.

@@ -350,17 +350,6 @@ def _imatmul(A: np.ndarray, B: np.ndarray, bound: Optional[int] = None) -> np.nd
     return _to_object(A) @ _to_object(B)
 
 
-def _gcd_all(a: np.ndarray) -> int:
-    if a.dtype != object:
-        return int(np.gcd.reduce(np.abs(a), axis=None))
-    g = 0
-    for v in a.flat:
-        g = math.gcd(g, abs(int(v)))
-        if g == 1:
-            return 1
-    return g
-
-
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials (Faddeev-LeVerrier over Z)
 # ---------------------------------------------------------------------------
@@ -511,20 +500,21 @@ def _factor_product(B: np.ndarray, factors) -> np.ndarray:
     """prod_i f_i(B) exactly, for factors (r,) = x - r and (s, p) = x^2 - s*x + p,
     of a matrix or of each matrix of a stack.
 
-    With r the largest absolute row sum in the stack, every entry and partial
-    sum is at most prod_i ||f_i(B)|| in infinity norms: _imatmul takes that
-    bound, and the element-wise terms run on Python ints when it reaches 2**62.
+    With r the largest absolute row sum in the stack, ||f_i(B)|| is at most
+    r + |r_i| or r^2 + |s_i| r + |p_i| in infinity norms, and every entry and
+    partial sum of a partial product at most the product of its factors'
+    norms.  _imatmul takes that bound (r^2 for B^2), so the stack moves to
+    Python ints only at the first partial product whose bound reaches 2**62.
     """
     B = _as_int_array(B)
     r = max(1, _max_row_sum(B))
-    bound = math.prod(r + abs(f[0]) if len(f) == 1 else r * r + abs(f[0]) * r + abs(f[1])
-                      for f in factors)
-    if B.dtype != object and bound >= _INT64_SAFE:
-        B = _to_object(B)
     eye = np.eye(B.shape[-1], dtype=np.int64).astype(B.dtype)
-    B2 = _imatmul(B, B, bound) if any(len(f) == 2 for f in factors) else None
-    product = np.broadcast_to(eye, B.shape)
+    B2 = _imatmul(B, B, r * r) if any(len(f) == 2 for f in factors) else None
+    product, bound = np.broadcast_to(eye, B.shape), 1
     for f in factors:
+        bound *= r + abs(f[0]) if len(f) == 1 else r * r + abs(f[0]) * r + abs(f[1])
+        if B.dtype != object and bound >= _INT64_SAFE:
+            B, eye = _to_object(B), _to_object(eye)
         product = _imatmul(product, B - f[0] * eye if len(f) == 1
                            else B2 - f[0] * B + f[1] * eye, bound)
     return product

@@ -84,7 +84,7 @@ def reproduce_shrikhande():
         ctxs.append(ctx)
         locals_ok = all(spec == local_exp for spec in ctx.subconstituent_spectra(1))
         dims = set(ctx.terwilliger_dimensions())
-        weds = {wedderburn_dim(decompose(ctx, x)) for x in range(g.n)}
+        weds = set(map(wedderburn_dim, decompose(ctx)))
         ok &= _row(lines, locals_ok, f"{g.label}: local spectrum {local_exp} at all vertices")
         ok &= _row(lines, dims == {dim_exp},
                    f"{g.label}: closure dim {sorted(dims)} == {dim_exp} at all vertices")
@@ -175,7 +175,7 @@ def reproduce_gq():
         expect = gq_dim(s, t)
         ctx = GraphContext.of(g)
         dims = set(ctx.terwilliger_dimensions())
-        weds = {wedderburn_dim(decompose(ctx, x)) for x in range(g.n)}
+        weds = set(map(wedderburn_dim, decompose(ctx)))
         ok &= _row(lines, dims == {expect} and weds == {expect},
                    f"GQ({s},{t}) via {g.label}: dim T = {sorted(dims)} "
                    f"(formula {expect}, Wedderburn {sorted(weds)})")
@@ -192,7 +192,7 @@ def reproduce_taylor():
     ok = True
     for g, msig in ((icosahedron(), 2), (johnson(6, 3), 4)):
         ctx = GraphContext.of(g)
-        mds = [decompose(ctx, x) for x in range(g.n)]
+        mds = decompose(ctx)
         dims = set(ctx.terwilliger_dimensions()) | set(map(wedderburn_dim, mds))
         mults = {tuple(sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1))
                  for md in mds}
@@ -222,7 +222,7 @@ def _at4_suite(lines, g, p, q, expect):
     ok &= _row(lines, len(d2.pairs) <= 7,
                f"{g.label}: second subconstituent has {len(d2.pairs)} <= 7 distinct eigenvalues")
     thetas = set(ctx.eigen.theta[1:])
-    mds = [decompose(ctx, x) for x in range(g.n)]
+    mds = decompose(ctx)
     ep2s = [[d for d in md.descriptors if d.endpoint == 2] for md in mds]
     dims = set(ctx.terwilliger_dimensions()) | set(map(wedderburn_dim, mds))
     a1s = {tuple(str(d.a_seq[1]) for d in md.descriptors if d.endpoint == 1) for md in mds}
@@ -280,7 +280,7 @@ def reproduce_j82():
                f"derived second-subconstituent spectrum {expect_d2}")
     direct = ctx.subconstituent_spectrum(0, 2)
     ok &= _row(lines, direct == derived, "derived == directly computed")
-    md = decompose(ctx, 0)
+    [md] = decompose(ctx, [0])
     census = sorted((d.endpoint, d.dim, d.multiplicity) for d in md.descriptors)
     expect_census = sorted([(0, 3, 1), (1, 2, 5), (1, 1, 1), (1, 1, 5), (2, 1, 9)])
     ok &= _row(lines, census == expect_census,

@@ -1,18 +1,18 @@
 """Classification of irreducible T(x)-modules for diameters 2, 3, and 4.
 
-decompose(g, x) is the one entry point.  It follows GraphContext.route to
-decompose_srg, decompose_taylor or decompose_at4 (None on the generic
-route), and each of them reads its parameters from the context, so no caller
-passes them.  Every route reads the graph's eigenvalues theta_0 > ... >
-theta_D from GraphContext.eigen, the certified spectrum of the intersection
-array.  The one closed form is decompose_srg's sigma and tau, read from the
-route's SrgParams (which the route builds without GraphContext.eigen, so a
-verdict never computes it); decompose_srg checks them once against
-GraphContext.eigen.theta.  One _primary builds the primary module of every
-route from the intersection numbers, and the Taylor and AT4 routes check
-each local spectrum against GraphContext.route_local in one place
-(_cover_local).  Each route appends its classes in canonical order (see
-ModuleDecomposition), so no decomposition is sorted.
+decompose(g, vertices) is the one entry point: one decomposition per vertex
+of the list, or None on the generic route.  It follows GraphContext.route to
+decompose_srg, decompose_taylor or decompose_at4, and each of them reads its
+parameters from the context, so no caller passes them.  Every route reads
+the graph's eigenvalues theta_0 > ... > theta_D from GraphContext.eigen, the
+certified spectrum of the intersection array.  The one closed form is
+decompose_srg's sigma and tau, read from the route's SrgParams (which the
+route builds without GraphContext.eigen, so a verdict never computes it);
+decompose_srg checks them once against GraphContext.eigen.theta.  One
+_primary builds the primary module of every route from the intersection
+numbers, and the Taylor and AT4 routes check each local spectrum against
+GraphContext.route_local in one place (_cover_local).  Each route appends
+its classes in canonical order (see ModuleDecomposition), so none is sorted.
 
 Every decomposition built here is self-certifying:
 
@@ -20,12 +20,12 @@ Every decomposition built here is self-certifying:
   dual endpoint) by construction: tr L for the primary class, and the
   checks on sigma and tau (SRG, Taylor) or on the AT4 a-sequences for the rest;
 * multiplicities times dimensions must sum to n;
-* the diameter-4 endpoint-1 classes are computed from an explicit local
-  eigenvector (an integer column of the product of the other factors of the
-  exact local spectrum), walked once on integer vectors; at every step the
-  parts of A w_i on subconstituents i and i+1 are checked to be exact
-  multiples of w_(i-1) and w_i, which gives x_i(W) and a_i(W), so thinness
-  is witnessed rather than assumed.
+* the diameter-4 endpoint-1 classes are computed from explicit local
+  eigenvectors (integer columns of the product of the other factors of the
+  exact local spectrum), walked as one stack of integer vectors; at every
+  step the parts of A w_i on subconstituents i and i+1 are checked to be
+  exact multiples of w_(i-1) and w_i, which gives x_i(W) and a_i(W), so
+  thinness is witnessed at every vertex rather than assumed.
 
 wedderburn_dim (sum of squared class dimensions) is the bridge to the
 brute-force algebra closure: the two must agree exactly, which ties the
@@ -34,6 +34,7 @@ classification to an independent computation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -41,14 +42,8 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .context import GraphContext
-from .exactla import (
-    AlgebraicScalar,
-    _factor_product,
-    _gcd_all,
-    _imatmul,
-    _to_object,
-)
-from .graph_core import Graph
+from .exactla import AlgebraicScalar, _factor_product, _imatmul, _to_object
+from .graph_core import Graph, checked_vertices
 from .scheme import DrgParameters
 from .spectra import (
     Spectrum,
@@ -116,27 +111,31 @@ def _primary(params: DrgParameters) -> ModuleDescriptor:
     )
 
 
-def decompose(g: Union[Graph, GraphContext], x: int) -> Optional[ModuleDecomposition]:
-    """The T(x)-module classes by the context's classification route, or None
-    on a graph no theorem covers.  Each route reads its parameters from
-    GraphContext.route and GraphContext.params itself.
+def decompose(g: Union[Graph, GraphContext], vertices=None) -> tuple:
+    """The T(x)-module classes of the given vertices (default: every vertex),
+    one ModuleDecomposition each in their order by the context's route, or
+    None each on a graph no theorem covers.  The local blocks are one stack.
 
     decompose_srg and decompose_taylor read nothing of x but its local
     spectrum, so each runs once per distinct local Spectrum (memoized in
-    GraphContext.modules); decompose_at4's walk is a per-vertex thinness
-    witness.  The closure is not involved, so the Wedderburn sum stays
-    independent of it.
+    GraphContext.modules); decompose_at4 takes the whole list, as its walk
+    witnesses thinness at every vertex.  The closure is not involved, so the
+    Wedderburn sum stays independent of it.
     """
     ctx = GraphContext.of(g)
-    if ctx.route is None:
-        return None
-    name = ctx.route[0]
-    if name == "at4":
-        return decompose_at4(ctx, x)
-    local = ctx.subconstituent_spectrum(x, 1)
-    if local not in ctx.modules:
-        ctx.modules[local] = (decompose_srg if name == "srg" else decompose_taylor)(ctx, x)
-    return ctx.modules[local]
+    vertices = checked_vertices(ctx.params.n, range(ctx.params.n) if vertices is None
+                                else vertices)
+    if ctx.route is None or not vertices:
+        return (None,) * len(vertices)
+    ctx.subconstituent_spectra(1, vertices)  # the local blocks as one stack
+    if ctx.route[0] == "at4":
+        return decompose_at4(ctx, vertices)
+    build = decompose_srg if ctx.route[0] == "srg" else decompose_taylor
+    for x in vertices:
+        local = ctx.subconstituent_spectrum(x, 1)
+        if local not in ctx.modules:
+            ctx.modules[local] = build(ctx, x)
+    return tuple(ctx.modules[ctx.subconstituent_spectrum(x, 1)] for x in vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +173,8 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     for endpoint, lam, mult, t in ((1, sigma, f_sigma, 1), (1, tau, f_tau, 2),
                                    (2, sigma, g_sigma, 1), (2, tau, g_tau, 2)):
         if mult:
-            descs.append(ModuleDescriptor(
-                endpoint=endpoint, dual_endpoint=t, multiplicity=mult,
-                local_eigenvalue=lam, a_seq=(lam,), x_seq=(),
-            ))
+            descs.append(ModuleDescriptor(endpoint=endpoint, dual_endpoint=t, multiplicity=mult,
+                                          local_eigenvalue=lam, a_seq=(lam,), x_seq=()))
     return ModuleDecomposition(descriptors=tuple(descs))
 
 
@@ -210,66 +207,80 @@ def srg_dim_formula(ds: DimensionSequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# explicit endpoint-1 module data from a local eigenvector
+# explicit endpoint-1 module data, one stacked walk per request
 # ---------------------------------------------------------------------------
 
 
-def _local_eigenvector(ctx: GraphContext, x: int, lam: int) -> np.ndarray:
-    """A lambda-eigenvector of B_1 as an integer vector: a nonzero column of the
-    product of the factors of the local key other than x - lambda, which is a
-    multiple of the lambda-eigenprojection."""
-    local = ctx.subconstituent_spectrum(x, 1)
-    factors = [tuple(f[:-1]) for f in local.key]
-    others = [f for f in factors if f != (lam,)]
-    if len(others) == len(factors):
-        raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
-    cls1 = ctx.dd.classes_from(x, 1)
-    P = _factor_product(ctx.graph.adjacency[np.ix_(cls1, cls1)], others)
-    nonzero = np.flatnonzero(P.any(axis=0))
-    if len(nonzero) == 0:
-        raise ValueError(f"{lam} is not a local eigenvalue at vertex {x}")
-    v = P[:, nonzero[0]]
-    return v // _gcd_all(v)
+def _local_eigenvectors(ctx: GraphContext, vertices: list, lam: int) -> np.ndarray:
+    """(m, k_1) integer lambda-eigenvectors of the local blocks B_1 of vertices
+    that share one exact local spectrum: each the first nonzero column of the
+    product of its factors other than x - lambda (a multiple of the
+    lambda-eigenprojection) over its gcd, or 0 where lambda is no root."""
+    local = ctx.subconstituent_spectra(1, vertices)
+    first = ctx.subconstituent_spectrum(vertices[0], 1)  # refuses a float one
+    for x, s in zip(vertices, local):
+        if s != first:
+            raise ValueError(f"local spectrum {s} at vertex {x} differs from {first}")
+    cls = np.nonzero(ctx.dd.dist[vertices] == 1)[1].reshape(len(vertices), -1)
+    P = _factor_product(ctx.graph.adjacency[cls[:, :, None], cls[:, None, :]],
+                        [f[:-1] for f in first.key if f[:-1] != (lam,)])
+    V = P[np.arange(len(vertices)), :, (P != 0).any(axis=1).argmax(axis=1)]
+    return V // np.maximum(np.gcd.reduce(V, axis=1, keepdims=True), 1)
 
 
-def _multiple(u: np.ndarray, w: np.ndarray) -> AlgebraicScalar:
-    """c with u = c w, checked as u <w, w> = <u, w> w on Python ints."""
-    u, w = _to_object(u), _to_object(w)
-    uw, ww = int(u.dot(w)), int(w.dot(w))
-    if (u * ww != uw * w).any():
-        raise ValueError("module is not thin: A w_i leaves span(w_(i-1), w_i, w_(i+1))")
-    return AlgebraicScalar(Fraction(uw, ww))
+def _multiples(U: np.ndarray, W: np.ndarray) -> tuple:
+    """(c, faulty rows) with U[r] = c[r] W[r], checked as U[r] <W[r], W[r]> =
+    <U[r], W[r]> W[r] on Python ints; no row of W is zero."""
+    U, W = _to_object(U), _to_object(W)
+    uw, ww = (U * W).sum(axis=1), (W * W).sum(axis=1)
+    return ([AlgebraicScalar(Fraction(int(a), int(b))) for a, b in zip(uw, ww)],
+            (U * ww[:, None] != uw[:, None] * W).any(axis=1))
 
 
-def endpoint1_module_data(ctx: GraphContext, x: int, lam: int):
-    """(a_seq, x_seq) of the thin module generated by a lambda-eigenvector.
+def endpoint1_module_data(ctx: GraphContext, vertices, lam: int) -> list:
+    """[(a_seq, x_seq)] of the thin modules generated by lambda-eigenvectors,
+    one per vertex, in their order.
 
-    Embeds the integer local eigenvector v of B_1 (_local_eigenvector), which
-    must be orthogonal to all-ones (endpoint 1), as w_0 and walks
-    w_(i+1) = E*_(i+2) A w_i on integer vectors until it vanishes.  A maps
-    subconstituent i+1 only into subconstituents i, i+1 and i+2, so the module
-    is thin exactly when, at every step, the part of A w_i on subconstituent
-    i+1 is a_i(W) w_i and the part on subconstituent i is x_i(W) w_(i-1); a
-    step where either is not such a multiple raises ValueError.
+    Embeds the local eigenvectors (_local_eigenvectors), which must be
+    orthogonal to all-ones (endpoint 1), as the rows w_0 of an (m, n) stack
+    and walks w_(i+1) = E*_(i+2) A w_i, one product per step, until it
+    vanishes.  A maps subconstituent i+1 only into subconstituents i, i+1 and
+    i+2, so a module is thin exactly when, at every step, the part of A w_i
+    on subconstituent i+1 is a_i(W) w_i and the part on subconstituent i is
+    x_i(W) w_(i-1).  A fault (a row that vanishes before the others, too)
+    raises ValueError for the first faulty vertex, after walking the ones
+    before it alone, as they may fail at a later step.
     """
-    v = _local_eigenvector(ctx, x, lam)
-    if sum(v.tolist()) != 0:
-        raise ValueError("local eigenvector is not orthogonal to all-ones")
-    dist = ctx.dd.dist[x]
-    A = np.asarray(ctx.graph.adjacency, dtype=np.int64)
-    w = np.zeros(ctx.graph.n, dtype=v.dtype)
-    w[ctx.dd.classes_from(x, 1)] = v
-    ws, a_seq, x_seq = [w], [], []
-    while True:
-        i = len(ws) - 1
-        Aw = _imatmul(A, ws[i].reshape(-1, 1)).reshape(-1)
-        a_seq.append(_multiple(np.where(dist == i + 1, Aw, 0), ws[i]))
+    vertices = list(vertices)
+
+    def check(bad, message):
+        if np.any(bad):
+            r = int(np.flatnonzero(bad)[0])
+            for x in vertices[:r]:
+                endpoint1_module_data(ctx, [x], lam)
+            raise ValueError(f"{message} at vertex {vertices[r]}")
+
+    V = _local_eigenvectors(ctx, vertices, lam)
+    check([sum(v) != 0 for v in V.tolist()], "local eigenvector is not orthogonal to all-ones")
+    dist, A = ctx.dd.dist[vertices], np.asarray(ctx.graph.adjacency, dtype=np.int64)
+    W, prev, a_cols, x_cols = np.zeros(dist.shape, dtype=V.dtype), None, [], []
+    W[dist == 1] = V.ravel()
+    for i in itertools.count():
+        alive = (W != 0).any(axis=1)
+        if i and not alive.any():
+            return [(tuple(a[r] for a in a_cols), tuple(x[r] for x in x_cols))
+                    for r in range(len(vertices))]
+        check(~alive, f"endpoint-1 walk stops after {i} steps, before the others,"
+              if i else f"{lam} is not a local eigenvalue")
+        AW = _imatmul(W, A)  # row r is (A w_r)^T, as A is symmetric
+        a, bad = _multiples(np.where(dist == i + 1, AW, 0), W)
+        a_cols.append(a)
         if i:
-            x_seq.append(_multiple(np.where(dist == i, Aw, 0), ws[i - 1]))
-        nxt = np.where(dist == i + 2, Aw, 0)
-        if not nxt.any():
-            return tuple(a_seq), tuple(x_seq)
-        ws.append(nxt)
+            x, bad_x = _multiples(np.where(dist == i, AW, 0), prev)
+            x_cols.append(x)
+            bad = bad | bad_x
+        check(bad, "module is not thin: A w_i leaves span(w_(i-1), w_i, w_(i+1))")
+        W, prev = np.where(dist == i + 2, AW, 0), W
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +288,16 @@ def endpoint1_module_data(ctx: GraphContext, x: int, lam: int):
 # ---------------------------------------------------------------------------
 
 
-def _cover_local(ctx: GraphContext, x: int) -> tuple:
+def _cover_local(ctx: GraphContext, vertices: list) -> tuple:
     """(theta, local SrgParams, flags) of a Taylor or AT4 route, theta from
     GraphContext.eigen and the rest from GraphContext.route_local, after
-    checking the local spectrum at x against the one the route predicts."""
+    checking each vertex's local spectrum against the route's prediction."""
     local_params, expected, flags = ctx.route_local
-    local = ctx.subconstituent_spectrum(x, 1)
-    if local != expected:
-        raise ValueError(f"local spectrum {local} at vertex {x} differs from the "
-                         f"{ctx.route[0]} prediction {expected}")
+    for x in vertices:
+        local = ctx.subconstituent_spectrum(x, 1)
+        if local != expected:
+            raise ValueError(f"local spectrum {local} at vertex {x} differs from the "
+                             f"{ctx.route[0]} prediction {expected}")
     return ctx.eigen.theta, local_params, flags
 
 
@@ -302,16 +314,13 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
     records that.  These graph-level data are built once per context
     (GraphContext.route_local); x enters only through its local spectrum.
     """
-    theta, local_params, flags = _cover_local(ctx, x)
+    theta, local_params, flags = _cover_local(ctx, [x])
     sigma, tau = local_params.sigma, local_params.tau
     descs = [_primary(ctx.params)]
     for lam, mult, t in ((sigma, local_params.m_sigma, 1), (tau, local_params.m_tau, 2)):
-        a_seq = (lam, lam)
-        x_seq = ((lam - theta[t]) * (lam - theta[t]),)
-        descs.append(ModuleDescriptor(
-            endpoint=1, dual_endpoint=t, multiplicity=mult,
-            local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
-        ))
+        descs.append(ModuleDescriptor(endpoint=1, dual_endpoint=t, multiplicity=mult,
+                                      local_eigenvalue=lam, a_seq=(lam, lam),
+                                      x_seq=((lam - theta[t]) * (lam - theta[t]),)))
     return ModuleDecomposition(descriptors=tuple(descs), flags=flags)
 
 
@@ -320,51 +329,46 @@ def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def decompose_at4(ctx: GraphContext, x: int) -> ModuleDecomposition:
-    """T(x)-module classes of an AT4(p, q, 2) graph.
+def decompose_at4(ctx: GraphContext, vertices: list) -> tuple:
+    """T(x)-module classes of an AT4(p, q, 2) graph, one decomposition per vertex.
 
     Primary module (dim 5); one dim-3 endpoint-1 class per local eigenvalue
     lambda in {p, -q}, with a_1(W) = theta_t + theta_{t+1} + theta_{t+2} -
-    2*lambda and explicit a/x data extracted from a local eigenvector; dim-1
+    2*lambda and explicit a/x data from one stacked walk per lambda; dim-1
     endpoint-2 classes, one per eigenvalue of the second subconstituent on
     the orthogonal complement of the endpoint <= 1 images: the exact Delta_2
     spectrum less a_2 once and a_1(W) m_b+ and m_b- times.  No count may go
     negative, and every eigenvalue left over must lie in {theta_1..theta_4}.
+    The local spectra are checked first, then both walks run, then each
+    vertex's a-sequences and Delta_2 counts; each fault names its vertex.
     """
-    params = ctx.params
-    p, q = ctx.route[1]
-    theta, local_params, _ = _cover_local(ctx, x)
-    m_bp, m_bm = local_params.m_sigma, local_params.m_tau
-    descs = [_primary(params)]
-    a1w = {}
-    for lam_int, mult, t in ((p, m_bp, 1), (-q, m_bm, 2)):
-        lam = AlgebraicScalar(lam_int)
-        expected_a1 = theta[t] + theta[t + 1] + theta[t + 2] - lam - lam
-        a_seq, x_seq = endpoint1_module_data(ctx, x, lam_int)
-        if a_seq != (lam, expected_a1, lam):
-            raise ValueError(
-                f"endpoint-1 a-sequence {tuple(str(a) for a in a_seq)} differs from "
-                f"({lam}, {expected_a1}, {lam})"
-            )
-        a1w[lam_int] = expected_a1
-        descs.append(ModuleDescriptor(
-            endpoint=1, dual_endpoint=t, multiplicity=mult,
-            local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
-        ))
-
-    # endpoint-2 classes: the Delta_2 spectrum less the endpoint <= 1 images,
-    # a_2 once and a_1(W) once per endpoint-1 module of each class
-    left = dict(ctx.subconstituent_spectrum(x, 2).pairs)
-    for eta, m in ((AlgebraicScalar(params.a[2]), 1), (a1w[p], m_bp), (a1w[-q], m_bm)):
-        left[eta] = left.get(eta, 0) - m
-    for eta, m in left.items():
-        if m < 0 or (m and eta not in theta[1:]):
-            raise ValueError(f"second-subconstituent eigenvalue {eta} left with "
-                             f"multiplicity {m}: not an AT4 input")
-    for t in range(1, 5):
-        if left.get(theta[t], 0):
-            descs.append(ModuleDescriptor(
-                endpoint=2, dual_endpoint=t, multiplicity=left[theta[t]],
-                local_eigenvalue=theta[t], a_seq=(theta[t],), x_seq=(),
-            ))
-    return ModuleDecomposition(descriptors=tuple(descs))
+    params, (p, q) = ctx.params, ctx.route[1]
+    theta, local_params, _ = _cover_local(ctx, vertices)
+    classes, walks = [], []  # (lambda, multiplicity, dual endpoint, a_1(W)); walks per lambda
+    for lam, mult, t in ((p, local_params.m_sigma, 1), (-q, local_params.m_tau, 2)):
+        walks.append(endpoint1_module_data(ctx, vertices, lam))
+        lam = AlgebraicScalar(lam)
+        classes.append((lam, mult, t, theta[t] + theta[t + 1] + theta[t + 2] - lam - lam))
+    mds = []
+    for x, *data in zip(vertices, *walks):
+        descs = [_primary(params)]
+        for (lam, mult, t, a1w), (a_seq, x_seq) in zip(classes, data):
+            if a_seq != (lam, a1w, lam):
+                raise ValueError(f"endpoint-1 a-sequence {tuple(map(str, a_seq))} differs "
+                                 f"from ({lam}, {a1w}, {lam}) at vertex {x}")
+            descs.append(ModuleDescriptor(endpoint=1, dual_endpoint=t, multiplicity=mult,
+                                          local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq))
+        # endpoint-2 classes: the Delta_2 spectrum less the endpoint <= 1 images,
+        # a_2 once and a_1(W) once per endpoint-1 module of each class
+        left = dict(ctx.subconstituent_spectrum(x, 2).pairs)
+        for eta, m in [(AlgebraicScalar(params.a[2]), 1)] + [(c[3], c[1]) for c in classes]:
+            left[eta] = left.get(eta, 0) - m
+        for eta, m in left.items():
+            if m < 0 or (m and eta not in theta[1:]):
+                raise ValueError(f"second-subconstituent eigenvalue {eta} left with "
+                                 f"multiplicity {m} at vertex {x}: not an AT4 input")
+        descs += [ModuleDescriptor(endpoint=2, dual_endpoint=t, multiplicity=left[theta[t]],
+                                   local_eigenvalue=theta[t], a_seq=(theta[t],), x_seq=())
+                  for t in range(1, 5) if left.get(theta[t], 0)]
+        mds.append(ModuleDecomposition(descriptors=tuple(descs)))
+    return tuple(mds)

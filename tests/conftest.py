@@ -136,10 +136,9 @@ def _srg_record(g) -> SrgGraphRecord:
     ctx = GraphContext.of(g)
     p = ctx.route[1]
     verts = []
-    for x, dim_t in enumerate(ctx.terwilliger_dimensions()):
+    for x, dim_t, md in zip(range(g.n), ctx.terwilliger_dimensions(), decompose(ctx)):
         local = ctx.subconstituent_spectrum(x, 1)
         d2 = ctx.subconstituent_spectrum(x, 2)
-        md = decompose(ctx, x)
         ds = dimension_sequence(md, p, d2)
         verts.append(SrgVertexRecord(local=local, d2=d2, dim_t=dim_t,
                                      decomposition=md, ds=ds))

@@ -17,9 +17,21 @@ import numpy as np
 from drgkit import exactla
 
 
+def _gcd_all(a: np.ndarray) -> int:
+    """The gcd of the entries, stopping at 1 on Python ints."""
+    if a.dtype != object:
+        return int(np.gcd.reduce(np.abs(a), axis=None))
+    g = 0
+    for v in a.flat:
+        g = math.gcd(g, abs(int(v)))
+        if g == 1:
+            return 1
+    return g
+
+
 def _strip_row(v: np.ndarray) -> tuple[np.ndarray, int]:
     """v divided by its content, back on int64 when it fits, and its max|v|."""
-    g, m = exactla._gcd_all(v), exactla._max_abs(v)
+    g, m = _gcd_all(v), exactla._max_abs(v)
     if g > 1:
         v, m = v // g, m // g
     if v.dtype == object and m < exactla._INT64_SAFE:

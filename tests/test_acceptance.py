@@ -193,7 +193,7 @@ def test_criterion_7_taylor():
     sum_form = (theta[1] + theta[2]) * half
     diff_form = (theta[1] - theta[2]) * half
     ok &= sigma == sum_form and sigma != diff_form
-    md = decompose(icosahedron(), 0)
+    [md] = decompose(icosahedron(), [0])
     ok &= any("taylor-local-eigenvalue-identity" in f for f in md.flags)
     mults = sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1)
     ok &= mults == [2, 2]
@@ -239,21 +239,14 @@ def test_criterion_9_cross_oracle(srg_corpus):
             ok &= wedderburn_dim(v.decomposition) == v.dim_t
             count += 1
     # Taylor and AT4 instances
-    ico = GraphContext.of(icosahedron())
-    for x in range(ico.graph.n):
-        ok &= wedderburn_dim(decompose(ico, x)) == \
-            terwilliger_dimension(ico.graph, x, ico.dd)
-        count += 1
-    j63 = GraphContext.of(johnson(6, 3))
-    for x in range(j63.graph.n):
-        ok &= wedderburn_dim(decompose(j63, x)) == \
-            terwilliger_dimension(j63.graph, x, j63.dd)
-        count += 1
-    j84 = GraphContext.of(johnson(8, 4))
-    for x in range(0, j84.graph.n, 7):  # the full sweep already ran in criterion 8
-        ok &= wedderburn_dim(decompose(j84, x)) == \
-            terwilliger_dimension(j84.graph, x, j84.dd)
-        count += 1
+    # the full J(8,4) sweep already ran in criterion 8
+    for g, vertices in ((icosahedron(), None), (johnson(6, 3), None),
+                        (johnson(8, 4), range(0, 70, 7))):
+        ctx = GraphContext.of(g)
+        vertices = range(g.n) if vertices is None else vertices
+        for x, md in zip(vertices, decompose(ctx, vertices)):
+            ok &= wedderburn_dim(md) == terwilliger_dimension(g, x, ctx.dd)
+            count += 1
     report("9 (Wedderburn dim == closure dim on every analyzed pair)", ok,
            f"{count} (graph, vertex) pairs")
 

@@ -186,7 +186,7 @@ def test_srg_decomposition_is_built_once_per_local_spectrum(monkeypatch):
         taylor.clear()
         ctx = GraphContext.of(g)
         assert ctx.route[0] == route
-        mds = [decompose(ctx, x) for x in range(g.n)]
+        mds = decompose(ctx)
         assert len(built) == distinct == len(ctx.modules), g.label
         assert len(srg) + len(taylor) == distinct
         build = getattr(drgkit.tmodules, f"decompose_{route}")

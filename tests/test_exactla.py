@@ -1086,7 +1086,8 @@ def test_stacked_certificate_is_the_per_block_certificate(draws, k):
 
 def test_group_past_int64_bound_certifies_on_object_dtype():
     """Entries of 10**7: prod f_i(B) bounds above 2**62, so the group's
-    product runs on Python ints, and both blocks still certify."""
+    product runs on Python ints from the first partial product whose bound
+    reaches 2**62 on, and both blocks still certify."""
     N = 10**7
     B = np.zeros((4, 4), dtype=np.int64)
     B[0, 1] = B[1, 0] = N
@@ -1094,14 +1095,23 @@ def test_group_past_int64_bound_certifies_on_object_dtype():
     perm = [2, 0, 3, 1]
     stack = np.stack([B, B[perm][:, perm]])
     key = ((-N, 1), (-3, 1), (3, 1), (N, 1))
-    converted = []
-    to_object = exactla._to_object
+    converted, events = [], []
+    to_object, imatmul = exactla._to_object, exactla._imatmul
 
     def spy(a):
         converted.append(a.shape)
+        events.append("convert")
         return to_object(a)
 
-    with mock.patch.object(exactla, "_to_object", spy):
+    def product_spy(A, B, bound=None):
+        events.append("product")
+        return imatmul(A, B, bound)
+
+    with mock.patch.object(exactla, "_to_object", spy), \
+            mock.patch.object(exactla, "_imatmul", product_spy):
         assert certified_stack(stack) == [key, key]
     assert (2, 4, 4) in converted  # the whole group, in one object product
+    # _factor_product runs first; its partial products bound 2e7, 2e14 and
+    # 2e21, so nothing is converted before the third factor's product
+    assert events[:3] == ["product", "product", "convert"]
     assert certified_factors(B) == key

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import LATIN_SQUARE_6, graph_from_edges, latin_square_graph
+from conftest import _SRG_BUILDERS, LATIN_SQUARE_6, graph_from_edges, latin_square_graph
 from drgkit import tmodules
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
@@ -51,7 +51,7 @@ def by_class(md):
 def test_decompose_srg_j82():
     g = johnson(8, 2)
     p = SrgParams(28, 12, 6, 4)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     census = sorted((d.endpoint, d.dim, d.multiplicity) for d in md.descriptors)
     assert census == sorted([(0, 3, 1), (1, 2, 5), (1, 1, 1), (1, 1, 5), (2, 1, 9)])
     assert sum(d.multiplicity * d.dim for d in md.descriptors) == 28
@@ -65,7 +65,7 @@ def test_decompose_srg_j82():
 def test_decompose_srg_shrikhande_completeness():
     g = shrikhande()
     p = SrgParams(16, 6, 2, 2)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     assert sum(d.multiplicity * d.dim for d in md.descriptors) == 16
     assert wedderburn_dim(md) == 20
 
@@ -73,7 +73,7 @@ def test_decompose_srg_shrikhande_completeness():
 def test_dimension_sequence_j82():
     g = johnson(8, 2)
     p = SrgParams(28, 12, 6, 4)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     ds = dimension_sequence(md, p, subconstituent_spectrum(g, 0, 2))
     assert ds == (2, 1, 1, 1) and ds.l1 == 2
     assert srg_dim_formula(ds) == 16
@@ -82,7 +82,7 @@ def test_dimension_sequence_j82():
 def test_dimension_sequence_mismatch_rejected():
     # J(8,2) has one dim-2 class (lambda = 0), so l1' = 1; this Delta_2 has two
     # eigenvalues outside {sigma, tau} = {4, -2} beside k - c = 8, so l2' = 2
-    md = decompose(johnson(8, 2), 0)
+    [md] = decompose(johnson(8, 2), [0])
     d2 = Spectrum.from_pairs([(8, 1), (2, 3), (1, 2), (-2, 9)])
     with pytest.raises(ValueError, match=re.escape("l1' = 1 != l2' = 2")):
         dimension_sequence(md, SrgParams(28, 12, 6, 4), d2)
@@ -118,9 +118,23 @@ def test_every_route_builds_its_classes_in_canonical_order(build, vertices):
     # the Latin-square graph's other 20 local spectra need a cubic field
     exact = [x for x, s in zip(vertices, ctx.subconstituent_spectra(1, vertices)) if s.exact]
     assert exact
-    for x in exact:
-        keys = [_sort_key(d) for d in decompose(ctx, x).descriptors]
+    for x, md in zip(exact, decompose(ctx, exact)):
+        keys = [_sort_key(d) for d in md.descriptors]
         assert all(a < b for a, b in zip(keys, keys[1:])), (ctx.graph.label, x)
+
+
+@pytest.mark.parametrize("build", [*_SRG_BUILDERS.values(), icosahedron,
+                                   lambda: johnson(6, 3), lambda: johnson(8, 4),
+                                   lambda: halved_cube(8), lambda: hamming(3, 3)],
+                         ids=[*_SRG_BUILDERS, "icosahedron", "J(6,3)", "J(8,4)",
+                              "halved 8-cube", "H(3,3)"])
+def test_decompose_of_every_vertex_equals_one_vertex_requests(build):
+    # two contexts, so the one-vertex requests share no memo with the stack
+    g = build()
+    mds = decompose(GraphContext.of(g))
+    ctx = GraphContext.of(g)
+    assert len(mds) == g.n
+    assert list(mds) == [decompose(ctx, [x])[0] for x in range(g.n)]
 
 
 def test_taylor_parameters_shape():
@@ -131,7 +145,7 @@ def test_taylor_parameters_shape():
 
 def test_decompose_taylor_icosahedron():
     g = icosahedron()
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     sigma = S(Fraction(-1, 2), Fraction(1, 2), 5)
     tau = S(Fraction(-1, 2), Fraction(-1, 2), 5)
     c = by_class(md)
@@ -148,7 +162,7 @@ def test_decompose_taylor_icosahedron():
 
 def test_decompose_taylor_j63():
     g = johnson(6, 3)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     assert sum(d.multiplicity * d.dim for d in md.descriptors) == 20
     assert wedderburn_dim(md) == 24
     mults = sorted(d.multiplicity for d in md.descriptors if d.endpoint == 1)
@@ -159,14 +173,14 @@ def test_taylor_explicit_module_matches_formula():
     # the explicit eigenvector route reproduces the published module data on
     # J(6,3), whose local eigenvalues are integers
     ctx = GraphContext.of(johnson(6, 3))
-    md = decompose(ctx, 0)
+    [md] = decompose(ctx, [0])
     for d in md.descriptors:
         if d.endpoint != 1:
             continue
         assert d.local_eigenvalue.is_rational
         lam = d.local_eigenvalue.a
         assert lam.denominator == 1
-        a_seq, x_seq = endpoint1_module_data(ctx, 0, int(lam))
+        [(a_seq, x_seq)] = endpoint1_module_data(ctx, [0], int(lam))
         assert a_seq == d.a_seq
         assert x_seq == d.x_seq
 
@@ -182,7 +196,7 @@ def test_at4_array_and_recognition():
 
 def test_decompose_at4_j84():
     g = johnson(8, 4)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     c = by_class(md)
     w_p = c[(1, 3, "2")]
     assert w_p.multiplicity == 6  # m_(b+)
@@ -210,12 +224,12 @@ def test_decompose_at4_rejects_inconsistent_second_subconstituent(pairs):
     assert str(ctx.subconstituent_spectrum(0, 2)) == "{8^1, 4^6, 2^4, 0^9, -2^12, -4^4}"
     ctx._spectra[0, 2] = Spectrum.from_pairs(pairs)
     with pytest.raises(ValueError, match="not an AT4 input"):
-        decompose(ctx, 0)
+        decompose(ctx, [0])
 
 
 def test_at4_endpoint1_explicit_data_consistency():
     g = johnson(8, 4)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     for d in md.descriptors:
         if d.endpoint == 1:
             # palindromic and summing to theta_t + theta_(t+1) + theta_(t+2)
@@ -254,9 +268,8 @@ def _endpoint1_oracle(g, x, lam: int):
 ], ids=["J(8,4)", "halved 8-cube"])
 def test_endpoint1_module_data_matches_nullspace_oracle(graph, lams, vertices):
     ctx = GraphContext.of(graph)
-    for x in vertices:
-        for lam in lams:
-            a_seq, x_seq = endpoint1_module_data(ctx, x, lam)
+    for lam in lams:  # the vertices as one stack
+        for x, (a_seq, x_seq) in zip(vertices, endpoint1_module_data(ctx, vertices, lam)):
             oa, ox = _endpoint1_oracle(graph, x, lam)
             assert a_seq == tuple(S(a) for a in oa) and x_seq == tuple(S(v) for v in ox)
 
@@ -265,7 +278,7 @@ def test_endpoint1_module_data_rejects_non_eigenvalues():
     ctx = GraphContext.of(johnson(8, 4))  # local spectrum {6^1, 2^6, -2^9}
     for lam in (3, 0, 6):  # not local eigenvalues; 6 has only all-ones
         with pytest.raises(ValueError):
-            endpoint1_module_data(ctx, 0, lam)
+            endpoint1_module_data(ctx, [0], lam)
 
 
 def test_endpoint1_module_data_rejects_a_module_that_is_not_thin(monkeypatch):
@@ -277,9 +290,9 @@ def test_endpoint1_module_data_rejects_a_module_that_is_not_thin(monkeypatch):
     v = np.zeros(len(cls1), dtype=np.int64)
     v[0], v[1] = 1, -1
     assert (B1 @ v).any() and np.linalg.matrix_rank(np.stack([B1 @ v, v])) == 2
-    monkeypatch.setattr(tmodules, "_local_eigenvector", lambda ctx, x, lam: v)
+    monkeypatch.setattr(tmodules, "_local_eigenvectors", lambda ctx, vertices, lam: v[None])
     with pytest.raises(ValueError, match="not thin"):
-        endpoint1_module_data(ctx, 0, 2)
+        endpoint1_module_data(ctx, [0], 2)
 
 
 def test_endpoint1_module_data_rejects_an_x_part_that_is_no_multiple(monkeypatch):
@@ -288,10 +301,56 @@ def test_endpoint1_module_data_rejects_an_x_part_that_is_no_multiple(monkeypatch
     # x-part A w_1 on {1, 2, 3} is (1, -1, -1), no multiple of w_0 = (1, -1, 0)
     g = graph_from_edges(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5)))
     ctx = GraphContext(graph=g, dd=distances(g), params=None)
-    monkeypatch.setattr(tmodules, "_local_eigenvector",
-                        lambda ctx, x, lam: np.array([1, -1, 0], dtype=np.int64))
+    monkeypatch.setattr(tmodules, "_local_eigenvectors",
+                        lambda ctx, vertices, lam: np.array([[1, -1, 0]], dtype=np.int64))
     with pytest.raises(ValueError, match="not thin"):
-        endpoint1_module_data(ctx, 0, 0)
+        endpoint1_module_data(ctx, [0], 0)
+
+
+@pytest.mark.parametrize("graph, lams", [
+    (johnson(8, 4), (2, -2)),
+    (halved_cube(8), (4, -2)),
+], ids=["J(8,4)", "halved 8-cube"])
+def test_stacked_walk_equals_one_vertex_walks(graph, lams):
+    ctx = GraphContext.of(graph)
+    for lam in lams:
+        stacked = endpoint1_module_data(ctx, range(graph.n), lam)
+        assert stacked == [endpoint1_module_data(ctx, [x], lam)[0] for x in range(graph.n)]
+
+
+def test_a_non_thin_row_of_a_stack_names_its_vertex(monkeypatch):
+    # J(8,4) at vertices 0..9, with the eigenvector of vertex 6 swapped for a
+    # vector orthogonal to all-ones that is no B_1-eigenvector; the vertices
+    # before it still walk through, so the error names vertex 6
+    ctx = GraphContext.of(johnson(8, 4))
+    real = tmodules._local_eigenvectors
+
+    def crafted(ctx, vertices, lam):
+        V = real(ctx, vertices, lam)
+        for r, x in enumerate(vertices):
+            if x == 6:
+                V[r] = 0
+                V[r, :2] = 1, -1
+        return V
+
+    monkeypatch.setattr(tmodules, "_local_eigenvectors", crafted)
+    assert len(endpoint1_module_data(ctx, range(6), 2)) == 6
+    with pytest.raises(ValueError, match=r"not thin.* at vertex 6$"):
+        endpoint1_module_data(ctx, range(10), 2)
+
+
+def test_a_row_that_vanishes_before_the_others_is_a_value_error(monkeypatch):
+    # both walks from (1, -1) are thin, but vertex 3's vanishes after 2 steps
+    # and vertex 4's after 3
+    g = graph_from_edges(8, ((0, 4), (0, 5), (0, 7), (1, 6), (1, 7), (2, 3), (2, 5),
+                             (2, 6), (3, 7), (4, 5)))
+    ctx = GraphContext(graph=g, dd=distances(g), params=None)
+    monkeypatch.setattr(tmodules, "_local_eigenvectors",
+                        lambda ctx, vertices, lam: np.array([[1, -1]] * len(vertices)))
+    assert [len(a) for x in (3, 4) for a, _ in endpoint1_module_data(ctx, [x], 0)] == [2, 3]
+    for vertices in ([3, 4], [4, 3]):
+        with pytest.raises(ValueError, match=r"stops after 2 steps.* at vertex 3$"):
+            endpoint1_module_data(ctx, vertices, 0)
 
 
 @pytest.mark.parametrize("theta", [(6, -2, 2), (6, 2, -3)], ids=["swapped", "tau"])
@@ -300,7 +359,7 @@ def test_decompose_srg_rejects_sigma_tau_other_than_theta(theta):
     ctx = GraphContext.of(shrikhande())
     ctx.__dict__["eigen"] = dataclasses.replace(ctx.eigen, theta=tuple(S(t) for t in theta))
     with pytest.raises(ValueError, match=r"sigma, tau = 2, -2 are not theta_1, theta_2"):
-        decompose(ctx, 0)
+        decompose(ctx, [0])
 
 
 def test_cover_rejects_a_local_spectrum_other_than_the_taylor_prediction():
@@ -309,40 +368,39 @@ def test_cover_rejects_a_local_spectrum_other_than_the_taylor_prediction():
     ctx.__dict__["route_local"] = (local_params, Spectrum.from_pairs([(2, 1), (0, 4)]), flags)
     with pytest.raises(ValueError, match=r"local spectrum .* at vertex 0 differs from the "
                                          r"taylor prediction \{2\^1, 0\^4\}"):
-        decompose(ctx, 0)
+        decompose(ctx, [0])
 
 
 def test_decompose_at4_rejects_an_endpoint1_a_sequence_off_the_formula(monkeypatch):
     # J(8,4): a_1(W) must be theta_t + theta_(t+1) + theta_(t+2) - 2 lambda
     real = endpoint1_module_data
 
-    def flat(ctx, x, lam):
-        a_seq, x_seq = real(ctx, x, lam)
-        return (a_seq[0], a_seq[0], a_seq[0]), x_seq
+    def flat(ctx, vertices, lam):
+        return [((a_seq[0],) * 3, x_seq) for a_seq, x_seq in real(ctx, vertices, lam)]
 
     monkeypatch.setattr(tmodules, "endpoint1_module_data", flat)
     with pytest.raises(ValueError, match=re.escape(
             "endpoint-1 a-sequence ('2', '2', '2') differs from (2, 4, 2)")):
-        decompose(johnson(8, 4), 0)
+        decompose(johnson(8, 4), [0])
 
 
 def test_wedderburn_examples():
     g = icosahedron()
-    assert wedderburn_dim(decompose(g, 0)) == 24
+    assert wedderburn_dim(decompose(g, [0])[0]) == 24
     g = johnson(8, 2)
-    assert wedderburn_dim(decompose(g, 0)) == 16
+    assert wedderburn_dim(decompose(g, [0])[0]) == 16
 
 
 def test_decompose_is_none_on_the_generic_route():
     ctx = GraphContext.of(hamming(3, 3))
     assert ctx.route is None
-    assert decompose(ctx, 0) is None
+    assert decompose(ctx, [0]) == (None,)
     assert ctx._spectra == {} and ctx._dims == {}
 
 
 def test_decompose_at4_halved_cube():
     g = halved_cube(8)
-    md = decompose(g, 0)
+    [md] = decompose(g, [0])
     c = by_class(md)
     assert c[(1, 3, "4")].multiplicity == 7
     assert c[(1, 3, "-2")].multiplicity == 20
@@ -358,16 +416,15 @@ def test_decompose_at4_halved_cube():
 def test_cross_oracle_wedderburn_vs_closure_small():
     for g in (shrikhande(), icosahedron()):
         ctx = GraphContext.of(g)
-        for x in (0, g.n // 2):
-            assert wedderburn_dim(decompose(ctx, x)) == terwilliger_dimension(g, x, ctx.dd)
+        for x, md in zip((0, g.n // 2), decompose(ctx, (0, g.n // 2))):
+            assert wedderburn_dim(md) == terwilliger_dimension(g, x, ctx.dd)
 
 
 def test_srg_class_count_matches_dimension_sequence(srg_corpus=None):
     g = chang(2)
     p = SrgParams(28, 12, 6, 4)
     ctx = GraphContext.of(g)
-    for x in (0, 5):
-        md = decompose(ctx, x)
+    for x, md in zip((0, 5), decompose(ctx, (0, 5))):
         ds = dimension_sequence(md, p, ctx.subconstituent_spectrum(x, 2))
         non_primary = sum(1 for d in md.descriptors if d.endpoint > 0)
         assert non_primary == ds.l1 + ds.l2 + ds.l1p
@@ -378,6 +435,5 @@ def test_cross_oracle_petersen():
     ctx = GraphContext.of(pet)
     p = ctx.route[1]
     assert p.tuple() == (10, 3, 0, 1)
-    for x in range(pet.n):
-        md = decompose(ctx, x)
+    for x, md in enumerate(decompose(ctx)):
         assert wedderburn_dim(md) == terwilliger_dimension(pet, x, ctx.dd) == 15
