@@ -28,8 +28,9 @@ carries over to the next report.
 
 Records share their repeated fragments: one "subconstituent_spectra" list per
 distinct tuple of exact spectra (a float spectrum by its object), one
-"decomposition" dict per ModuleDecomposition object (an SRG or a Taylor graph
-has one per local spectrum, an AT4 graph one per vertex) and one
+"decomposition" dict per ModuleDecomposition object (an SRG has one per
+local spectrum, a Taylor graph one for all vertices, an AT4 graph one per
+vertex) and one
 "dimension_sequence" list per decomposition and Delta_2 spectrum.  The
 Wedderburn and derived-Delta_2 checks still run at every vertex.  Base
 vertices must be ints (numpy ints too, bools not): nothing is truncated.

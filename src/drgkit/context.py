@@ -31,20 +31,15 @@ names; that one line is the only place where the two differ.
   contexts too;
 * dim T(x) from the algebra closure, keyed by x, from
   terwilliger.terwilliger_dimensions, so check_pvt's request for every
-  vertex is one stacked closure;
-* modules: tmodules.decompose's SRG and Taylor module decompositions, keyed
-  by the exact local Spectrum, which with the route's parameters is all that
-  decompose_srg and decompose_taylor read (AT4 ones, one per vertex, come
-  from one stacked walk per request and are not kept);
-* route_local, the graph-level data of a Taylor or AT4 route: the local
-  SrgParams, local spectrum and flags that tmodules checks every vertex
-  against.
+  vertex is one stacked closure.
 
-The memos live on the context object and nowhere else.  A command builds one
-context per input graph and drops it when it returns, so two commands run in
-one process (a test suite, a benchmark loop) never answer from each other's
-results.  Entry points take a Graph or a GraphContext; GraphContext.of turns
-either into a context.
+Nothing else is kept: every value on the context is read by two or more
+layers.  A module decomposition is built for its request (tmodules.decompose)
+and returned, not kept.  The memos live on the context object and nowhere
+else.  A command builds one context per input graph and drops it when it
+returns, so two commands run in one process (a test suite, a benchmark loop)
+never answer from each other's results.  Entry points take a Graph or a
+GraphContext; GraphContext.of turns either into a context.
 
 The closure memo only ever holds the stacked closure's results, and the module
 decompositions never read it: the Wedderburn sum and the closure stay two
@@ -61,8 +56,6 @@ from .graph_core import DistanceData, Graph, checked_vertices, distances
 from .scheme import (
     DrgParameters,
     EigenData,
-    _at4_local,
-    _taylor_local,
     at4_parameters,
     eigen_data,
     taylor_parameters,
@@ -89,7 +82,6 @@ class GraphContext:
     params: DrgParameters
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
     _dims: dict = field(default_factory=dict, init=False, repr=False)
-    modules: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, g: Union[Graph, "GraphContext"]) -> "GraphContext":
@@ -158,10 +150,3 @@ class GraphContext:
             memo.update(zip(map(key, missing),
                             [one(missing[0])] if len(missing) == 1 else stack(missing)))
         return tuple(memo[key(x)] for x in vertices)
-
-    @cached_property
-    def route_local(self) -> tuple:
-        """tmodules' (local SrgParams, local Spectrum, flags) for a Taylor or
-        AT4 route, built once by scheme._taylor_local or scheme._at4_local."""
-        kind, args = self.route
-        return _taylor_local(args, self.eigen.theta) if kind == "taylor" else _at4_local(args)

@@ -142,10 +142,6 @@ class DistanceData:
     D: int
     dist: np.ndarray
 
-    def classes_from(self, x: int, i: int) -> np.ndarray:
-        """Vertices at distance i from x, in increasing label order."""
-        return np.nonzero(self.dist[x] == i)[0]
-
 
 def distances(g: Graph) -> DistanceData:
     """All-pairs distances by one level-synchronous expansion from every source.

@@ -1,7 +1,7 @@
 """Distance-regularity, intersection numbers, eigenvalues and multiplicities,
-Krein parameters, Q-polynomial orderings, antipodality, the tightness bound, and
-recognition of the Taylor and AT4(p, q, 2) intersection arrays with the local
-strongly regular parameters and spectrum each of them predicts.
+Krein parameters, Q-polynomial orderings, antipodality, the tightness bound,
+and recognition of the Taylor and AT4(p, q, 2) intersection arrays (the local
+graph each of them predicts is tmodules' to build and check).
 
 Only verify_drg and antipodality look at the n x n graph (antipodality only
 at its distance table).  verify_drg forms the D products A A_j of 0/1 class
@@ -33,7 +33,7 @@ import numpy as np
 
 from .exactla import AlgebraicScalar, radical_sign
 from .graph_core import DistanceData, Graph, GraphError, distances, require_size
-from .spectra import SrgParams, spectrum_of_int_matrix, srg_spectrum
+from .spectra import spectrum_of_int_matrix
 
 __all__ = [
     "DrgParameters",
@@ -389,28 +389,6 @@ def taylor_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
     return k, b
 
 
-def _taylor_local(kb: tuple[int, int], theta) -> tuple:
-    """(local SrgParams, local Spectrum, flags) of the Taylor graph
-    {k,b,1;1,b,k} with eigenvalues theta, after the exact checks
-    tmodules.decompose_taylor documents."""
-    k, b = kb
-    a1 = k - b - 1
-    if a1 % 2 or (3 * a1 - k - 1) % 2:
-        raise ValueError(f"Taylor graph ({k}, {b}) has no strongly regular local graph")
-    local_params = SrgParams(k, a1, (3 * a1 - k - 1) // 2, a1 // 2)
-    sigma, tau = local_params.sigma, local_params.tau
-    half = AlgebraicScalar(Fraction(1, 2))
-    if sigma != (theta[1] + theta[2]) * half or tau != (theta[2] + theta[3]) * half:
-        raise ValueError("2*lambda = theta_t + theta_(t+1) identity failed")
-    flags = []
-    if sigma != (theta[1] - theta[2]) * half:
-        flags.append(
-            "taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
-            "not (theta1-theta2)/2"
-        )
-    return local_params, srg_spectrum(local_params), tuple(flags)
-
-
 def at4_intersection_array(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(b_0..b_3, c_1..c_4) of AT4(p, q, 2); entries must come out integral."""
     if p < 1 or q < 2:
@@ -437,12 +415,3 @@ def at4_parameters(params: DrgParameters) -> Optional[tuple[int, int]]:
             if params.b == b and params.c == c:
                 return p, q
     return None
-
-
-def _at4_local(pq: tuple[int, int]) -> tuple:
-    """(local SrgParams, local Spectrum, no flags) of AT4(p, q, 2): the local
-    graph must be SRG(q(pq+p+q), p(q+1), 2p-q, p), whose eigenvalues are
-    sigma = p and tau = -q."""
-    p, q = pq
-    local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
-    return local_params, srg_spectrum(local_params), ()

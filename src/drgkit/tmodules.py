@@ -2,16 +2,22 @@
 
 decompose(g, vertices) is the one entry point: one decomposition per vertex
 of the list, or None on the generic route.  It follows GraphContext.route to
-decompose_srg, decompose_taylor or decompose_at4, and each of them reads its
-parameters from the context, so no caller passes them.  Every route reads
+decompose_srg, decompose_taylor or decompose_at4, which each take the whole
+list and return one decomposition per vertex, and each reads its parameters
+from the context, so no caller passes them.  Within one request
+decompose_srg builds one decomposition per distinct local spectrum,
+decompose_taylor one for every vertex (all share the predicted local
+spectrum), and decompose_at4 one per vertex from one stacked walk per local
+eigenvalue; none is kept past the request.  Every route reads
 the graph's eigenvalues theta_0 > ... > theta_D from GraphContext.eigen, the
 certified spectrum of the intersection array.  The one closed form is
 decompose_srg's sigma and tau, read from the route's SrgParams (which the
 route builds without GraphContext.eigen, so a verdict never computes it);
 decompose_srg checks them once against GraphContext.eigen.theta.  One
 _primary builds the primary module of every route from the intersection
-numbers, and the Taylor and AT4 routes check each local spectrum against
-GraphContext.route_local in one place (_cover_local).  Each route appends
+numbers, and _cover_local builds the local graph a Taylor or AT4 array
+predicts and checks each vertex's local spectrum against it, in one place
+for both routes.  Each route appends
 its classes in canonical order (see ModuleDecomposition), so none is sorted.
 
 Every decomposition built here is self-certifying:
@@ -50,6 +56,7 @@ from .spectra import (
     SrgParams,
     effective_multiplicities,
     srg_local_split,
+    srg_spectrum,
 )
 
 __all__ = [
@@ -114,28 +121,27 @@ def _primary(params: DrgParameters) -> ModuleDescriptor:
 def decompose(g: Union[Graph, GraphContext], vertices=None) -> tuple:
     """The T(x)-module classes of the given vertices (default: every vertex),
     one ModuleDecomposition each in their order by the context's route, or
-    None each on a graph no theorem covers.  The local blocks are one stack.
+    None each on a graph no theorem covers.
 
-    decompose_srg and decompose_taylor read nothing of x but its local
-    spectrum, so each runs once per distinct local Spectrum (memoized in
-    GraphContext.modules); decompose_at4 takes the whole list, as its walk
-    witnesses thinness at every vertex.  The closure is not involved, so the
-    Wedderburn sum stays independent of it.
+    Each route takes the whole list and reads its local blocks as one stack.
+    The closure is not involved, so the Wedderburn sum stays independent of it.
     """
     ctx = GraphContext.of(g)
     vertices = checked_vertices(ctx.params.n, range(ctx.params.n) if vertices is None
                                 else vertices)
     if ctx.route is None or not vertices:
         return (None,) * len(vertices)
-    ctx.subconstituent_spectra(1, vertices)  # the local blocks as one stack
-    if ctx.route[0] == "at4":
-        return decompose_at4(ctx, vertices)
-    build = decompose_srg if ctx.route[0] == "srg" else decompose_taylor
-    for x in vertices:
-        local = ctx.subconstituent_spectrum(x, 1)
-        if local not in ctx.modules:
-            ctx.modules[local] = build(ctx, x)
-    return tuple(ctx.modules[ctx.subconstituent_spectrum(x, 1)] for x in vertices)
+    kind = ctx.route[0]
+    route = (decompose_srg if kind == "srg" else decompose_taylor if kind == "taylor"
+             else decompose_at4)
+    return route(ctx, vertices)
+
+
+def _local_spectra(ctx: GraphContext, vertices: list) -> list:
+    """The exact local spectrum of each vertex, their blocks read as one
+    stack; a float one raises ValueError."""
+    ctx.subconstituent_spectra(1, vertices)
+    return [ctx.subconstituent_spectrum(x, 1) for x in vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +149,10 @@ def decompose(g: Union[Graph, GraphContext], vertices=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
-    """Thin irreducible T(x)-module classes of a strongly regular graph.
+def decompose_srg(ctx: GraphContext, vertices: list) -> tuple:
+    """Thin irreducible T(x)-module classes of a strongly regular graph, one
+    decomposition per vertex, built once per distinct local spectrum (the only
+    thing of x that they read).
 
     Classes and multiplicities: the primary module (dim 3); one dim-2
     endpoint-1 class per local eigenvalue lambda outside {sigma, tau}, with
@@ -159,23 +167,28 @@ def decompose_srg(ctx: GraphContext, x: int) -> ModuleDecomposition:
     if (sigma, tau) != theta[1:]:
         raise ValueError(f"sigma, tau = {sigma}, {tau} are not "
                          f"theta_1, theta_2 = {theta[1]}, {theta[2]}")
-    local = ctx.subconstituent_spectrum(x, 1)
-    eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
 
-    descs = [_primary(ctx.params)]
-    for lam, mult in eff1.items():  # local eigenvalues outside {sigma, tau}
-        a_seq = (lam, sigma + tau - lam)
-        x_seq = (AlgebraicScalar(-1) * (lam - sigma) * (lam - tau),)
-        descs.append(ModuleDescriptor(
-            endpoint=1, dual_endpoint=1, multiplicity=mult,
-            local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
-        ))
-    for endpoint, lam, mult, t in ((1, sigma, f_sigma, 1), (1, tau, f_tau, 2),
-                                   (2, sigma, g_sigma, 1), (2, tau, g_tau, 2)):
-        if mult:
-            descs.append(ModuleDescriptor(endpoint=endpoint, dual_endpoint=t, multiplicity=mult,
-                                          local_eigenvalue=lam, a_seq=(lam,), x_seq=()))
-    return ModuleDecomposition(descriptors=tuple(descs))
+    def classes(local: Spectrum) -> ModuleDecomposition:
+        eff1, f_sigma, f_tau, g_sigma, g_tau = srg_local_split(local, p)
+        descs = [_primary(ctx.params)]
+        for lam, mult in eff1.items():  # local eigenvalues outside {sigma, tau}
+            a_seq = (lam, sigma + tau - lam)
+            x_seq = (AlgebraicScalar(-1) * (lam - sigma) * (lam - tau),)
+            descs.append(ModuleDescriptor(
+                endpoint=1, dual_endpoint=1, multiplicity=mult,
+                local_eigenvalue=lam, a_seq=a_seq, x_seq=x_seq,
+            ))
+        for endpoint, lam, mult, t in ((1, sigma, f_sigma, 1), (1, tau, f_tau, 2),
+                                       (2, sigma, g_sigma, 1), (2, tau, g_tau, 2)):
+            if mult:
+                descs.append(ModuleDescriptor(endpoint=endpoint, dual_endpoint=t,
+                                              multiplicity=mult, local_eigenvalue=lam,
+                                              a_seq=(lam,), x_seq=()))
+        return ModuleDecomposition(descriptors=tuple(descs))
+
+    local = _local_spectra(ctx, vertices)
+    built = {s: classes(s) for s in dict.fromkeys(local)}
+    return tuple(built[s] for s in local)
 
 
 class DimensionSequence(NamedTuple):
@@ -289,39 +302,60 @@ def endpoint1_module_data(ctx: GraphContext, vertices, lam: int) -> list:
 
 
 def _cover_local(ctx: GraphContext, vertices: list) -> tuple:
-    """(theta, local SrgParams, flags) of a Taylor or AT4 route, theta from
-    GraphContext.eigen and the rest from GraphContext.route_local, after
-    checking each vertex's local spectrum against the route's prediction."""
-    local_params, expected, flags = ctx.route_local
-    for x in vertices:
-        local = ctx.subconstituent_spectrum(x, 1)
+    """(theta, local SrgParams, flags) of a Taylor or AT4 route, after
+    checking each vertex's local spectrum against the one the route predicts.
+
+    Every vertex of a Taylor or AT4 graph has one local graph, strongly
+    regular with parameters read off the intersection array: for Taylor
+    {k,b,1;1,b,k}, (k, a_1, (3 a_1 - k - 1)/2, a_1/2) with a_1 = k - b - 1,
+    whose eigenvalues must satisfy 2*sigma = theta_1 + theta_2 and
+    2*tau = theta_2 + theta_3 (checked exactly, against GraphContext.eigen),
+    and a flag records that sigma is not the difference form
+    (theta_1 - theta_2)/2; for AT4(p, q, 2), (q(pq+p+q), p(q+1), 2p-q, p),
+    whose eigenvalues are sigma = p and tau = -q.
+    """
+    kind, args = ctx.route
+    theta, flags = ctx.eigen.theta, ()
+    if kind == "taylor":
+        k, b = args
+        a1 = k - b - 1
+        if a1 % 2 or (3 * a1 - k - 1) % 2:
+            raise ValueError(f"Taylor graph ({k}, {b}) has no strongly regular local graph")
+        local_params = SrgParams(k, a1, (3 * a1 - k - 1) // 2, a1 // 2)
+        sigma, tau = local_params.sigma, local_params.tau
+        half = AlgebraicScalar(Fraction(1, 2))
+        if sigma != (theta[1] + theta[2]) * half or tau != (theta[2] + theta[3]) * half:
+            raise ValueError("2*lambda = theta_t + theta_(t+1) identity failed")
+        if sigma != (theta[1] - theta[2]) * half:
+            flags = ("taylor-local-eigenvalue-identity: sigma equals (theta1+theta2)/2, "
+                     "not (theta1-theta2)/2",)
+    else:
+        p, q = args
+        local_params = SrgParams(q * (p * q + p + q), p * (q + 1), 2 * p - q, p)
+    expected = srg_spectrum(local_params)
+    for x, local in zip(vertices, _local_spectra(ctx, vertices)):
         if local != expected:
             raise ValueError(f"local spectrum {local} at vertex {x} differs from the "
-                             f"{ctx.route[0]} prediction {expected}")
-    return ctx.eigen.theta, local_params, flags
+                             f"{kind} prediction {expected}")
+    return theta, local_params, flags
 
 
-def decompose_taylor(ctx: GraphContext, x: int) -> ModuleDecomposition:
+def decompose_taylor(ctx: GraphContext, vertices: list) -> tuple:
     """T(x)-module classes of a Taylor graph: the primary module and one dim-2
     endpoint-1 class per nontrivial local eigenvalue sigma, tau.
 
-    The local graph is strongly regular with parameters
-    (k, a_1, (3 a_1 - k - 1)/2, a_1/2), a_1 = k - b - 1, and its spectrum is
-    checked against theirs.  The local eigenvalues satisfy
-    2*sigma = theta_1 + theta_2 and 2*tau = theta_2 + theta_3 (checked
-    exactly, against the certified spectrum in GraphContext.eigen); the
-    difference form (theta_1 - theta_2)/2 does not equal sigma, and a flag
-    records that.  These graph-level data are built once per context
-    (GraphContext.route_local); x enters only through its local spectrum.
+    Every vertex has the local spectrum _cover_local checks, so one
+    decomposition serves every vertex of the list.  The difference form
+    (theta_1 - theta_2)/2 does not equal sigma, and a flag records that.
     """
-    theta, local_params, flags = _cover_local(ctx, [x])
+    theta, local_params, flags = _cover_local(ctx, vertices)
     sigma, tau = local_params.sigma, local_params.tau
     descs = [_primary(ctx.params)]
     for lam, mult, t in ((sigma, local_params.m_sigma, 1), (tau, local_params.m_tau, 2)):
         descs.append(ModuleDescriptor(endpoint=1, dual_endpoint=t, multiplicity=mult,
                                       local_eigenvalue=lam, a_seq=(lam, lam),
                                       x_seq=((lam - theta[t]) * (lam - theta[t]),)))
-    return ModuleDecomposition(descriptors=tuple(descs), flags=flags)
+    return (ModuleDecomposition(descriptors=tuple(descs), flags=flags),) * len(vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,11 @@ def span_contains(span, mat) -> bool:
     return not span._residue(v, _max_abs(v)).any()
 
 
+def classes_from(dd, x: int, i: int) -> np.ndarray:
+    """Vertices at distance i from x, in increasing label order."""
+    return np.nonzero(dd.dist[x] == i)[0]
+
+
 def distance_matrices(dd) -> list[np.ndarray]:
     """The distance matrices A_0..A_D as int64 0/1 arrays."""
     return [(dd.dist == i).astype(np.int64) for i in range(dd.D + 1)]

@@ -175,25 +175,28 @@ def test_reproduce_chang_stacks_class_1_once_per_graph(monkeypatch):
 
 
 def test_srg_decomposition_is_built_once_per_local_spectrum(monkeypatch):
-    # a Taylor decomposition, too, reads nothing of x but its local spectrum
+    # a Taylor decomposition, too, reads nothing of x but its local spectrum,
+    # which every vertex of a Taylor graph shares
     srg = _spy(monkeypatch, drgkit.tmodules, "decompose_srg")
     taylor = _spy(monkeypatch, drgkit.tmodules, "decompose_taylor")
-    for g, route, built, distinct in ((shrikhande(), "srg", srg, 1), (chang(1), "srg", srg, 2),
-                                      (chang(3), "srg", srg, 2),
-                                      (icosahedron(), "taylor", taylor, 1),
-                                      (johnson(6, 3), "taylor", taylor, 1)):
+    for g, route, distinct in ((shrikhande(), "srg", 1), (chang(1), "srg", 2),
+                               (chang(3), "srg", 2), (icosahedron(), "taylor", 1),
+                               (johnson(6, 3), "taylor", 1)):
         srg.clear()
         taylor.clear()
         ctx = GraphContext.of(g)
         assert ctx.route[0] == route
         mds = decompose(ctx)
-        assert len(built) == distinct == len(ctx.modules), g.label
-        assert len(srg) + len(taylor) == distinct
+        assert len(srg) + len(taylor) == 1, g.label  # one route call per request
+        assert len({id(md) for md in mds}) == distinct, g.label
+        by_spectrum = {}
+        for x, md in enumerate(mds):
+            assert by_spectrum.setdefault(ctx.subconstituent_spectrum(x, 1), md) is md
+        assert len(by_spectrum) == distinct
         build = getattr(drgkit.tmodules, f"decompose_{route}")
         for x in range(g.n):
-            assert mds[x] is ctx.modules[ctx.subconstituent_spectrum(x, 1)]
-            # the memo answers what the route answers for x itself
-            assert mds[x] == build(ctx, x)
+            # the shared decomposition is what the route answers for x alone
+            assert mds[x] == build(ctx, [x])[0]
 
 
 def test_consecutive_commands_share_no_memo(monkeypatch, tmp_path, capsys):

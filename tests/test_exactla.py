@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import drgkit
-from conftest import LATIN_SQUARE_6, distance_matrices, latin_square_graph, span_contains
+from conftest import (
+    LATIN_SQUARE_6,
+    classes_from,
+    distance_matrices,
+    latin_square_graph,
+    span_contains,
+)
 from exact_span import ExactSpan
 from drgkit import exactla
 from drgkit.exactla import (
@@ -934,7 +940,7 @@ def _class_stacks(g):
     """(i, the (n, k_i, k_i) stack of distance-i class blocks) for every i."""
     dd = distances(g)
     for i in range(1, dd.D + 1):
-        cls = np.array([dd.classes_from(x, i) for x in range(g.n)])
+        cls = np.array([classes_from(dd, x, i) for x in range(g.n)])
         yield i, g.adjacency[cls[:, :, None], cls[:, None, :]].astype(np.int64)
 
 

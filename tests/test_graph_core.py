@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import distance_matrices, induced_subgraph, neighbors
+from conftest import classes_from, distance_matrices, induced_subgraph, neighbors
 from drgkit.families import (
     chang,
     complete_bipartite,
@@ -306,13 +306,13 @@ def test_distances_complete_graph():
 def test_distances_icosahedron():
     dd = distances(icosahedron())
     assert dd.D == 3
-    assert all(len(dd.classes_from(x, 3)) == 1 for x in range(12))
+    assert all(len(classes_from(dd, x, 3)) == 1 for x in range(12))
 
 
 def test_johnson84_unique_antipode():
     dd = distances(johnson(8, 4))
     assert dd.D == 4
-    assert all(len(dd.classes_from(x, 4)) == 1 for x in range(70))
+    assert all(len(classes_from(dd, x, 4)) == 1 for x in range(70))
 
 
 def test_distance_matrices_partition():
@@ -330,14 +330,14 @@ def test_induced_identity():
 def test_induced_local_j82():
     g = johnson(8, 2)
     dd = distances(g)
-    local = induced_subgraph(g, dd.classes_from(0, 1))
+    local = induced_subgraph(g, classes_from(dd, 0, 1))
     assert local.n == 12 and local.is_regular() == 6
 
 
 def test_induced_local_icosahedron_is_pentagon():
     g = icosahedron()
     dd = distances(g)
-    local = induced_subgraph(g, dd.classes_from(0, 1))
+    local = induced_subgraph(g, classes_from(dd, 0, 1))
     assert local.n == 5 and local.is_regular() == 2 and local.connected
 
 

@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import (
     TUTTE_12_CAGE_LCF,
+    classes_from,
     distance_matrices,
     idempotent_profiles,
     induced_subgraph,
@@ -404,7 +405,7 @@ def test_tight_local_graph_characterization():
         t = tightness(params, ed)
         assert t.is_tight
         dd = distances(g)
-        local = induced_subgraph(g, dd.classes_from(0, 1))
+        local = induced_subgraph(g, classes_from(dd, 0, 1))
         assert local.connected
         spec = subconstituent_spectrum(g, 0, 1, dd)
         values = [v for v, _ in spec.pairs]

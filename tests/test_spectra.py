@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LATIN_SQUARE_6, latin_square_graph, paley_graph
+from conftest import LATIN_SQUARE_6, classes_from, latin_square_graph, paley_graph
 from drgkit.context import GraphContext
 from drgkit.exactla import (
     AlgebraicScalar,
@@ -230,7 +230,7 @@ def test_certified_spectra_match_charpoly_oracle_on_fixtures(srg_corpus, ico, j8
         dd = distances(g)
         for x in range(g.n):
             for i in range(1, dd.D + 1):
-                cls = dd.classes_from(x, i)
+                cls = classes_from(dd, x, i)
                 block = g.adjacency[np.ix_(cls, cls)].astype(np.int64)
                 assert certified_factors(block) is not None, (g.label, x, i)
                 assert spectrum_of_int_matrix(block) == _oracle(block), (g.label, x, i)

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import distance_matrices, idempotent_profiles, span_contains
+from conftest import classes_from, distance_matrices, idempotent_profiles, span_contains
 from drgkit.exactla import (
     _imatmul,
     charpoly_int,
@@ -214,7 +214,7 @@ def test_one_request_refuses_classes_of_different_sizes():
     assert [terwilliger_dimensions(g, [x], dd)[0] for x in range(3)] == \
         [_spin_closure_dim(_terwilliger_generators(g, x, dd)) for x in range(3)] == [9, 5, 9]
     blocks = [g.adjacency[np.ix_(c, c)].astype(np.int64) for c in
-              (dd.classes_from(x, 1) for x in range(3))]
+              (classes_from(dd, x, 1) for x in range(3))]
     assert [subconstituent_spectra(g, 1, dd, [x])[0] for x in range(3)] == \
         [Spectrum.from_pairs(factor_roots(eigenvalues_from_charpoly(charpoly_int(B))))
          for B in blocks]

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import _SRG_BUILDERS, LATIN_SQUARE_6, graph_from_edges, latin_square_graph
+from conftest import (
+    _SRG_BUILDERS,
+    LATIN_SQUARE_6,
+    classes_from,
+    graph_from_edges,
+    latin_square_graph,
+)
 from drgkit import tmodules
 from drgkit.context import GraphContext
 from drgkit.exactla import AlgebraicScalar
@@ -244,7 +250,7 @@ def _endpoint1_oracle(g, x, lam: int):
     """(a_seq, x_seq) from the first sympy nullspace vector of B_1 - lam*I,
     walked w_{i+1} = E*_{i+2} A w_i in Fractions until it vanishes."""
     dd = distances(g)
-    cls1 = dd.classes_from(x, 1)
+    cls1 = classes_from(dd, x, 1)
     B1 = sympy.Matrix(g.adjacency[np.ix_(cls1, cls1)].astype(int).tolist())
     v = (B1 - lam * sympy.eye(len(cls1))).nullspace()[0]
     w = np.array([Fraction(0)] * g.n, dtype=object)
@@ -285,7 +291,7 @@ def test_endpoint1_module_data_rejects_a_module_that_is_not_thin(monkeypatch):
     # a vector orthogonal to all-ones that is not a B_1-eigenvector: B_1 v is
     # not a multiple of v, so A w_0 leaves span(w_0, w_1) on subconstituent 1
     ctx = GraphContext.of(johnson(8, 4))
-    cls1 = ctx.dd.classes_from(0, 1)
+    cls1 = classes_from(ctx.dd, 0, 1)
     B1 = ctx.graph.adjacency[np.ix_(cls1, cls1)].astype(np.int64)
     v = np.zeros(len(cls1), dtype=np.int64)
     v[0], v[1] = 1, -1
@@ -362,13 +368,23 @@ def test_decompose_srg_rejects_sigma_tau_other_than_theta(theta):
         decompose(ctx, [0])
 
 
-def test_cover_rejects_a_local_spectrum_other_than_the_taylor_prediction():
-    ctx = GraphContext.of(icosahedron())
-    local_params, _, flags = ctx.route_local
-    ctx.__dict__["route_local"] = (local_params, Spectrum.from_pairs([(2, 1), (0, 4)]), flags)
+def test_cover_rejects_a_local_spectrum_other_than_the_taylor_prediction(monkeypatch):
+    monkeypatch.setattr(tmodules, "srg_spectrum", lambda p: Spectrum.from_pairs([(2, 1), (0, 4)]))
     with pytest.raises(ValueError, match=r"local spectrum .* at vertex 0 differs from the "
                                          r"taylor prediction \{2\^1, 0\^4\}"):
-        decompose(ctx, [0])
+        decompose(icosahedron(), [0])
+
+
+@pytest.mark.parametrize("g, x, route, pairs", [
+    (icosahedron(), 5, "taylor", [(2, 1), (0, 4)]),
+    (johnson(8, 4), 9, "at4", [(6, 1), (2, 5), (-2, 10)]),
+], ids=["taylor", "at4"])
+def test_cover_names_a_later_vertex_whose_local_spectrum_is_off_the_prediction(g, x, route, pairs):
+    ctx = GraphContext.of(g)
+    ctx._spectra[x, 1] = Spectrum.from_pairs(pairs)
+    with pytest.raises(ValueError, match=rf"local spectrum .* at vertex {x} differs from "
+                                         rf"the {route} prediction"):
+        decompose(ctx)
 
 
 def test_decompose_at4_rejects_an_endpoint1_a_sequence_off_the_formula(monkeypatch):
